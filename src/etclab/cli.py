@@ -16,6 +16,7 @@ output rounds to 4 decimal digits; files carry full precision.
 
 import argparse
 import csv
+import inspect
 import json
 import os
 import sys
@@ -24,18 +25,16 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, DivergenceError, DomainError, EtcLabError
+from .errors import ConfigError, DimensionError, DivergenceError, EtcLabError
 from .hybrid import HybridSolution, SimSettings, r_monitor, simulate
 from .lti import LmiCertificate, LtiController, LtiPlant, assemble, design_certificate, extract_assumption
 from .model import HybridState
-from .montecarlo import BatchSpec, emit_report, run_batch, sample_initial
+from .montecarlo import BatchSpec, _fmt, emit_report, run_batch, sample_initial, write_events_csv
 from .systems import (
-    TABUADA_A,
-    TABUADA_B,
-    TABUADA_K,
-    builtin_loop,
+    BUILTIN_LOOPS,
     check_assumption_sampled,
     lti_loop_from_matrices,
+    tabuada_matrices,
 )
 from .trigger import TriggerConfig, ZetaParams, masp, zeta_time
 
@@ -46,17 +45,13 @@ _EXIT_INVALID = 1
 _EXIT_DIVERGED = 2
 
 
-def _fmt(v):
-    return f"{v:.17g}"
-
-
 def _display(v):
     return f"{v:.4f}"
 
 
 @dataclass
 class RunConfig:
-    """Parsed configuration for simulate/batch/check/design."""
+    """A config document: one JSON value per section, validated by ``Resolved``."""
 
     system: dict
     certificate: object = "auto"
@@ -69,25 +64,12 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, d):
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(d) - known
-        if unknown:
-            raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-        if "system" not in d:
-            raise ConfigError("config field 'system' is required")
-        if "certificate" in d and not (
-            d["certificate"] == "auto" or isinstance(d["certificate"], dict)
-        ):
-            raise ConfigError("config field 'certificate' must be \"auto\" or an object")
+        _check_keys(d, "config", ["system"], cls.__dataclass_fields__)
+        if d.get("certificate", "auto") != "auto" and not isinstance(d["certificate"], dict):
+            raise ConfigError("config.certificate: expected \"auto\" or an object")
+        if not isinstance(d.get("output_dir", ""), str):
+            raise ConfigError("config.output_dir: expected a string")
         return cls(**d)
-
-    def to_dict(self):
-        d = asdict(self)
-        if d["initial"] is None:
-            d.pop("initial")
-        if d["zeta"] is None:
-            d.pop("zeta")
-        return d
 
 
 def load_config(path) -> RunConfig:
@@ -100,106 +82,151 @@ def load_config(path) -> RunConfig:
         raise ConfigError(
             f"{path}: malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from None
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{path}: top-level config must be a JSON object")
     return RunConfig.from_dict(raw)
 
 
 def emit_config(cfg: RunConfig, path):
     with open(path, "w") as fh:
-        json.dump(cfg.to_dict(), fh, indent=2)
+        json.dump(asdict(cfg), fh, indent=2)
         fh.write("\n")
 
 
-def _build_loop(cfg: RunConfig):
-    """Resolve (system, certificate) from a config."""
-    spec = cfg.system
-    if not isinstance(spec, dict) or "name" not in spec:
-        raise ConfigError("config.system must be an object with a 'name' field")
-    name = spec["name"]
-    if name in ("lorenz", "lti-sf-tabuada"):
-        if cfg.certificate != "auto":
-            raise ConfigError(
-                f"built-in system {name!r} carries its own certificate; "
-                "set certificate to \"auto\""
-            )
-        return builtin_loop(name, **spec.get("params", {}))
-    if name == "lti-custom":
-        try:
-            plant = LtiPlant(**spec["plant"])
-            c = spec["controller"]
-            if "A" in c:
-                ctrl = LtiController(**c)
-            else:
-                ctrl = LtiController.static(c["D"])
-        except KeyError as exc:
-            raise ConfigError(f"config.system: missing field {exc}") from None
-        clm = assemble(plant, ctrl)
-        if cfg.certificate == "auto":
-            eps = spec.get("design", {})
-            cand = design_certificate(
-                clm, eps1=eps.get("eps1", 1e-2), eps2=eps.get("eps2", 1e-2)
-            )
-        else:
-            c = dict(cfg.certificate)
-            try:
-                cand = LmiCertificate(
-                    P=np.asarray(c["P"], dtype=float),
-                    eps1=float(c["eps1"]),
-                    eps2=float(c["eps2"]),
-                    mu=float(c["mu"]),
-                )
-            except KeyError as exc:
-                raise ConfigError(f"config.certificate: missing field {exc}") from None
-        cert = extract_assumption(clm, cand)
-        return lti_loop_from_matrices(clm, name="lti-custom"), cert
-    raise ConfigError(f"unknown system name {name!r}")
+# JSON values accepted for a parameter annotation; matrices and vectors
+# are left to the constructor.
+_JSON_KINDS = {float: (int, float), Optional[float]: (int, float, type(None)), int: (int,)}
 
 
-def _trigger_from(cfg: RunConfig) -> TriggerConfig:
-    t = dict(cfg.trigger)
-    if "mode" not in t:
-        raise ConfigError("config.trigger: missing field 'mode'")
-    mode = t.pop("mode")
-    T = float(t.pop("T", 0.0))
-    sigma = t.pop("sigma", None)
-    if t:
-        raise ConfigError(f"config.trigger: unknown fields {sorted(t)}")
-    return TriggerConfig(mode=mode, T=T, sigma=sigma)
-
-
-def _sim_from(cfg: RunConfig) -> SimSettings:
-    known = {"step", "horizon_t", "max_jumps", "event_tol", "blowup_norm"}
-    unknown = set(cfg.sim) - known
+def _check_keys(d, where, required, allowed):
+    if not isinstance(d, dict):
+        raise ConfigError(f"{where}: expected an object, got {type(d).__name__}")
+    unknown = sorted(set(d) - set(allowed))
     if unknown:
-        raise ConfigError(f"config.sim: unknown fields {sorted(unknown)}")
-    return SimSettings(**cfg.sim)
+        raise ConfigError(f"{where}: unknown fields {unknown}")
+    for k in required:
+        if k not in d:
+            raise ConfigError(f"{where}: missing field {k!r}")
 
 
-def _seed_from(cfg: RunConfig) -> int:
-    env = os.environ.get(SEED_ENV_VAR)
-    if env is not None:
+def _build(ctor, d, section, defaults=None, **fixed):
+    """``ctor(**d)`` with d checked against the signature and annotations of ctor.
+
+    ``defaults`` fill keys that d lacks; ``fixed`` arguments are not config
+    fields.  Constructor errors become ConfigError naming the section.
+    """
+    where = f"config.{section}"
+    defaults = defaults or {}
+    params = inspect.signature(ctor).parameters
+    allowed = [n for n in params if n not in fixed]
+    required = [n for n in allowed if params[n].default is params[n].empty and n not in defaults]
+    _check_keys(d, where, required, allowed)
+    for k, v in d.items():
+        kinds = _JSON_KINDS.get(params[k].annotation, (object,))
+        if isinstance(v, bool) or not isinstance(v, kinds):
+            raise ConfigError(f"{where}: field {k!r} has the wrong type {type(v).__name__}")
+    try:
+        return ctor(**{**defaults, **d}, **fixed)
+    except (TypeError, KeyError, ValueError, EtcLabError) as exc:
+        raise ConfigError(f"{where}: {exc}") from None
+
+
+def _design_eps(eps1: float = 1e-2, eps2: float = 1e-2):
+    return {"eps1": eps1, "eps2": eps2}
+
+
+class Resolved:
+    """A config with every section validated once and built into its typed object.
+
+    ``clm`` and ``eps`` are the closed-loop blocks and design weights of an
+    LTI system (None and the defaults otherwise); ``certificate`` is an
+    inline certificate, None for "auto".  ``run`` marks a command that
+    simulates, which requires config.trigger.  ETC_LAB_SEED, when set,
+    replaces the batch seed.
+    """
+
+    def __init__(self, cfg: RunConfig, run=False):
+        spec = cfg.system
+        if not isinstance(spec, dict) or not isinstance(spec.get("name"), str):
+            raise ConfigError("config.system: expected an object with a string field 'name'")
+        self.system = spec["name"]
+        self.params = spec.get("params", {})
+        self.clm = tabuada_matrices() if self.system == "lti-sf-tabuada" else None
+        self.eps = _design_eps()
+        if self.system == "lti-custom":
+            _check_keys(spec, "config.system", ["plant", "controller"],
+                        ["name", "plant", "controller", "design"])
+            plant = _build(LtiPlant, spec["plant"], "system.plant")
+            c = spec["controller"]
+            static = isinstance(c, dict) and "A" not in c
+            ctrl = _build(LtiController.static if static else LtiController, c, "system.controller")
+            try:
+                self.clm = assemble(plant, ctrl)
+            except DimensionError as exc:
+                raise ConfigError(f"config.system: {exc}") from None
+            self.eps = _build(_design_eps, spec.get("design", {}), "system.design")
+        elif self.system in BUILTIN_LOOPS:
+            _check_keys(spec, "config.system", [], ["name", "params"])
+        else:
+            raise ConfigError(
+                f"config.system: unknown system name {self.system!r}, expected "
+                f"'lti-custom' or one of {sorted(BUILTIN_LOOPS)}"
+            )
+
+        self.certificate = None
+        if cfg.certificate != "auto":
+            if self.system != "lti-custom":
+                raise ConfigError(
+                    f"config.certificate: built-in system {self.system!r} carries its own "
+                    "certificate; set certificate to \"auto\""
+                )
+            self.certificate = _build(LmiCertificate, cfg.certificate, "certificate")
+        self.trigger = None
+        if run or cfg.trigger != {}:
+            self.trigger = _build(TriggerConfig, cfg.trigger, "trigger")
+        self.sim = _build(SimSettings, cfg.sim, "sim", record_states=True)
+        env = os.environ.get(SEED_ENV_VAR)
         try:
-            return int(env)
+            seed = None if env is None else int(env)
         except ValueError:
             raise ConfigError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from None
-    return int(cfg.batch.get("seed", 0))
+        self.batch = _build(
+            BatchSpec, _override(cfg.batch, seed=seed), "batch",
+            defaults={"n_runs": 100, "radius": 25.0, "horizon_t": self.sim.horizon_t, "seed": 0},
+            trigger=self.trigger, sim=self.sim,
+        )
+        self.initial = None
+        if cfg.initial is not None:
+            self.initial = _build(HybridState, cfg.initial, "initial", tau=0.0)
+        zeta = {"theta": 0.01, "eta": 0.01} if cfg.zeta is None else cfg.zeta
+        self.zeta = _build(ZetaParams, zeta, "zeta")
+
+    def loop(self):
+        """(system, certificate): a built-in benchmark, or the LTI loop with its
+        inline certificate or one designed with ``eps``."""
+        if self.system != "lti-custom":
+            return _build(BUILTIN_LOOPS[self.system], self.params, "system.params")
+        cand = self.certificate or design_certificate(self.clm, **self.eps)
+        cert = extract_assumption(self.clm, cand)
+        return lti_loop_from_matrices(self.clm, name=self.system), cert
 
 
-def _batch_from(cfg: RunConfig, trigger, sim) -> BatchSpec:
-    b = dict(cfg.batch)
-    b.pop("seed", None)
-    known = {"n_runs", "radius", "horizon_t"}
-    unknown = set(b) - known
-    if unknown:
-        raise ConfigError(f"config.batch: unknown fields {sorted(unknown)}")
-    return BatchSpec(
-        n_runs=int(b.get("n_runs", 100)),
-        radius=float(b.get("radius", 25.0)),
-        horizon_t=float(b.get("horizon_t", sim.horizon_t)),
-        seed=_seed_from(cfg),
-        trigger=trigger,
-        sim=sim,
+def _config_of(args) -> RunConfig:
+    if args.config:
+        return load_config(args.config)
+    if getattr(args, "system", None):
+        return RunConfig(system={"name": args.system})
+    raise ConfigError(f"{args.command} requires --config or --system")
+
+
+def _override(section, **values):
+    """``section`` with the command-line values that were given laid over it."""
+    values = {k: v for k, v in values.items() if v is not None}
+    return {**section, **values} if values and isinstance(section, dict) else section
+
+
+def _gains(cert):
+    return (
+        f"gamma = {_display(cert.gamma)}, L = {_display(cert.L)}, "
+        f"T_max = {_display(masp(cert.gamma, cert.L))}"
     )
 
 
@@ -209,16 +236,11 @@ def emit_plot_data(sol: HybridSolution, path, t_ref) -> str:
     Columns: event_index, t_j, gap, T_ref.  A solution without events
     produces a header-only file.
     """
-    jump_times = sol.jump_times
-    gaps = sol.inter_event_gaps
-    offset = len(jump_times) - len(gaps)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["event_index", "t_j", "gap", "T_ref"])
-        for i, gap in enumerate(gaps):
-            writer.writerow(
-                [i + 1, _fmt(jump_times[i + offset]), _fmt(gap), _fmt(t_ref)]
-            )
+        for i, (_j, t_j, gap) in enumerate(sol.gap_rows(), 1):
+            writer.writerow([i, _fmt(t_j), _fmt(gap), _fmt(t_ref)])
     return path
 
 
@@ -241,14 +263,6 @@ def _write_states_csv(sol: HybridSolution, path, n_x, n_e):
                 )
 
 
-def _write_rmon_csv(samples, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "j", "R"])
-        for t, j, r in samples:
-            writer.writerow([_fmt(t), j, _fmt(r)])
-
-
 def _cmd_masp(args):
     value = masp(args.gamma, args.L)
     print("inf" if value == float("inf") else _display(value))
@@ -256,23 +270,12 @@ def _cmd_masp(args):
 
 
 def _cmd_design(args):
-    if args.config:
-        cfg = load_config(args.config)
-    else:
-        cfg = RunConfig(system={"name": args.system or "lti-sf-tabuada"})
-    sysname = cfg.system.get("name", "lti-sf-tabuada")
-    if sysname == "lti-custom":
-        plant = LtiPlant(**cfg.system["plant"])
-        c = cfg.system["controller"]
-        ctrl = LtiController(**c) if "A" in c else LtiController.static(c["D"])
-    elif sysname == "lti-sf-tabuada":
-        plant = LtiPlant(A=TABUADA_A, B=TABUADA_B, C=np.eye(2))
-        ctrl = LtiController.static(TABUADA_K)
-    else:
-        raise ConfigError(f"design expects an LTI system, got {sysname!r}")
-    clm = assemble(plant, ctrl)
-    cand = design_certificate(clm, eps1=args.eps1, eps2=args.eps2)
-    cert = extract_assumption(clm, cand)
+    r = Resolved(_config_of(args))
+    if r.clm is None:
+        raise ConfigError(f"design expects an LTI system, got {r.system!r}")
+    eps = _override(r.eps, eps1=args.eps1, eps2=args.eps2)
+    cand = design_certificate(r.clm, **eps)
+    cert = extract_assumption(r.clm, cand)
     doc = {
         "P": [[float(v) for v in row] for row in cand.P],
         "eps1": cand.eps1,
@@ -288,20 +291,12 @@ def _cmd_design(args):
             fh.write(text)
     else:
         sys.stdout.write(text)
-    print(
-        f"gamma = {_display(cert.gamma)}, L = {_display(cert.L)}, "
-        f"T_max = {_display(doc['T_max'])}",
-        file=sys.stderr,
-    )
+    print(_gains(cert), file=sys.stderr)
     return _EXIT_OK
 
 
 def _cmd_check(args):
-    if args.config:
-        cfg = load_config(args.config)
-    else:
-        cfg = RunConfig(system={"name": args.system})
-    loop, cert = _build_loop(cfg)
+    loop, cert = Resolved(_config_of(args)).loop()
     report = check_assumption_sampled(
         loop, cert, n_samples=args.samples, radius=args.radius, seed=args.seed
     )
@@ -310,67 +305,42 @@ def _cmd_check(args):
     return _EXIT_OK if report.passed else _EXIT_INVALID
 
 
-def _resolve_initial(cfg: RunConfig, loop, batch_spec):
-    if cfg.initial is not None:
-        try:
-            x = np.asarray(cfg.initial["x"], dtype=float)
-            e = np.asarray(cfg.initial["e"], dtype=float)
-        except KeyError as exc:
-            raise ConfigError(f"config.initial: missing field {exc}") from None
-        return HybridState(x, e, 0.0)
-    return sample_initial(batch_spec, 0, loop.n_x, loop.n_e)
-
-
 def _cmd_simulate(args):
-    if args.config:
-        cfg = load_config(args.config)
-    elif args.system:
-        cfg = RunConfig(system={"name": args.system})
-    else:
-        raise ConfigError("simulate requires --config or --system")
-    if args.T is not None:
-        cfg.trigger = {**cfg.trigger, "T": args.T}
-    if args.mode is not None:
-        cfg.trigger = {**cfg.trigger, "mode": args.mode}
-    if args.sigma is not None:
-        cfg.trigger = {**cfg.trigger, "sigma": args.sigma}
+    cfg = _config_of(args)
+    cfg.trigger = _override(cfg.trigger, T=args.T, mode=args.mode, sigma=args.sigma)
     if args.output_dir is not None:
         cfg.output_dir = args.output_dir
+    r = Resolved(cfg, run=True)
+    loop, cert = r.loop()
+    q0 = r.initial
+    if q0 is None:
+        q0 = sample_initial(r.batch, 0, loop.n_x, loop.n_e)
 
-    loop, cert = _build_loop(cfg)
-    trigger = _trigger_from(cfg)
-    trigger.validate_against(cert)  # fail before any integration
-    sim = _sim_from(cfg)
-    batch_spec = _batch_from(cfg, trigger, sim)
-    q0 = _resolve_initial(cfg, loop, batch_spec)
-
-    sol = simulate(loop, cert, trigger, q0, sim)
+    sol = simulate(loop, cert, r.trigger, q0, r.sim)
 
     outdir = cfg.output_dir
     os.makedirs(outdir, exist_ok=True)
     _write_states_csv(sol, os.path.join(outdir, "states.csv"), loop.n_x, loop.n_e)
-    with open(os.path.join(outdir, "events.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["run", "j", "t_j", "gap"])
-        offset = len(sol.jump_times) - len(sol.inter_event_gaps)
-        for i, gap in enumerate(sol.inter_event_gaps):
-            writer.writerow([0, i + 1 + offset, _fmt(sol.jump_times[i + offset]), _fmt(gap)])
-    emit_plot_data(sol, os.path.join(outdir, "plot.csv"), trigger.T)
+    write_events_csv(
+        [(0,) + row for row in sol.gap_rows()], os.path.join(outdir, "events.csv")
+    )
+    emit_plot_data(sol, os.path.join(outdir, "plot.csv"), r.trigger.T)
 
-    zeta = cfg.zeta or {"theta": 0.01, "eta": 0.01}
-    zp = ZetaParams(theta=float(zeta["theta"]), eta=float(zeta["eta"]))
-    rmon_path = os.path.join(outdir, "rmonitor.csv")
-    if trigger.T < zeta_time(cert.gamma, cert.L, zp):
-        _write_rmon_csv(r_monitor(sol, cert, zp), rmon_path)
-    else:
-        _write_rmon_csv([], rmon_path)
+    monitored = r.trigger.T < zeta_time(cert.gamma, cert.L, r.zeta)
+    if not monitored:
         print(
             "warning: dwell time is not below the zeta transit time; "
             "R-monitor output is empty",
             file=sys.stderr,
         )
+    with open(os.path.join(outdir, "rmonitor.csv"), "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["t", "j", "R"])
+        for t, j, rv in r_monitor(sol, cert, r.zeta) if monitored else []:
+            writer.writerow([_fmt(t), j, _fmt(rv)])
 
     gaps = sol.inter_event_gaps
+    print(_gains(cert))
     print(f"jumps: {sol.n_jumps}, terminated: {sol.terminated}")
     if gaps:
         print(
@@ -382,16 +352,12 @@ def _cmd_simulate(args):
 
 def _cmd_batch(args):
     cfg = load_config(args.config)
+    cfg.batch = _override(cfg.batch, n_runs=args.runs)
     if args.output_dir is not None:
         cfg.output_dir = args.output_dir
-    if args.runs is not None:
-        cfg.batch = {**cfg.batch, "n_runs": args.runs}
-    loop, cert = _build_loop(cfg)
-    trigger = _trigger_from(cfg)
-    trigger.validate_against(cert)
-    sim = _sim_from(cfg)
-    spec = _batch_from(cfg, trigger, sim)
-    report = run_batch(loop, cert, spec, n_workers=args.workers)
+    r = Resolved(cfg, run=True)
+    loop, cert = r.loop()
+    report = run_batch(loop, cert, r.batch, n_workers=args.workers)
     summary_path, events_path = emit_report(report, cfg.output_dir)
     tau_min = "n/a" if report.tau_min is None else _display(report.tau_min)
     tau_avg = "n/a" if report.tau_avg is None else _display(report.tau_avg)
@@ -419,8 +385,8 @@ def build_parser():
     p = sub.add_parser("design", help="constructive LTI certificate design")
     p.add_argument("--config")
     p.add_argument("--system", default="lti-sf-tabuada")
-    p.add_argument("--eps1", type=float, default=1e-2)
-    p.add_argument("--eps2", type=float, default=1e-2)
+    p.add_argument("--eps1", type=float)  # default: config system.design, else 1e-2
+    p.add_argument("--eps2", type=float)
     p.add_argument("--out", default="-")
     p.set_defaults(func=_cmd_design)
 
@@ -462,7 +428,7 @@ def dispatch(argv) -> int:
     except DivergenceError as exc:
         print(f"error: simulation diverged: {exc}", file=sys.stderr)
         return _EXIT_DIVERGED
-    except (ConfigError, DomainError, EtcLabError, ValueError, OSError) as exc:
+    except (EtcLabError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_INVALID
 

@@ -12,6 +12,7 @@ Flows use classical fixed-step RK4 (no dense output); reproducibility
 is exact: identical inputs give bit-identical event logs.
 """
 
+import math
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -34,15 +35,16 @@ class SimSettings:
     record_states: bool = True
 
     def __post_init__(self):
-        if self.step <= 0:
+        # Written as `not x > 0` so that NaN fails every guard.
+        if not self.step > 0:
             raise ConfigError("step must be positive")
-        if self.horizon_t <= 0:
-            raise ConfigError("horizon_t must be positive")
-        if self.max_jumps < 1:
+        if not 0 < self.horizon_t < math.inf:
+            raise ConfigError("horizon_t must be positive and finite")
+        if not self.max_jumps >= 1:
             raise ConfigError("max_jumps must be at least 1")
         if not 0 < self.event_tol < self.step:
             raise ConfigError("event_tol must satisfy 0 < event_tol < step")
-        if self.blowup_norm <= 0:
+        if not self.blowup_norm > 0:
             raise ConfigError("blowup_norm must be positive")
 
 
@@ -64,7 +66,9 @@ class HybridSolution:
     ``inter_event_gaps`` are the positive gaps between consecutive
     transmission epochs, counting t = 0 as the zeroth epoch (the clock
     starts at tau = 0 there); a degenerate jump at t = 0 contributes no
-    gap.
+    gap.  ``terminated`` is "horizon", "max-jumps", "blow-up" or "zeno"
+    (a jump at the instant of the previous one with e already zero: the
+    jump map is then the identity and would repeat forever).
     """
 
     segments: List[Segment]
@@ -75,6 +79,14 @@ class HybridSolution:
     @property
     def n_jumps(self):
         return len(self.jump_times)
+
+    def gap_rows(self):
+        """(j, t_j, gap) per gap: the index and time of the jump that closes it."""
+        offset = len(self.jump_times) - len(self.inter_event_gaps)
+        return [
+            (i + 1 + offset, self.jump_times[i + offset], gap)
+            for i, gap in enumerate(self.inter_event_gaps)
+        ]
 
     def final_state(self) -> Optional[HybridState]:
         if not self.segments or self.segments[-1].t.size == 0:
@@ -205,6 +217,8 @@ def simulate(
             f"initial state dimensions {q0.x.shape}, {q0.e.shape} do not match "
             f"the system ({sys.n_x}, {sys.n_e})"
         )
+    if not (np.all(np.isfinite(q0.x)) and np.all(np.isfinite(q0.e))):
+        raise DomainError("initial state must be finite")
     cfg.validate_against(cert)
     if cfg.mode != "pure-event" and settings.step > cfg.T / 10.0 * (1.0 + 1e-12):
         raise ConfigError(
@@ -273,6 +287,11 @@ def simulate(
             # Event phase: jump at the first time >= dwell expiry with h >= 0.
             if h_ev(q.x, q.e) >= 0.0:
                 jumped_at = abs_time(q)
+                if j > 0 and jumped_at == t_seg:
+                    # No flow since the last jump: e is still 0, so jumping
+                    # again leaves q unchanged, forever.
+                    terminated = "zeno"
+                    break
             else:
                 jumped_at = None
                 while True:

@@ -155,11 +155,11 @@ class LmiCertificate:
 
     def __post_init__(self):
         object.__setattr__(self, "P", as_matrix(self.P, "P"))
-        if self.eps1 < 0:
+        if not self.eps1 >= 0:
             raise CertificateError("eps1 must be nonnegative")
-        if self.eps2 <= 0:
+        if not self.eps2 > 0:
             raise CertificateError("eps2 must be positive")
-        if self.mu < 0:
+        if not self.mu >= 0:
             raise CertificateError("mu must be nonnegative")
 
     @property
@@ -269,13 +269,6 @@ def is_feasible(clm: ClosedLoopMatrices, cand: LmiCertificate, rtol=_FEASIBILITY
     return lmi_residual(clm, cand) <= rtol * _feasibility_scale(clm, cand)
 
 
-def default_slack_grid(clm: ClosedLoopMatrices, eps1, eps2, n=20):
-    """Log-spaced slack values spanning [1e-3, 1e3] times the problem scale."""
-    q0 = clm.A2.T @ clm.A2 + eps1 * (clm.Cbar.T @ clm.Cbar) + eps2 * np.eye(clm.n_x)
-    scale = max(spectral_norm(q0), np.finfo(float).tiny)
-    return list(scale * np.logspace(-3, 3, n))
-
-
 def design_certificate(
     clm: ClosedLoopMatrices, eps1=1e-2, eps2=1e-2, slack_grid=None
 ) -> LmiCertificate:
@@ -284,30 +277,40 @@ def design_certificate(
     For each slack rho, P(rho) solves the Lyapunov equation with
     right-hand side A2^T A2 + eps1 Cbar^T Cbar + eps2 I + rho I, and
     mu(rho) = |B1^T P(rho)|^2 / rho makes the Schur complement exactly
-    balance.  The candidate with the smallest gamma = sqrt(mu) wins.
+    balance.  The candidate with the smallest gamma = sqrt(mu) wins;
+    a slack whose Lyapunov solve misses its residual bound is skipped.
     The resulting gamma can exceed what a full SDP solve would find;
     it is always feasible.
     """
-    if eps1 < 0:
+    if not eps1 >= 0:
         raise CertificateError("eps1 must be nonnegative")
-    if eps2 <= 0:
+    if not eps2 > 0:
         raise CertificateError("eps2 must be positive")
     if not is_hurwitz(clm.A1):
         raise DesignInfeasibleError(
             "A1 is not Hurwitz: the emulated controller does not stabilize the loop"
         )
-    if slack_grid is None:
-        slack_grid = default_slack_grid(clm, eps1, eps2)
-
     base = clm.A2.T @ clm.A2 + eps1 * (clm.Cbar.T @ clm.Cbar) + eps2 * np.eye(clm.n_x)
+    if slack_grid is None:
+        # 20 log-spaced slacks spanning [1e-3, 1e3] times the problem scale.
+        scale = max(spectral_norm(base), np.finfo(float).tiny)
+        slack_grid = list(scale * np.logspace(-3, 3, 20))
     best = None
     for rho in slack_grid:
         if rho <= 0:
             raise ValueError("slack grid entries must be positive")
-        P = solve_lyapunov(clm.A1, base + rho * np.eye(clm.n_x))
+        try:
+            P = solve_lyapunov(clm.A1, base + rho * np.eye(clm.n_x))
+        except DesignInfeasibleError:
+            continue  # A1 is Hurwitz, so the solve missed its residual bound at this slack
         mu = spectral_norm(clm.B1.T @ P) ** 2 / rho
         if best is None or mu < best[0]:
             best = (mu, P, rho)
+    if best is None:
+        raise DesignInfeasibleError(
+            f"no slack solves the Lyapunov equation within its residual bound "
+            f"({len(slack_grid)} tried)"
+        )
 
     mu, P, _rho = best
     cand = LmiCertificate(P=P, eps1=eps1, eps2=eps2, mu=mu)

@@ -11,6 +11,7 @@ means).  Divergent runs are excluded from the statistics and listed in
 
 import csv
 import json
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -37,12 +38,13 @@ class BatchSpec:
     sim: SimSettings
 
     def __post_init__(self):
-        if self.n_runs < 1:
+        # Written as `not x > 0` so that NaN fails every guard.
+        if not self.n_runs >= 1:
             raise ValueError("n_runs must be at least 1")
-        if self.radius <= 0:
+        if not self.radius > 0:
             raise ValueError("radius must be positive")
-        if self.horizon_t <= 0:
-            raise ValueError("horizon_t must be positive")
+        if not 0 < self.horizon_t < math.inf:
+            raise ValueError("horizon_t must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -91,10 +93,9 @@ def run_batch(
     def one(k):
         q0 = sample_initial(spec, k, sys.n_x, sys.n_e)
         try:
-            sol = simulate(sys, cert, spec.trigger, q0, sim)
+            return simulate(sys, cert, spec.trigger, q0, sim)
         except DivergenceError:
-            return k, None, None
-        return k, sol.inter_event_gaps, sol.jump_times
+            return None
 
     if n_workers > 1:
         with ThreadPoolExecutor(max_workers=n_workers) as ex:
@@ -107,20 +108,18 @@ def run_batch(
     events = []
     pooled = []
     n_events_total = 0
-    for k, gaps, jump_times in sorted(results):
-        if gaps is None:
+    for k, sol in enumerate(results):
+        if sol is None:
             failures.append(k)
             continue
-        n_events_total += len(jump_times)
-        # Gap rows carry the index and time of the jump closing each gap.
-        offset = len(jump_times) - len(gaps)
-        for i, gap in enumerate(gaps):
-            events.append((k, i + 1 + offset, jump_times[i + offset], gap))
+        gaps = sol.inter_event_gaps
+        n_events_total += sol.n_jumps
+        events.extend((k,) + row for row in sol.gap_rows())
         pooled.extend(gaps)
         per_run.append(
             RunStats(
                 run=k,
-                n_events=len(jump_times),
+                n_events=sol.n_jumps,
                 min_gap=min(gaps) if gaps else None,
                 mean_gap=float(np.mean(gaps)) if gaps else None,
             )
@@ -162,17 +161,16 @@ def emit_report(rep: BatchReport, path) -> Tuple[str, str]:
         with open(summary_path, "w") as fh:
             json.dump(summary, fh, indent=2)
             fh.write("\n")
-        with open(events_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["run", "j", "t_j", "gap"])
-            for run, j, t_j, gap in sorted(rep.events):
-                writer.writerow([run, j, _fmt(t_j), _fmt(gap)])
+        write_events_csv(sorted(rep.events), events_path)
     except OSError as exc:
         raise OSError(f"failed to write report under {path!r}: {exc}") from exc
     return summary_path, events_path
 
 
-def load_report_summary(path):
-    """Parse a summary JSON written by emit_report."""
-    with open(os.path.join(path, "summary.json")) as fh:
-        return json.load(fh)
+def write_events_csv(events, path):
+    """Write (run, j, t_j, gap) rows, in the given order, as ``events.csv``."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["run", "j", "t_j", "gap"])
+        for run, j, t_j, gap in events:
+            writer.writerow([run, j, _fmt(t_j), _fmt(gap)])

@@ -53,7 +53,8 @@ TABUADA_EPS2 = 0.68
 TABUADA_GAMMA = 17.3495
 
 
-def lorenz_loop(a=10.0, b=28.0, c=8.0 / 3.0, p1=2.0, p2=30.0):
+def lorenz_loop(a: float = 10.0, b: float = 28.0, c: float = 8.0 / 3.0, p1: float = 2.0,
+                p2: float = 30.0):
     """The Lorenz output-feedback benchmark and its analytic certificate.
 
     Requires a, b, c > 0, p1 > 1 and p2 > 2a (strict).  The certificate
@@ -167,6 +168,13 @@ def lti_loop_from_matrices(clm: ClosedLoopMatrices, name="lti") -> ClosedLoopSys
     )
 
 
+def tabuada_matrices() -> ClosedLoopMatrices:
+    """The closed-loop blocks of the planar state-feedback benchmark."""
+    return assemble(
+        LtiPlant(A=TABUADA_A, B=TABUADA_B, C=np.eye(2)), LtiController.static(TABUADA_K)
+    )
+
+
 def tabuada_loop() -> Tuple[ClosedLoopSystem, Certificate]:
     """The planar state-feedback benchmark with its published gains.
 
@@ -174,9 +182,7 @@ def tabuada_loop() -> Tuple[ClosedLoopSystem, Certificate]:
     scalar gains are then pinned to the published values, which are
     feasible with that P because feasibility is monotone in mu.
     """
-    plant = LtiPlant(A=TABUADA_A, B=TABUADA_B, C=np.eye(2))
-    ctrl = LtiController.static(TABUADA_K)
-    clm = assemble(plant, ctrl)
+    clm = tabuada_matrices()
     designed = design_certificate(clm, eps1=0.0, eps2=TABUADA_EPS2)
     published = LmiCertificate(
         P=designed.P, eps1=0.0, eps2=TABUADA_EPS2, mu=TABUADA_GAMMA**2

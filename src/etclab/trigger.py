@@ -84,7 +84,7 @@ class ZetaParams:
     def __post_init__(self):
         if not 0.0 < self.theta < 1.0:
             raise ValueError("theta must lie in (0, 1)")
-        if self.eta <= 0.0:
+        if not self.eta > 0.0:
             raise ValueError("eta must be positive")
 
     def lam(self, gamma):
@@ -212,7 +212,7 @@ class TriggerConfig:
         if self.mode == "pure-event":
             if self.T != 0.0:
                 raise ConfigError("pure-event mode requires T == 0")
-        elif self.T <= 0.0:
+        elif not self.T > 0.0:
             raise ConfigError(f"{self.mode} mode requires a dwell time T > 0")
         if self.mode in ("state-feedback", "pure-event"):
             if self.sigma is None or not 0.0 < self.sigma < 1.0:

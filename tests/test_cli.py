@@ -1,12 +1,15 @@
+import copy
 import csv
 import json
 import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from etclab import HybridState, SimSettings, TriggerConfig, simulate
-from etclab.cli import RunConfig, dispatch, emit_config, emit_plot_data, load_config
+from etclab import ConfigError, HybridState, SimSettings, TriggerConfig, simulate
+from etclab.cli import Resolved, RunConfig, dispatch, emit_config, emit_plot_data, load_config
 
 
 def _run(capsys, *argv):
@@ -71,21 +74,44 @@ class TestCheckCommand:
         assert "v-decay" in out
 
 
-@pytest.fixture()
-def lorenz_config(tmp_path):
-    cfg = {
-        "system": {"name": "lorenz"},
-        "certificate": "auto",
-        "trigger": {"mode": "output-feedback", "T": 0.01},
-        "sim": {"step": 1e-3, "horizon_t": 1.0, "event_tol": 1e-6},
-        "batch": {"n_runs": 2, "radius": 5.0, "seed": 7, "horizon_t": 1.0},
-        "initial": {"x": [1.0, 1.0, 1.0], "e": [0.0]},
-        "zeta": {"theta": 1e-4, "eta": 1e-6},
-        "output_dir": str(tmp_path / "out"),
-    }
+LORENZ_CFG = {
+    "system": {"name": "lorenz"},
+    "certificate": "auto",
+    "trigger": {"mode": "output-feedback", "T": 0.01},
+    "sim": {"step": 1e-3, "horizon_t": 1.0, "event_tol": 1e-6},
+    "batch": {"n_runs": 2, "radius": 5.0, "seed": 7, "horizon_t": 1.0},
+    "initial": {"x": [1.0, 1.0, 1.0], "e": [0.0]},
+    "zeta": {"theta": 1e-4, "eta": 1e-6},
+    "output_dir": "out",
+}
+
+# The planar benchmark written out as a custom LTI loop, designed with
+# eps2 = 0.68 rather than the default 1e-2.
+LTI_CFG = {
+    "system": {
+        "name": "lti-custom",
+        "plant": {"A": [[0.0, 1.0], [-2.0, 3.0]], "B": [[0.0], [1.0]], "C": [[1.0, 0.0], [0.0, 1.0]]},
+        "controller": {"D": [[1.0, -4.0]]},
+        "design": {"eps1": 0.0, "eps2": 0.68},
+    },
+    "trigger": {"mode": "state-feedback", "T": 0.05, "sigma": 0.7},
+    "sim": {"step": 1e-3, "horizon_t": 0.5},
+    "initial": {"x": [1.0, -1.0], "e": [0.0, 0.0]},
+}
+
+
+def _write_config(tmp_path, base, mutate=None):
+    cfg = {**copy.deepcopy(base), "output_dir": str(tmp_path / "out")}
+    if mutate is not None:
+        mutate(cfg)
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
     return path, cfg
+
+
+@pytest.fixture()
+def lorenz_config(tmp_path):
+    return _write_config(tmp_path, LORENZ_CFG)
 
 
 class TestSimulateCommand:
@@ -189,6 +215,80 @@ class TestConfigRoundTrip:
     def test_unknown_certificate_form_rejected(self):
         with pytest.raises(Exception, match="certificate"):
             RunConfig.from_dict({"system": {"name": "lorenz"}, "certificate": 5})
+
+
+class TestConfigResolver:
+    @pytest.mark.parametrize(
+        "base, section, mutate",
+        [
+            (LTI_CFG, "system.plant", lambda c: c["system"]["plant"].pop("C")),
+            (LTI_CFG, "system.plant", lambda c: c["system"]["plant"].update(D=[[0.0]])),
+            (LORENZ_CFG, "sim", lambda c: c["sim"].update(step="0.001")),
+            (LORENZ_CFG, "zeta", lambda c: c["zeta"].pop("eta")),
+            (LORENZ_CFG, "system.params", lambda c: c["system"].update(params={"q": 1.0})),
+            (LTI_CFG, "trigger", lambda c: c["trigger"].update(sigma="0.7")),
+            (LORENZ_CFG, "trigger", lambda c: c.update(trigger=["output-feedback", 0.01])),
+            (LTI_CFG, "system.design", lambda c: c["system"]["design"].update(eps3=0.1)),
+        ],
+        ids=[
+            "plant-without-C", "plant-extra-key", "step-string", "zeta-without-eta",
+            "lorenz-unknown-param", "sigma-string", "trigger-list", "design-unknown-key",
+        ],
+    )
+    def test_malformed_section_exits_one_naming_it(self, capsys, tmp_path, base, section, mutate):
+        path, cfg = _write_config(tmp_path, base, mutate)
+        rc, _, err = _run(capsys, "simulate", "--config", str(path))
+        assert rc == 1
+        assert err.startswith(f"error: config.{section}:")
+        assert not os.path.exists(cfg["output_dir"])
+
+    def test_design_and_simulate_report_the_same_gamma(self, capsys, tmp_path):
+        path, _ = _write_config(tmp_path, LTI_CFG)
+        cert_path = tmp_path / "cert.json"
+        rc, _, design_err = _run(capsys, "design", "--config", str(path), "--out", str(cert_path))
+        assert rc == 0
+        doc = json.loads(cert_path.read_text())
+        assert (doc["eps1"], doc["eps2"]) == (0.0, 0.68)  # from system.design
+        rc, out, _ = _run(capsys, "simulate", "--config", str(path))
+        assert rc == 0
+        assert out.splitlines()[0] == design_err.splitlines()[0]
+        assert out.startswith(f"gamma = {doc['gamma']:.4f},")
+        # Command-line eps take precedence over system.design.
+        rc, _, _ = _run(
+            capsys, "design", "--config", str(path), "--eps2", "0.01", "--out", str(cert_path)
+        )
+        assert rc == 0
+        assert json.loads(cert_path.read_text())["eps2"] == 0.01
+
+
+def _key_paths(d, prefix=()):
+    for k, v in d.items():
+        yield prefix + (k,)
+        if isinstance(v, dict):
+            yield from _key_paths(v, prefix + (k,))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    path=st.sampled_from(list(_key_paths(LORENZ_CFG))),
+    change=st.sampled_from(["drop", "add", "string", "list", "nan"]),
+)
+def test_mutated_config_resolves_or_raises_config_error(path, change):
+    cfg = copy.deepcopy(LORENZ_CFG)
+    *parents, key = path
+    node = cfg
+    for p in parents:
+        node = node[p]
+    if change == "drop":
+        del node[key]
+    elif change == "add":
+        node["unexpected"] = 1.0
+    else:
+        node[key] = {"string": "x", "list": [1.0, 2.0], "nan": float("nan")}[change]
+    try:
+        Resolved(RunConfig.from_dict(cfg), run=True).loop()
+    except ConfigError:
+        pass
 
 
 class TestEmitPlotData:

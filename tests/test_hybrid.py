@@ -68,6 +68,22 @@ class TestFlowStep:
             flow_step(sys, HybridState(np.zeros(3), np.zeros(1), 0.0), 0.0)
 
 
+class TestSimSettings:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("step", float("nan")),
+            ("horizon_t", float("nan")),
+            ("horizon_t", float("inf")),
+            ("max_jumps", float("nan")),
+            ("blowup_norm", float("nan")),
+        ],
+    )
+    def test_rejects_nan_and_infinite_values(self, field, value):
+        with pytest.raises(ConfigError, match=f"^{field} "):
+            SimSettings(**{field: value})
+
+
 class TestSimulate:
     def test_equilibrium_samples_periodically(self, lorenz):
         sys, cert = lorenz
@@ -119,6 +135,17 @@ class TestSimulate:
         sol = simulate(sys, cert, cfg, q0, SETTINGS)
         assert sol.n_jumps >= 1
         assert sol.inter_event_gaps[0] > 0.0
+
+    def test_pure_event_at_equilibrium_stops_as_zeno(self, tabuada):
+        # x = e = 0 lies in D and the jump map fixes it: one jump, then stop.
+        sys, cert = tabuada
+        q0 = HybridState(np.zeros(2), np.zeros(2), 0.0)
+        cfg = TriggerConfig(mode="pure-event", T=0.0, sigma=0.7)
+        settings = SimSettings(step=1e-3, horizon_t=1.0, max_jumps=1000, event_tol=1e-6)
+        sol = simulate(sys, cert, cfg, q0, settings)
+        assert sol.terminated == "zeno"
+        assert sol.jump_times == [0.0]
+        assert sol.inter_event_gaps == []
 
     def test_pure_event_initial_condition_in_jump_set(self, tabuada):
         # A large initial error puts q0 in D: the run starts with a jump

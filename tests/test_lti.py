@@ -180,6 +180,30 @@ class TestDesignCertificate:
         with pytest.raises(DesignInfeasibleError):
             design_certificate(clm, eps1=0.0, eps2=0.1)
 
+    def test_skips_slacks_whose_lyapunov_solve_fails(self):
+        # An observer-based loop (2 plant + 2 controller states) whose large
+        # slacks miss the Lyapunov residual bound; the small ones solve.
+        plant = LtiPlant(
+            A=[[0.8987174889940196, -1.2955766032187992],
+               [-0.28655882094835194, 0.05643174998256089]],
+            B=[[0.5592453386303013], [0.5142649014798377]],
+            C=[[-0.8171255611462112, 0.33086818674306095],
+               [1.4564175685710241, -0.7286522690942522]],
+        )
+        ctrl = LtiController(
+            A=[[129.26727906934724, -145.9078216875876],
+               [122.24335442241427, -135.07233172537207]],
+            B=[[-0.8465183349271559, 1.5214236429791788],
+               [0.46162364123051775, -0.9854472379307159]],
+            C=[[234.73794487799503, -261.06774571994737]],
+            D=[[0.0, 0.0]],
+        )
+        clm = assemble(plant, ctrl)
+        cand = design_certificate(clm)
+        assert extract_assumption(clm, cand).gamma == pytest.approx(np.sqrt(cand.mu))
+        with pytest.raises(DesignInfeasibleError, match="no slack solves"):
+            design_certificate(clm, slack_grid=[4e6, 8e6])
+
     def test_random_stabilizable_systems(self, rng):
         for _ in range(5):
             n_x, n_e = 3, 2

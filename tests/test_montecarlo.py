@@ -1,5 +1,6 @@
 import csv
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,6 +29,17 @@ def _spec(n_runs=4, seed=11, horizon=1.0, trigger=None):
         trigger=trigger or TriggerConfig(mode="state-feedback", T=0.075, sigma=0.7),
         sim=SIM,
     )
+
+
+class TestBatchSpec:
+    @pytest.mark.parametrize(
+        "field, value",
+        [("n_runs", float("nan")), ("radius", float("nan")), ("horizon_t", float("nan")),
+         ("horizon_t", float("inf"))],
+    )
+    def test_rejects_nan_and_infinite_values(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} "):
+            replace(_spec(), **{field: value})
 
 
 class TestSampleInitial:

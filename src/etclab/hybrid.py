@@ -2,14 +2,23 @@
 
 The closed loop flows as (x', e', tau') = (f(x, e), g(x, e), 1) and a
 transmission (jump) resets (x, e, tau) to (x, 0, 0).  The simulator
-adopts a deterministic jump policy: with a dwell time T > 0 it flows
-freely until tau = T, then monitors the event excess h(x, e) and jumps
-at the first time h >= 0, located by bisection; if h >= 0 already when
-the dwell expires, the jump happens at tau = T exactly.  At the
-equilibrium this degenerates to periodic sampling with period T.
+adopts a deterministic jump policy, the jump-priority solution of
+Goebel, Sanfelice and Teel, "Hybrid Dynamical Systems" (2012): with a
+dwell time T > 0 it flows freely until tau = T, then monitors the event
+excess h(x, e) and jumps at the first time h >= 0, located by
+bisection; if h >= 0 already when the dwell expires, the jump happens
+at tau = T exactly.  At the equilibrium this degenerates to periodic
+sampling with period T.
 
-Flows use classical fixed-step RK4 (no dense output); reproducibility
-is exact: identical inputs give bit-identical event logs.
+``simulate`` is one loop over the stacked state z = (x, e) and the
+clock tau (absolute time base + tau).  Each pass flows in the dwell,
+landing exactly on T; or tests the event once at dwell expiry (each
+segment start in pure-event mode); or takes a monitored step, bisecting
+if the event fired in it.  Every flow step passes one norm guard, so a
+divergence (NaN from f or g included) always carries the partial solution.
+
+Flows use classical fixed-step RK4 (no dense output), as a matrix
+propagator for linear loops; identical inputs give bit-identical logs.
 """
 
 import math
@@ -20,7 +29,7 @@ import numpy as np
 
 from .errors import ConfigError, DivergenceError, DomainError
 from .model import Certificate, ClosedLoopSystem, HybridState
-from .trigger import TriggerConfig, ZetaParams, ZetaTracker, event_function, in_flow, in_jump
+from .trigger import TriggerConfig, ZetaParams, event_function, in_flow, in_jump, zeta_solution
 
 
 @dataclass(frozen=True)
@@ -103,31 +112,8 @@ def _rk4_propagator(M, h):
     return np.eye(M.shape[0]) + A + A2 / 2.0 + (A2 @ A) / 6.0 + (A2 @ A2) / 24.0
 
 
-def _make_stepper(sys: ClosedLoopSystem):
-    """Return step(q, h) -> HybridState; linear loops get a cached propagator."""
-    M = sys.stacked_matrix
-    if M is None:
-        return lambda q, h: flow_step(sys, q, h)
-    n_x = sys.n_x
-    cache = {}
-
-    def step(q, h):
-        P = cache.get(h)
-        if P is None:
-            P = _rk4_propagator(M, h)
-            cache[h] = P
-        z = P @ np.concatenate((q.x, q.e))
-        return HybridState(z[:n_x], z[n_x:], q.tau + h)
-
-    return step
-
-
-def flow_step(sys: ClosedLoopSystem, q: HybridState, h: float) -> HybridState:
-    """One classical RK4 step of the augmented flow; tau advances by h."""
-    if h <= 0:
-        raise ValueError("flow_step: h must be positive")
-    x, e = q.x, q.e
-    f, g = sys.f, sys.g
+def _rk4(f, g, x, e, h):
+    # One classical RK4 step of (x, e)' = (f, g); flow_step and simulate share it.
     k1x = f(x, e)
     k1e = g(x, e)
     x2 = x + (0.5 * h) * k1x
@@ -145,41 +131,62 @@ def flow_step(sys: ClosedLoopSystem, q: HybridState, h: float) -> HybridState:
     s = h / 6.0
     xn = x + s * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
     en = e + s * (k1e + 2.0 * k2e + 2.0 * k3e + k4e)
+    return xn, en
+
+
+def _stepper(sys: ClosedLoopSystem, step):
+    """Return advance(z, h) -> z' for the stacked state z = (x, e).
+
+    Linear loops apply the RK4 propagator, precomputed for the full step
+    and built afresh for any other h; the rest evaluate f and g.
+    """
+    M, n_x, f, g = sys.stacked_matrix, sys.n_x, sys.f, sys.g
+    if M is None:
+        return lambda z, h: np.concatenate(_rk4(f, g, z[:n_x], z[n_x:], h))
+    P = _rk4_propagator(M, step)
+    return lambda z, h: (P if h == step else _rk4_propagator(M, h)) @ z
+
+
+def flow_step(sys: ClosedLoopSystem, q: HybridState, h: float) -> HybridState:
+    """One classical RK4 step of the augmented flow; tau advances by h."""
+    if h <= 0:
+        raise ValueError("flow_step: h must be positive")
+    xn, en = _rk4(sys.f, sys.g, q.x, q.e, h)
     if not (np.all(np.isfinite(xn)) and np.all(np.isfinite(en))):
         raise DivergenceError("non-finite derivative evaluation", state=q)
     return HybridState(xn, en, q.tau + h)
 
 
 class _Recorder:
-    """Accumulates per-segment samples and assembles the solution."""
+    """Accumulates per-segment (t, z, tau) rows and assembles the solution."""
 
-    def __init__(self, record_states):
+    def __init__(self, record_states, n_x):
         self.record_states = record_states
+        self.n_x = n_x
         self.segments: List[Segment] = []
         self.jump_times: List[float] = []
-        self._t, self._x, self._e, self._tau = [], [], [], []
-        self._j = 0
+        self._t, self._z, self._tau = [], [], []
 
-    def sample(self, t, q):
+    def sample(self, t, z, tau):
+        # z is never modified in place once recorded, so no copy is needed.
         if self.record_states:
             self._t.append(t)
-            self._x.append(q.x.copy())
-            self._e.append(q.e.copy())
-            self._tau.append(q.tau)
+            self._z.append(z)
+            self._tau.append(tau)
 
     def close_segment(self):
         if self.record_states:
+            z = np.asarray(self._z)
             self.segments.append(
                 Segment(
-                    j=self._j,
+                    j=len(self.segments),
                     t=np.asarray(self._t),
-                    x=np.asarray(self._x),
-                    e=np.asarray(self._e),
+                    x=z[:, : self.n_x],
+                    e=z[:, self.n_x :],
                     tau=np.asarray(self._tau),
                 )
             )
-            self._t, self._x, self._e, self._tau = [], [], [], []
-        self._j += 1
+            self._t, self._z, self._tau = [], [], []
 
     def solution(self, terminated):
         gaps = []
@@ -210,14 +217,14 @@ def simulate(
     ConfigError for invalid pairings (dwell time at or above the MASP
     ceiling, step too coarse relative to T), and DivergenceError
     (carrying the partial solution) if the state norm passes the
-    blow-up guard.
+    blow-up guard or is not finite.
     """
     if q0.x.shape != (sys.n_x,) or q0.e.shape != (sys.n_e,):
         raise ConfigError(
             f"initial state dimensions {q0.x.shape}, {q0.e.shape} do not match "
             f"the system ({sys.n_x}, {sys.n_e})"
         )
-    if not (np.all(np.isfinite(q0.x)) and np.all(np.isfinite(q0.e))):
+    if not (np.all(np.isfinite(q0.x)) and np.all(np.isfinite(q0.e)) and math.isfinite(q0.tau)):
         raise DomainError("initial state must be finite")
     cfg.validate_against(cert)
     if cfg.mode != "pure-event" and settings.step > cfg.T / 10.0 * (1.0 + 1e-12):
@@ -229,138 +236,106 @@ def simulate(
     if not (in_flow(q0, cert, cfg) or in_jump(q0, cert, cfg, tol=tol0)):
         raise DomainError("initial state lies outside the flow and jump sets")
 
-    h_ev = event_function(cert, cfg)
-    rec = _Recorder(settings.record_states)
-    stepper = _make_stepper(sys)
-    step = settings.step
-    horizon = settings.horizon_t
-    guard = settings.blowup_norm
+    h_ev = event_function(cert, cfg)  # None in periodic mode
+    n_x = sys.n_x
+    flow = _stepper(sys, settings.step)
+    step, horizon, guard = settings.step, settings.horizon_t, settings.blowup_norm
+    eps = 1e-15 * max(1.0, horizon)
+    T = cfg.T  # 0 in pure-event mode, where the dwell branch never runs
+    rec = _Recorder(settings.record_states, n_x)
 
-    q = q0.copy()
-    t_seg = 0.0  # absolute time at which the current segment's clock started
-    j = 0
-    rec.sample(0.0, q)
-
-    def q0_tau_offset():
-        # Absolute time = t_seg + (tau - tau_at_segment_start); only the
-        # initial segment can start with a nonzero clock.
-        return q0.tau if j == 0 else 0.0
-
-    def abs_time(q):
-        return t_seg + q.tau - q0_tau_offset()
-
-    def advance(q, h, snap_tau=None):
-        qn = stepper(q, h)
-        if snap_tau is not None:
-            qn.tau = snap_tau
-        nrm = qn.norm()
-        if not nrm <= guard:  # catches NaN as well
-            rec.sample(abs_time(qn), qn)
-            rec.close_segment()
-            raise DivergenceError(
-                f"state norm exceeded blow-up guard {guard:g}",
-                partial=rec.solution("blow-up"),
-                state=qn,
-            )
-        return qn
-
-    terminated = None
+    z, tau = np.concatenate((q0.x, q0.e)), q0.tau
+    base = -tau  # absolute time is base + tau; a jump at t sets base = t, tau = 0
+    monitoring = False  # set once the event test at dwell expiry has failed
+    terminated = "horizon"
+    rec.sample(0.0, z, tau)
     while True:
-        # Dwell phase: flow freely until the clock reaches T.
-        while cfg.mode != "pure-event" and q.tau < cfg.T:
-            t = abs_time(q)
+        t = base + tau
+        if monitoring:
+            h = min(step, horizon - t)
+            if h <= eps:
+                break
+            tau_next, t_next = tau + h, t + h
+        elif tau < T:
+            # Dwell: flow freely and land exactly on T.
             if t >= horizon:
                 break
-            remaining_tau = cfg.T - q.tau
-            remaining_t = horizon - t
-            h = min(step, remaining_tau, remaining_t)
-            snap = cfg.T if h == remaining_tau else None
-            q = advance(q, h, snap_tau=snap)
-            rec.sample(abs_time(q), q)
-        if abs_time(q) >= horizon - 1e-15 * max(1.0, horizon):
-            terminated = "horizon"
+            h = min(step, T - tau, horizon - t)
+            tau_next = T if h == T - tau else tau + h
+            t_next = base + tau_next
+        elif t >= horizon - eps:
             break
-
-        if cfg.mode == "periodic":
-            jumped_at = abs_time(q)
+        elif h_ev is None or h_ev(z[:n_x], z[n_x:]) >= 0.0:
+            # Dwell expiry with the event already on, or periodic: jump now.
+            if h_ev is not None and rec.jump_times and t == base:
+                # No flow since the last jump: e is still 0, so jumping
+                # again leaves z unchanged, forever.
+                terminated = "zeno"
+                break
+            h = None
         else:
-            # Event phase: jump at the first time >= dwell expiry with h >= 0.
-            if h_ev(q.x, q.e) >= 0.0:
-                jumped_at = abs_time(q)
-                if j > 0 and jumped_at == t_seg:
-                    # No flow since the last jump: e is still 0, so jumping
-                    # again leaves q unchanged, forever.
-                    terminated = "zeno"
-                    break
-            else:
-                jumped_at = None
-                while True:
-                    t = abs_time(q)
-                    h = min(step, horizon - t)
-                    if h <= 1e-15 * max(1.0, horizon):
-                        terminated = "horizon"
-                        break
-                    q_new = advance(q, h)
-                    if h_ev(q_new.x, q_new.e) >= 0.0:
-                        lo, hi, q_hi = 0.0, h, q_new
-                        while hi - lo > settings.event_tol:
-                            mid = 0.5 * (lo + hi)
-                            q_mid = stepper(q, mid)
-                            if h_ev(q_mid.x, q_mid.e) >= 0.0:
-                                hi, q_hi = mid, q_mid
-                            else:
-                                lo = mid
-                        q = q_hi
-                        rec.sample(abs_time(q), q)
-                        jumped_at = abs_time(q)
-                        break
-                    q = q_new
-                    rec.sample(t + h, q)
-                if jumped_at is None:
-                    break  # horizon reached while monitoring
+            monitoring = True
+            continue
 
-        # Jump: reset the error and the clock.
-        rec.jump_times.append(jumped_at)
+        if h is not None:
+            z_next = flow(z, h)
+            if not math.sqrt(z_next @ z_next) <= guard:  # catches NaN as well
+                rec.sample(base + tau_next, z_next, tau_next)
+                rec.close_segment()
+                raise DivergenceError(
+                    f"state norm exceeded blow-up guard {guard:g}",
+                    partial=rec.solution("blow-up"),
+                    state=HybridState(z_next[:n_x], z_next[n_x:], tau_next),
+                )
+            if not monitoring or h_ev(z_next[:n_x], z_next[n_x:]) < 0.0:
+                z, tau = z_next, tau_next
+                rec.sample(t_next, z, tau)
+                continue
+            # The event fired inside this step: bisect for its first instant.
+            lo, hi, z_hi = 0.0, h, z_next
+            while hi - lo > settings.event_tol:
+                mid = 0.5 * (lo + hi)
+                z_mid = flow(z, mid)
+                if h_ev(z_mid[:n_x], z_mid[n_x:]) >= 0.0:
+                    hi, z_hi = mid, z_mid
+                else:
+                    lo = mid
+            z, tau = z_hi, tau + hi
+            t = base + tau
+            rec.sample(t, z, tau)
+
+        # Jump at t: reset the error and the clock.
+        rec.jump_times.append(t)
         rec.close_segment()
-        j += 1
-        q = HybridState(q.x.copy(), np.zeros(sys.n_e), 0.0)
-        t_seg = jumped_at
-        rec.sample(t_seg, q)
-        if j >= settings.max_jumps:
+        z = z.copy()
+        z[n_x:] = 0.0
+        base, tau, monitoring = t, 0.0, False
+        rec.sample(t, z, tau)
+        if len(rec.jump_times) >= settings.max_jumps:
             terminated = "max-jumps"
             break
-        if t_seg >= horizon:
-            terminated = "horizon"
+        if t >= horizon:
             break
 
     rec.close_segment()
-    return rec.solution(terminated or "horizon")
+    return rec.solution(terminated)
 
 
 def r_monitor(sol: HybridSolution, cert: Certificate, zp: ZetaParams):
     """Evaluate R(q) = V(x) + max(0, lam * zeta(tau) * W(e)^2) along a solution.
 
-    zeta(tau) is obtained by integrating the comparison ODE afresh on
-    each segment (the clock resets at jumps).  Returns a list of
-    (t, j, R) triples in hybrid-time order.  Callers should choose
-    (theta, eta) so that the dwell time stays below the zeta transit
-    time, otherwise the monitor is vacuous on long segments.
+    zeta(tau) is the closed-form solution of the comparison ODE
+    (``trigger.zeta_solution``), evaluated at each sample's clock, which
+    resets at jumps.  Returns a list of (t, j, R) triples in hybrid-time
+    order.  Callers should choose (theta, eta) so that the dwell time
+    stays below the zeta transit time, otherwise the monitor is vacuous
+    on long segments.
     """
     lam = zp.lam(cert.gamma)
+    zeta = zeta_solution(cert.gamma, cert.L, zp)
     out = []
     for seg in sol.segments:
-        if seg.t.size == 0:
-            continue
-        tracker = ZetaTracker(cert.gamma, cert.L, zp)
-        # Segments opened by a jump start at tau = 0; the initial
-        # segment may start at tau0 > 0, so bring zeta up to speed.
-        prev_tau = 0.0
-        z = tracker.z
-        for i in range(seg.t.size):
-            tau = float(seg.tau[i])
-            z = tracker.advance(tau - prev_tau)
-            prev_tau = tau
-            w = cert.W(seg.e[i])
-            r = cert.V(seg.x[i]) + max(0.0, lam * z * w * w)
-            out.append((float(seg.t[i]), seg.j, r))
+        for t, x, e, tau in zip(seg.t, seg.x, seg.e, seg.tau):
+            w = cert.W(e)
+            out.append((float(t), seg.j, cert.V(x) + lam * zeta(float(tau)) * w * w))
     return out

@@ -49,9 +49,9 @@ class ClosedLoopSystem:
 
     ``stacked_matrix``, when present, is the matrix M of the stacked
     linear flow (x, e)' = M (x, e) and must agree with f and g; the
-    simulator then advances flows through a cached one-step propagator
-    instead of re-evaluating the closures (same classical RK4 step,
-    evaluated as a matrix polynomial).
+    simulator then advances flows through a precomputed one-step
+    propagator instead of re-evaluating the closures (same classical RK4
+    step, evaluated as a matrix polynomial).
     """
 
     n_x: int

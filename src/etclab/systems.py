@@ -280,12 +280,17 @@ def check_assumption_sampled(
         <grad W(e), g(x, e)> <= L W(e) + H(x)
 
     with central-difference gradients, and reports the worst violation
-    of each.  Samples too close to the nondifferentiable set of W
-    (e = 0 for norm-type W) are skipped for the W inequality only.
-    Violations are data, not exceptions.
+    of each; a violation that is not finite (a certificate term returning
+    NaN, say) counts as infinite.  Samples too close to the
+    nondifferentiable set of W (e = 0 for norm-type W) are skipped for
+    the W inequality only.  Violations are data, not exceptions; a sample
+    count below 1 or a radius outside (0, inf) raises ValueError, since
+    no sample would then be evidence.
     """
-    if radius <= 0:
-        raise ValueError("radius must be positive")
+    if not n_samples >= 1:
+        raise ValueError(f"n_samples must be at least 1, got {n_samples}")
+    if not 0 < radius < math.inf:
+        raise ValueError(f"radius must be positive and finite, got {radius}")
     for bound in (cert.delta_x, cert.delta_e):
         if bound is not None and radius > bound:
             raise ValueError(
@@ -302,15 +307,22 @@ def check_assumption_sampled(
     worst = {k: None for k in keys}
     skipped = 0
 
+    def note(key, lhs, rhs):
+        # Record the violation of lhs <= rhs at the current sample (x, e).
+        excess = lhs - rhs
+        if not math.isfinite(excess):
+            excess = math.inf
+        if excess > max_v[key]:
+            max_v[key], worst[key] = excess, (x.copy(), e.copy())
+
     for _ in range(n_samples):
         z = uniform_ball(rng, dim, radius)
         x, e = z[: sys.n_x], z[sys.n_x :]
         nx = float(np.linalg.norm(x))
 
         v = cert.V(x)
-        lhs = max(cert.alpha_lower(nx) - v, v - cert.alpha_upper(nx))
-        if lhs > max_v["v-bounds"]:
-            max_v["v-bounds"], worst["v-bounds"] = lhs, (x.copy(), e.copy())
+        note("v-bounds", cert.alpha_lower(nx), v)
+        note("v-bounds", v, cert.alpha_upper(nx))
         scale["v-bounds"] = max(scale["v-bounds"], abs(v))
 
         h_v = 1e-6 * max(1.0, nx)
@@ -318,8 +330,7 @@ def check_assumption_sampled(
         lhs = float(grad_v @ sys.f(x, e))
         w = cert.W(e)
         rhs = -cert.alpha(nx) - cert.H(x) ** 2 - cert.delta(sys.y_of_x(x)) + g2 * w * w
-        if lhs - rhs > max_v["v-decay"]:
-            max_v["v-decay"], worst["v-decay"] = lhs - rhs, (x.copy(), e.copy())
+        note("v-decay", lhs, rhs)
         scale["v-decay"] = max(scale["v-decay"], abs(lhs), abs(rhs))
 
         ne = float(np.linalg.norm(e))
@@ -330,8 +341,7 @@ def check_assumption_sampled(
             grad_w = _grad_fd(cert.W, e, h_w)
             lhs = float(grad_w @ sys.g(x, e))
             rhs = cert.L * w + cert.H(x)
-            if lhs - rhs > max_v["w-growth"]:
-                max_v["w-growth"], worst["w-growth"] = lhs - rhs, (x.copy(), e.copy())
+            note("w-growth", lhs, rhs)
             scale["w-growth"] = max(scale["w-growth"], abs(lhs), abs(rhs))
 
     for k in keys:

@@ -19,7 +19,8 @@ ODE,
 where lam = sqrt(gamma^2 + eta): the time zeta takes to fall from
 1/theta to theta tends to masp(gamma, L) as (theta, eta) -> (0, 0).
 ``zeta_time`` computes that transit time numerically and doubles as an
-independent cross-check of the closed form.
+independent cross-check of the closed form; ``zeta_solution`` gives
+zeta(tau) itself in closed form, for the envelope monitor.
 
 The module also implements membership tests for the flow set C and the
 jump set D in four triggering modes:
@@ -162,40 +163,46 @@ def zeta_time(gamma, L, zp, step=None):
     return t + 0.5 * (lo + hi)
 
 
-class ZetaTracker:
-    """Incremental integrator for the comparison ODE.
+def zeta_solution(gamma, L, zp):
+    """The comparison ODE in closed form: returns tau -> max(zeta(tau), 0).
 
-    Used by the R-monitor to evaluate zeta(tau) along a solution
-    segment.  Once zeta crosses zero it is clamped there: only the
-    positive part of zeta ever enters R.  Substeps adapt to the current
-    zeta, so the stiff start (zeta = 1/theta) does not throttle the
-    whole segment.
+    With a = L/lam and u = zeta + a it reads u' = -lam (u^2 + 1 - a^2).
+    From u0 = 1/theta + a the solution has three branches, mirroring masp:
+    r tan(atan(u0/r) - lam r tau) for a < 1 (r = sqrt(1 - a^2)),
+    u0 / (1 + lam u0 tau) for a = 1, and r coth(atanh(r/u0) + lam r tau)
+    for a > 1 (r = sqrt(a^2 - 1)).  By the addition theorems all three are
+    u = (u0 - c s) / (1 + u0 s) with c = 1 - a^2 and s = tan(lam r tau)/r,
+    lam tau or tanh(lam r tau)/r, which stays well conditioned as a -> 1.
+    zeta falls monotonically and stays at 0 after crossing it.
     """
+    if gamma < 0 or L < 0:
+        raise ValueError("zeta_solution: gamma and L must be nonnegative")
+    lam = zp.lam(gamma)
+    a = L / lam
+    z0 = 1.0 / zp.theta
+    c = 1.0 - a * a
+    r = math.sqrt(abs(c))
+    s_zero = z0 / (1.0 + a * z0)  # s at the zero crossing, reached at tau_zero
+    if c > 0.0:
+        tau_zero = math.atan(r * s_zero) / (lam * r)
+    elif c < 0.0:
+        tau_zero = math.atanh(r * s_zero) / (lam * r)
+    else:
+        tau_zero = s_zero / lam
 
-    def __init__(self, gamma, L, zp):
-        self.lam = zp.lam(gamma)
-        self.twoL = 2.0 * L
-        self.z = 1.0 / zp.theta
-        self.dead = False
+    def zeta(tau):
+        if tau >= tau_zero:
+            return 0.0
+        if c > 0.0:
+            s = math.tan(lam * r * tau) / r
+        elif c < 0.0:
+            s = math.tanh(lam * r * tau) / r
+        else:
+            s = lam * tau
+        # zeta = u - a, expanded so that zeta(0) is exactly 1/theta.
+        return max((z0 - (1.0 + a * z0) * s) / (1.0 + (z0 + a) * s), 0.0)
 
-    def advance(self, dt):
-        """Advance by dt >= 0 and return max(zeta, 0)."""
-        if self.dead or dt <= 0.0:
-            return 0.0 if self.dead else self.z
-        remaining = dt
-        z = self.z
-        twoL, lam = self.twoL, self.lam
-        while remaining > 0.0:
-            cap = _ZETA_STEP_SAFETY * 2.785 / (twoL + 2.0 * lam * max(z, 1.0) + lam)
-            h = remaining if remaining < cap else cap
-            z = _zeta_rk4(z, h, twoL, lam)
-            remaining -= h
-            if z <= 0.0:
-                self.dead = True
-                self.z = 0.0
-                return 0.0
-        self.z = z
-        return z
+    return zeta
 
 
 @dataclass(frozen=True)

@@ -65,6 +65,16 @@ class TestCheckCommand:
         assert rc == 0
         assert "PASS" in out
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--samples", "0"), ("--samples", "-5"), ("--radius", "nan"), ("--radius", "inf")],
+    )
+    def test_no_evidence_is_an_error(self, capsys, flag, value):
+        rc, out, err = _run(capsys, "check", "--system", "lti-sf-tabuada", flag, value)
+        assert rc == 1
+        assert "PASS" not in out
+        assert err.startswith("error: ")
+
     def test_lorenz_fails_honestly(self, capsys):
         # The published Lorenz gains violate the decay inequality; the
         # checker must say so and exit nonzero.

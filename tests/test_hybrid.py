@@ -31,6 +31,24 @@ def _sf_cfg(T=0.075, sigma=0.7):
     return TriggerConfig(mode="state-feedback", T=T, sigma=sigma)
 
 
+def _permissive_cert():
+    # A certificate for a scalar loop that accepts any state.
+    return Certificate(
+        V=lambda x: float(x @ x),
+        W=lambda e: float(np.linalg.norm(e)),
+        H=lambda x: 0.0,
+        delta=lambda y: float(np.atleast_1d(y) @ np.atleast_1d(y)),
+        alpha=lambda s: s * s,
+        gamma=1.0,
+        L=0.0,
+        alpha_lower=lambda s: s * s,
+        alpha_upper=lambda s: s * s,
+        n_x=1,
+        n_e=1,
+        n_y=1,
+    )
+
+
 class TestFlowStep:
     def test_equilibrium_fixed_point(self, lorenz):
         sys, _ = lorenz
@@ -221,26 +239,38 @@ class TestSimulate:
             f=lambda x, e: 3.0 * x,
             g=lambda x, e: 0.0 * e,
         )
-        cert = Certificate(
-            V=lambda x: float(x @ x),
-            W=lambda e: float(np.linalg.norm(e)),
-            H=lambda x: 0.0,
-            delta=lambda y: float(np.atleast_1d(y) @ np.atleast_1d(y)),
-            alpha=lambda s: s * s,
-            gamma=1.0,
-            L=0.0,
-            alpha_lower=lambda s: s * s,
-            alpha_upper=lambda s: s * s,
-            n_x=1,
-            n_e=1,
-            n_y=1,
-        )
+        cert = _permissive_cert()
         q0 = HybridState(np.array([1.0]), np.zeros(1), 0.0)
         settings = SimSettings(step=1e-3, horizon_t=20.0, event_tol=1e-6, blowup_norm=1e3)
         with pytest.raises(DivergenceError) as info:
             simulate(sys, cert, _of_cfg(T=0.05), q0, settings)
         assert info.value.partial is not None
         assert info.value.partial.terminated == "blow-up"
+
+    def test_nonfinite_flow_carries_partial_solution(self):
+        # f goes NaN once an RK4 stage overshoots x = 1.5; the nonlinear
+        # path reports it through the same norm guard as a linear blow-up.
+        sys = ClosedLoopSystem(
+            n_x=1, n_e=1, f=lambda x, e: np.sqrt(1.5 - x), g=lambda x, e: 0.0 * e
+        )
+        q0 = HybridState(np.array([1.0]), np.zeros(1), 0.0)
+        settings = SimSettings(step=1e-3, horizon_t=2.0, event_tol=1e-6)
+        with np.errstate(invalid="ignore"), pytest.raises(DivergenceError) as info:
+            simulate(sys, _permissive_cert(), _of_cfg(T=0.05), q0, settings)
+        partial = info.value.partial
+        assert partial is not None
+        assert partial.terminated == "blow-up"
+        assert np.all(np.isfinite(partial.segments[-1].x[:-1]))
+        assert not np.all(np.isfinite(partial.segments[-1].x[-1]))
+
+    @pytest.mark.parametrize("tau0", [float("nan"), float("inf")])
+    def test_nonfinite_initial_clock_rejected(self, tabuada, tau0):
+        sys, cert = tabuada
+        q0 = HybridState(np.array([1.0, 0.0]), np.zeros(2), tau0)
+        # A jump cap, so that a simulator accepting the clock stops quickly.
+        settings = SimSettings(step=1e-3, horizon_t=1.0, max_jumps=10, event_tol=1e-6)
+        with pytest.raises(DomainError, match="finite"):
+            simulate(sys, cert, _sf_cfg(), q0, settings)
 
     def test_max_jumps_terminates(self, lorenz):
         sys, cert = lorenz
@@ -249,6 +279,117 @@ class TestSimulate:
         sol = simulate(sys, cert, _of_cfg(0.01), q0, settings)
         assert sol.n_jumps == 3
         assert sol.terminated == "max-jumps"
+
+
+# Stop reason, jump times and final x of seeded runs as float.hex, recorded
+# from the earlier two-loop (dwell loop + monitor loop) simulator.  The
+# single-loop simulator, and any engine after it, must reproduce them bit
+# for bit.
+PINNED = {
+    "dwell-expiry": (
+        "horizon",
+        ["0x1.3333333333333p-4", "0x1.3333333333333p-3"],
+        ["-0x1.d0557a9652244p+0", "-0x1.571e21dad2395p+3"],
+    ),
+    "bisected": (
+        "horizon",
+        [
+            "0x1.401a9fbe76c8bp-4", "0x1.3fb4395810624p-3", "0x1.dd90624dd2f1ap-3",
+            "0x1.3c53333333333p-2", "0x1.8920000000000p-2", "0x1.d5ecccccccccdp-2",
+        ],
+        ["0x1.ee6f4cb28b170p+0", "-0x1.13fc8cf8e840fp+1"],
+    ),
+    "periodic": (
+        "horizon",
+        [
+            "0x1.47ae147ae147bp-6", "0x1.47ae147ae147bp-5", "0x1.eb851eb851eb8p-5",
+            "0x1.47ae147ae147bp-4",
+        ],
+        ["0x1.16faaa21677bbp+0", "0x1.97e216db6a0c9p-1"],
+    ),
+    "zeno": (
+        "zeno",
+        ["0x0.0p+0"],
+        ["0x0.0p+0", "0x0.0p+0"],
+    ),
+    "jump-set": (
+        "horizon",
+        [
+            "0x0.0p+0", "0x1.c6604189374c2p-5", "0x1.ccb020c49ba64p-4",
+            "0x1.5eb7ced916877p-3", "0x1.db34bc6a7efa4p-3", "0x1.2e25e353f7cf2p-2",
+        ],
+        ["0x1.874f4b384c1f9p-4", "-0x1.cd18f57590e6fp-6"],
+    ),
+    "tau0": (
+        "horizon",
+        [
+            "0x1.401a9fbe76c8dp-4", "0x1.3fb4395810626p-3", "0x1.dd90624dd2f1cp-3",
+            "0x1.3c53333333334p-2", "0x1.8920000000001p-2", "0x1.d5ecccccccccep-2",
+        ],
+        ["0x1.ee6f4cb28b16fp+0", "-0x1.13fc8cf8e8411p+1"],
+    ),
+    "horizon-in-dwell": (
+        "horizon",
+        [
+            "0x1.401a9fbe76c8bp-4", "0x1.3fb4395810624p-3", "0x1.dd90624dd2f1ap-3",
+            "0x1.3c53333333333p-2", "0x1.8920000000000p-2", "0x1.d5ecccccccccdp-2",
+            "0x1.115cccccccccdp-1", "0x1.37c3333333333p-1", "0x1.5e29999999999p-1",
+            "0x1.848ffffffffffp-1", "0x1.aaf6666666665p-1", "0x1.d15cccccccccbp-1",
+            "0x1.f7c3333333331p-1",
+        ],
+        ["0x1.dde59bd38bec1p-1", "-0x1.c7387326c5d99p+0"],
+    ),
+    "max-jumps": (
+        "max-jumps",
+        [
+            "0x1.401a9fbe76c8bp-4", "0x1.3fb4395810624p-3", "0x1.dd90624dd2f1ap-3",
+            "0x1.3c53333333333p-2",
+        ],
+        ["0x1.2c6762635111ap+1", "-0x1.16d193496cb7ap+1"],
+    ),
+    "lorenz": (
+        "horizon",
+        [
+            "0x1.47ae147ae147bp-7", "0x1.47ae147ae147bp-6", "0x1.eb851eb851eb8p-6",
+            "0x1.47ae147ae147bp-5", "0x1.999999999999ap-5", "0x1.eb851eb851eb9p-5",
+            "0x1.1eb851eb851ecp-4", "0x1.47ae147ae147bp-4", "0x1.70a3d70a3d70ap-4",
+            "0x1.9f428f5c28f5cp-4", "0x1.dbae147ae147bp-4", "0x1.1b8189374bc6bp-3",
+        ],
+        ["0x1.5533ac125ee07p-3", "0x1.4f0a835163c82p-3", "-0x1.5fb7e4f1ef6bep-3"],
+    ),
+}
+
+
+_PE = TriggerConfig(mode="pure-event", T=0.0, sigma=0.7)
+_NO_CAP = SimSettings().max_jumps
+
+# name: (loop fixture, trigger, x0, e0, tau0, horizon, max_jumps)
+PINNED_RUNS = {
+    "dwell-expiry": ("tabuada", _sf_cfg(), [0.1, 0.0], [50.0, 50.0], 0.0, 0.2, _NO_CAP),
+    "bisected": ("tabuada", _sf_cfg(), [3.0, -2.0], [0.0, 0.0], 0.0, 0.5, _NO_CAP),
+    "periodic": ("tabuada", TriggerConfig(mode="periodic", T=0.02), [1.0, 1.0], [0.0, 0.0], 0.0,
+                 0.1, _NO_CAP),
+    "zeno": ("tabuada", _PE, [0.0, 0.0], [0.0, 0.0], 0.0, 1.0, _NO_CAP),
+    "jump-set": ("tabuada", _PE, [0.1, 0.0], [50.0, 50.0], 0.0, 0.3, _NO_CAP),
+    "tau0": ("tabuada", _sf_cfg(), [3.0, -2.0], [0.0, 0.0], 0.03, 0.5, _NO_CAP),
+    "horizon-in-dwell": ("tabuada", _sf_cfg(), [3.0, -2.0], [0.0, 0.0], 0.0, 0.9999, _NO_CAP),
+    "max-jumps": ("tabuada", _sf_cfg(), [3.0, -2.0], [0.0, 0.0], 0.0, 10.0, 4),
+    "lorenz": ("lorenz", _of_cfg(0.01), [0.1, 0.2, -0.3], [0.0], 0.0, 0.2, _NO_CAP),
+}
+
+
+class TestReproducibility:
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_matches_pinned_run(self, name, request):
+        loop, cfg, x0, e0, tau0, horizon, max_jumps = PINNED_RUNS[name]
+        sys, cert = request.getfixturevalue(loop)
+        q0 = HybridState(np.array(x0), np.array(e0), tau0)
+        settings = SimSettings(step=1e-3, horizon_t=horizon, max_jumps=max_jumps, event_tol=1e-6)
+        sol = simulate(sys, cert, cfg, q0, settings)
+        terminated, jump_times, final_x = PINNED[name]
+        assert sol.terminated == terminated
+        assert [t.hex() for t in sol.jump_times] == jump_times
+        assert [float(v).hex() for v in sol.final_state().x] == final_x
 
 
 class TestRMonitor:

@@ -160,3 +160,25 @@ class TestCheckAssumptionSampled:
         local = dataclasses.replace(cert, delta_x=10.0, delta_e=10.0)
         with pytest.raises(ValueError):
             check_assumption_sampled(sys, local, n_samples=10, radius=50.0)
+
+    @pytest.mark.parametrize("n_samples", [0, -5])
+    def test_rejects_an_empty_sample(self, tabuada, n_samples):
+        sys, cert = tabuada
+        with pytest.raises(ValueError, match="n_samples"):
+            check_assumption_sampled(sys, cert, n_samples=n_samples, radius=50.0)
+
+    @pytest.mark.parametrize("radius", [float("nan"), float("inf"), 0.0])
+    def test_rejects_a_radius_outside_the_open_half_line(self, tabuada, radius):
+        sys, cert = tabuada
+        with pytest.raises(ValueError, match="radius"):
+            check_assumption_sampled(sys, cert, n_samples=10, radius=radius)
+
+    def test_nan_certificate_term_fails(self, tabuada):
+        import dataclasses
+
+        sys, cert = tabuada
+        broken = dataclasses.replace(cert, V=lambda x: float("nan"))
+        report = check_assumption_sampled(sys, broken, n_samples=50, radius=50.0)
+        assert not report.passed
+        assert report.max_violation["v-bounds"] == math.inf
+        assert report.max_violation["v-decay"] == math.inf

@@ -13,6 +13,7 @@ from etclab import (
     masp,
     zeta_time,
 )
+from etclab.trigger import _zeta_rk4, zeta_solution
 from oracles import zeta_transit_time_reference
 
 
@@ -97,6 +98,40 @@ class TestZetaTime:
         zp = ZetaParams(theta=0.05, eta=0.02)
         oracle = zeta_transit_time_reference(3.0, 1.5, theta=0.05, eta=0.02)
         assert zeta_time(3.0, 1.5, zp) == pytest.approx(oracle, abs=1e-6)
+
+
+class TestZetaSolution:
+    # (gamma, L, eta) with a = L / sqrt(gamma^2 + eta) below, at and above 1;
+    # 3^2 + 16 = 5^2 makes a = 1 exact.
+    BRANCHES = {"tan": (17.3495, 4.1231, 0.01), "a=1": (3.0, 5.0, 16.0), "coth": (2.0, 5.0, 0.1)}
+
+    @pytest.mark.parametrize("branch", sorted(BRANCHES))
+    def test_branch_matches_numerical_transit(self, branch):
+        gamma, L, eta = self.BRANCHES[branch]
+        zp = ZetaParams(theta=0.05, eta=eta)
+        zeta = zeta_solution(gamma, L, zp)
+        transit = zeta_time(gamma, L, zp)
+        assert zeta(0.0) == 1.0 / zp.theta
+        assert zeta(transit) == pytest.approx(zp.theta, rel=1e-3)
+        # Past the zero crossing zeta stays at 0, however long the segment.
+        assert zeta(2.0 * transit) == 0.0
+        assert zeta(1e3 * transit) == 0.0
+
+    def test_continuous_across_a_equal_one(self):
+        zp = ZetaParams(theta=0.05, eta=16.0)
+        tau = 0.5 * zeta_time(3.0, 5.0, zp)
+        at_one = zeta_solution(3.0, 5.0, zp)(tau)
+        for L in (5.0 - 1e-9, 5.0 + 1e-9):
+            assert zeta_solution(3.0, L, zp)(tau) == pytest.approx(at_one, rel=1e-8)
+
+    def test_matches_fine_rk4(self):
+        zp = ZetaParams(theta=0.01, eta=0.01)
+        zeta = zeta_solution(17.3495, 4.1231, zp)
+        lam, h, z = zp.lam(17.3495), 1e-6, 1.0 / zp.theta
+        for k in range(1, 50_001):
+            z = _zeta_rk4(z, h, 2.0 * 4.1231, lam)
+            if k % 10_000 == 0:
+                assert zeta(k * h) == pytest.approx(z, rel=1e-9)
 
 
 class TestTriggerConfig:

@@ -30,7 +30,7 @@ only |A2 x| and |B2| enter the certificate; the simulator restores it).
 """
 
 from dataclasses import dataclass
-from math import sqrt
+from math import inf, sqrt
 
 import numpy as np
 
@@ -155,12 +155,12 @@ class LmiCertificate:
 
     def __post_init__(self):
         object.__setattr__(self, "P", as_matrix(self.P, "P"))
-        if not self.eps1 >= 0:
-            raise CertificateError("eps1 must be nonnegative")
-        if not self.eps2 > 0:
-            raise CertificateError("eps2 must be positive")
-        if not self.mu >= 0:
-            raise CertificateError("mu must be nonnegative")
+        if not 0 <= self.eps1 < inf:
+            raise CertificateError("eps1 must be finite and nonnegative")
+        if not 0 < self.eps2 < inf:
+            raise CertificateError("eps2 must be finite and positive")
+        if not 0 <= self.mu < inf:
+            raise CertificateError("mu must be finite and nonnegative")
 
     @property
     def gamma(self):
@@ -282,10 +282,10 @@ def design_certificate(
     The resulting gamma can exceed what a full SDP solve would find;
     it is always feasible.
     """
-    if not eps1 >= 0:
-        raise CertificateError("eps1 must be nonnegative")
-    if not eps2 > 0:
-        raise CertificateError("eps2 must be positive")
+    if not 0 <= eps1 < inf:
+        raise CertificateError("eps1 must be finite and nonnegative")
+    if not 0 < eps2 < inf:
+        raise CertificateError("eps2 must be finite and positive")
     if not is_hurwitz(clm.A1):
         raise DesignInfeasibleError(
             "A1 is not Hurwitz: the emulated controller does not stabilize the loop"

@@ -6,6 +6,7 @@ value minus current value, reset to zero at each transmission) and a
 clock tau measuring time since the last transmission.
 """
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
@@ -94,8 +95,8 @@ class Certificate:
     name: str = ""
 
     def __post_init__(self):
-        if self.gamma < 0 or self.L < 0:
-            raise ValueError("gamma and L must be nonnegative")
+        if not (0 <= self.gamma < math.inf and 0 <= self.L < math.inf):
+            raise ValueError("Certificate: gamma and L must be finite and nonnegative")
 
     def with_gamma(self, gamma):
         """Copy with a different gain gamma (used by falsification tests)."""

@@ -18,9 +18,10 @@ ODE,
 
 where lam = sqrt(gamma^2 + eta): the time zeta takes to fall from
 1/theta to theta tends to masp(gamma, L) as (theta, eta) -> (0, 0).
-``zeta_time`` computes that transit time numerically and doubles as an
-independent cross-check of the closed form; ``zeta_solution`` gives
-zeta(tau) itself in closed form, for the envelope monitor.
+The ODE is a Riccati equation with a closed-form solution:
+``zeta_solution`` gives zeta(tau) for the envelope monitor, and
+``zeta_time`` gives the transit time from the same three branches.  The
+tests cross-check the transit time against a quadrature of the ODE.
 
 The module also implements membership tests for the flow set C and the
 jump set D in four triggering modes:
@@ -44,24 +45,22 @@ from .model import Certificate, HybridState
 
 MODES = ("output-feedback", "state-feedback", "pure-event", "periodic")
 
-# Fraction of the linearized RK4 stability limit used for automatic
-# step selection when integrating the comparison ODE.
-_ZETA_STEP_SAFETY = 0.25
-
 
 def masp(gamma, L):
     """Maximum allowable sampling period for gains (gamma, L).
 
-    Degenerate cases: L = 0 returns the analytic limit pi/(2 gamma);
-    gamma = 0 with L > 0 returns ``math.inf`` (the arctanh branch
-    diverges); gamma = L = 0 is an error since the gains then carry no
-    stabilizing information.
+    Degenerate cases: L = 0, or L below gamma * 1e-150, returns the
+    analytic limit pi/(2 gamma); gamma = 0 with L > 0 returns
+    ``math.inf`` (the arctanh branch diverges); gamma = L = 0 is an
+    error since the gains then carry no stabilizing information.
+    Non-finite or negative gains raise ValueError.
     """
-    if gamma < 0 or L < 0:
-        raise ValueError("masp: gamma and L must be nonnegative")
+    _check_gains(gamma, L, "masp")
     if gamma == 0 and L == 0:
         raise ConfigError("masp is undefined for gamma = L = 0")
-    if L == 0:
+    if L == 0 or gamma / L > 1e150:
+        # Past gamma/L ~ 1e154 r overflows and the arctan branch reads 0;
+        # from 1e150 on it equals pi/(2 gamma) to double precision.
         return math.pi / (2.0 * gamma)
     if gamma == 0:
         return math.inf
@@ -93,74 +92,41 @@ class ZetaParams:
         return math.sqrt(gamma * gamma + self.eta)
 
 
-def _auto_zeta_step(L, lam, z0):
-    # Quarter of the RK4 real-axis stability bound at the (stiffest)
-    # initial point, where the linearized rate is 2 L + 2 lam z0.
-    return _ZETA_STEP_SAFETY * 2.785 / (2.0 * L + 2.0 * lam * z0 + lam)
+def _check_gains(gamma, L, caller):
+    if not (0 <= gamma < math.inf and 0 <= L < math.inf):
+        raise ValueError(f"{caller}: gamma and L must be finite and nonnegative")
 
 
-def _zeta_rk4(z, h, twoL, lam):
-    k1 = -twoL * z - lam * (z * z + 1.0)
-    z2 = z + 0.5 * h * k1
-    k2 = -twoL * z2 - lam * (z2 * z2 + 1.0)
-    z3 = z + 0.5 * h * k2
-    k3 = -twoL * z3 - lam * (z3 * z3 + 1.0)
-    z4 = z + h * k3
-    k4 = -twoL * z4 - lam * (z4 * z4 + 1.0)
-    return z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def _comparison_ode(gamma, L, zp, caller):
+    """(lam, a, z0, c, r) of the comparison ODE, as zeta_solution defines them."""
+    _check_gains(gamma, L, caller)
+    lam = zp.lam(gamma)
+    a = L / lam
+    c = 1.0 - a * a
+    return lam, a, 1.0 / zp.theta, c, math.sqrt(abs(c))
 
 
-def zeta_time(gamma, L, zp, step=None):
+def _tau_at(s, lam, c, r):
+    """The time tau at which zeta_solution's parameter s(tau) equals s."""
+    if c > 0.0:
+        return math.atan(r * s) / (lam * r)
+    if c < 0.0:
+        return math.atanh(r * s) / (lam * r)
+    return s / lam
+
+
+def zeta_time(gamma, L, zp):
     """Transit time of the comparison ODE from 1/theta down to theta.
 
-    Fixed-step RK4; the crossing is then located by bisection inside
-    the final step to a tolerance of step * 1e-3.  When ``step`` is not
-    given, a step well inside the stability region of the stiff initial
-    transient is chosen automatically.  The transit time is finite for
-    every valid parameter set because the right-hand side is strictly
-    negative.
+    Closed form: zeta_solution's expression equals theta at
+    s* = (z0 - theta) / (1 + a z0 + theta (z0 + a)) with z0 = 1/theta,
+    and s* maps to the time atan(r s*)/(lam r), s*/lam or
+    atanh(r s*)/(lam r) on the three branches.  The transit time is
+    finite and positive for every valid parameter set.
     """
-    if gamma < 0 or L < 0:
-        raise ValueError("zeta_time: gamma and L must be nonnegative")
-    lam = zp.lam(gamma)
-    z0 = 1.0 / zp.theta
-    target = zp.theta
-    if step is None:
-        step = _auto_zeta_step(L, lam, z0)
-    if step <= 0:
-        raise ValueError("zeta_time: step must be positive")
-
-    twoL = 2.0 * L
-    h = step
-    h6 = h / 6.0
-    h2 = 0.5 * h
-    t = 0.0
-    z = z0
-    # Inlined RK4 loop; this is the hot path.
-    while True:
-        k1 = -twoL * z - lam * (z * z + 1.0)
-        za = z + h2 * k1
-        k2 = -twoL * za - lam * (za * za + 1.0)
-        zb = z + h2 * k2
-        k3 = -twoL * zb - lam * (zb * zb + 1.0)
-        zc = z + h * k3
-        k4 = -twoL * zc - lam * (zc * zc + 1.0)
-        zn = z + h6 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if zn <= target:
-            break
-        z = zn
-        t += h
-
-    # Bisect the crossing inside [t, t + h].
-    lo, hi = 0.0, h
-    tol = step * 1e-3
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if _zeta_rk4(z, mid, twoL, lam) <= target:
-            hi = mid
-        else:
-            lo = mid
-    return t + 0.5 * (lo + hi)
+    lam, a, z0, c, r = _comparison_ode(gamma, L, zp, "zeta_time")
+    theta = zp.theta
+    return _tau_at((z0 - theta) / (1.0 + a * z0 + theta * (z0 + a)), lam, c, r)
 
 
 def zeta_solution(gamma, L, zp):
@@ -175,20 +141,9 @@ def zeta_solution(gamma, L, zp):
     lam tau or tanh(lam r tau)/r, which stays well conditioned as a -> 1.
     zeta falls monotonically and stays at 0 after crossing it.
     """
-    if gamma < 0 or L < 0:
-        raise ValueError("zeta_solution: gamma and L must be nonnegative")
-    lam = zp.lam(gamma)
-    a = L / lam
-    z0 = 1.0 / zp.theta
-    c = 1.0 - a * a
-    r = math.sqrt(abs(c))
+    lam, a, z0, c, r = _comparison_ode(gamma, L, zp, "zeta_solution")
     s_zero = z0 / (1.0 + a * z0)  # s at the zero crossing, reached at tau_zero
-    if c > 0.0:
-        tau_zero = math.atan(r * s_zero) / (lam * r)
-    elif c < 0.0:
-        tau_zero = math.atanh(r * s_zero) / (lam * r)
-    else:
-        tau_zero = s_zero / lam
+    tau_zero = _tau_at(s_zero, lam, c, r)
 
     def zeta(tau):
         if tau >= tau_zero:

@@ -104,6 +104,19 @@ def zeta_transit_time_reference(gamma, L, theta, eta, n=200_000):
     return float(np.trapezoid(integrand, u))
 
 
+def zeta_rk4_step(z, h, L, lam):
+    """One classical RK4 step of the comparison ODE zeta' = -2 L zeta - lam (zeta^2 + 1)."""
+
+    def rate(v):
+        return -2.0 * L * v - lam * (v * v + 1.0)
+
+    k1 = rate(z)
+    k2 = rate(z + 0.5 * h * k1)
+    k3 = rate(z + 0.5 * h * k2)
+    k4 = rate(z + h * k3)
+    return z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
 def scalar_lmi_feasible_bruteforce(s, b, mu):
     """Feasibility of [[s, b], [b, -mu]] <= 0 for scalars, in closed form."""
     # 2x2 symmetric matrix is NSD iff trace <= 0 and det >= 0.

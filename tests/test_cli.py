@@ -39,6 +39,13 @@ class TestMaspCommand:
         assert rc == 1
         assert "error" in err
 
+    @pytest.mark.parametrize("gamma, L", [("nan", "1"), ("1", "inf"), ("-1", "1")])
+    def test_non_finite_or_negative_gains_exit_one(self, capsys, gamma, L):
+        rc, out, err = _run(capsys, "masp", "--gamma", gamma, "--L", L)
+        assert rc == 1
+        assert out == ""
+        assert err.startswith("error: masp:")
+
 
 class TestDesignCommand:
     def test_emits_certificate_document(self, capsys, tmp_path):
@@ -55,6 +62,12 @@ class TestDesignCommand:
         assert doc["L"] == pytest.approx(4.1231, abs=1e-3)
         assert doc["T_max"] > 0
         assert np.asarray(doc["P"]).shape == (2, 2)
+
+    def test_infinite_eps_exits_one_naming_it(self, capsys):
+        rc, out, err = _run(capsys, "design", "--system", "lti-sf-tabuada", "--eps2", "inf")
+        assert rc == 1
+        assert out == ""
+        assert err == "error: eps2 must be finite and positive\n"
 
 
 class TestCheckCommand:
@@ -252,6 +265,16 @@ class TestConfigResolver:
         assert err.startswith(f"error: config.{section}:")
         assert not os.path.exists(cfg["output_dir"])
 
+    def test_infinite_certificate_weight_exits_one_naming_it(self, capsys, tmp_path):
+        cert = {"P": [[1.0, 0.0], [0.0, 1.0]], "eps1": 0.0, "eps2": 0.68, "mu": float("inf")}
+        path, cfg = _write_config(tmp_path, LTI_CFG, lambda c: c.update(certificate=cert))
+        assert "Infinity" in path.read_text()
+        rc, out, err = _run(capsys, "simulate", "--config", str(path))
+        assert rc == 1
+        assert out == ""
+        assert err == "error: config.certificate: mu must be finite and nonnegative\n"
+        assert not os.path.exists(cfg["output_dir"])
+
     def test_design_and_simulate_report_the_same_gamma(self, capsys, tmp_path):
         path, _ = _write_config(tmp_path, LTI_CFG)
         cert_path = tmp_path / "cert.json"
@@ -311,7 +334,7 @@ class TestEmitPlotData:
         )
         out = tmp_path / "plot.csv"
         emit_plot_data(sol, out, t_ref=0.01)
-        rows = list(csv.reader(out.open()))
+        rows = list(csv.reader(out.read_text().splitlines()))
         gaps = {float(r[2]) for r in rows[1:]}
         assert len(rows) - 1 == sol.n_jumps
         assert all(abs(g - 0.01) < 1e-9 for g in gaps)
@@ -327,5 +350,5 @@ class TestEmitPlotData:
         assert sol.n_jumps == 0
         out = tmp_path / "plot.csv"
         emit_plot_data(sol, out, t_ref=0.075)
-        rows = list(csv.reader(out.open()))
+        rows = list(csv.reader(out.read_text().splitlines()))
         assert rows == [["event_index", "t_j", "gap", "T_ref"]]

@@ -1,7 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from etclab import (
     ConfigError,
@@ -13,8 +16,8 @@ from etclab import (
     masp,
     zeta_time,
 )
-from etclab.trigger import _zeta_rk4, zeta_solution
-from oracles import zeta_transit_time_reference
+from etclab.trigger import zeta_solution
+from oracles import zeta_rk4_step, zeta_transit_time_reference
 
 
 class TestMasp:
@@ -33,6 +36,11 @@ class TestMasp:
         assert value == pytest.approx(0.08603, abs=1e-4)
         oracle = zeta_transit_time_reference(gamma, 0.0, theta=1e-5, eta=1e-8)
         assert value == pytest.approx(oracle, abs=1e-4)
+
+    def test_negligible_growth_gives_the_zero_growth_limit(self):
+        # gamma/L past ~1e154 overflows r in the arctan branch.
+        for L in (3e-149, 3e-151, 4.4e-286):
+            assert masp(3.0, L) == pytest.approx(math.pi / 6.0, rel=1e-15)
 
     def test_arctanh_branch(self):
         value = masp(1.0, 2.0)
@@ -94,10 +102,52 @@ class TestZetaTime:
             masp(17.3495, 4.1231), abs=1e-3
         )
 
-    def test_matches_quadrature_oracle(self):
+    @pytest.mark.parametrize(
+        "gamma, L, theta, eta",
+        [
+            (2.0, 1.0, 1e-4, 1e-6),  # criterion 2: gamma > L, = L, < L
+            (2.0, 2.0, 1e-4, 1e-6),
+            (1.0, 2.0, 1e-4, 1e-6),
+            (3.0, 1.5, 0.05, 0.02),  # tan branch
+            (3.0, 5.0, 0.05, 16.0),  # a = 1 exactly
+            (157.01379981814762, 0.0, 1e-4, 1e-6),  # Lorenz gains
+            (2.0, 1.0, 0.999, 0.01),  # theta near 1: a transit of 3.3e-4
+        ],
+        ids=["gamma>L", "gamma=L", "gamma<L", "tan", "a=1", "lorenz", "theta-0.999"],
+    )
+    def test_matches_quadrature_oracle(self, gamma, L, theta, eta):
+        oracle = zeta_transit_time_reference(gamma, L, theta=theta, eta=eta)
+        assert zeta_time(gamma, L, ZetaParams(theta, eta)) == pytest.approx(oracle, rel=1e-9)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    gamma=st.floats(0.01, 1000.0),
+    L=st.floats(0.0, 1000.0),
+    theta=st.floats(1e-4, 0.99),
+    eta=st.floats(1e-6, 10.0),
+)
+def test_transit_time_properties(gamma, L, theta, eta):
+    zp = ZetaParams(theta, eta)
+    transit = zeta_time(gamma, L, zp)
+    assert 0.0 < transit < masp(gamma, L)
+    assert zeta_solution(gamma, L, zp)(transit) == pytest.approx(theta, rel=1e-6)
+    assert zeta_time(gamma, L, ZetaParams(theta * 1.01, eta)) < transit
+
+
+class TestNonFiniteGains:
+    @pytest.mark.parametrize("gamma, L", [(math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (1.0, math.inf)])
+    def test_rejected_naming_the_function(self, tabuada, gamma, L):
         zp = ZetaParams(theta=0.05, eta=0.02)
-        oracle = zeta_transit_time_reference(3.0, 1.5, theta=0.05, eta=0.02)
-        assert zeta_time(3.0, 1.5, zp) == pytest.approx(oracle, abs=1e-6)
+        with pytest.raises(ValueError, match="^masp:"):
+            masp(gamma, L)
+        with pytest.raises(ValueError, match="^zeta_time:"):
+            zeta_time(gamma, L, zp)
+        with pytest.raises(ValueError, match="^zeta_solution:"):
+            zeta_solution(gamma, L, zp)
+        _, cert = tabuada
+        with pytest.raises(ValueError, match="^Certificate:"):
+            dataclasses.replace(cert, gamma=gamma, L=L)
 
 
 class TestZetaSolution:
@@ -110,7 +160,7 @@ class TestZetaSolution:
         gamma, L, eta = self.BRANCHES[branch]
         zp = ZetaParams(theta=0.05, eta=eta)
         zeta = zeta_solution(gamma, L, zp)
-        transit = zeta_time(gamma, L, zp)
+        transit = zeta_transit_time_reference(gamma, L, theta=zp.theta, eta=eta)
         assert zeta(0.0) == 1.0 / zp.theta
         assert zeta(transit) == pytest.approx(zp.theta, rel=1e-3)
         # Past the zero crossing zeta stays at 0, however long the segment.
@@ -129,7 +179,7 @@ class TestZetaSolution:
         zeta = zeta_solution(17.3495, 4.1231, zp)
         lam, h, z = zp.lam(17.3495), 1e-6, 1.0 / zp.theta
         for k in range(1, 50_001):
-            z = _zeta_rk4(z, h, 2.0 * 4.1231, lam)
+            z = zeta_rk4_step(z, h, 4.1231, lam)
             if k % 10_000 == 0:
                 assert zeta(k * h) == pytest.approx(z, rel=1e-9)
 

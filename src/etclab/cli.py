@@ -32,6 +32,7 @@ from .model import HybridState
 from .montecarlo import BatchSpec, _fmt, emit_report, run_batch, sample_initial, write_events_csv
 from .systems import (
     BUILTIN_LOOPS,
+    TABUADA_EPS2,
     check_assumption_sampled,
     lti_loop_from_matrices,
     tabuada_matrices,
@@ -137,7 +138,8 @@ class Resolved:
     """A config with every section validated once and built into its typed object.
 
     ``clm`` and ``eps`` are the closed-loop blocks and design weights of an
-    LTI system (None and the defaults otherwise); ``certificate`` is an
+    LTI system (a built-in's are those of its certificate; None and the
+    defaults otherwise); ``certificate`` is an
     inline certificate, None for "auto".  ``run`` marks a command that
     simulates, which requires config.trigger.  ETC_LAB_SEED, when set,
     replaces the batch seed.
@@ -149,8 +151,9 @@ class Resolved:
             raise ConfigError("config.system: expected an object with a string field 'name'")
         self.system = spec["name"]
         self.params = spec.get("params", {})
-        self.clm = tabuada_matrices() if self.system == "lti-sf-tabuada" else None
-        self.eps = _design_eps()
+        self.clm, self.eps = None, _design_eps()
+        if self.system == "lti-sf-tabuada":
+            self.clm, self.eps = tabuada_matrices(), _design_eps(0.0, TABUADA_EPS2)
         if self.system == "lti-custom":
             _check_keys(spec, "config.system", ["plant", "controller"],
                         ["name", "plant", "controller", "design"])
@@ -385,7 +388,7 @@ def build_parser():
     p = sub.add_parser("design", help="constructive LTI certificate design")
     p.add_argument("--config")
     p.add_argument("--system", default="lti-sf-tabuada")
-    p.add_argument("--eps1", type=float)  # default: config system.design, else 1e-2
+    p.add_argument("--eps1", type=float)  # default: system.design or the built-in's, else 1e-2
     p.add_argument("--eps2", type=float)
     p.add_argument("--out", default="-")
     p.set_defaults(func=_cmd_design)

@@ -28,7 +28,7 @@ from typing import List, Optional
 import numpy as np
 
 from .errors import ConfigError, DivergenceError, DomainError
-from .model import Certificate, ClosedLoopSystem, HybridState
+from .model import Certificate, ClosedLoopSystem, HybridState, check_pairing
 from .trigger import TriggerConfig, ZetaParams, event_function, in_flow, in_jump, zeta_solution
 
 
@@ -213,18 +213,20 @@ def simulate(
 ) -> HybridSolution:
     """Simulate the closed loop from q0 until horizon, max_jumps or blow-up.
 
-    Raises DomainError if q0 lies outside the flow and jump sets,
-    ConfigError for invalid pairings (dwell time at or above the MASP
+    Raises DimensionError if the certificate does not pair with the
+    loop, DomainError if q0 lies outside the flow and jump sets,
+    ConfigError for invalid settings (dwell time at or above the MASP
     ceiling, step too coarse relative to T), and DivergenceError
     (carrying the partial solution) if the state norm passes the
     blow-up guard or is not finite.
     """
+    check_pairing(sys, cert)
     if q0.x.shape != (sys.n_x,) or q0.e.shape != (sys.n_e,):
         raise ConfigError(
             f"initial state dimensions {q0.x.shape}, {q0.e.shape} do not match "
             f"the system ({sys.n_x}, {sys.n_e})"
         )
-    if not (np.all(np.isfinite(q0.x)) and np.all(np.isfinite(q0.e)) and math.isfinite(q0.tau)):
+    if not (np.all(np.isfinite(q0.x)) and np.all(np.isfinite(q0.e))):
         raise DomainError("initial state must be finite")
     cfg.validate_against(cert)
     if cfg.mode != "pure-event" and settings.step > cfg.T / 10.0 * (1.0 + 1e-12):

@@ -23,10 +23,9 @@ produces such a (P, mu) constructively, without an external SDP solver:
 pick P from a Lyapunov solve with slack rho, then mu just large enough
 for the Schur complement, and search rho for the smallest gamma.
 
-For static full-state feedback (y = x, u = K x) only x is transmitted;
-the matrices collapse to A1 = A2 = A + B K and B1 = B2 = B K (the sign
-of the true error dynamics e' = -(A1 x + B1 e) is immaterial here since
-only |A2 x| and |B2| enter the certificate; the simulator restores it).
+For static full-state feedback (y = x, u = K x) only x is transmitted,
+so e' = -x' and the matrices collapse to A1 = -A2 = A + B K and
+B1 = -B2 = B K.
 """
 
 from dataclasses import dataclass
@@ -126,14 +125,13 @@ class LtiController:
 
 @dataclass(frozen=True)
 class ClosedLoopMatrices:
-    """The four closed-loop blocks plus the stacked output map."""
+    """The blocks of x' = A1 x + B1 e, e' = A2 x + B2 e and the output map y = Cbar x."""
 
     A1: np.ndarray
     B1: np.ndarray
     A2: np.ndarray
     B2: np.ndarray
     Cbar: np.ndarray
-    state_feedback: bool = False
 
     @property
     def n_x(self):
@@ -199,14 +197,7 @@ def assemble(plant: LtiPlant, ctrl: LtiController) -> ClosedLoopMatrices:
         # Full state transmitted, controller co-located with the actuator:
         # e = xhat - x, so x' = (A + BK)(x) + BK e and e' = -x'.
         BK = Bp @ Dc
-        return ClosedLoopMatrices(
-            A1=Acl,
-            B1=BK,
-            A2=Acl.copy(),
-            B2=BK.copy(),
-            Cbar=np.eye(plant.n_p),
-            state_feedback=True,
-        )
+        return ClosedLoopMatrices(A1=Acl, B1=BK, A2=-Acl, B2=-BK, Cbar=np.eye(plant.n_p))
 
     A1 = np.block([[Acl, Bp @ Cc], [Bc @ Cp, Ac]])
     B1 = np.block([[Bp @ Dc, Bp], [Bc, np.zeros((ctrl.n_c, plant.n_u))]])

@@ -4,6 +4,9 @@ The closed loop is described by the augmented state q = (x, e, tau): the
 plant+controller state x, the network-induced error e (last transmitted
 value minus current value, reset to zero at each transmission) and a
 clock tau measuring time since the last transmission.
+
+``ClosedLoopSystem`` holds the flow maps, ``Certificate`` the rest, the
+output map included; ``check_pairing`` tells whether the two fit.
 """
 
 import math
@@ -11,6 +14,8 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
+
+from .errors import DimensionError
 
 
 def _identity(x):
@@ -28,8 +33,8 @@ class HybridState:
     def __post_init__(self):
         self.x = np.asarray(self.x, dtype=float)
         self.e = np.asarray(self.e, dtype=float)
-        if self.tau < 0:
-            raise ValueError("tau must be nonnegative")
+        if not 0 <= self.tau < math.inf:  # NaN fails too
+            raise ValueError(f"tau must be finite and nonnegative, got {self.tau}")
 
     def copy(self):
         return HybridState(self.x.copy(), self.e.copy(), self.tau)
@@ -43,10 +48,9 @@ class HybridState:
 class ClosedLoopSystem:
     """Flow maps of the networked closed loop.
 
-    ``f(x, e)`` is the derivative of x, ``g(x, e)`` the derivative of e,
-    and ``y_of_x`` the plant output map used by the triggering rule.
-    Both evaluators must vanish at the origin (the equilibrium) and be
-    deterministic.
+    ``f(x, e)`` is the derivative of x and ``g(x, e)`` the derivative of
+    e.  Both evaluators must vanish at the origin (the equilibrium) and
+    be deterministic.  The output map belongs to the certificate.
 
     ``stacked_matrix``, when present, is the matrix M of the stacked
     linear flow (x, e)' = M (x, e) and must agree with f and g; the
@@ -59,7 +63,6 @@ class ClosedLoopSystem:
     n_e: int
     f: Callable[[np.ndarray, np.ndarray], np.ndarray]
     g: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    y_of_x: Callable[[np.ndarray], np.ndarray] = _identity
     stacked_matrix: Optional[np.ndarray] = None
     name: str = ""
 
@@ -101,3 +104,12 @@ class Certificate:
     def with_gamma(self, gamma):
         """Copy with a different gain gamma (used by falsification tests)."""
         return replace(self, gamma=float(gamma))
+
+
+def check_pairing(sys: ClosedLoopSystem, cert: Certificate):
+    """Raise DimensionError unless the certificate's (n_x, n_e) are the loop's."""
+    if (cert.n_x, cert.n_e) != (sys.n_x, sys.n_e):
+        raise DimensionError(
+            f"certificate {cert.name!r} has (n_x, n_e) = ({cert.n_x}, {cert.n_e}) but "
+            f"loop {sys.name!r} has ({sys.n_x}, {sys.n_e})"
+        )

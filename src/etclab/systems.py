@@ -15,7 +15,7 @@ Two benchmarks ship with the package:
 ``tabuada_loop``
     The planar state-feedback benchmark x' = Ax + Bu, u = Kx with
     A = [[0, 1], [-2, 3]], B = [0; 1], K = [1, -4]: the loop matrices
-    collapse to A1 = A2 = A + BK, B1 = B2 = BK, and the quadratic
+    collapse to A1 = -A2 = A + BK, B1 = -B2 = BK, and the quadratic
     certificate uses the published gains (eps2 = 0.68,
     gamma = 17.3495) with a P produced by the constructive design.
 
@@ -31,7 +31,7 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError
+from .errors import ConfigError
 from .lti import (
     ClosedLoopMatrices,
     LmiCertificate,
@@ -40,9 +40,8 @@ from .lti import (
     assemble,
     design_certificate,
     extract_assumption,
-    is_feasible,
 )
-from .model import Certificate, ClosedLoopSystem
+from .model import Certificate, ClosedLoopSystem, check_pairing
 from .sampling import uniform_ball
 
 # Published gains for the planar state-feedback benchmark.
@@ -93,10 +92,7 @@ def lorenz_loop(a: float = 10.0, b: float = 28.0, c: float = 8.0 / 3.0, p1: floa
         # e = yhat - y with y = x1, so e' = -x1' = a (x1 - x2).
         return np.array((a * (x[0] - x[1]),))
 
-    def y_of_x(x):
-        return x[:1]
-
-    sys = ClosedLoopSystem(n_x=3, n_e=1, f=f, g=g, y_of_x=y_of_x, name="lorenz")
+    sys = ClosedLoopSystem(n_x=3, n_e=1, f=f, g=g, name="lorenz")
 
     alpha_coef = min(a * (p1 - 1.0), p2 - 2.0 * a, 2.0 * p2 * c)
     delta_coef = a * (p1 - 1.0)
@@ -116,56 +112,31 @@ def lorenz_loop(a: float = 10.0, b: float = 28.0, c: float = 8.0 / 3.0, p1: floa
         n_x=3,
         n_e=1,
         n_y=1,
-        y_of_x=y_of_x,
+        y_of_x=lambda x: x[:1],
         name="lorenz",
     )
     return sys, cert
 
 
 def lti_loop(plant: LtiPlant, ctrl: LtiController, cert: Certificate) -> ClosedLoopSystem:
-    """The linear closed loop whose flow maps match the certificate.
-
-    For the state-feedback special case the true error dynamics carry a
-    sign flip relative to the collapsed certificate matrices:
-    e' = -(A1 x + B1 e).
-    """
-    clm = assemble(plant, ctrl)
-    if cert.n_x != clm.n_x or cert.n_e != clm.n_e:
-        raise DimensionError(
-            f"certificate dimensions ({cert.n_x}, {cert.n_e}) do not match the "
-            f"assembled loop ({clm.n_x}, {clm.n_e})"
-        )
-    return lti_loop_from_matrices(clm, name="lti")
+    """The linear closed loop of (plant, ctrl); the certificate must pair with it."""
+    sys = lti_loop_from_matrices(assemble(plant, ctrl), name="lti")
+    check_pairing(sys, cert)
+    return sys
 
 
 def lti_loop_from_matrices(clm: ClosedLoopMatrices, name="lti") -> ClosedLoopSystem:
-    A1, B1, A2, B2, Cbar = clm.A1, clm.B1, clm.A2, clm.B2, clm.Cbar
+    """The flow maps x' = A1 x + B1 e, e' = A2 x + B2 e and their stacked matrix."""
+    A1, B1, A2, B2 = clm.A1, clm.B1, clm.A2, clm.B2
 
     def f(x, e):
         return A1 @ x + B1 @ e
 
-    if clm.state_feedback:
+    def g(x, e):
+        return A2 @ x + B2 @ e
 
-        def g(x, e):
-            return -(A1 @ x + B1 @ e)
-
-        stacked = np.block([[A1, B1], [-A1, -B1]])
-    else:
-
-        def g(x, e):
-            return A2 @ x + B2 @ e
-
-        stacked = np.block([[A1, B1], [A2, B2]])
-
-    return ClosedLoopSystem(
-        n_x=clm.n_x,
-        n_e=clm.n_e,
-        f=f,
-        g=g,
-        y_of_x=lambda x: Cbar @ x,
-        stacked_matrix=stacked,
-        name=name,
-    )
+    stacked = np.block([[A1, B1], [A2, B2]])
+    return ClosedLoopSystem(clm.n_x, clm.n_e, f, g, stacked_matrix=stacked, name=name)
 
 
 def tabuada_matrices() -> ClosedLoopMatrices:
@@ -180,15 +151,14 @@ def tabuada_loop() -> Tuple[ClosedLoopSystem, Certificate]:
 
     P comes from the constructive design (smallest-gamma slack); the
     scalar gains are then pinned to the published values, which are
-    feasible with that P because feasibility is monotone in mu.
+    feasible with that P because feasibility is monotone in mu
+    (``extract_assumption`` checks it).
     """
     clm = tabuada_matrices()
     designed = design_certificate(clm, eps1=0.0, eps2=TABUADA_EPS2)
     published = LmiCertificate(
         P=designed.P, eps1=0.0, eps2=TABUADA_EPS2, mu=TABUADA_GAMMA**2
     )
-    if not is_feasible(clm, published):
-        raise ConfigError("published gains are infeasible with the designed P")
     cert = extract_assumption(clm, published)
     sys = lti_loop_from_matrices(clm, name="lti-sf-tabuada")
     return sys, cert
@@ -279,14 +249,17 @@ def check_assumption_sampled(
         <grad V(x), f(x, e)> <= -alpha(|x|) - H(x)^2 - delta(y) + gamma^2 W(e)^2
         <grad W(e), g(x, e)> <= L W(e) + H(x)
 
-    with central-difference gradients, and reports the worst violation
+    with y = cert.y_of_x(x), the output the trigger reads, and
+    central-difference gradients, and reports the worst violation
     of each; a violation that is not finite (a certificate term returning
     NaN, say) counts as infinite.  Samples too close to the
     nondifferentiable set of W (e = 0 for norm-type W) are skipped for
     the W inequality only.  Violations are data, not exceptions; a sample
     count below 1 or a radius outside (0, inf) raises ValueError, since
-    no sample would then be evidence.
+    no sample would then be evidence, and a certificate of other
+    dimensions than the loop raises DimensionError.
     """
+    check_pairing(sys, cert)
     if not n_samples >= 1:
         raise ValueError(f"n_samples must be at least 1, got {n_samples}")
     if not 0 < radius < math.inf:
@@ -329,7 +302,7 @@ def check_assumption_sampled(
         grad_v = _grad_fd(cert.V, x, h_v)
         lhs = float(grad_v @ sys.f(x, e))
         w = cert.W(e)
-        rhs = -cert.alpha(nx) - cert.H(x) ** 2 - cert.delta(sys.y_of_x(x)) + g2 * w * w
+        rhs = -cert.alpha(nx) - cert.H(x) ** 2 - cert.delta(cert.y_of_x(x)) + g2 * w * w
         note("v-decay", lhs, rhs)
         scale["v-decay"] = max(scale["v-decay"], abs(lhs), abs(rhs))
 

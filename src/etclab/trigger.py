@@ -68,9 +68,13 @@ def masp(gamma, L):
     if ratio > 1.0:
         r = math.sqrt(ratio * ratio - 1.0)
         return math.atan(r) / (L * r)
+    if ratio < 1e-150:  # ratio^2 underflows, r = 1: atanh(r) = log((1 + r) / ratio)
+        return (math.log(2.0) + math.log(L) - math.log(gamma)) / L
     if ratio < 1.0:
+        # atanh(r) = 0.5 log1p(2r / (1 - r)) and 1 - r = ratio^2 / (1 + r): no
+        # cancellation as gamma/L -> 0.
         r = math.sqrt(1.0 - ratio * ratio)
-        return math.atanh(r) / (L * r)
+        return 0.5 * math.log1p(2.0 * r * (1.0 + r) / (ratio * ratio)) / (L * r)
     return 1.0 / L
 
 

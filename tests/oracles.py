@@ -8,6 +8,7 @@ instead of an eigenvalue test.
 """
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 
@@ -102,6 +103,21 @@ def zeta_transit_time_reference(gamma, L, theta, eta, n=200_000):
     # dz = sec^2(u) du = (z^2 + 1) du
     integrand = (z * z + 1.0) / (lam * (z * z + 1.0) + 2.0 * L * z)
     return float(np.trapezoid(integrand, u))
+
+
+def masp_arctanh_reference(gamma, L, digits=800):
+    """masp on its arctanh branch (0 < gamma < L) in 800-digit decimal arithmetic.
+
+    Evaluates atanh(r) / (L r) with r = sqrt(1 - (gamma/L)^2) as
+    ln((1 + r) / (1 - r)) / (2 L r) on the exact values of the two
+    doubles; 800 digits keep 1 - r exact enough down to subnormal gamma/L.
+    """
+    with localcontext() as ctx:
+        ctx.prec = digits
+        g, l = Decimal(gamma), Decimal(L)
+        ratio = g / l
+        r = (1 - ratio * ratio).sqrt()
+        return float(((1 + r) / (1 - r)).ln() / (2 * l * r))
 
 
 def zeta_rk4_step(z, h, L, lam):

@@ -8,7 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from etclab import ConfigError, HybridState, SimSettings, TriggerConfig, simulate
+from etclab import (
+    ConfigError,
+    HybridState,
+    SimSettings,
+    TriggerConfig,
+    design_certificate,
+    simulate,
+    tabuada_loop,
+)
+from etclab.systems import TABUADA_EPS2, tabuada_matrices
 from etclab.cli import Resolved, RunConfig, dispatch, emit_config, emit_plot_data, load_config
 
 
@@ -33,6 +42,11 @@ class TestMaspCommand:
         rc, out, _ = _run(capsys, "masp", "--gamma", "89.9666", "--L", "4")
         assert rc == 0
         assert abs(float(out) - 0.017) <= 5e-4
+
+    def test_tiny_gamma_over_L(self, capsys):
+        # The arctanh branch, about ln(2L/gamma)/L; a literal atanh raises here.
+        rc, out, err = _run(capsys, "masp", "--gamma", "1e-9", "--L", "1")
+        assert (rc, out, err) == (0, "21.4164\n", "")
 
     def test_degenerate_gains_exit_code(self, capsys):
         rc, _, err = _run(capsys, "masp", "--gamma", "0", "--L", "0")
@@ -62,6 +76,23 @@ class TestDesignCommand:
         assert doc["L"] == pytest.approx(4.1231, abs=1e-3)
         assert doc["T_max"] > 0
         assert np.asarray(doc["P"]).shape == (2, 2)
+
+    def test_builtin_defaults_reproduce_its_certificate(self, capsys, tmp_path):
+        # With no flags, design uses the weights the built-in was designed with,
+        # so it emits exactly the P that tabuada_loop pins the published gains to.
+        out_path = tmp_path / "cert.json"
+        rc, _, err = _run(capsys, "design", "--system", "lti-sf-tabuada", "--out", str(out_path))
+        assert rc == 0
+        doc = json.loads(out_path.read_text())
+        designed = design_certificate(tabuada_matrices(), eps1=0.0, eps2=TABUADA_EPS2)
+        assert (doc["eps1"], doc["eps2"]) == (0.0, TABUADA_EPS2)
+        assert np.array_equal(np.asarray(doc["P"]), designed.P)
+        assert doc["mu"] == designed.mu
+        assert err.startswith("gamma = 13.3263,")
+        _, cert = tabuada_loop()
+        x = np.array([0.3, -1.7])
+        P = np.asarray(doc["P"])
+        assert cert.V(x) == float(x @ (0.5 * (P + P.T)) @ x)
 
     def test_infinite_eps_exits_one_naming_it(self, capsys):
         rc, out, err = _run(capsys, "design", "--system", "lti-sf-tabuada", "--eps2", "inf")

@@ -30,12 +30,12 @@ def planar_clm():
 
 class TestAssemble:
     def test_state_feedback_collapse(self, planar_clm):
+        # e = xhat - x, so e' = -x': the true error dynamics, sign included.
         clm = planar_clm
-        assert clm.state_feedback
         assert np.allclose(clm.A1, [[0.0, 1.0], [-1.0, -1.0]])
-        assert np.allclose(clm.A2, clm.A1)
+        assert np.array_equal(clm.A2, -clm.A1)
         assert np.allclose(clm.B1, [[0.0, 0.0], [1.0, -4.0]])
-        assert np.allclose(clm.B2, clm.B1)
+        assert np.array_equal(clm.B2, -clm.B1)
         assert np.allclose(clm.Cbar, np.eye(2))
 
     def test_static_zero_gain_zeroes_first_block_column(self, rng):
@@ -43,7 +43,6 @@ class TestAssemble:
         plant = LtiPlant(A=rng.standard_normal((3, 3)), B=rng.standard_normal((3, 1)),
                          C=rng.standard_normal((1, 3)))
         clm = assemble(plant, LtiController.static(np.zeros((1, 1))))
-        assert not clm.state_feedback
         assert np.all(clm.B1[:, :1] == 0.0)
 
     def test_shape_audit_dynamic_controller(self, rng):

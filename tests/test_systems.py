@@ -5,17 +5,37 @@ import pytest
 import scipy.linalg
 
 from etclab import (
+    DimensionError,
     LtiController,
     LtiPlant,
+    SimSettings,
+    TriggerConfig,
+    assemble,
     check_assumption_sampled,
     flow_step,
     lorenz_loop,
     lti_loop,
     masp,
+    simulate,
 )
 from etclab.model import HybridState
-from etclab.systems import builtin_loop
+from etclab.systems import builtin_loop, lti_loop_from_matrices
 from etclab.errors import ConfigError
+
+
+def _planar_plant(C):
+    return LtiPlant(A=[[0.0, 1.0], [-2.0, 3.0]], B=[[0.0], [1.0]], C=C)
+
+
+# (plant, controller) for each block structure that assemble produces.
+LOOP_KINDS = {
+    "static-state-feedback": (_planar_plant(np.eye(2)), LtiController.static([[1.0, -4.0]])),
+    "static-output-feedback": (_planar_plant([[1.0, 0.5]]), LtiController.static([[-2.0]])),
+    "dynamic-output-feedback": (
+        _planar_plant([[1.0, 0.0]]),
+        LtiController(A=[[-3.0]], B=[[1.0]], C=[[-1.5]], D=[[-0.5]]),
+    ),
+}
 
 
 class TestLorenzLoop:
@@ -96,16 +116,57 @@ class TestLtiLoop:
 
     def test_certificate_dimension_check(self, lorenz):
         _, lorenz_cert = lorenz
-        plant = LtiPlant(A=[[0.0, 1.0], [-2.0, 3.0]], B=[[0.0], [1.0]], C=np.eye(2))
-        ctrl = LtiController.static([[1.0, -4.0]])
-        with pytest.raises(Exception):
+        plant, ctrl = LOOP_KINDS["static-state-feedback"]
+        with pytest.raises(DimensionError, match=r"\(3, 1\).*\(2, 2\)"):
             lti_loop(plant, ctrl, lorenz_cert)
+
+    @pytest.mark.parametrize("kind", sorted(LOOP_KINDS))
+    def test_flow_maps_are_the_stored_blocks(self, kind, rng):
+        # One rule for every structure: e' = A2 x + B2 e, the stacked matrix
+        # is [[A1, B1], [A2, B2]], and e' = -y' on the output part of e.
+        plant, ctrl = LOOP_KINDS[kind]
+        clm = assemble(plant, ctrl)
+        sys = lti_loop_from_matrices(clm)
+        assert np.array_equal(sys.stacked_matrix, np.block([[clm.A1, clm.B1], [clm.A2, clm.B2]]))
+        n_p, n_y = plant.n_p, plant.n_y
+        for _ in range(5):
+            x, e = rng.standard_normal(clm.n_x), rng.standard_normal(clm.n_e)
+            assert np.array_equal(sys.f(x, e), clm.A1 @ x + clm.B1 @ e)
+            assert np.array_equal(sys.g(x, e), clm.A2 @ x + clm.B2 @ e)
+            assert np.allclose(sys.g(x, e)[:n_y], -plant.C @ sys.f(x, e)[:n_p])
 
     def test_builtin_registry(self):
         sys, cert = builtin_loop("lti-sf-tabuada")
         assert sys.name == "lti-sf-tabuada"
         with pytest.raises(ConfigError):
             builtin_loop("no-such-loop")
+
+
+class TestPairing:
+    """A certificate is used only on a loop of its own (n_x, n_e)."""
+
+    def test_simulate_rejects_a_smaller_certificate(self, tabuada, lorenz):
+        # Unchecked, this runs to the horizon with 39 jumps and no error.
+        sys, _ = tabuada
+        _, cert = lorenz
+        q0 = HybridState(np.array([1.0, -1.0]), np.zeros(2), 0.0)
+        with pytest.raises(DimensionError, match=r"\(3, 1\).*\(2, 2\)"):
+            simulate(sys, cert, TriggerConfig("output-feedback", T=0.01), q0,
+                     SimSettings(step=1e-3, horizon_t=1.0))
+
+    def test_simulate_rejects_a_larger_certificate(self, tabuada, lorenz):
+        sys, _ = lorenz
+        _, cert = tabuada
+        q0 = HybridState(np.array([1.0, 1.0, 1.0]), np.zeros(1), 0.0)
+        with pytest.raises(DimensionError, match=r"\(2, 2\).*\(3, 1\)"):
+            simulate(sys, cert, TriggerConfig("output-feedback", T=0.01), q0,
+                     SimSettings(step=1e-3, horizon_t=1.0))
+
+    def test_sampled_check_rejects_a_foreign_certificate(self, tabuada, lorenz):
+        sys, _ = tabuada
+        _, cert = lorenz
+        with pytest.raises(DimensionError, match=r"\(3, 1\).*\(2, 2\)"):
+            check_assumption_sampled(sys, cert, n_samples=10)
 
 
 class TestCheckAssumptionSampled:

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from etclab import (
@@ -17,7 +17,7 @@ from etclab import (
     zeta_time,
 )
 from etclab.trigger import zeta_solution
-from oracles import zeta_rk4_step, zeta_transit_time_reference
+from oracles import masp_arctanh_reference, zeta_rk4_step, zeta_transit_time_reference
 
 
 class TestMasp:
@@ -47,6 +47,14 @@ class TestMasp:
         assert value == pytest.approx(0.7603, abs=1e-4)
         oracle = zeta_transit_time_reference(1.0, 2.0, theta=1e-5, eta=1e-8)
         assert value == pytest.approx(oracle, abs=1e-4)
+
+    @pytest.mark.parametrize("ratio", [0.5, 1e-4, 1e-8, 1e-9, 1e-12, 1e-149, 1e-151, 1e-200, 5e-324])
+    def test_arctanh_branch_small_ratio(self, ratio):
+        # atanh(r) with r = sqrt(1 - ratio^2) cancels as ratio -> 0: taken
+        # literally it is 3.6% off near 7.5e-9 and raises below 1.05e-8.
+        for L in (1.0, 4.1231):
+            value = masp(ratio * L, L)
+            assert value == pytest.approx(masp_arctanh_reference(ratio * L, L), rel=1e-15)
 
     def test_zero_gamma_diverges(self):
         assert masp(0.0, 2.0) == math.inf
@@ -121,8 +129,16 @@ class TestZetaTime:
 
 
 @settings(max_examples=300, deadline=None)
+@given(ratio=st.floats(1e-12, 1.0, exclude_max=True), L=st.floats(1e-3, 1e3))
+def test_arctanh_branch_matches_decimal_reference(ratio, L):
+    gamma = ratio * L
+    assume(0.0 < gamma < L)
+    assert masp(gamma, L) == pytest.approx(masp_arctanh_reference(gamma, L), rel=1e-15)
+
+
+@settings(max_examples=300, deadline=None)
 @given(
-    gamma=st.floats(0.01, 1000.0),
+    gamma=st.floats(1e-9, 1000.0),  # gamma/L down to 1e-12
     L=st.floats(0.0, 1000.0),
     theta=st.floats(1e-4, 0.99),
     eta=st.floats(1e-6, 10.0),

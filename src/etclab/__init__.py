@@ -34,7 +34,6 @@ from .lti import (
     design_certificate,
     extract_assumption,
     lmi_residual,
-    lmi_schur_residual,
 )
 from .model import Certificate, ClosedLoopSystem, HybridState
 from .montecarlo import BatchReport, BatchSpec, RunStats, emit_report, run_batch, sample_initial
@@ -50,8 +49,6 @@ from .trigger import (
     TriggerConfig,
     ZetaParams,
     event_function,
-    in_flow,
-    in_jump,
     masp,
     zeta_time,
 )
@@ -90,12 +87,9 @@ __all__ = [
     "event_function",
     "extract_assumption",
     "flow_step",
-    "in_flow",
-    "in_jump",
     "is_hurwitz",
     "is_positive_definite",
     "lmi_residual",
-    "lmi_schur_residual",
     "lorenz_loop",
     "lti_loop",
     "masp",

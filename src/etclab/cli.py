@@ -360,7 +360,7 @@ def _cmd_batch(args):
         cfg.output_dir = args.output_dir
     r = Resolved(cfg, run=True)
     loop, cert = r.loop()
-    report = run_batch(loop, cert, r.batch, n_workers=args.workers)
+    report = run_batch(loop, cert, r.batch)
     summary_path, events_path = emit_report(report, cfg.output_dir)
     tau_min = "n/a" if report.tau_min is None else _display(report.tau_min)
     tau_avg = "n/a" if report.tau_avg is None else _display(report.tau_avg)
@@ -414,7 +414,6 @@ def build_parser():
     p.add_argument("--config", required=True)
     p.add_argument("--output-dir")
     p.add_argument("--runs", type=int)
-    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=_cmd_batch)
 
     return parser

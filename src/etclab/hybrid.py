@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import ConfigError, DivergenceError, DomainError
 from .model import Certificate, ClosedLoopSystem, HybridState, check_pairing
-from .trigger import TriggerConfig, ZetaParams, event_function, in_flow, in_jump, zeta_solution
+from .trigger import TriggerConfig, ZetaParams, event_function, zeta_solution
 
 
 @dataclass(frozen=True)
@@ -234,11 +234,11 @@ def simulate(
             f"step {settings.step:g} too coarse: event detection requires step <= T/10 "
             f"= {cfg.T / 10.0:g}"
         )
-    tol0 = 1e-12 * max(1.0, q0.norm())
-    if not (in_flow(q0, cert, cfg) or in_jump(q0, cert, cfg, tol=tol0)):
+    h_ev = event_function(cert, cfg)  # None in periodic mode
+    h0 = None if h_ev is None else h_ev(q0.x, q0.e)
+    if not any(cfg.membership(h0, q0.tau, tol=1e-12 * max(1.0, q0.norm()))):
         raise DomainError("initial state lies outside the flow and jump sets")
 
-    h_ev = event_function(cert, cfg)  # None in periodic mode
     n_x = sys.n_x
     flow = _stepper(sys, settings.step)
     step, horizon, guard = settings.step, settings.horizon_t, settings.blowup_norm

@@ -209,7 +209,12 @@ def assemble(plant: LtiPlant, ctrl: LtiController) -> ClosedLoopMatrices:
     return ClosedLoopMatrices(A1=A1, B1=B1, A2=A2, B2=B2, Cbar=Cbar)
 
 
-def _lmi_blocks(clm: ClosedLoopMatrices, cand: LmiCertificate):
+def lmi_residual(clm: ClosedLoopMatrices, cand: LmiCertificate) -> float:
+    """Largest eigenvalue of the certificate block matrix.
+
+    The candidate is feasible iff the value is <= 0 (up to a small
+    numerical tolerance chosen by the caller).
+    """
     P = 0.5 * (cand.P + cand.P.T)
     if P.shape != (clm.n_x, clm.n_x):
         raise DimensionError(
@@ -222,30 +227,9 @@ def _lmi_blocks(clm: ClosedLoopMatrices, cand: LmiCertificate):
         + cand.eps1 * (clm.Cbar.T @ clm.Cbar)
         + cand.eps2 * np.eye(clm.n_x)
     )
-    return S, P @ clm.B1
-
-
-def lmi_residual(clm: ClosedLoopMatrices, cand: LmiCertificate) -> float:
-    """Largest eigenvalue of the certificate block matrix.
-
-    The candidate is feasible iff the value is <= 0 (up to a small
-    numerical tolerance chosen by the caller).
-    """
-    S, PB = _lmi_blocks(clm, cand)
+    PB = P @ clm.B1
     M = np.block([[S, PB], [PB.T, -cand.mu * np.eye(clm.n_e)]])
     return float(sym_eigenvalues(M).max())
-
-
-def lmi_schur_residual(clm: ClosedLoopMatrices, cand: LmiCertificate) -> float:
-    """Largest eigenvalue of the Schur-complement form (mu > 0 required).
-
-    Feasibility of the block matrix is equivalent to feasibility of
-    S + (1/mu) P B1 B1^T P <= 0; the two residuals agree in sign.
-    """
-    if cand.mu <= 0:
-        raise CertificateError("Schur form requires mu > 0")
-    S, PB = _lmi_blocks(clm, cand)
-    return float(sym_eigenvalues(S + (PB @ PB.T) / cand.mu).max())
 
 
 def _feasibility_scale(clm, cand):
@@ -333,7 +317,7 @@ def extract_assumption(clm: ClosedLoopMatrices, cand: LmiCertificate) -> Certifi
         V=lambda x: float(x @ P @ x),
         W=lambda e: float(np.linalg.norm(e)),
         H=lambda x: float(np.linalg.norm(A2 @ x)),
-        delta=lambda y: eps1 * float(np.atleast_1d(y) @ np.atleast_1d(y)),
+        delta=lambda y: eps1 * float(y @ y),
         alpha=lambda s: eps2 * s * s,
         gamma=gamma,
         L=L,

@@ -75,9 +75,8 @@ class Certificate:
     measure W, the interconnection term H, the output weight delta, the
     decay rate alpha, and the gains (gamma, L) that determine the
     dwell-time ceiling.  ``alpha_lower``/``alpha_upper`` sandwich V by
-    class-K-infinity bounds.  ``delta_x``/``delta_e`` are optional
-    radii outside which the certificate makes no claim (absent means
-    the certificate is global).
+    class-K-infinity bounds.  The certificate is global: the paper's
+    inequalities hold at every (x, e), so it carries no radius.
     """
 
     V: Callable[[np.ndarray], float]
@@ -93,8 +92,6 @@ class Certificate:
     n_e: int
     n_y: int
     y_of_x: Callable[[np.ndarray], np.ndarray] = _identity
-    delta_x: Optional[float] = None
-    delta_e: Optional[float] = None
     name: str = ""
 
     def __post_init__(self):

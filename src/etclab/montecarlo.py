@@ -1,19 +1,18 @@
-"""Batch experiments: seeded initial conditions, fan-out, gap statistics.
+"""Batch experiments: seeded initial conditions, runs, gap statistics.
 
-Runs are independent given (seed, run index), so they may execute
-concurrently; the report is assembled in run order and is therefore
-identical for one worker and many.  Inter-event gaps are pooled across
-runs before averaging (seed-robust, and the convention is recorded
-here: tau_avg is the mean of the pooled gaps, not a mean of per-run
-means).  Divergent runs are excluded from the statistics and listed in
-``failures`` instead of being averaged away.
+Runs are independent given (seed, run index), since each draws its
+initial condition from its own substream; they execute one after
+another, in run order.  Inter-event gaps are pooled across runs before
+averaging (seed-robust, and the convention is recorded here: tau_avg
+is the mean of the pooled gaps, not a mean of per-run means).  Divergent
+runs are excluded from the statistics and listed in ``failures`` instead
+of being averaged away.
 """
 
 import csv
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import List, Optional, Tuple
 
@@ -22,7 +21,7 @@ import numpy as np
 from .errors import DivergenceError
 from .hybrid import SimSettings, simulate
 from .model import Certificate, ClosedLoopSystem, HybridState
-from .sampling import uniform_ball
+from .sampling import check_seed, uniform_ball
 from .trigger import TriggerConfig
 
 
@@ -45,6 +44,7 @@ class BatchSpec:
             raise ValueError("radius must be positive")
         if not 0 < self.horizon_t < math.inf:
             raise ValueError("horizon_t must be positive and finite")
+        check_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -74,7 +74,7 @@ def sample_initial(spec: BatchSpec, k: int, n_x: int, n_e: int) -> HybridState:
     A deterministic function of (seed, k): each run owns an independent
     substream.
     """
-    if k >= spec.n_runs:
+    if not 0 <= k < spec.n_runs:
         raise ValueError(f"run index {k} out of range for n_runs = {spec.n_runs}")
     rng = np.random.default_rng([spec.seed, k])
     z = uniform_ball(rng, n_x + n_e, spec.radius)
@@ -87,29 +87,24 @@ def run_batch(
     spec: BatchSpec,
     n_workers: int = 1,
 ) -> BatchReport:
-    """Simulate all runs of the batch and aggregate their event logs."""
+    """Simulate the runs one after another and aggregate their event logs.
+
+    ``n_workers`` must be 1: under the interpreter lock threads ran them slower.
+    """
+    if n_workers != 1:
+        raise ValueError(f"n_workers must be 1 (runs are sequential), got {n_workers!r}")
     sim = replace(spec.sim, horizon_t=spec.horizon_t, record_states=False)
-
-    def one(k):
-        q0 = sample_initial(spec, k, sys.n_x, sys.n_e)
-        try:
-            return simulate(sys, cert, spec.trigger, q0, sim)
-        except DivergenceError:
-            return None
-
-    if n_workers > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as ex:
-            results = list(ex.map(one, range(spec.n_runs)))
-    else:
-        results = [one(k) for k in range(spec.n_runs)]
 
     per_run = []
     failures = []
     events = []
     pooled = []
     n_events_total = 0
-    for k, sol in enumerate(results):
-        if sol is None:
+    for k in range(spec.n_runs):
+        q0 = sample_initial(spec, k, sys.n_x, sys.n_e)
+        try:
+            sol = simulate(sys, cert, spec.trigger, q0, sim)
+        except DivergenceError:
             failures.append(k)
             continue
         gaps = sol.inter_event_gaps

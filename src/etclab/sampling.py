@@ -3,6 +3,12 @@
 import numpy as np
 
 
+def check_seed(seed):
+    """Raise ValueError unless seed is an integer >= 0 (Python or numpy, not bool)."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
+
+
 def uniform_ball(rng, dim, radius):
     """One point uniformly distributed in the closed ball of the given radius.
 

@@ -42,7 +42,7 @@ from .lti import (
     extract_assumption,
 )
 from .model import Certificate, ClosedLoopSystem, check_pairing
-from .sampling import uniform_ball
+from .sampling import check_seed, uniform_ball
 
 # Published gains for the planar state-feedback benchmark.
 TABUADA_A = ((0.0, 1.0), (-2.0, 3.0))
@@ -103,7 +103,7 @@ def lorenz_loop(a: float = 10.0, b: float = 28.0, c: float = 8.0 / 3.0, p1: floa
         V=lambda x: p1 * x[0] ** 2 + p2 * x[1] ** 2 + p2 * x[2] ** 2,
         W=lambda e: float(np.linalg.norm(e)),
         H=lambda x: a * (abs(x[0]) + abs(x[1])),
-        delta=lambda y: delta_coef * float(np.atleast_1d(y) @ np.atleast_1d(y)),
+        delta=lambda y: delta_coef * float(y @ y),
         alpha=lambda s: alpha_coef * s * s,
         gamma=gamma,
         L=0.0,
@@ -264,11 +264,7 @@ def check_assumption_sampled(
         raise ValueError(f"n_samples must be at least 1, got {n_samples}")
     if not 0 < radius < math.inf:
         raise ValueError(f"radius must be positive and finite, got {radius}")
-    for bound in (cert.delta_x, cert.delta_e):
-        if bound is not None and radius > bound:
-            raise ValueError(
-                f"radius {radius:g} exceeds the certificate's locality bound {bound:g}"
-            )
+    check_seed(seed)
     rng = np.random.default_rng(seed)
     dim = sys.n_x + sys.n_e
     g2 = cert.gamma * cert.gamma

@@ -23,17 +23,19 @@ The ODE is a Riccati equation with a closed-form solution:
 ``zeta_time`` gives the transit time from the same three branches.  The
 tests cross-check the transit time against a quadrature of the ODE.
 
-The module also implements membership tests for the flow set C and the
-jump set D in four triggering modes:
+``TriggerConfig.membership`` states the flow set C and the jump set D
+once, over the event excess h(x, e) of ``event_function``:
 
-    output-feedback   C: gamma^2 W(e)^2 <= delta(y)  or  tau in [0, T]
-    state-feedback    C: gamma^2 W(e)^2 <= sigma (alpha(|x|) + H(x)^2
-                         + delta(x))  or  tau in [0, T]
-    pure-event        the state-feedback rule with T = 0 (baseline)
-    periodic          C: tau in [0, T] (time-driven baseline)
+    output-feedback   h = gamma^2 W(e)^2 - delta(y)
+    state-feedback    h = gamma^2 W(e)^2 - sigma (alpha(|x|) + H(x)^2
+                          + delta(x))
+    pure-event        the state-feedback h with T = 0 (baseline)
+    periodic          no h: the clock alone (time-driven baseline)
 
-Equality cases belong to both C and D; the simulator's jump policy
-restores determinism.
+With a dwell, C is h <= 0 or tau in [0, T], and D, its boundary, is
+h >= 0 and tau >= T with h = 0 or tau = T; pure-event has C: h <= 0,
+D: h >= 0, and periodic C: tau in [0, T], D: tau = T.  Equality cases
+belong to both C and D; the simulator's jump policy restores determinism.
 """
 
 import math
@@ -41,7 +43,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import ConfigError
-from .model import Certificate, HybridState
+from .model import Certificate
 
 MODES = ("output-feedback", "state-feedback", "pure-event", "periodic")
 
@@ -184,6 +186,22 @@ class TriggerConfig:
             if self.sigma is None or not 0.0 < self.sigma < 1.0:
                 raise ConfigError(f"{self.mode} mode requires sigma in (0, 1)")
 
+    def membership(self, h, tau, tol=0.0):
+        """(in C, in D) for the event excess h and the clock tau.
+
+        h is ``event_function``'s value at the state, None in periodic mode.
+        ``tol`` relaxes D's equality comparisons only, as sampled trajectory
+        states need; the default is the exact set definition.
+        """
+        T = self.T
+        if self.mode == "periodic":
+            return tau <= T, abs(tau - T) <= tol
+        if self.mode == "pure-event":
+            return h <= 0.0, h >= -tol
+        # D: the excess reaches 0 after the dwell, or is already >= 0 at its expiry.
+        jump = (abs(h) <= tol and tau >= T - tol) or (h >= -tol and abs(tau - T) <= tol)
+        return h <= 0.0 or tau <= T, jump
+
     def validate_against(self, cert: Certificate):
         """Check T against the dwell-time ceiling of the certificate."""
         if self.mode == "pure-event":
@@ -225,30 +243,3 @@ def event_function(cert: Certificate, cfg: TriggerConfig):
 
         return h
     return None
-
-
-def in_flow(q: HybridState, cert: Certificate, cfg: TriggerConfig):
-    """Membership of q in the flow set C of the configured mode."""
-    if cfg.mode == "periodic":
-        return q.tau <= cfg.T
-    h = event_function(cert, cfg)(q.x, q.e)
-    if cfg.mode == "pure-event":
-        return h <= 0.0
-    return h <= 0.0 or q.tau <= cfg.T
-
-
-def in_jump(q: HybridState, cert: Certificate, cfg: TriggerConfig, tol=0.0):
-    """Membership of q in the jump set D of the configured mode.
-
-    ``tol`` relaxes the equality comparisons, which is what sampled
-    trajectory states need; the default is the exact set definition.
-    """
-    if cfg.mode == "periodic":
-        return abs(q.tau - cfg.T) <= tol
-    h = event_function(cert, cfg)(q.x, q.e)
-    if cfg.mode == "pure-event":
-        return h >= -tol
-    on_boundary = abs(h) <= tol
-    return (on_boundary and q.tau >= cfg.T - tol) or (
-        h >= -tol and abs(q.tau - cfg.T) <= tol
-    )

@@ -4,7 +4,8 @@ Each oracle deliberately uses a different algorithm than the code under
 test: characteristic-polynomial bisection instead of a packaged
 eigensolver, power iteration instead of an SVD, Kronecker vectorization
 instead of a Schur-based Lyapunov solve, leading principal minors
-instead of an eigenvalue test.
+instead of an eigenvalue test, the Schur complement instead of the full
+LMI block matrix.
 """
 
 import math
@@ -137,3 +138,20 @@ def scalar_lmi_feasible_bruteforce(s, b, mu):
     """Feasibility of [[s, b], [b, -mu]] <= 0 for scalars, in closed form."""
     # 2x2 symmetric matrix is NSD iff trace <= 0 and det >= 0.
     return (s - mu) <= 0.0 and (-s * mu - b * b) >= 0.0
+
+
+def lmi_schur_residual(clm, cand):
+    """Largest eigenvalue of the Schur-complement form of the LMI (mu > 0 required).
+
+    The block matrix of ``lti.lmi_residual`` is negative semidefinite iff
+    S + (1/mu) P B1 B1^T P is, with S = A1^T P + P A1 + A2^T A2
+    + eps1 Cbar^T Cbar + eps2 I; the two residuals agree in sign.
+    """
+    if not cand.mu > 0:
+        raise ValueError("Schur form requires mu > 0")
+    P = 0.5 * (cand.P + cand.P.T)
+    A1, B1, A2, Cbar = clm.A1, clm.B1, clm.A2, clm.Cbar
+    S = (A1.T @ P + P @ A1 + A2.T @ A2 + cand.eps1 * (Cbar.T @ Cbar)
+         + cand.eps2 * np.eye(P.shape[0]))
+    PB = P @ B1
+    return float(np.linalg.eigvalsh(S + (PB @ PB.T) / cand.mu).max())

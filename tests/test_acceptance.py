@@ -30,7 +30,6 @@ from etclab import (
     check_assumption_sampled,
     design_certificate,
     lmi_residual,
-    lmi_schur_residual,
     lorenz_loop,
     masp,
     r_monitor,
@@ -43,7 +42,7 @@ from etclab import (
 )
 from etclab.cli import dispatch
 from etclab.montecarlo import sample_initial
-from oracles import lyapunov_kronecker, power_iteration_norm
+from oracles import lmi_schur_residual, lyapunov_kronecker, power_iteration_norm
 
 
 def _report(criterion, ok, detail=""):

@@ -119,6 +119,11 @@ class TestCheckCommand:
         assert "PASS" not in out
         assert err.startswith("error: ")
 
+    def test_negative_seed_exits_one_naming_it(self, capsys):
+        rc, out, err = _run(capsys, "check", "--system", "lti-sf-tabuada", "--seed", "-1")
+        assert (rc, out) == (1, "")
+        assert err.startswith("error: seed ")
+
     def test_lorenz_fails_honestly(self, capsys):
         # The published Lorenz gains violate the decay inequality; the
         # checker must say so and exit nonzero.
@@ -256,6 +261,26 @@ class TestBatchCommand:
             other = json.load(fh)
         assert rc == 0
         assert other["tau_avg"] != base["tau_avg"]  # different ICs were drawn
+
+    def test_workers_flag_is_gone(self, capsys, lorenz_config):
+        path, cfg = lorenz_config
+        rc, _, err = _run(capsys, "batch", "--config", str(path), "--workers", "2")
+        assert rc == 1
+        assert "--workers" in err
+        assert not os.path.exists(cfg["output_dir"])
+
+    @pytest.mark.parametrize("command", ["batch", "simulate"])
+    def test_negative_seed_exits_one_naming_it(self, capsys, tmp_path, monkeypatch, command):
+        path, cfg = _write_config(tmp_path, LORENZ_CFG, lambda c: c["batch"].update(seed=-1))
+        rc, _, err = _run(capsys, command, "--config", str(path))
+        assert rc == 1
+        assert err.startswith("error: config.batch: seed ")
+        monkeypatch.setenv("ETC_LAB_SEED", "-5")
+        path, cfg = _write_config(tmp_path, LORENZ_CFG)
+        rc, _, err = _run(capsys, command, "--config", str(path))
+        assert rc == 1
+        assert err.startswith("error: config.batch: seed ")
+        assert not os.path.exists(cfg["output_dir"])
 
 
 class TestConfigRoundTrip:

@@ -12,9 +12,8 @@ from etclab import (
     SimSettings,
     TriggerConfig,
     ZetaParams,
+    event_function,
     flow_step,
-    in_flow,
-    in_jump,
     r_monitor,
     simulate,
     zeta_time,
@@ -201,16 +200,12 @@ class TestSimulate:
         cfg = _sf_cfg()
         q0 = HybridState(rng.standard_normal(2) * 10, np.zeros(2), 0.0)
         sol = simulate(sys, cert, cfg, q0, SETTINGS)
+        h = event_function(cert, cfg)
         for seg in sol.segments:
-            for i in range(seg.t.size):
-                q = HybridState(seg.x[i], seg.e[i], float(seg.tau[i]))
-                threshold = (
-                    cert.alpha(float(np.linalg.norm(q.x)))
-                    + cert.H(q.x) ** 2
-                    + cert.delta(q.x)
-                )
-                scale = max(1.0, cert.gamma**2 * cert.W(q.e) ** 2, threshold)
-                assert in_flow(q, cert, cfg) or in_jump(q, cert, cfg, tol=1e-4 * scale)
+            for x, e, tau in zip(seg.x, seg.e, seg.tau):
+                threshold = cert.alpha(float(np.linalg.norm(x))) + cert.H(x) ** 2 + cert.delta(x)
+                scale = max(1.0, cert.gamma**2 * cert.W(e) ** 2, threshold)
+                assert any(cfg.membership(h(x, e), float(tau), tol=1e-4 * scale))
 
     def test_initial_state_outside_sets_rejected(self, tabuada):
         sys, cert = tabuada

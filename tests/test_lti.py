@@ -13,10 +13,10 @@ from etclab import (
     extract_assumption,
     is_positive_definite,
     lmi_residual,
-    lmi_schur_residual,
     masp,
     spectral_norm,
 )
+from oracles import lmi_schur_residual
 
 A = [[0.0, 1.0], [-2.0, 3.0]]
 B = [[0.0], [1.0]]

@@ -214,13 +214,11 @@ class TestCheckAssumptionSampled:
         assert not report.passed
         assert report.violation_excess("v-decay") > 0
 
-    def test_radius_respects_locality_bound(self, tabuada):
-        import dataclasses
-
+    @pytest.mark.parametrize("seed", [-1, 2.5, False, None])
+    def test_rejects_a_seed_that_is_not_a_nonnegative_integer(self, tabuada, seed):
         sys, cert = tabuada
-        local = dataclasses.replace(cert, delta_x=10.0, delta_e=10.0)
-        with pytest.raises(ValueError):
-            check_assumption_sampled(sys, local, n_samples=10, radius=50.0)
+        with pytest.raises(ValueError, match="^seed "):
+            check_assumption_sampled(sys, cert, n_samples=10, radius=50.0, seed=seed)
 
     @pytest.mark.parametrize("n_samples", [0, -5])
     def test_rejects_an_empty_sample(self, tabuada, n_samples):

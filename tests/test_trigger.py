@@ -8,11 +8,9 @@ from hypothesis import strategies as st
 
 from etclab import (
     ConfigError,
-    HybridState,
     TriggerConfig,
     ZetaParams,
-    in_flow,
-    in_jump,
+    event_function,
     masp,
     zeta_time,
 )
@@ -221,29 +219,32 @@ class TestTriggerConfig:
         TriggerConfig(mode="state-feedback", T=0.075, sigma=0.5).validate_against(cert)
 
 
+def _sets(cert, cfg, x, e, tau, tol=0.0):
+    """(in C, in D) of the state (x, e, tau), through the event excess."""
+    h = event_function(cert, cfg)
+    return cfg.membership(None if h is None else h(np.asarray(x, float), np.asarray(e, float)),
+                          tau, tol)
+
+
 class TestFlowJumpSets:
     def test_zero_clock_always_flows(self, tabuada, rng):
         _, cert = tabuada
         cfg = TriggerConfig(mode="state-feedback", T=0.075, sigma=0.5)
         for _ in range(20):
-            q = HybridState(rng.standard_normal(2), rng.standard_normal(2), 0.0)
-            assert in_flow(q, cert, cfg)
+            in_c, _in_d = _sets(cert, cfg, rng.standard_normal(2), rng.standard_normal(2), 0.0)
+            assert in_c
 
     def test_boundary_belongs_to_both_sets(self, tabuada):
         _, cert = tabuada
         cfg = TriggerConfig(mode="output-feedback", T=0.075)
         # Construct gamma^2 W(e)^2 == delta(y) exactly: both are zero at x = 0
         # with e = 0; use the equality case with tau > T.
-        q = HybridState(np.zeros(2), np.zeros(2), 0.2)
-        assert in_flow(q, cert, cfg)
-        assert in_jump(q, cert, cfg)
+        assert _sets(cert, cfg, np.zeros(2), np.zeros(2), 0.2) == (True, True)
 
     def test_pure_event_flows_with_zero_error(self, tabuada):
         _, cert = tabuada
         cfg = TriggerConfig(mode="pure-event", T=0.0, sigma=0.5)
-        q = HybridState(np.array([1.0, -2.0]), np.zeros(2), 0.0)
-        assert in_flow(q, cert, cfg)
-        assert not in_jump(q, cert, cfg)
+        assert _sets(cert, cfg, [1.0, -2.0], np.zeros(2), 0.0) == (True, False)
 
     def test_jump_set_examples(self, tabuada):
         _, cert = tabuada
@@ -251,23 +252,46 @@ class TestFlowJumpSets:
         x = np.array([0.1, 0.0])
         big_e = np.array([5.0, 5.0])
         # tau = T with the excess positive: in D.
-        assert in_jump(HybridState(x, big_e, 0.075), cert, cfg)
+        assert _sets(cert, cfg, x, big_e, 0.075)[1]
         # tau < T: never in D.
-        assert not in_jump(HybridState(x, big_e, 0.05), cert, cfg)
+        assert not _sets(cert, cfg, x, big_e, 0.05)[1]
         # origin with tau = T: equality case drives periodic sampling.
-        assert in_jump(HybridState(np.zeros(2), np.zeros(2), 0.075), cert, cfg)
+        assert _sets(cert, cfg, np.zeros(2), np.zeros(2), 0.075)[1]
 
     def test_periodic_mode(self, tabuada):
         _, cert = tabuada
         cfg = TriggerConfig(mode="periodic", T=0.05)
-        q = HybridState(np.ones(2), np.ones(2), 0.02)
-        assert in_flow(q, cert, cfg)
-        assert not in_jump(q, cert, cfg)
-        assert in_jump(HybridState(q.x, q.e, 0.05), cert, cfg)
+        assert _sets(cert, cfg, np.ones(2), np.ones(2), 0.02) == (True, False)
+        assert _sets(cert, cfg, np.ones(2), np.ones(2), 0.05)[1]
+
+    TOL = 1e-4
+
+    @pytest.mark.parametrize(
+        "mode, T, h, dtau, exact, relaxed",
+        [
+            # Within tol of an equality, D takes the state; C never widens.
+            ("state-feedback", 0.075, TOL / 2, -TOL / 2, (True, False), (True, True)),
+            ("state-feedback", 0.075, -TOL / 2, TOL / 2, (True, False), (True, True)),
+            ("state-feedback", 0.075, TOL / 2, TOL / 2, (False, False), (False, True)),
+            ("state-feedback", 0.075, 2 * TOL, 2 * TOL, (False, False), (False, False)),
+            ("output-feedback", 0.075, -TOL / 2, TOL / 2, (True, False), (True, True)),
+            ("output-feedback", 0.075, TOL / 2, TOL / 2, (False, False), (False, True)),
+            ("pure-event", 0.0, -TOL / 2, 0.0, (True, False), (True, True)),
+            ("pure-event", 0.0, TOL / 2, 0.0, (False, True), (False, True)),
+            ("pure-event", 0.0, -2 * TOL, 0.0, (True, False), (True, False)),
+            ("periodic", 0.05, None, -TOL / 2, (True, False), (True, True)),
+            ("periodic", 0.05, None, TOL / 2, (False, False), (False, True)),
+            ("periodic", 0.05, None, 2 * TOL, (False, False), (False, False)),
+        ],
+    )
+    def test_tolerance_relaxes_only_jump_equalities(self, mode, T, h, dtau, exact, relaxed):
+        cfg = TriggerConfig(mode=mode, T=T, sigma=None if mode in ("periodic", "output-feedback")
+                            else 0.5)
+        assert cfg.membership(h, T + dtau) == exact
+        assert cfg.membership(h, T + dtau, tol=self.TOL) == relaxed
 
     def test_mode_certificate_mismatch(self, lorenz):
         _, cert = lorenz  # output certificate: n_y = 1 < n_x = 3
         cfg = TriggerConfig(mode="state-feedback", T=0.005, sigma=0.5)
-        q = HybridState(np.zeros(3), np.zeros(1), 0.0)
-        with pytest.raises(ConfigError):
-            in_flow(q, cert, cfg)
+        with pytest.raises(ConfigError, match="full-state output"):
+            event_function(cert, cfg)

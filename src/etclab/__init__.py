@@ -39,7 +39,6 @@ from .model import Certificate, ClosedLoopSystem, HybridState
 from .montecarlo import BatchReport, BatchSpec, RunStats, emit_report, run_batch, sample_initial
 from .systems import (
     AssumptionReport,
-    builtin_loop,
     check_assumption_sampled,
     lorenz_loop,
     lti_loop,
@@ -80,7 +79,6 @@ __all__ = [
     "TriggerConfig",
     "ZetaParams",
     "assemble",
-    "builtin_loop",
     "check_assumption_sampled",
     "design_certificate",
     "emit_report",

@@ -9,18 +9,19 @@ Subcommands:
     batch     seeded batch of runs; summary JSON + events CSV
 
 Exit codes: 0 success, 1 domain or validation error, 2 divergence.
-Configs are JSON documents (schema documented in the README); the
-environment variable ETC_LAB_SEED overrides the config seed.  Display
-output rounds to 4 decimal digits; files carry full precision.
+A config is one JSON object (schema documented in the README):
+``load_config`` parses it, the commands lay their flags over it, and
+``Resolved`` validates each section once and builds its typed object.
+The environment variable ETC_LAB_SEED overrides the config seed.
+Display output rounds to 4 decimal digits; files carry full precision
+(every CSV goes through ``montecarlo.write_csv``).
 """
 
 import argparse
-import csv
 import inspect
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -29,7 +30,7 @@ from .errors import ConfigError, DimensionError, DivergenceError, EtcLabError
 from .hybrid import HybridSolution, SimSettings, r_monitor, simulate
 from .lti import LmiCertificate, LtiController, LtiPlant, assemble, design_certificate, extract_assumption
 from .model import HybridState
-from .montecarlo import BatchSpec, _fmt, emit_report, run_batch, sample_initial, write_events_csv
+from .montecarlo import EVENTS_HEADER, BatchSpec, emit_report, run_batch, sample_initial, write_csv
 from .systems import (
     BUILTIN_LOOPS,
     TABUADA_EPS2,
@@ -50,30 +51,8 @@ def _display(v):
     return f"{v:.4f}"
 
 
-@dataclass
-class RunConfig:
-    """A config document: one JSON value per section, validated by ``Resolved``."""
-
-    system: dict
-    certificate: object = "auto"
-    trigger: dict = field(default_factory=dict)
-    sim: dict = field(default_factory=dict)
-    batch: dict = field(default_factory=dict)
-    initial: Optional[dict] = None
-    zeta: Optional[dict] = None
-    output_dir: str = "out"
-
-    @classmethod
-    def from_dict(cls, d):
-        _check_keys(d, "config", ["system"], cls.__dataclass_fields__)
-        if d.get("certificate", "auto") != "auto" and not isinstance(d["certificate"], dict):
-            raise ConfigError("config.certificate: expected \"auto\" or an object")
-        if not isinstance(d.get("output_dir", ""), str):
-            raise ConfigError("config.output_dir: expected a string")
-        return cls(**d)
-
-
-def load_config(path) -> RunConfig:
+def load_config(path) -> dict:
+    """The config document at ``path``, parsed but not yet validated."""
     try:
         with open(path) as fh:
             raw = json.load(fh)
@@ -83,14 +62,12 @@ def load_config(path) -> RunConfig:
         raise ConfigError(
             f"{path}: malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from None
-    return RunConfig.from_dict(raw)
+    if not isinstance(raw, dict):  # the commands lay their flags over it
+        raise ConfigError(f"config: expected an object, got {type(raw).__name__}")
+    return raw
 
 
-def emit_config(cfg: RunConfig, path):
-    with open(path, "w") as fh:
-        json.dump(asdict(cfg), fh, indent=2)
-        fh.write("\n")
-
+_SECTIONS = ("system", "certificate", "trigger", "sim", "batch", "initial", "zeta", "output_dir")
 
 # JSON values accepted for a parameter annotation; matrices and vectors
 # are left to the constructor.
@@ -135,18 +112,26 @@ def _design_eps(eps1: float = 1e-2, eps2: float = 1e-2):
 
 
 class Resolved:
-    """A config with every section validated once and built into its typed object.
+    """A config document with every section validated once and built into its typed object.
 
     ``clm`` and ``eps`` are the closed-loop blocks and design weights of an
     LTI system (a built-in's are those of its certificate; None and the
     defaults otherwise); ``certificate`` is an
-    inline certificate, None for "auto".  ``run`` marks a command that
+    inline certificate, None for "auto".  ``output_dir`` is the config's
+    output directory (``--output-dir`` replaces it).  ``run`` marks a command that
     simulates, which requires config.trigger.  ETC_LAB_SEED, when set,
     replaces the batch seed.
     """
 
-    def __init__(self, cfg: RunConfig, run=False):
-        spec = cfg.system
+    def __init__(self, doc, run=False):
+        _check_keys(doc, "config", ["system"], _SECTIONS)
+        cert_doc = doc.get("certificate", "auto")
+        if cert_doc != "auto" and not isinstance(cert_doc, dict):
+            raise ConfigError("config.certificate: expected \"auto\" or an object")
+        self.output_dir = doc.get("output_dir", "out")
+        if not isinstance(self.output_dir, str):
+            raise ConfigError("config.output_dir: expected a string")
+        spec = doc["system"]
         if not isinstance(spec, dict) or not isinstance(spec.get("name"), str):
             raise ConfigError("config.system: expected an object with a string field 'name'")
         self.system = spec["name"]
@@ -175,31 +160,33 @@ class Resolved:
             )
 
         self.certificate = None
-        if cfg.certificate != "auto":
+        if cert_doc != "auto":
             if self.system != "lti-custom":
                 raise ConfigError(
                     f"config.certificate: built-in system {self.system!r} carries its own "
                     "certificate; set certificate to \"auto\""
                 )
-            self.certificate = _build(LmiCertificate, cfg.certificate, "certificate")
+            self.certificate = _build(LmiCertificate, cert_doc, "certificate")
+        trigger = doc.get("trigger", {})
         self.trigger = None
-        if run or cfg.trigger != {}:
-            self.trigger = _build(TriggerConfig, cfg.trigger, "trigger")
-        self.sim = _build(SimSettings, cfg.sim, "sim", record_states=True)
+        if run or trigger != {}:
+            self.trigger = _build(TriggerConfig, trigger, "trigger")
+        self.sim = _build(SimSettings, doc.get("sim", {}), "sim", record_states=True)
         env = os.environ.get(SEED_ENV_VAR)
         try:
             seed = None if env is None else int(env)
         except ValueError:
             raise ConfigError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from None
         self.batch = _build(
-            BatchSpec, _override(cfg.batch, seed=seed), "batch",
+            BatchSpec, _override(doc.get("batch", {}), seed=seed), "batch",
             defaults={"n_runs": 100, "radius": 25.0, "horizon_t": self.sim.horizon_t, "seed": 0},
             trigger=self.trigger, sim=self.sim,
         )
         self.initial = None
-        if cfg.initial is not None:
-            self.initial = _build(HybridState, cfg.initial, "initial", tau=0.0)
-        zeta = {"theta": 0.01, "eta": 0.01} if cfg.zeta is None else cfg.zeta
+        if doc.get("initial") is not None:
+            self.initial = _build(HybridState, doc["initial"], "initial", tau=0.0)
+        zeta = doc.get("zeta")
+        zeta = {"theta": 0.01, "eta": 0.01} if zeta is None else zeta
         self.zeta = _build(ZetaParams, zeta, "zeta")
 
     def loop(self):
@@ -212,11 +199,11 @@ class Resolved:
         return lti_loop_from_matrices(self.clm, name=self.system), cert
 
 
-def _config_of(args) -> RunConfig:
+def _config_of(args) -> dict:
     if args.config:
         return load_config(args.config)
     if getattr(args, "system", None):
-        return RunConfig(system={"name": args.system})
+        return {"system": {"name": args.system}}
     raise ConfigError(f"{args.command} requires --config or --system")
 
 
@@ -239,31 +226,9 @@ def emit_plot_data(sol: HybridSolution, path, t_ref) -> str:
     Columns: event_index, t_j, gap, T_ref.  A solution without events
     produces a header-only file.
     """
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["event_index", "t_j", "gap", "T_ref"])
-        for i, (_j, t_j, gap) in enumerate(sol.gap_rows(), 1):
-            writer.writerow([i, _fmt(t_j), _fmt(gap), _fmt(t_ref)])
+    rows = ((i, t_j, gap, t_ref) for i, (_j, t_j, gap) in enumerate(sol.gap_rows(), 1))
+    write_csv(path, ["event_index", "t_j", "gap", "T_ref"], rows)
     return path
-
-
-def _write_states_csv(sol: HybridSolution, path, n_x, n_e):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["t", "j"]
-            + [f"x{i}" for i in range(n_x)]
-            + [f"e{i}" for i in range(n_e)]
-            + ["tau"]
-        )
-        for seg in sol.segments:
-            for i in range(seg.t.size):
-                writer.writerow(
-                    [_fmt(seg.t[i]), seg.j]
-                    + [_fmt(v) for v in seg.x[i]]
-                    + [_fmt(v) for v in seg.e[i]]
-                    + [_fmt(seg.tau[i])]
-                )
 
 
 def _cmd_masp(args):
@@ -309,11 +274,9 @@ def _cmd_check(args):
 
 
 def _cmd_simulate(args):
-    cfg = _config_of(args)
-    cfg.trigger = _override(cfg.trigger, T=args.T, mode=args.mode, sigma=args.sigma)
-    if args.output_dir is not None:
-        cfg.output_dir = args.output_dir
-    r = Resolved(cfg, run=True)
+    doc = _config_of(args)
+    trigger = _override(doc.get("trigger", {}), T=args.T, mode=args.mode, sigma=args.sigma)
+    r = Resolved(_override(doc, trigger=trigger), run=True)
     loop, cert = r.loop()
     q0 = r.initial
     if q0 is None:
@@ -321,12 +284,16 @@ def _cmd_simulate(args):
 
     sol = simulate(loop, cert, r.trigger, q0, r.sim)
 
-    outdir = cfg.output_dir
+    outdir = r.output_dir if args.output_dir is None else args.output_dir
     os.makedirs(outdir, exist_ok=True)
-    _write_states_csv(sol, os.path.join(outdir, "states.csv"), loop.n_x, loop.n_e)
-    write_events_csv(
-        [(0,) + row for row in sol.gap_rows()], os.path.join(outdir, "events.csv")
+    columns = [f"x{i}" for i in range(loop.n_x)] + [f"e{i}" for i in range(loop.n_e)]
+    write_csv(
+        os.path.join(outdir, "states.csv"), ["t", "j", *columns, "tau"],
+        ([seg.t[i], seg.j, *seg.x[i], *seg.e[i], seg.tau[i]]
+         for seg in sol.segments for i in range(seg.t.size)),
     )
+    write_csv(os.path.join(outdir, "events.csv"), EVENTS_HEADER,
+              [(0,) + row for row in sol.gap_rows()])
     emit_plot_data(sol, os.path.join(outdir, "plot.csv"), r.trigger.T)
 
     monitored = r.trigger.T < zeta_time(cert.gamma, cert.L, r.zeta)
@@ -336,11 +303,10 @@ def _cmd_simulate(args):
             "R-monitor output is empty",
             file=sys.stderr,
         )
-    with open(os.path.join(outdir, "rmonitor.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "j", "R"])
-        for t, j, rv in r_monitor(sol, cert, r.zeta) if monitored else []:
-            writer.writerow([_fmt(t), j, _fmt(rv)])
+    write_csv(
+        os.path.join(outdir, "rmonitor.csv"), ["t", "j", "R"],
+        r_monitor(sol, cert, r.zeta) if monitored else [],
+    )
 
     gaps = sol.inter_event_gaps
     print(_gains(cert))
@@ -354,14 +320,13 @@ def _cmd_simulate(args):
 
 
 def _cmd_batch(args):
-    cfg = load_config(args.config)
-    cfg.batch = _override(cfg.batch, n_runs=args.runs)
-    if args.output_dir is not None:
-        cfg.output_dir = args.output_dir
-    r = Resolved(cfg, run=True)
+    doc = load_config(args.config)
+    batch = _override(doc.get("batch", {}), n_runs=args.runs)
+    r = Resolved(_override(doc, batch=batch), run=True)
     loop, cert = r.loop()
     report = run_batch(loop, cert, r.batch)
-    summary_path, events_path = emit_report(report, cfg.output_dir)
+    outdir = r.output_dir if args.output_dir is None else args.output_dir
+    summary_path, events_path = emit_report(report, outdir)
     tau_min = "n/a" if report.tau_min is None else _display(report.tau_min)
     tau_avg = "n/a" if report.tau_avg is None else _display(report.tau_avg)
     print(

@@ -36,9 +36,6 @@ class HybridState:
         if not 0 <= self.tau < math.inf:  # NaN fails too
             raise ValueError(f"tau must be finite and nonnegative, got {self.tau}")
 
-    def copy(self):
-        return HybridState(self.x.copy(), self.e.copy(), self.tau)
-
     def norm(self):
         """Euclidean norm of the (x, e) part."""
         return float(np.sqrt(self.x @ self.x + self.e @ self.e))

@@ -21,8 +21,11 @@ import numpy as np
 from .errors import DivergenceError
 from .hybrid import SimSettings, simulate
 from .model import Certificate, ClosedLoopSystem, HybridState
-from .sampling import check_seed, uniform_ball
+from .sampling import check_int, uniform_ball
 from .trigger import TriggerConfig
+
+
+EVENTS_HEADER = ("run", "j", "t_j", "gap")
 
 
 @dataclass(frozen=True)
@@ -37,14 +40,13 @@ class BatchSpec:
     sim: SimSettings
 
     def __post_init__(self):
+        check_int(self.n_runs, "n_runs", 1)
         # Written as `not x > 0` so that NaN fails every guard.
-        if not self.n_runs >= 1:
-            raise ValueError("n_runs must be at least 1")
         if not self.radius > 0:
             raise ValueError("radius must be positive")
         if not 0 < self.horizon_t < math.inf:
             raise ValueError("horizon_t must be positive and finite")
-        check_seed(self.seed)
+        check_int(self.seed, "seed")
 
 
 @dataclass(frozen=True)
@@ -74,7 +76,8 @@ def sample_initial(spec: BatchSpec, k: int, n_x: int, n_e: int) -> HybridState:
     A deterministic function of (seed, k): each run owns an independent
     substream.
     """
-    if not 0 <= k < spec.n_runs:
+    check_int(k, "run index")
+    if k >= spec.n_runs:
         raise ValueError(f"run index {k} out of range for n_runs = {spec.n_runs}")
     rng = np.random.default_rng([spec.seed, k])
     z = uniform_ball(rng, n_x + n_e, spec.radius)
@@ -133,10 +136,6 @@ def run_batch(
     )
 
 
-def _fmt(v):
-    return f"{v:.17g}"
-
-
 def emit_report(rep: BatchReport, path) -> Tuple[str, str]:
     """Write summary JSON and per-event CSV into the directory ``path``.
 
@@ -156,16 +155,19 @@ def emit_report(rep: BatchReport, path) -> Tuple[str, str]:
         with open(summary_path, "w") as fh:
             json.dump(summary, fh, indent=2)
             fh.write("\n")
-        write_events_csv(sorted(rep.events), events_path)
+        write_csv(events_path, EVENTS_HEADER, sorted(rep.events))
     except OSError as exc:
         raise OSError(f"failed to write report under {path!r}: {exc}") from exc
     return summary_path, events_path
 
 
-def write_events_csv(events, path):
-    """Write (run, j, t_j, gap) rows, in the given order, as ``events.csv``."""
+def write_csv(path, header, rows):
+    """Write ``header`` and then ``rows`` to the CSV file ``path``.
+
+    Floats, numpy float64 included, are written with 17 significant
+    digits so that they read back bit for bit; other values as they are.
+    """
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["run", "j", "t_j", "gap"])
-        for run, j, t_j, gap in events:
-            writer.writerow([run, j, _fmt(t_j), _fmt(gap)])
+        writer.writerow(header)
+        writer.writerows([f"{v:.17g}" if isinstance(v, float) else v for v in row] for row in rows)

@@ -3,10 +3,13 @@
 import numpy as np
 
 
-def check_seed(seed):
-    """Raise ValueError unless seed is an integer >= 0 (Python or numpy, not bool)."""
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
+def check_int(value, name, low=0):
+    """Raise ValueError naming ``name`` unless value is an integer >= low.
+
+    Python and numpy integers pass; bool, float and other types do not.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 def uniform_ball(rng, dim, radius):

@@ -31,7 +31,6 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from .errors import ConfigError
 from .lti import (
     ClosedLoopMatrices,
     LmiCertificate,
@@ -42,7 +41,7 @@ from .lti import (
     extract_assumption,
 )
 from .model import Certificate, ClosedLoopSystem, check_pairing
-from .sampling import check_seed, uniform_ball
+from .sampling import check_int, uniform_ball
 
 # Published gains for the planar state-feedback benchmark.
 TABUADA_A = ((0.0, 1.0), (-2.0, 3.0))
@@ -170,17 +169,6 @@ BUILTIN_LOOPS: Dict[str, object] = {
 }
 
 
-def builtin_loop(name, **params):
-    """Look up a built-in benchmark by its registry name."""
-    try:
-        factory = BUILTIN_LOOPS[name]
-    except KeyError:
-        raise ConfigError(
-            f"unknown system {name!r}; built-ins: {sorted(BUILTIN_LOOPS)}"
-        ) from None
-    return factory(**params)
-
-
 @dataclass
 class AssumptionReport:
     """Sampled verification of the three certificate inequalities.
@@ -255,16 +243,15 @@ def check_assumption_sampled(
     NaN, say) counts as infinite.  Samples too close to the
     nondifferentiable set of W (e = 0 for norm-type W) are skipped for
     the W inequality only.  Violations are data, not exceptions; a sample
-    count below 1 or a radius outside (0, inf) raises ValueError, since
-    no sample would then be evidence, and a certificate of other
-    dimensions than the loop raises DimensionError.
+    count that is not an integer >= 1 or a radius outside (0, inf) raises
+    ValueError, since no sample would then be evidence, and a
+    certificate of other dimensions than the loop raises DimensionError.
     """
     check_pairing(sys, cert)
-    if not n_samples >= 1:
-        raise ValueError(f"n_samples must be at least 1, got {n_samples}")
+    check_int(n_samples, "n_samples", 1)
     if not 0 < radius < math.inf:
         raise ValueError(f"radius must be positive and finite, got {radius}")
-    check_seed(seed)
+    check_int(seed, "seed")
     rng = np.random.default_rng(seed)
     dim = sys.n_x + sys.n_e
     g2 = cert.gamma * cert.gamma

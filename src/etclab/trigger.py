@@ -90,8 +90,8 @@ class ZetaParams:
     def __post_init__(self):
         if not 0.0 < self.theta < 1.0:
             raise ValueError("theta must lie in (0, 1)")
-        if not self.eta > 0.0:
-            raise ValueError("eta must be positive")
+        if not 0.0 < self.eta < math.inf:
+            raise ValueError("eta must be positive and finite")
 
     def lam(self, gamma):
         """The ODE coefficient lam = sqrt(gamma^2 + eta)."""

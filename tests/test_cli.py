@@ -1,5 +1,6 @@
 import copy
 import csv
+import hashlib
 import json
 import os
 
@@ -18,7 +19,7 @@ from etclab import (
     tabuada_loop,
 )
 from etclab.systems import TABUADA_EPS2, tabuada_matrices
-from etclab.cli import Resolved, RunConfig, dispatch, emit_config, emit_plot_data, load_config
+from etclab.cli import Resolved, dispatch, emit_plot_data
 
 
 def _run(capsys, *argv):
@@ -214,6 +215,14 @@ class TestSimulateCommand:
         assert rc == 1
         assert "extra" in err
 
+    def test_unknown_system_name_exits_one_naming_it(self, capsys, tmp_path):
+        rc, out, err = _run(
+            capsys, "simulate", "--system", "no-such-loop", "--output-dir", str(tmp_path / "out")
+        )
+        assert (rc, out) == (1, "")
+        assert err.startswith("error: config.system: unknown system name 'no-such-loop'")
+        assert not os.path.exists(tmp_path / "out")
+
     def test_divergent_run_exits_two(self, capsys, tmp_path):
         # A very stiff loop deliberately under-resolved: the fixed-step
         # integrator is unstable and the blow-up guard must trip.
@@ -283,19 +292,6 @@ class TestBatchCommand:
         assert not os.path.exists(cfg["output_dir"])
 
 
-class TestConfigRoundTrip:
-    def test_load_emit_load(self, lorenz_config, tmp_path):
-        path, _ = lorenz_config
-        cfg = load_config(path)
-        copy_path = tmp_path / "copy.json"
-        emit_config(cfg, copy_path)
-        assert load_config(copy_path) == cfg
-
-    def test_unknown_certificate_form_rejected(self):
-        with pytest.raises(Exception, match="certificate"):
-            RunConfig.from_dict({"system": {"name": "lorenz"}, "certificate": 5})
-
-
 class TestConfigResolver:
     @pytest.mark.parametrize(
         "base, section, mutate",
@@ -308,10 +304,12 @@ class TestConfigResolver:
             (LTI_CFG, "trigger", lambda c: c["trigger"].update(sigma="0.7")),
             (LORENZ_CFG, "trigger", lambda c: c.update(trigger=["output-feedback", 0.01])),
             (LTI_CFG, "system.design", lambda c: c["system"]["design"].update(eps3=0.1)),
+            (LORENZ_CFG, "zeta", lambda c: c["zeta"].update(eta=float("inf"))),
         ],
         ids=[
             "plant-without-C", "plant-extra-key", "step-string", "zeta-without-eta",
             "lorenz-unknown-param", "sigma-string", "trigger-list", "design-unknown-key",
+            "zeta-infinite-eta",
         ],
     )
     def test_malformed_section_exits_one_naming_it(self, capsys, tmp_path, base, section, mutate):
@@ -320,6 +318,19 @@ class TestConfigResolver:
         assert rc == 1
         assert err.startswith(f"error: config.{section}:")
         assert not os.path.exists(cfg["output_dir"])
+
+    @pytest.mark.parametrize("command", ["simulate", "batch"])
+    def test_output_dir_flag_does_not_hide_a_bad_config_value(self, capsys, tmp_path, command):
+        path, _ = _write_config(tmp_path, LORENZ_CFG, lambda c: c.update(output_dir=5))
+        rc, _, err = _run(
+            capsys, command, "--config", str(path), "--output-dir", str(tmp_path / "o")
+        )
+        assert (rc, err) == (1, "error: config.output_dir: expected a string\n")
+        assert not os.path.exists(tmp_path / "o")
+
+    def test_unknown_certificate_form_rejected(self):
+        with pytest.raises(ConfigError, match='^config.certificate: expected "auto" or an object$'):
+            Resolved({"system": {"name": "lorenz"}, "certificate": 5})
 
     def test_infinite_certificate_weight_exits_one_naming_it(self, capsys, tmp_path):
         cert = {"P": [[1.0, 0.0], [0.0, 1.0]], "eps1": 0.0, "eps2": 0.68, "mu": float("inf")}
@@ -375,9 +386,51 @@ def test_mutated_config_resolves_or_raises_config_error(path, change):
     else:
         node[key] = {"string": "x", "list": [1.0, 2.0], "nan": float("nan")}[change]
     try:
-        Resolved(RunConfig.from_dict(cfg), run=True).loop()
+        Resolved(cfg, run=True).loop()
     except ConfigError:
         pass
+
+
+# SHA-256 of every file simulate and batch write for LORENZ_CFG and
+# LTI_CFG.  Any change to a writer that moves one byte fails here.
+ARTEFACT_SHA256 = {
+    ("lorenz", "simulate"): {
+        "events.csv": "4dc68a50c264a51ebb28645dd663cc65490639eb4ef36790343f8909dd38eff2",
+        "plot.csv": "d82c7c7c98edc41bc61c68e413339f513f51b13f29e82cff09c89bf945d87a77",
+        "rmonitor.csv": "6129224eebbcd60aa37fd5a9e92ecf7a296bf499605197a718ffc8b5f570d74f",
+        "states.csv": "dd8e3bea5d01f937762b58f9a2e03867d42e0a01326df3aac8c93cefd9a6cfaf",
+    },
+    ("lorenz", "batch"): {
+        "events.csv": "a161e12e12bfb28119da9238bdf5cb7c4d58c3c198368cccd985db3285fb2866",
+        "summary.json": "df9b72cf0608010a16798f65405ddb18e971f2362cb03294ea2be2d2214c7791",
+    },
+    ("lti", "simulate"): {
+        "events.csv": "1beeb4c2eafe488252088204d26016c624129803191687429f9099aa217e3418",
+        "plot.csv": "45c4713cef323993dc3645a24d70b8453bfe8b005ace61d5859507cf7dc218ec",
+        "rmonitor.csv": "ec0ad5d90710e9560ffa1e533f82d0aba775be4b4958d29d4a640a25382ffa87",
+        "states.csv": "55ad0d26bf22e93ea0223607b73481f9c3b68c598d6300e0421414e5592fe28f",
+    },
+    ("lti", "batch"): {
+        "events.csv": "5e5e91b10cbb44177df0bfe51a33a195389f7c9582307c97f8d5e9de737e4582",
+        "summary.json": "af8da1a9e1b85f53a664a115865477c879d55ae8de85f5351c69313a2445e259",
+    },
+}
+
+
+@pytest.mark.parametrize("command", ["simulate", "batch"])
+@pytest.mark.parametrize(
+    "name, base", [("lorenz", LORENZ_CFG), ("lti", LTI_CFG)], ids=["lorenz", "lti"]
+)
+def test_artefacts_are_byte_identical(capsys, tmp_path, name, base, command):
+    path, cfg = _write_config(tmp_path, base)
+    rc, _, _ = _run(capsys, command, "--config", str(path))
+    assert rc == 0
+    outdir = cfg["output_dir"]
+    digests = {}
+    for fname in sorted(os.listdir(outdir)):
+        with open(os.path.join(outdir, fname), "rb") as fh:
+            digests[fname] = hashlib.sha256(fh.read()).hexdigest()
+    assert digests == ARTEFACT_SHA256[name, command]
 
 
 class TestEmitPlotData:

@@ -1,23 +1,36 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from etclab import (
     Certificate,
     ClosedLoopSystem,
     ConfigError,
+    DesignInfeasibleError,
     DivergenceError,
     DomainError,
     HybridState,
+    LtiController,
+    LtiPlant,
     SimSettings,
     TriggerConfig,
     ZetaParams,
+    assemble,
+    design_certificate,
     event_function,
+    extract_assumption,
     flow_step,
+    masp,
     r_monitor,
     simulate,
     zeta_time,
 )
+from etclab.systems import lti_loop_from_matrices
 
 SETTINGS = SimSettings(step=1e-3, horizon_t=1.0, event_tol=1e-6)
 
@@ -28,6 +41,18 @@ def _of_cfg(T=0.01):
 
 def _sf_cfg(T=0.075, sigma=0.7):
     return TriggerConfig(mode="state-feedback", T=T, sigma=sigma)
+
+
+def _assert_in_flow_or_jump_set(sol, cert, cfg):
+    # Recorded states meet D's equalities only up to the event tolerance,
+    # so the slack scales with the terms the event excess compares.
+    h = event_function(cert, cfg)
+    for seg in sol.segments:
+        for x, e, tau in zip(seg.x, seg.e, seg.tau):
+            y = cert.y_of_x(x)
+            threshold = cert.alpha(float(np.linalg.norm(x))) + cert.H(x) ** 2 + cert.delta(y)
+            scale = max(1.0, cert.gamma**2 * cert.W(e) ** 2, threshold)
+            assert any(cfg.membership(h(x, e), float(tau), tol=1e-4 * scale))
 
 
 def _permissive_cert():
@@ -200,12 +225,7 @@ class TestSimulate:
         cfg = _sf_cfg()
         q0 = HybridState(rng.standard_normal(2) * 10, np.zeros(2), 0.0)
         sol = simulate(sys, cert, cfg, q0, SETTINGS)
-        h = event_function(cert, cfg)
-        for seg in sol.segments:
-            for x, e, tau in zip(seg.x, seg.e, seg.tau):
-                threshold = cert.alpha(float(np.linalg.norm(x))) + cert.H(x) ** 2 + cert.delta(x)
-                scale = max(1.0, cert.gamma**2 * cert.W(e) ** 2, threshold)
-                assert any(cfg.membership(h(x, e), float(tau), tol=1e-4 * scale))
+        _assert_in_flow_or_jump_set(sol, cert, cfg)
 
     def test_initial_state_outside_sets_rejected(self, tabuada):
         sys, cert = tabuada
@@ -424,3 +444,54 @@ class TestRMonitor:
             r = np.array([v[2] for v in r_monitor(sol, cert, zp)])
             assert r.size > 100
             assert np.diff(r).max() <= 1e-6 * r[0]
+
+
+# Entries on a 0.05 grid in [-2, 2]: an entry of B is 0 or at least 0.05 in size.
+_ENTRY = st.integers(-40, 40).map(lambda k: k / 20)
+
+
+@st.composite
+def _lqr_loops(draw):
+    """(A, B, K, x0): a 2- or 3-state plant, its LQR gain and an initial state."""
+    n = draw(st.integers(2, 3))
+    A = draw(arrays(np.float64, (n, n), elements=_ENTRY))
+    B = draw(arrays(np.float64, (n, 1), elements=_ENTRY))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            K = B.T @ scipy.linalg.solve_continuous_are(A, B, np.eye(n), np.eye(1))
+        except (np.linalg.LinAlgError, ValueError, Warning):
+            K = None  # (A, B) is not stabilizable, or the Riccati solve failed
+    assume(K is not None and np.any(K))  # K = 0 leaves no loop to close
+    x0 = draw(arrays(np.float64, n, elements=st.floats(-1.0, 1.0)))
+    return A, B, K, x0
+
+
+@settings(max_examples=8, deadline=None)
+@given(loop=_lqr_loops())
+def test_random_lqr_loop_keeps_the_dwell_time_and_the_hybrid_sets(loop):
+    """Gaps of at least T, states in C u D, and reproducible jump times.
+
+    C and D are the flow and jump sets of the hybrid solution concept of
+    Goebel, Sanfelice and Teel (2012).
+    """
+    A, B, K, x0 = loop
+    n = A.shape[0]
+    clm = assemble(LtiPlant(A=A, B=B, C=np.eye(n)), LtiController.static(-K))
+    try:
+        cand = design_certificate(clm)
+    except DesignInfeasibleError:
+        assume(False)
+    cert = extract_assumption(clm, cand)
+    T = masp(cert.gamma, cert.L) / 2
+    # Nearly uncontrollable draws give T down to 1e-10 and so billions of
+    # steps over the horizon; 1e-3 caps a run at 20,000 steps.
+    assume(T >= 1e-3)
+    sys = lti_loop_from_matrices(clm)
+    cfg = TriggerConfig(mode="output-feedback", T=T)
+    sim = SimSettings(step=T / 20, horizon_t=1.0)
+    q0 = HybridState(x0, np.zeros(n), 0.0)
+    sol = simulate(sys, cert, cfg, q0, sim)
+    assert all(gap >= T - sim.event_tol for gap in sol.inter_event_gaps)
+    _assert_in_flow_or_jump_set(sol, cert, cfg)
+    assert simulate(sys, cert, cfg, q0, sim).jump_times == sol.jump_times

@@ -46,6 +46,11 @@ class TestBatchSpec:
         with pytest.raises(ValueError, match="^seed "):
             _spec(seed=seed)
 
+    @pytest.mark.parametrize("n_runs", [2.5, True, "3"])
+    def test_rejects_a_run_count_that_is_not_an_integer(self, n_runs):
+        with pytest.raises(ValueError, match="^n_runs must be an integer >= 1, got "):
+            _spec(n_runs=n_runs)
+
     def test_accepts_numpy_integer_seeds(self):
         assert _spec(seed=np.int64(3)).seed == 3
 
@@ -87,6 +92,11 @@ class TestSampleInitial:
         for k in (2, -1):
             with pytest.raises(ValueError, match="run index"):
                 sample_initial(_spec(n_runs=2), k, 2, 2)
+
+    @pytest.mark.parametrize("k", [0.5, True])
+    def test_index_must_be_an_integer(self, k):
+        with pytest.raises(ValueError, match="^run index must be an integer >= 0, got "):
+            sample_initial(_spec(n_runs=2), k, 2, 2)
 
 
 class TestRunBatch:

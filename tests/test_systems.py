@@ -19,8 +19,7 @@ from etclab import (
     simulate,
 )
 from etclab.model import HybridState
-from etclab.systems import builtin_loop, lti_loop_from_matrices
-from etclab.errors import ConfigError
+from etclab.systems import BUILTIN_LOOPS, lti_loop_from_matrices
 
 
 def _planar_plant(C):
@@ -136,10 +135,8 @@ class TestLtiLoop:
             assert np.allclose(sys.g(x, e)[:n_y], -plant.C @ sys.f(x, e)[:n_p])
 
     def test_builtin_registry(self):
-        sys, cert = builtin_loop("lti-sf-tabuada")
+        sys, cert = BUILTIN_LOOPS["lti-sf-tabuada"]()
         assert sys.name == "lti-sf-tabuada"
-        with pytest.raises(ConfigError):
-            builtin_loop("no-such-loop")
 
 
 class TestPairing:
@@ -224,6 +221,12 @@ class TestCheckAssumptionSampled:
     def test_rejects_an_empty_sample(self, tabuada, n_samples):
         sys, cert = tabuada
         with pytest.raises(ValueError, match="n_samples"):
+            check_assumption_sampled(sys, cert, n_samples=n_samples, radius=50.0)
+
+    @pytest.mark.parametrize("n_samples", [2.5, True])
+    def test_rejects_a_sample_count_that_is_not_an_integer(self, tabuada, n_samples):
+        sys, cert = tabuada
+        with pytest.raises(ValueError, match="^n_samples must be an integer >= 1, got "):
             check_assumption_sampled(sys, cert, n_samples=n_samples, radius=50.0)
 
     @pytest.mark.parametrize("radius", [float("nan"), float("inf"), 0.0])

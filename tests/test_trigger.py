@@ -164,6 +164,14 @@ class TestNonFiniteGains:
             dataclasses.replace(cert, gamma=gamma, L=L)
 
 
+class TestZetaParams:
+    @pytest.mark.parametrize("eta", [0.0, math.nan, math.inf])
+    def test_rejects_an_eta_outside_the_open_half_line(self, eta):
+        # With eta = inf, zeta_time was 0 and every R-monitor sample NaN (inf * 0).
+        with pytest.raises(ValueError, match="^eta must be positive and finite$"):
+            ZetaParams(theta=0.01, eta=eta)
+
+
 class TestZetaSolution:
     # (gamma, L, eta) with a = L / sqrt(gamma^2 + eta) below, at and above 1;
     # 3^2 + 16 = 5^2 makes a = 1 exact.

@@ -19,6 +19,10 @@ divergence (NaN from f or g included) always carries the partial solution.
 
 Flows use classical fixed-step RK4 (no dense output), as a matrix
 propagator for linear loops; identical inputs give bit-identical logs.
+The per-step paths here and in the certificate terms use ``ndarray.dot``
+and ``math.sqrt(v.dot(v))``, which numpy runs through the same BLAS
+kernels as ``@`` and ``np.linalg.norm`` without their dispatch cost; a
+tier-1 test (``TestHotPathKernels``) pins that the bits agree.
 """
 
 import math
@@ -144,7 +148,7 @@ def _stepper(sys: ClosedLoopSystem, step):
     if M is None:
         return lambda z, h: np.concatenate(_rk4(f, g, z[:n_x], z[n_x:], h))
     P = _rk4_propagator(M, step)
-    return lambda z, h: (P if h == step else _rk4_propagator(M, h)) @ z
+    return lambda z, h: (P if h == step else _rk4_propagator(M, h)).dot(z)
 
 
 def flow_step(sys: ClosedLoopSystem, q: HybridState, h: float) -> HybridState:
@@ -281,7 +285,7 @@ def simulate(
 
         if h is not None:
             z_next = flow(z, h)
-            if not math.sqrt(z_next @ z_next) <= guard:  # catches NaN as well
+            if not math.sqrt(z_next.dot(z_next)) <= guard:  # catches NaN as well
                 rec.sample(base + tau_next, z_next, tau_next)
                 rec.close_segment()
                 raise DivergenceError(

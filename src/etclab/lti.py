@@ -313,11 +313,15 @@ def extract_assumption(clm: ClosedLoopMatrices, cand: LmiCertificate) -> Certifi
     L = spectral_norm(B2)
     gamma = cand.gamma
 
+    def H(x):
+        v = A2.dot(x)
+        return sqrt(v.dot(v))
+
     return Certificate(
-        V=lambda x: float(x @ P @ x),
-        W=lambda e: float(np.linalg.norm(e)),
-        H=lambda x: float(np.linalg.norm(A2 @ x)),
-        delta=lambda y: eps1 * float(y @ y),
+        V=lambda x: float(x.dot(P).dot(x)),
+        W=lambda e: sqrt(e.dot(e)),
+        H=H,
+        delta=lambda y: eps1 * float(y.dot(y)),
         alpha=lambda s: eps2 * s * s,
         gamma=gamma,
         L=L,
@@ -326,6 +330,6 @@ def extract_assumption(clm: ClosedLoopMatrices, cand: LmiCertificate) -> Certifi
         n_x=clm.n_x,
         n_e=clm.n_e,
         n_y=Cbar.shape[0],
-        y_of_x=lambda x: Cbar @ x,
+        y_of_x=Cbar.dot,
         name="lti-quadratic",
     )

@@ -1,5 +1,7 @@
 """Seeded sampling helpers."""
 
+import math
+
 import numpy as np
 
 
@@ -19,7 +21,7 @@ def uniform_ball(rng, dim, radius):
     the generator state.
     """
     direction = rng.standard_normal(dim)
-    norm = float(np.linalg.norm(direction))
+    norm = math.sqrt(direction.dot(direction))
     if norm == 0.0:
         return np.zeros(dim)
     r = radius * rng.random() ** (1.0 / dim)

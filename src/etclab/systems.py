@@ -100,9 +100,9 @@ def lorenz_loop(a: float = 10.0, b: float = 28.0, c: float = 8.0 / 3.0, p1: floa
 
     cert = Certificate(
         V=lambda x: p1 * x[0] ** 2 + p2 * x[1] ** 2 + p2 * x[2] ** 2,
-        W=lambda e: float(np.linalg.norm(e)),
+        W=lambda e: math.sqrt(e.dot(e)),
         H=lambda x: a * (abs(x[0]) + abs(x[1])),
-        delta=lambda y: delta_coef * float(y @ y),
+        delta=lambda y: delta_coef * float(y.dot(y)),
         alpha=lambda s: alpha_coef * s * s,
         gamma=gamma,
         L=0.0,
@@ -129,10 +129,10 @@ def lti_loop_from_matrices(clm: ClosedLoopMatrices, name="lti") -> ClosedLoopSys
     A1, B1, A2, B2 = clm.A1, clm.B1, clm.A2, clm.B2
 
     def f(x, e):
-        return A1 @ x + B1 @ e
+        return A1.dot(x) + B1.dot(e)
 
     def g(x, e):
-        return A2 @ x + B2 @ e
+        return A2.dot(x) + B2.dot(e)
 
     stacked = np.block([[A1, B1], [A2, B2]])
     return ClosedLoopSystem(clm.n_x, clm.n_e, f, g, stacked_matrix=stacked, name=name)
@@ -211,13 +211,17 @@ class AssumptionReport:
 
 
 def _grad_fd(fn, z, h):
+    # Central differences on one working copy: set a coordinate, evaluate,
+    # restore. fn must not keep a reference to its argument.
     g = np.empty(z.size)
+    w = z.copy()
     for i in range(z.size):
-        zp = z.copy()
-        zp[i] += h
-        zm = z.copy()
-        zm[i] -= h
-        g[i] = (fn(zp) - fn(zm)) / (2.0 * h)
+        zi = w[i]
+        w[i] = zi + h
+        fp = fn(w)
+        w[i] = zi - h
+        g[i] = (fp - fn(w)) / (2.0 * h)
+        w[i] = zi
     return g
 
 
@@ -274,7 +278,7 @@ def check_assumption_sampled(
     for _ in range(n_samples):
         z = uniform_ball(rng, dim, radius)
         x, e = z[: sys.n_x], z[sys.n_x :]
-        nx = float(np.linalg.norm(x))
+        nx = math.sqrt(x.dot(x))
 
         v = cert.V(x)
         note("v-bounds", cert.alpha_lower(nx), v)
@@ -283,19 +287,19 @@ def check_assumption_sampled(
 
         h_v = 1e-6 * max(1.0, nx)
         grad_v = _grad_fd(cert.V, x, h_v)
-        lhs = float(grad_v @ sys.f(x, e))
+        lhs = float(grad_v.dot(sys.f(x, e)))
         w = cert.W(e)
         rhs = -cert.alpha(nx) - cert.H(x) ** 2 - cert.delta(cert.y_of_x(x)) + g2 * w * w
         note("v-decay", lhs, rhs)
         scale["v-decay"] = max(scale["v-decay"], abs(lhs), abs(rhs))
 
-        ne = float(np.linalg.norm(e))
+        ne = math.sqrt(e.dot(e))
         if ne < skip_band:
             skipped += 1
         else:
             h_w = 1e-6 * ne
             grad_w = _grad_fd(cert.W, e, h_w)
-            lhs = float(grad_w @ sys.g(x, e))
+            lhs = float(grad_w.dot(sys.g(x, e)))
             rhs = cert.L * w + cert.H(x)
             note("w-growth", lhs, rhs)
             scale["w-growth"] = max(scale["w-growth"], abs(lhs), abs(rhs))

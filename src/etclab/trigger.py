@@ -238,7 +238,7 @@ def event_function(cert: Certificate, cfg: TriggerConfig):
         def h(x, e):
             w = cert.W(e)
             hx = cert.H(x)
-            nx = math.sqrt(float(x @ x))
+            nx = math.sqrt(x.dot(x))
             return g2 * w * w - sigma * (cert.alpha(nx) + hx * hx + cert.delta(x))
 
         return h

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -134,3 +136,38 @@ class TestSolveLyapunov:
     def test_rejects_dimension_mismatch(self):
         with pytest.raises(DimensionError):
             solve_lyapunov(-np.eye(2), np.eye(3))
+
+
+def _kernel_inputs(rng, dim):
+    """One random vector of length dim in each layout the hot paths see.
+
+    A whole array, the two halves of a stacked state z = (x, e), and rows
+    of the x and e column blocks of a recorded 2-D state array (the
+    ``Segment.x[k]`` case), over a wide range of magnitudes.
+    """
+    scale = 10.0 ** rng.uniform(-3, 3)
+    z = scale * rng.standard_normal(2 * dim)
+    Z = scale * rng.standard_normal((3, 2 * dim))
+    return [scale * rng.standard_normal(dim), z[:dim], z[dim:], Z[:, :dim][1], Z[:, dim:][2]]
+
+
+class TestHotPathKernels:
+    """The per-step kernels give the same bits as the forms they replaced.
+
+    The simulator, the certificate terms and the sampled checker use
+    ``math.sqrt(v.dot(v))`` for ``np.linalg.norm(v)`` and ``ndarray.dot``
+    for ``@``; numpy runs both through the same BLAS kernels.  A numpy or
+    BLAS change that breaks this would move event logs without notice.
+    """
+
+    @pytest.mark.parametrize("dim", range(1, 9))
+    def test_dot_kernels_match_norm_and_matmul_bitwise(self, dim):
+        rng = np.random.default_rng(1000 + dim)
+        for _ in range(50):
+            M = rng.standard_normal((rng.integers(1, 9), dim))
+            P = rng.standard_normal((dim, dim))
+            P = P + P.T
+            for v in _kernel_inputs(rng, dim):
+                assert math.sqrt(v.dot(v)) == float(np.linalg.norm(v))
+                assert np.array_equal(M.dot(v), M @ v)
+                assert float(v.dot(P).dot(v)) == float(v @ P @ v)

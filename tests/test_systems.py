@@ -12,11 +12,14 @@ from etclab import (
     TriggerConfig,
     assemble,
     check_assumption_sampled,
+    design_certificate,
+    extract_assumption,
     flow_step,
     lorenz_loop,
     lti_loop,
     masp,
     simulate,
+    tabuada_loop,
 )
 from etclab.model import HybridState
 from etclab.systems import BUILTIN_LOOPS, lti_loop_from_matrices
@@ -244,3 +247,100 @@ class TestCheckAssumptionSampled:
         assert not report.passed
         assert report.max_violation["v-bounds"] == math.inf
         assert report.max_violation["v-decay"] == math.inf
+
+
+def _output_feedback_loop():
+    """A designed dynamic output-feedback LTI loop (n_x = 3, n_e = 2)."""
+    plant = LtiPlant(A=[[0.0, 1.0], [-2.0, -3.0]], B=[[0.0], [1.0]], C=[[1.0, 0.0]])
+    ctrl = LtiController(A=[[-3.0]], B=[[1.0]], C=[[-1.5]], D=[[-0.5]])
+    clm = assemble(plant, ctrl)
+    cert = extract_assumption(clm, design_certificate(clm))
+    return lti_loop(plant, ctrl, cert), cert
+
+
+CHECKED_LOOPS = {
+    "lorenz": lorenz_loop,
+    "lti-output-feedback": _output_feedback_loop,
+    "tabuada": tabuada_loop,
+}
+
+# check_assumption_sampled(n_samples=300, radius=20.0, seed=3) per loop:
+# n_skipped, then per inequality max_violation and worst_point (x, e) as
+# float.hex, recorded with the np.linalg.norm / @ forms of the checker and
+# of the certificate terms.
+PINNED_CHECKS = {
+    "lorenz": (
+        0,
+        {
+            "v-bounds": (
+                "-0x1.85b21937d0000p-4",
+                ["-0x1.dd85bcc6e625bp-5", "-0x1.1c8b97206bb7ap+3", "0x1.a0b807ed44e79p+2"],
+                ["-0x1.9f4707d66dfdap+3"],
+            ),
+            "v-decay": (
+                "0x1.b00eeef392829p+15",
+                ["-0x1.d6a573ad0bdf8p+3", "0x1.64c81494ab493p+3", "0x1.3da52500e11a7p+2"],
+                ["-0x1.76449deb1fed6p-3"],
+            ),
+            "w-growth": (
+                "0x1.e7fbc00000000p-27",
+                ["0x1.efc5f89cfa3c4p+3", "-0x1.2610f69fa6e3ap+3", "0x1.e07fb674e145fp+2"],
+                ["0x1.120587a4658bfp+2"],
+            ),
+        },
+    ),
+    "lti-output-feedback": (
+        0,
+        {
+            "v-bounds": (
+                "-0x1.dd8120af5aeb8p+1",
+                ["-0x1.8d9d923bf807ap-1", "0x1.05172600d455fp+2", "0x1.9e4c3743c0677p+0"],
+                ["-0x1.ec85b8b579873p+1", "-0x1.9974977957ca1p+2"],
+            ),
+            "v-decay": (
+                "-0x1.64f3d3cd12420p+6",
+                ["0x1.0d87249ef7925p+0", "0x1.1d75722939e52p+2", "-0x1.5107503dfd6e4p+3"],
+                ["-0x1.f4b9ca1414766p+3", "0x1.033fa589d2052p+2"],
+            ),
+            "w-growth": (
+                "-0x1.e4a9a5faac140p+0",
+                ["0x1.6f47e1836ac6ap+3", "0x1.3781180d70b8bp+3", "0x1.9467cb449c74fp+3"],
+                ["-0x1.5358dd9874356p-2", "-0x1.8a250d4df9f34p+0"],
+            ),
+        },
+    ),
+    "tabuada": (
+        0,
+        {
+            "v-bounds": (
+                "-0x1.7371aed180000p-10",
+                ["-0x1.100fc84df27eep+3", "-0x1.a808b2bb55ebbp+2"],
+                ["-0x1.d54db1a890fd9p-5", "0x1.e97476eac10d6p+1"],
+            ),
+            "v-decay": (
+                "-0x1.bfbfc8100f1c3p+6",
+                ["0x1.4f89d925cfd82p+1", "0x1.4eccb35910b0ep+2"],
+                ["-0x1.d93466d781251p-4", "-0x1.b2ee0d904bbaap-1"],
+            ),
+            "w-growth": (
+                "-0x1.275adddebafc0p+0",
+                ["0x1.4111bd1a4bd2cp+3", "0x1.c7aa37dfb0d26p+2"],
+                ["-0x1.34d106cff93a6p+0", "0x1.16ad096380f8ap+3"],
+            ),
+        },
+    ),
+}
+
+
+class TestCheckerReproducibility:
+    @pytest.mark.parametrize("name", sorted(PINNED_CHECKS))
+    def test_matches_pinned_report(self, name):
+        sys, cert = CHECKED_LOOPS[name]()
+        report = check_assumption_sampled(sys, cert, n_samples=300, radius=20.0, seed=3)
+        n_skipped, pinned = PINNED_CHECKS[name]
+        assert report.n_skipped == n_skipped
+        for key, (violation, x, e) in pinned.items():
+            assert float(report.max_violation[key]).hex() == violation
+            worst_x, worst_e = report.worst_point[key]
+            assert [float(v).hex() for v in worst_x] == x
+            assert [float(v).hex() for v in worst_e] == e

@@ -9,7 +9,10 @@ import dataclasses
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
 import etclab
+from etclab import HybridState, SimSettings, TriggerConfig
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -35,3 +38,23 @@ def test_tracer_installs_wraps_and_uninstalls(tabuada):
     finally:
         tracer.uninstall()
     assert etclab.hybrid.event_function is original
+
+
+def test_pure_event_run_reaches_the_event_and_certificate_patch_points(tabuada):
+    # The planar workloads require calls at both points (a traced run raises
+    # PatchPointMissing otherwise), so the event excess must keep calling the
+    # certificate terms rather than bypass them.
+    spans = _load_spans()
+    tracer = spans.Tracer()
+    tracer.install(etclab)
+    try:
+        sys, cert = tracer.wrap_loop(*tabuada)
+        q0 = HybridState(np.array([5.0, -1.0]), np.zeros(2), 0.0)
+        cfg = TriggerConfig(mode="pure-event", sigma=0.7)
+        sol = etclab.simulate(sys, cert, cfg, q0, SimSettings(step=1e-3, horizon_t=0.2))
+    finally:
+        tracer.uninstall()
+    stats = tracer.stats()
+    assert sol.n_jumps > 0
+    assert stats["trigger.event"][0] > 0
+    assert stats["model.cert"][0] > 0

@@ -17,8 +17,9 @@ segment start in pure-event mode); or takes a monitored step, bisecting
 if the event fired in it.  Every flow step passes one norm guard, so a
 divergence (NaN from f or g included) always carries the partial solution.
 
-Flows use classical fixed-step RK4 (no dense output), as a matrix
-propagator for linear loops; identical inputs give bit-identical logs.
+Flows use classical fixed-step RK4 (no dense output): one body over z,
+or its matrix form, a propagator, for linear loops.  ``flow_step`` takes
+the same step; identical inputs give bit-identical logs.
 The per-step paths here and in the certificate terms use ``ndarray.dot``
 and ``math.sqrt(v.dot(v))``, which numpy runs through the same BLAS
 kernels as ``@`` and ``np.linalg.norm`` without their dispatch cost; a
@@ -116,49 +117,58 @@ def _rk4_propagator(M, h):
     return np.eye(M.shape[0]) + A + A2 / 2.0 + (A2 @ A) / 6.0 + (A2 @ A2) / 24.0
 
 
-def _rk4(f, g, x, e, h):
-    # One classical RK4 step of (x, e)' = (f, g); flow_step and simulate share it.
-    k1x = f(x, e)
-    k1e = g(x, e)
-    x2 = x + (0.5 * h) * k1x
-    e2 = e + (0.5 * h) * k1e
-    k2x = f(x2, e2)
-    k2e = g(x2, e2)
-    x3 = x + (0.5 * h) * k2x
-    e3 = e + (0.5 * h) * k2e
-    k3x = f(x3, e3)
-    k3e = g(x3, e3)
-    x4 = x + h * k3x
-    e4 = e + h * k3e
-    k4x = f(x4, e4)
-    k4e = g(x4, e4)
-    s = h / 6.0
-    xn = x + s * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
-    en = e + s * (k1e + 2.0 * k2e + 2.0 * k3e + k4e)
-    return xn, en
+def _rk4(F, z, h):
+    # One classical RK4 step of z' = F(z); the only RK4 body in etclab.
+    k1 = F(z)
+    k2 = F(z + (0.5 * h) * k1)
+    k3 = F(z + (0.5 * h) * k2)
+    k4 = F(z + h * k3)
+    return z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def _stepper(sys: ClosedLoopSystem, step):
-    """Return advance(z, h) -> z' for the stacked state z = (x, e).
+    """Return advance(z, h) -> z', the one flow step of ``simulate`` and ``flow_step``.
 
     Linear loops apply the RK4 propagator, precomputed for the full step
-    and built afresh for any other h; the rest evaluate f and g.
+    and built afresh for any other h; the rest run ``_rk4`` on the
+    stacked F(z) = (f(x, e), g(x, e)), z = (x, e).
     """
     M, n_x, f, g = sys.stacked_matrix, sys.n_x, sys.f, sys.g
-    if M is None:
-        return lambda z, h: np.concatenate(_rk4(f, g, z[:n_x], z[n_x:], h))
-    P = _rk4_propagator(M, step)
-    return lambda z, h: (P if h == step else _rk4_propagator(M, h)).dot(z)
+    if M is not None:
+        P = _rk4_propagator(M, step)
+        return lambda z, h: (P if h == step else _rk4_propagator(M, h)).dot(z)
+
+    def F(z):
+        x, e = z[:n_x], z[n_x:]
+        return np.concatenate((f(x, e), g(x, e)))
+
+    return lambda z, h: _rk4(F, z, h)
+
+
+def _check_state(sys: ClosedLoopSystem, q: HybridState):
+    """Raise ConfigError unless q has the loop's dimensions, DomainError unless finite."""
+    if q.x.shape != (sys.n_x,) or q.e.shape != (sys.n_e,):
+        raise ConfigError(
+            f"initial state dimensions {q.x.shape}, {q.e.shape} do not match "
+            f"the system ({sys.n_x}, {sys.n_e})"
+        )
+    if not (np.isfinite(q.x).all() and np.isfinite(q.e).all()):
+        raise DomainError("initial state must be finite")
 
 
 def flow_step(sys: ClosedLoopSystem, q: HybridState, h: float) -> HybridState:
-    """One classical RK4 step of the augmented flow; tau advances by h."""
-    if h <= 0:
-        raise ValueError("flow_step: h must be positive")
-    xn, en = _rk4(sys.f, sys.g, q.x, q.e, h)
-    if not (np.all(np.isfinite(xn)) and np.all(np.isfinite(en))):
+    """The state ``simulate`` records one step of size h after q, bit for bit.
+
+    Raises ValueError unless 0 < h < inf, and ConfigError or DomainError
+    for a q that ``simulate`` rejects.
+    """
+    if not 0 < h < math.inf:  # NaN fails too
+        raise ValueError("flow_step: h must be positive and finite")
+    _check_state(sys, q)
+    z = _stepper(sys, h)(np.concatenate((q.x, q.e)), h)
+    if not np.isfinite(z).all():
         raise DivergenceError("non-finite derivative evaluation", state=q)
-    return HybridState(xn, en, q.tau + h)
+    return HybridState(z[: sys.n_x], z[sys.n_x :], q.tau + h)
 
 
 class _Recorder:
@@ -225,13 +235,7 @@ def simulate(
     blow-up guard or is not finite.
     """
     check_pairing(sys, cert)
-    if q0.x.shape != (sys.n_x,) or q0.e.shape != (sys.n_e,):
-        raise ConfigError(
-            f"initial state dimensions {q0.x.shape}, {q0.e.shape} do not match "
-            f"the system ({sys.n_x}, {sys.n_e})"
-        )
-    if not (np.all(np.isfinite(q0.x)) and np.all(np.isfinite(q0.e))):
-        raise DomainError("initial state must be finite")
+    _check_state(sys, q0)
     cfg.validate_against(cert)
     if cfg.mode != "pure-event" and settings.step > cfg.T / 10.0 * (1.0 + 1e-12):
         raise ConfigError(

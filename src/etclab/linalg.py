@@ -11,7 +11,7 @@ import scipy.linalg
 
 from .errors import DesignInfeasibleError, DimensionError
 
-DEFAULT_TOL = 1e-9
+_TOL = 1e-9
 
 # Residual bound for the Lyapunov solve, relative to |q|.
 _LYAP_RESIDUAL_RTOL = 1e-8
@@ -27,18 +27,18 @@ def as_matrix(m, name="matrix"):
     return a
 
 
-def _require_square_symmetric(a, tol, name):
+def _require_square_symmetric(a, name):
     if a.shape[0] != a.shape[1]:
         raise DimensionError(f"{name}: expected a square matrix, got shape {a.shape}")
     scale = max(1.0, float(np.abs(a).max()))
-    if float(np.abs(a - a.T).max()) > tol * scale:
-        raise ValueError(f"{name}: not symmetric within tolerance {tol:g}")
+    if float(np.abs(a - a.T).max()) > _TOL * scale:
+        raise ValueError(f"{name}: not symmetric within tolerance {_TOL:g}")
 
 
-def sym_eigenvalues(m, tol=DEFAULT_TOL):
+def sym_eigenvalues(m):
     """Eigenvalues of a symmetric matrix, in nondecreasing order."""
     a = as_matrix(m)
-    _require_square_symmetric(a, tol, "sym_eigenvalues")
+    _require_square_symmetric(a, "sym_eigenvalues")
     return np.linalg.eigvalsh(0.5 * (a + a.T))
 
 
@@ -50,19 +50,19 @@ def spectral_norm(m):
     return float(np.linalg.norm(a, 2))
 
 
-def is_positive_definite(m, tol=DEFAULT_TOL):
-    """True iff the symmetric matrix ``m`` has all eigenvalues > tol."""
-    return bool(sym_eigenvalues(m, tol=tol).min() > tol)
+def is_positive_definite(m):
+    """True iff the symmetric matrix ``m`` has all eigenvalues > 1e-9."""
+    return bool(sym_eigenvalues(m).min() > _TOL)
 
 
-def is_hurwitz(a, margin=DEFAULT_TOL):
-    """True iff every eigenvalue of ``a`` has real part < -margin."""
+def is_hurwitz(a):
+    """True iff every eigenvalue of ``a`` has real part < -1e-9."""
     a = as_matrix(a)
     if a.shape[0] != a.shape[1]:
         raise DimensionError(f"is_hurwitz: expected a square matrix, got {a.shape}")
     if a.shape[0] == 0:
         return True
-    return bool(np.linalg.eigvals(a).real.max() < -margin)
+    return bool(np.linalg.eigvals(a).real.max() < -_TOL)
 
 
 def solve_lyapunov(a, q):
@@ -80,7 +80,7 @@ def solve_lyapunov(a, q):
         raise DimensionError(
             f"solve_lyapunov: q shape {qm.shape} does not match a shape {a.shape}"
         )
-    _require_square_symmetric(qm, DEFAULT_TOL, "solve_lyapunov q")
+    _require_square_symmetric(qm, "solve_lyapunov q")
     if not is_positive_definite(qm):
         raise ValueError("solve_lyapunov: q must be positive definite")
     if not is_hurwitz(a):

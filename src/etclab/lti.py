@@ -232,16 +232,10 @@ def lmi_residual(clm: ClosedLoopMatrices, cand: LmiCertificate) -> float:
     return float(sym_eigenvalues(M).max())
 
 
-def _feasibility_scale(clm, cand):
-    return max(
-        1.0,
-        spectral_norm(clm.A2.T @ clm.A2) + cand.eps2,
-        cand.mu,
-    )
-
-
-def is_feasible(clm: ClosedLoopMatrices, cand: LmiCertificate, rtol=_FEASIBILITY_RTOL):
-    return lmi_residual(clm, cand) <= rtol * _feasibility_scale(clm, cand)
+def is_feasible(clm: ClosedLoopMatrices, cand: LmiCertificate):
+    residual = lmi_residual(clm, cand)
+    scale = max(1.0, spectral_norm(clm.A2.T @ clm.A2) + cand.eps2, cand.mu)
+    return residual <= _FEASIBILITY_RTOL * scale
 
 
 def design_certificate(

@@ -50,10 +50,10 @@ class ClosedLoopSystem:
     be deterministic.  The output map belongs to the certificate.
 
     ``stacked_matrix``, when present, is the matrix M of the stacked
-    linear flow (x, e)' = M (x, e) and must agree with f and g; the
-    simulator then advances flows through a precomputed one-step
-    propagator instead of re-evaluating the closures (same classical RK4
-    step, evaluated as a matrix polynomial).
+    linear flow (x, e)' = M (x, e) and must agree with f and g; both
+    ``simulate`` and ``flow_step`` then step with the RK4 propagator (the
+    same classical RK4 step as a matrix polynomial) instead of calling f
+    and g.
     """
 
     n_x: int

@@ -231,7 +231,6 @@ def check_assumption_sampled(
     n_samples=10_000,
     radius=50.0,
     seed=0,
-    rtol=1e-5,
 ) -> AssumptionReport:
     """Check the certificate inequalities at sampled states.
 
@@ -312,7 +311,7 @@ def check_assumption_sampled(
         n_samples=n_samples,
         radius=radius,
         seed=seed,
-        rtol=rtol,
+        rtol=1e-5,  # pass threshold, relative to each inequality's scale
         max_violation=max_v,
         scale=scale,
         worst_point=worst,

@@ -109,6 +109,39 @@ class TestFlowStep:
         with pytest.raises(ValueError):
             flow_step(sys, HybridState(np.zeros(3), np.zeros(1), 0.0), 0.0)
 
+    @pytest.mark.parametrize("h", [float("nan"), float("inf")])
+    def test_rejects_nonfinite_step(self, lorenz, h):
+        sys, _ = lorenz
+        with pytest.raises(ValueError, match="positive and finite"):
+            flow_step(sys, HybridState(np.ones(3), np.ones(1), 0.0), h)
+
+    def test_rejects_state_of_other_dimensions(self, lorenz):
+        sys, _ = lorenz
+        with pytest.raises(ConfigError, match="do not match"):
+            flow_step(sys, HybridState(np.ones(2), np.ones(1), 0.0), 1e-3)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_rejects_nonfinite_state(self, lorenz, bad):
+        sys, _ = lorenz
+        with pytest.raises(DomainError, match="must be finite"):
+            flow_step(sys, HybridState(np.array([1.0, bad, 0.0]), np.zeros(1), 0.0), 1e-3)
+
+    @pytest.mark.parametrize("loop, T, radius", [("tabuada", 0.02, 10.0), ("lorenz", 0.01, 5.0)])
+    def test_equals_the_first_step_of_simulate(self, loop, T, radius, request):
+        # Linear loops take the propagator, the rest the RK4 body, in both.
+        sys, cert = request.getfixturevalue(loop)
+        rng = np.random.default_rng(7)
+        h = 1e-3
+        settings = SimSettings(step=h, horizon_t=2 * h, event_tol=1e-6)
+        for _ in range(200):
+            z = rng.uniform(-radius, radius, sys.n_x + sys.n_e)
+            q = HybridState(z[: sys.n_x], z[sys.n_x :], 0.0)
+            seg = simulate(sys, cert, TriggerConfig(mode="periodic", T=T), q, settings).segments[0]
+            qn = flow_step(sys, q, h)
+            assert qn.x.tobytes() == seg.x[1].tobytes()
+            assert qn.e.tobytes() == seg.e[1].tobytes()
+            assert qn.tau == seg.tau[1]
+
 
 class TestSimSettings:
     @pytest.mark.parametrize(
@@ -470,7 +503,7 @@ def _lqr_loops(draw):
 @settings(max_examples=8, deadline=None)
 @given(loop=_lqr_loops())
 def test_random_lqr_loop_keeps_the_dwell_time_and_the_hybrid_sets(loop):
-    """Gaps of at least T, states in C u D, and reproducible jump times.
+    """Gaps of at least T, states in C u D, reproducible jump times, nonincreasing R.
 
     C and D are the flow and jump sets of the hybrid solution concept of
     Goebel, Sanfelice and Teel (2012).
@@ -495,3 +528,8 @@ def test_random_lqr_loop_keeps_the_dwell_time_and_the_hybrid_sets(loop):
     assert all(gap >= T - sim.event_tol for gap in sol.inter_event_gaps)
     _assert_in_flow_or_jump_set(sol, cert, cfg)
     assert simulate(sys, cert, cfg, q0, sim).jump_times == sol.jump_times
+    # The R envelope does not increase (same tolerance as the planar test).
+    zp = ZetaParams(theta=1e-4, eta=1e-6)
+    assert T < zeta_time(cert.gamma, cert.L, zp)
+    r = np.array([v[2] for v in r_monitor(sol, cert, zp)])
+    assert np.diff(r).max() <= 1e-6 * r[0]

@@ -18,8 +18,12 @@ if the event fired in it.  Every flow step passes one norm guard, so a
 divergence (NaN from f or g included) always carries the partial solution.
 
 Flows use classical fixed-step RK4 (no dense output): one body over z,
-or its matrix form, a propagator, for linear loops.  ``flow_step`` takes
-the same step; identical inputs give bit-identical logs.
+or its matrix form, a propagator, for linear loops.  A linear loop
+builds one propagator per step length and memoises it, so the full
+step, the dwell landings and the bisection sub-steps (a few hundred
+distinct lengths per batch) each build theirs once.  ``flow_step``
+takes the same step from the same memo; identical inputs give
+bit-identical logs.
 The per-step paths here and in the certificate terms use ``ndarray.dot``
 and ``math.sqrt(v.dot(v))``, which numpy runs through the same BLAS
 kernels as ``@`` and ``np.linalg.norm`` without their dispatch cost; a
@@ -109,6 +113,13 @@ class HybridSolution:
         return HybridState(seg.x[-1].copy(), seg.e[-1].copy(), float(seg.tau[-1]))
 
 
+# Bisection sub-steps repeat: 0.5 * (lo + hi) from (0, h) walks the same
+# dyadic tree for every event, at most 1,023 nodes per h at event_tol 1e-6,
+# so a whole planar benchmark run needs about 1,500 propagators.  The bound
+# keeps memory flat for callers whose step lengths never repeat.
+_PROPAGATOR_MEMO_SIZE = 4096
+
+
 def _rk4_propagator(M, h):
     # One classical RK4 step of z' = M z is the linear map
     # I + hM + (hM)^2/2 + (hM)^3/6 + (hM)^4/24.
@@ -126,17 +137,27 @@ def _rk4(F, z, h):
     return z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _stepper(sys: ClosedLoopSystem, step):
+def _stepper(sys: ClosedLoopSystem):
     """Return advance(z, h) -> z', the one flow step of ``simulate`` and ``flow_step``.
 
-    Linear loops apply the RK4 propagator, precomputed for the full step
-    and built afresh for any other h; the rest run ``_rk4`` on the
+    Linear loops apply the RK4 propagator for h, built once per h and
+    loop and memoised on the loop (the dict is cleared when it reaches
+    ``_PROPAGATOR_MEMO_SIZE`` entries); the rest run ``_rk4`` on the
     stacked F(z) = (f(x, e), g(x, e)), z = (x, e).
     """
     M, n_x, f, g = sys.stacked_matrix, sys.n_x, sys.f, sys.g
     if M is not None:
-        P = _rk4_propagator(M, step)
-        return lambda z, h: (P if h == step else _rk4_propagator(M, h)).dot(z)
+        memo = sys._propagators
+
+        def advance(z, h):
+            P = memo.get(h)
+            if P is None:
+                if len(memo) >= _PROPAGATOR_MEMO_SIZE:
+                    memo.clear()
+                P = memo[h] = _rk4_propagator(M, h)
+            return P.dot(z)
+
+        return advance
 
     def F(z):
         x, e = z[:n_x], z[n_x:]
@@ -165,7 +186,7 @@ def flow_step(sys: ClosedLoopSystem, q: HybridState, h: float) -> HybridState:
     if not 0 < h < math.inf:  # NaN fails too
         raise ValueError("flow_step: h must be positive and finite")
     _check_state(sys, q)
-    z = _stepper(sys, h)(np.concatenate((q.x, q.e)), h)
+    z = _stepper(sys)(np.concatenate((q.x, q.e)), h)
     if not np.isfinite(z).all():
         raise DivergenceError("non-finite derivative evaluation", state=q)
     return HybridState(z[: sys.n_x], z[sys.n_x :], q.tau + h)
@@ -248,7 +269,7 @@ def simulate(
         raise DomainError("initial state lies outside the flow and jump sets")
 
     n_x = sys.n_x
-    flow = _stepper(sys, settings.step)
+    flow = _stepper(sys)
     step, horizon, guard = settings.step, settings.horizon_t, settings.blowup_norm
     eps = 1e-15 * max(1.0, horizon)
     T = cfg.T  # 0 in pure-event mode, where the dwell branch never runs

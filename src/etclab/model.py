@@ -10,8 +10,8 @@ output map included; ``check_pairing`` tells whether the two fit.
 """
 
 import math
-from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from dataclasses import dataclass, field, replace
+from typing import Callable, Dict, Optional
 
 import numpy as np
 
@@ -53,7 +53,10 @@ class ClosedLoopSystem:
     linear flow (x, e)' = M (x, e) and must agree with f and g; both
     ``simulate`` and ``flow_step`` then step with the RK4 propagator (the
     same classical RK4 step as a matrix polynomial) instead of calling f
-    and g.
+    and g.  The loop keeps a read-only float copy of M, which must be
+    (n_x + n_e) square (DimensionError otherwise), and memoises one
+    propagator per step length in a private dict that a copy made with
+    ``dataclasses.replace`` starts afresh.
     """
 
     n_x: int
@@ -62,6 +65,21 @@ class ClosedLoopSystem:
     g: Callable[[np.ndarray, np.ndarray], np.ndarray]
     stacked_matrix: Optional[np.ndarray] = None
     name: str = ""
+    _propagators: Dict[float, np.ndarray] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self):
+        if self.stacked_matrix is None:
+            return
+        M = np.array(self.stacked_matrix, dtype=float)
+        n = self.n_x + self.n_e
+        if M.shape != (n, n):
+            raise DimensionError(
+                f"stacked_matrix has shape {M.shape}, but loop {self.name!r} needs ({n}, {n})"
+            )
+        M.setflags(write=False)
+        object.__setattr__(self, "stacked_matrix", M)
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -12,6 +13,7 @@ from etclab import (
     ClosedLoopSystem,
     ConfigError,
     DesignInfeasibleError,
+    DimensionError,
     DivergenceError,
     DomainError,
     HybridState,
@@ -28,8 +30,10 @@ from etclab import (
     masp,
     r_monitor,
     simulate,
+    tabuada_loop,
     zeta_time,
 )
+from etclab.hybrid import _PROPAGATOR_MEMO_SIZE, _rk4_propagator
 from etclab.systems import lti_loop_from_matrices
 
 SETTINGS = SimSettings(step=1e-3, horizon_t=1.0, event_tol=1e-6)
@@ -435,6 +439,84 @@ class TestReproducibility:
         assert sol.terminated == terminated
         assert [t.hex() for t in sol.jump_times] == jump_times
         assert [float(v).hex() for v in sol.final_state().x] == final_x
+
+
+def _batches(sys, cert):
+    """Recorded runs of a pure-event and a state-feedback batch on the planar loop."""
+    rng = np.random.default_rng(11)
+    settings = SimSettings(step=1e-3, horizon_t=0.4, event_tol=1e-6)
+    return [
+        simulate(sys, cert, cfg, HybridState(rng.uniform(-3.0, 3.0, 2), np.zeros(2), 0.0), settings)
+        for cfg in (_PE, _sf_cfg())
+        for _ in range(3)
+    ]
+
+
+def _assert_same_runs(sols, ref):
+    assert len(sols) == len(ref)
+    for sol, r in zip(sols, ref):
+        assert sol.terminated == r.terminated
+        assert [t.hex() for t in sol.jump_times] == [t.hex() for t in r.jump_times]
+        assert len(sol.segments) == len(r.segments)
+        for seg, rseg in zip(sol.segments, r.segments):
+            for name in ("t", "x", "e", "tau"):
+                assert getattr(seg, name).tobytes() == getattr(rseg, name).tobytes()
+
+
+class TestPropagatorMemo:
+    # The session-scoped ``tabuada`` fixture shares its memo across tests,
+    # so each test here builds its own loops.
+
+    def test_warm_and_cold_memo_give_identical_runs(self):
+        sys, cert = tabuada_loop()
+        first = _batches(sys, cert)
+        assert sys._propagators  # the bisections and dwell landings filled it
+        _assert_same_runs(_batches(sys, cert), first)  # warm
+        _assert_same_runs(_batches(*tabuada_loop()), first)  # cold
+        M = sys.stacked_matrix
+        for h, P in sys._propagators.items():
+            assert P.tobytes() == _rk4_propagator(M, h).tobytes()
+
+    def test_replace_starts_a_fresh_memo(self):
+        sys, cert = tabuada_loop()
+        _batches(sys, cert)
+        copy = dataclasses.replace(sys, name="copy")
+        assert copy._propagators == {} and copy._propagators is not sys._propagators
+
+    def test_memo_stays_bounded_and_exact(self):
+        sys, _ = tabuada_loop()
+        M, memo = sys.stacked_matrix, sys._propagators
+        z = np.array([0.3, -1.2, 0.5, 0.7])
+        q = HybridState(z[:2], z[2:], 0.0)
+        n = _PROPAGATOR_MEMO_SIZE + 500
+        for k in range(n):
+            h = 1e-3 + k * 1e-9
+            qn = flow_step(sys, q, h)
+            assert len(memo) <= _PROPAGATOR_MEMO_SIZE
+            expected = _rk4_propagator(M, h).dot(z)
+            assert np.concatenate((qn.x, qn.e)).tobytes() == expected.tobytes()
+        assert len(memo) < n  # cleared at least once
+
+
+class TestStackedMatrix:
+    def test_wrong_shape_rejected_at_construction(self, tabuada):
+        sys, _ = tabuada
+        with pytest.raises(DimensionError, match=r"\(3, 3\).*\(4, 4\)"):
+            ClosedLoopSystem(2, 2, sys.f, sys.g, stacked_matrix=np.eye(3))
+
+    def test_is_read_only(self):
+        sys, _ = tabuada_loop()
+        with pytest.raises(ValueError, match="read-only"):
+            sys.stacked_matrix[0, 0] = 1.0
+
+    def test_editing_the_callers_array_leaves_runs_unchanged(self):
+        ref, cert = tabuada_loop()
+        M = np.array(ref.stacked_matrix)
+        sys = ClosedLoopSystem(2, 2, ref.f, ref.g, stacked_matrix=M)
+        before = _batches(sys, cert)
+        M[:] = 0.0
+        _assert_same_runs(_batches(sys, cert), before)
+        _assert_same_runs(_batches(dataclasses.replace(sys), cert), before)
 
 
 class TestRMonitor:

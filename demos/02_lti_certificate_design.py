@@ -23,7 +23,7 @@ from etclab import (
 from etclab.systems import lti_loop_from_matrices
 
 plant = LtiPlant(A=[[0.0, 1.0], [-2.0, 3.0]], B=[[0.0], [1.0]], C=np.eye(2))
-ctrl = LtiController.static([[1.0, -4.0]])
+ctrl = LtiController(D=[[1.0, -4.0]])
 
 clm = assemble(plant, ctrl)
 print("Closed-loop blocks (state-feedback collapse)")

@@ -143,9 +143,7 @@ class Resolved:
             _check_keys(spec, "config.system", ["plant", "controller"],
                         ["name", "plant", "controller", "design"])
             plant = _build(LtiPlant, spec["plant"], "system.plant")
-            c = spec["controller"]
-            static = isinstance(c, dict) and "A" not in c
-            ctrl = _build(LtiController.static if static else LtiController, c, "system.controller")
+            ctrl = _build(LtiController, spec["controller"], "system.controller")
             try:
                 self.clm = assemble(plant, ctrl)
             except DimensionError as exc:

@@ -54,14 +54,15 @@ class SimSettings:
 
     def __post_init__(self):
         # Written as `not x > 0` so that NaN fails every guard.
-        if not self.step > 0:
-            raise ConfigError("step must be positive")
+        if not 0 < self.step < math.inf:
+            raise ConfigError("step must be positive and finite")
         if not 0 < self.horizon_t < math.inf:
             raise ConfigError("horizon_t must be positive and finite")
         if not self.max_jumps >= 1:
             raise ConfigError("max_jumps must be at least 1")
-        if not 0 < self.event_tol < self.step:
-            raise ConfigError("event_tol must satisfy 0 < event_tol < step")
+        # Below ulp(step) the event bisection's midpoint can stall before its bracket closes.
+        if not math.ulp(self.step) <= self.event_tol < self.step:
+            raise ConfigError("event_tol must satisfy ulp(step) <= event_tol < step")
         if not self.blowup_norm > 0:
             raise ConfigError("blowup_norm must be positive")
 
@@ -81,17 +82,17 @@ class Segment:
 class HybridSolution:
     """A solution on a hybrid time domain plus its event log.
 
-    ``inter_event_gaps`` are the positive gaps between consecutive
-    transmission epochs, counting t = 0 as the zeroth epoch (the clock
-    starts at tau = 0 there); a degenerate jump at t = 0 contributes no
-    gap.  ``terminated`` is "horizon", "max-jumps", "blow-up" or "zeno"
-    (a jump at the instant of the previous one with e already zero: the
-    jump map is then the identity and would repeat forever).
+    The gaps follow from ``jump_times`` alone: counting t = 0 as the
+    zeroth transmission epoch (the clock starts at tau = 0 there), each
+    jump closes the gap since the previous epoch, and only positive gaps
+    count, so a degenerate jump at t = 0 is a jump but no gap.
+    ``terminated`` is "horizon", "max-jumps", "blow-up" or "zeno" (a jump
+    at the instant of the previous one with e already zero: the jump map
+    is then the identity and would repeat forever).
     """
 
     segments: List[Segment]
     jump_times: List[float]
-    inter_event_gaps: List[float]
     terminated: str = "horizon"
 
     @property
@@ -99,12 +100,20 @@ class HybridSolution:
         return len(self.jump_times)
 
     def gap_rows(self):
-        """(j, t_j, gap) per gap: the index and time of the jump that closes it."""
-        offset = len(self.jump_times) - len(self.inter_event_gaps)
-        return [
-            (i + 1 + offset, self.jump_times[i + offset], gap)
-            for i, gap in enumerate(self.inter_event_gaps)
-        ]
+        """(j, t_j, gap) per positive gap: the 1-based index and time of the jump closing it."""
+        rows = []
+        prev = 0.0
+        for j, t_j in enumerate(self.jump_times, 1):
+            gap = t_j - prev
+            if gap > 0.0:
+                rows.append((j, t_j, gap))
+            prev = t_j
+        return rows
+
+    @property
+    def inter_event_gaps(self):
+        """The gaps of ``gap_rows``, in jump order."""
+        return [gap for _j, _t, gap in self.gap_rows()]
 
     def final_state(self) -> Optional[HybridState]:
         if not self.segments or self.segments[-1].t.size == 0:
@@ -224,19 +233,7 @@ class _Recorder:
             self._t, self._z, self._tau = [], [], []
 
     def solution(self, terminated):
-        gaps = []
-        prev = 0.0
-        for tj in self.jump_times:
-            gap = tj - prev
-            if gap > 0.0:
-                gaps.append(gap)
-            prev = tj
-        return HybridSolution(
-            segments=self.segments,
-            jump_times=list(self.jump_times),
-            inter_event_gaps=gaps,
-            terminated=terminated,
-        )
+        return HybridSolution(self.segments, list(self.jump_times), terminated)
 
 
 def simulate(

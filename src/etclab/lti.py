@@ -21,11 +21,13 @@ is valid whenever the block matrix
 is negative semidefinite (Cbar = [Cp 0]).  :func:`design_certificate`
 produces such a (P, mu) constructively, without an external SDP solver:
 pick P from a Lyapunov solve with slack rho, then mu just large enough
-for the Schur complement, and search rho for the smallest gamma.
+for the Schur complement, and take the smallest gamma over a fixed grid
+of 20 log-spaced slacks.
 
-For static full-state feedback (y = x, u = K x) only x is transmitted,
-so e' = -x' and the matrices collapse to A1 = -A2 = A + B K and
-B1 = -B2 = B K.
+A static gain u = K y is the controller ``LtiController(D=K)``, with no
+controller state (n_c = 0).  For static full-state feedback (y = x) only
+x is transmitted, so e' = -x' and the matrices collapse to
+A1 = -A2 = A + B K and B1 = -B2 = B K, with n_e = n_x.
 """
 
 from dataclasses import dataclass
@@ -80,20 +82,25 @@ class LtiPlant:
         return self.C.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class LtiController:
-    """Dynamic output-feedback controller (Ac, Bc, Cc, Dc); may be static."""
+    """Output-feedback controller (Ac, Bc, Cc, Dc).
 
-    A: np.ndarray
-    B: np.ndarray
-    C: np.ndarray
+    Only D is required: A, B and C default to the empty matrices of a
+    static gain u = D y, shaped (0, 0), (0, n_y) and (n_u, 0).
+    """
+
+    A: np.ndarray = None
+    B: np.ndarray = None
+    C: np.ndarray = None
     D: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "A", as_matrix(self.A, "controller A"))
-        object.__setattr__(self, "B", as_matrix(self.B, "controller B"))
-        object.__setattr__(self, "C", as_matrix(self.C, "controller C"))
         object.__setattr__(self, "D", as_matrix(self.D, "controller D"))
+        n_u, n_y = self.D.shape
+        for name, empty in (("A", (0, 0)), ("B", (0, n_y)), ("C", (n_u, 0))):
+            m = np.zeros(empty) if getattr(self, name) is None else getattr(self, name)
+            object.__setattr__(self, name, as_matrix(m, f"controller {name}"))
         n = self.A.shape[0]
         if self.A.shape[1] != n:
             raise DimensionError("controller A must be square")
@@ -102,25 +109,9 @@ class LtiController:
         if self.C.shape[1] != n:
             raise DimensionError("controller C column count must match A")
 
-    @classmethod
-    def static(cls, D):
-        """A static gain u = D y (no controller state)."""
-        D = as_matrix(D, "controller D")
-        n_u, n_y = D.shape
-        return cls(
-            A=np.zeros((0, 0)),
-            B=np.zeros((0, n_y)),
-            C=np.zeros((n_u, 0)),
-            D=D,
-        )
-
     @property
     def n_c(self):
         return self.A.shape[0]
-
-    @property
-    def is_static(self):
-        return self.n_c == 0
 
 
 @dataclass(frozen=True)
@@ -165,10 +156,6 @@ class LmiCertificate:
         return sqrt(self.mu)
 
 
-def _is_identity(m):
-    return m.shape[0] == m.shape[1] and np.array_equal(m, np.eye(m.shape[0]))
-
-
 def assemble(plant: LtiPlant, ctrl: LtiController) -> ClosedLoopMatrices:
     """Build the closed-loop blocks from plant and controller matrices.
 
@@ -193,7 +180,7 @@ def assemble(plant: LtiPlant, ctrl: LtiController) -> ClosedLoopMatrices:
 
     Acl = Ap + Bp @ Dc @ Cp
 
-    if ctrl.is_static and _is_identity(Cp):
+    if ctrl.n_c == 0 and np.array_equal(Cp, np.eye(plant.n_p)):
         # Full state transmitted, controller co-located with the actuator:
         # e = xhat - x, so x' = (A + BK)(x) + BK e and e' = -x'.
         BK = Bp @ Dc
@@ -238,9 +225,7 @@ def is_feasible(clm: ClosedLoopMatrices, cand: LmiCertificate):
     return residual <= _FEASIBILITY_RTOL * scale
 
 
-def design_certificate(
-    clm: ClosedLoopMatrices, eps1=1e-2, eps2=1e-2, slack_grid=None
-) -> LmiCertificate:
+def design_certificate(clm: ClosedLoopMatrices, eps1=1e-2, eps2=1e-2) -> LmiCertificate:
     """Constructively produce a feasible (P, eps1, eps2, mu).
 
     For each slack rho, P(rho) solves the Lyapunov equation with
@@ -260,28 +245,25 @@ def design_certificate(
             "A1 is not Hurwitz: the emulated controller does not stabilize the loop"
         )
     base = clm.A2.T @ clm.A2 + eps1 * (clm.Cbar.T @ clm.Cbar) + eps2 * np.eye(clm.n_x)
-    if slack_grid is None:
-        # 20 log-spaced slacks spanning [1e-3, 1e3] times the problem scale.
-        scale = max(spectral_norm(base), np.finfo(float).tiny)
-        slack_grid = list(scale * np.logspace(-3, 3, 20))
+    # 20 log-spaced slacks spanning [1e-3, 1e3] times the problem scale.
+    scale = max(spectral_norm(base), np.finfo(float).tiny)
+    slacks = scale * np.logspace(-3, 3, 20)
     best = None
-    for rho in slack_grid:
-        if rho <= 0:
-            raise ValueError("slack grid entries must be positive")
+    for rho in slacks:
         try:
             P = solve_lyapunov(clm.A1, base + rho * np.eye(clm.n_x))
         except DesignInfeasibleError:
             continue  # A1 is Hurwitz, so the solve missed its residual bound at this slack
         mu = spectral_norm(clm.B1.T @ P) ** 2 / rho
         if best is None or mu < best[0]:
-            best = (mu, P, rho)
+            best = (mu, P)
     if best is None:
         raise DesignInfeasibleError(
             f"no slack solves the Lyapunov equation within its residual bound "
-            f"({len(slack_grid)} tried)"
+            f"({len(slacks)} tried)"
         )
 
-    mu, P, _rho = best
+    mu, P = best
     cand = LmiCertificate(P=P, eps1=eps1, eps2=eps2, mu=mu)
     if not is_feasible(clm, cand):
         raise DesignInfeasibleError(

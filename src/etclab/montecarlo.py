@@ -42,8 +42,8 @@ class BatchSpec:
     def __post_init__(self):
         check_int(self.n_runs, "n_runs", 1)
         # Written as `not x > 0` so that NaN fails every guard.
-        if not self.radius > 0:
-            raise ValueError("radius must be positive")
+        if not 0 < self.radius < math.inf:
+            raise ValueError("radius must be positive and finite")
         if not 0 < self.horizon_t < math.inf:
             raise ValueError("horizon_t must be positive and finite")
         check_int(self.seed, "seed")
@@ -101,7 +101,6 @@ def run_batch(
     per_run = []
     failures = []
     events = []
-    pooled = []
     n_events_total = 0
     for k in range(spec.n_runs):
         q0 = sample_initial(spec, k, sys.n_x, sys.n_e)
@@ -110,10 +109,10 @@ def run_batch(
         except DivergenceError:
             failures.append(k)
             continue
-        gaps = sol.inter_event_gaps
+        rows = sol.gap_rows()
+        gaps = [gap for _j, _t, gap in rows]
         n_events_total += sol.n_jumps
-        events.extend((k,) + row for row in sol.gap_rows())
-        pooled.extend(gaps)
+        events.extend((k,) + row for row in rows)
         per_run.append(
             RunStats(
                 run=k,
@@ -123,6 +122,7 @@ def run_batch(
             )
         )
 
+    pooled = [gap for _run, _j, _t, gap in events]
     tau_min = min(pooled) if pooled else None
     tau_avg = float(np.mean(pooled)) if pooled else None
     return BatchReport(

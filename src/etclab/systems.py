@@ -140,9 +140,7 @@ def lti_loop_from_matrices(clm: ClosedLoopMatrices, name="lti") -> ClosedLoopSys
 
 def tabuada_matrices() -> ClosedLoopMatrices:
     """The closed-loop blocks of the planar state-feedback benchmark."""
-    return assemble(
-        LtiPlant(A=TABUADA_A, B=TABUADA_B, C=np.eye(2)), LtiController.static(TABUADA_K)
-    )
+    return assemble(LtiPlant(A=TABUADA_A, B=TABUADA_B, C=np.eye(2)), LtiController(D=TABUADA_K))
 
 
 def tabuada_loop() -> Tuple[ClosedLoopSystem, Certificate]:

@@ -228,10 +228,13 @@ def event_function(cert: Certificate, cfg: TriggerConfig):
 
         return h
     if cfg.mode in ("state-feedback", "pure-event"):
-        if cert.n_y != cert.n_x:
+        # The excess evaluates delta at x where the decay inequality has
+        # delta(y): it holds only if the whole state is the one transmitted output.
+        if not cert.n_y == cert.n_e == cert.n_x:
             raise ConfigError(
-                f"{cfg.mode} mode requires a full-state output (n_y == n_x), "
-                f"but the certificate has n_y = {cert.n_y}, n_x = {cert.n_x}"
+                f"{cfg.mode} mode requires a full-state output transmitted alone "
+                f"(n_y == n_e == n_x), but the certificate has n_y = {cert.n_y}, "
+                f"n_e = {cert.n_e}, n_x = {cert.n_x}"
             )
         sigma = cfg.sigma
 

@@ -113,7 +113,7 @@ def test_criterion_2_zeta_consistency():
 def test_criterion_3_lti_reproduction():
     t0 = time.perf_counter()
     plant = LtiPlant(A=[[0.0, 1.0], [-2.0, 3.0]], B=[[0.0], [1.0]], C=np.eye(2))
-    ctrl = LtiController.static([[1.0, -4.0]])
+    ctrl = LtiController(D=[[1.0, -4.0]])
     clm = assemble(plant, ctrl)
     a1_ok = np.allclose(clm.A1, [[0.0, 1.0], [-1.0, -1.0]])
     b1_ok = np.allclose(clm.B1, [[0.0, 0.0], [1.0, -4.0]])

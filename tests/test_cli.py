@@ -305,11 +305,12 @@ class TestConfigResolver:
             (LORENZ_CFG, "trigger", lambda c: c.update(trigger=["output-feedback", 0.01])),
             (LTI_CFG, "system.design", lambda c: c["system"]["design"].update(eps3=0.1)),
             (LORENZ_CFG, "zeta", lambda c: c["zeta"].update(eta=float("inf"))),
+            (LTI_CFG, "system.controller", lambda c: c["system"]["controller"].update(A=[[-1.0]])),
         ],
         ids=[
             "plant-without-C", "plant-extra-key", "step-string", "zeta-without-eta",
             "lorenz-unknown-param", "sigma-string", "trigger-list", "design-unknown-key",
-            "zeta-infinite-eta",
+            "zeta-infinite-eta", "controller-A-without-B",
         ],
     )
     def test_malformed_section_exits_one_naming_it(self, capsys, tmp_path, base, section, mutate):
@@ -317,6 +318,37 @@ class TestConfigResolver:
         rc, _, err = _run(capsys, "simulate", "--config", str(path))
         assert rc == 1
         assert err.startswith(f"error: config.{section}:")
+        assert not os.path.exists(cfg["output_dir"])
+
+    @pytest.mark.parametrize(
+        "section, field, value",
+        [("sim", "event_tol", 1e-20), ("sim", "step", float("inf")),
+         ("batch", "radius", float("inf"))],
+    )
+    def test_out_of_range_value_exits_one_naming_it(self, capsys, tmp_path, section, field, value):
+        # A pure-event run has no dwell to bound the step, so only the range check stops these.
+        def mutate(c):
+            c["trigger"] = {"mode": "pure-event", "sigma": 0.7}
+            c.setdefault(section, {})[field] = value
+
+        path, cfg = _write_config(tmp_path, LTI_CFG, mutate)
+        rc, out, err = _run(capsys, "simulate", "--config", str(path))
+        assert (rc, out) == (1, "")
+        assert err.startswith(f"error: config.{section}: {field} must ")
+        assert not os.path.exists(cfg["output_dir"])
+
+    def test_state_feedback_needs_the_whole_state_transmitted(self, capsys, tmp_path):
+        # y = diag(2, 1) x has n_y = n_x, but e = (ey, eu) has three entries.
+        def mutate(c):
+            c["system"]["plant"]["C"] = [[2.0, 0.0], [0.0, 1.0]]
+            c["system"]["controller"]["D"] = [[0.5, -4.0]]
+            c["initial"]["e"] = [0.0, 0.0, 0.0]
+
+        path, cfg = _write_config(tmp_path, LTI_CFG, mutate)
+        rc, out, err = _run(capsys, "simulate", "--config", str(path))
+        assert (rc, out) == (1, "")
+        assert err.startswith("error: state-feedback mode requires a full-state output")
+        assert "n_e = 3" in err
         assert not os.path.exists(cfg["output_dir"])
 
     @pytest.mark.parametrize("command", ["simulate", "batch"])

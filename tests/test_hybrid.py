@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import warnings
 
 import numpy as np
@@ -16,6 +17,7 @@ from etclab import (
     DimensionError,
     DivergenceError,
     DomainError,
+    HybridSolution,
     HybridState,
     LtiController,
     LtiPlant,
@@ -152,6 +154,8 @@ class TestSimSettings:
         "field, value",
         [
             ("step", float("nan")),
+            ("step", float("inf")),
+            ("event_tol", 1e-20),
             ("horizon_t", float("nan")),
             ("horizon_t", float("inf")),
             ("max_jumps", float("nan")),
@@ -161,6 +165,26 @@ class TestSimSettings:
     def test_rejects_nan_and_infinite_values(self, field, value):
         with pytest.raises(ConfigError, match=f"^{field} "):
             SimSettings(**{field: value})
+
+    def test_event_tol_of_one_ulp_of_the_step_ends_the_bisection(self, tabuada):
+        # Adjacent floats below the step lie at most one ulp(step) apart.
+        sys, cert = tabuada
+        settings = SimSettings(step=1e-3, horizon_t=0.5, event_tol=math.ulp(1e-3))
+        q0 = HybridState(np.array([3.0, -2.0]), np.zeros(2), 0.0)
+        sol = simulate(sys, cert, _sf_cfg(), q0, settings)
+        assert sol.terminated == "horizon" and sol.n_jumps >= 1
+
+
+class TestHybridSolution:
+    def test_gaps_follow_from_jump_times(self):
+        sol = HybridSolution(segments=[], jump_times=[0.0, 0.1, 0.25])
+        assert sol.gap_rows() == [(2, 0.1, 0.1), (3, 0.25, 0.15)]
+        assert sol.inter_event_gaps == [0.1, 0.15]
+        assert sol.n_jumps == 3
+
+    def test_stores_no_gap_field(self):
+        fields = [f.name for f in dataclasses.fields(HybridSolution)]
+        assert fields == ["segments", "jump_times", "terminated"]
 
 
 class TestSimulate:
@@ -440,6 +464,22 @@ class TestReproducibility:
         assert [t.hex() for t in sol.jump_times] == jump_times
         assert [float(v).hex() for v in sol.final_state().x] == final_x
 
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_gap_rows_match_the_offset_rule(self, name, request):
+        # Matching the positive gaps to the last len(gaps) jumps holds while
+        # only a leading jump can be degenerate; gap_rows must agree with it.
+        loop, cfg, x0, e0, tau0, horizon, max_jumps = PINNED_RUNS[name]
+        sys, cert = request.getfixturevalue(loop)
+        q0 = HybridState(np.array(x0), np.array(e0), tau0)
+        settings = SimSettings(step=1e-3, horizon_t=horizon, max_jumps=max_jumps, event_tol=1e-6)
+        sol = simulate(sys, cert, cfg, q0, settings)
+        starts = [0.0] + sol.jump_times
+        gaps = [b - a for a, b in zip(starts, starts[1:]) if b - a > 0.0]
+        offset = len(sol.jump_times) - len(gaps)
+        expected = [(i + 1 + offset, sol.jump_times[i + offset], g) for i, g in enumerate(gaps)]
+        assert sol.gap_rows() == expected
+        assert sol.inter_event_gaps == gaps
+
 
 def _batches(sys, cert):
     """Recorded runs of a pure-event and a state-feedback batch on the planar loop."""
@@ -592,7 +632,7 @@ def test_random_lqr_loop_keeps_the_dwell_time_and_the_hybrid_sets(loop):
     """
     A, B, K, x0 = loop
     n = A.shape[0]
-    clm = assemble(LtiPlant(A=A, B=B, C=np.eye(n)), LtiController.static(-K))
+    clm = assemble(LtiPlant(A=A, B=B, C=np.eye(n)), LtiController(D=-K))
     try:
         cand = design_certificate(clm)
     except DesignInfeasibleError:

@@ -25,7 +25,7 @@ K = [[1.0, -4.0]]
 
 @pytest.fixture(scope="module")
 def planar_clm():
-    return assemble(LtiPlant(A=A, B=B, C=np.eye(2)), LtiController.static(K))
+    return assemble(LtiPlant(A=A, B=B, C=np.eye(2)), LtiController(D=K))
 
 
 class TestAssemble:
@@ -42,7 +42,7 @@ class TestAssemble:
         # With D = 0 the ey-columns of B1 vanish (structural zero).
         plant = LtiPlant(A=rng.standard_normal((3, 3)), B=rng.standard_normal((3, 1)),
                          C=rng.standard_normal((1, 3)))
-        clm = assemble(plant, LtiController.static(np.zeros((1, 1))))
+        clm = assemble(plant, LtiController(D=np.zeros((1, 1))))
         assert np.all(clm.B1[:, :1] == 0.0)
 
     def test_shape_audit_dynamic_controller(self, rng):
@@ -69,9 +69,28 @@ class TestAssemble:
         assert np.allclose(clm.Cbar[:, :n_p], plant.C)
         assert np.all(clm.Cbar[:, n_p:] == 0.0)
 
+    def test_static_gain_is_the_controller_without_state(self, rng):
+        # LtiController(D=K) is the explicit controller with empty A, B, C.
+        gain = rng.standard_normal((1, 2))
+        explicit = LtiController(
+            A=np.zeros((0, 0)), B=np.zeros((0, 2)), C=np.zeros((1, 0)), D=gain
+        )
+        for C in (np.eye(2), rng.standard_normal((2, 2))):
+            plant = LtiPlant(A=A, B=B, C=C)
+            got, want = assemble(plant, LtiController(D=gain)), assemble(plant, explicit)
+            for name in ("A1", "B1", "A2", "B2", "Cbar"):
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+                assert getattr(got, name).shape == getattr(want, name).shape
+
+    def test_controller_requires_d_and_keywords(self):
+        with pytest.raises(TypeError):
+            LtiController()
+        with pytest.raises(TypeError):
+            LtiController([[0.0]], [[0.0]], [[0.0]], [[0.0]])
+
     def test_dimension_mismatch_names_block(self, rng):
         plant = LtiPlant(A=np.zeros((2, 2)), B=np.zeros((2, 1)), C=np.zeros((1, 2)))
-        bad = LtiController.static(np.zeros((1, 2)))  # D is n_u x n_y = 1 x 1
+        bad = LtiController(D=np.zeros((1, 2)))  # D is n_u x n_y = 1 x 1
         with pytest.raises(Exception, match="controller D"):
             assemble(plant, bad)
 
@@ -179,7 +198,7 @@ class TestDesignCertificate:
         with pytest.raises(DesignInfeasibleError):
             design_certificate(clm, eps1=0.0, eps2=0.1)
 
-    def test_skips_slacks_whose_lyapunov_solve_fails(self):
+    def test_skips_slacks_whose_lyapunov_solve_fails(self, monkeypatch):
         # An observer-based loop (2 plant + 2 controller states) whose large
         # slacks miss the Lyapunov residual bound; the small ones solve.
         plant = LtiPlant(
@@ -200,8 +219,13 @@ class TestDesignCertificate:
         clm = assemble(plant, ctrl)
         cand = design_certificate(clm)
         assert extract_assumption(clm, cand).gamma == pytest.approx(np.sqrt(cand.mu))
-        with pytest.raises(DesignInfeasibleError, match="no slack solves"):
-            design_certificate(clm, slack_grid=[4e6, 8e6])
+
+        def fails(a, q):
+            raise DesignInfeasibleError("residual bound missed")
+
+        monkeypatch.setattr("etclab.lti.solve_lyapunov", fails)
+        with pytest.raises(DesignInfeasibleError, match=r"no slack solves.*\(20 tried\)"):
+            design_certificate(clm)
 
     def test_random_stabilizable_systems(self, rng):
         for _ in range(5):

@@ -34,8 +34,8 @@ def _spec(n_runs=4, seed=11, horizon=1.0, trigger=None):
 class TestBatchSpec:
     @pytest.mark.parametrize(
         "field, value",
-        [("n_runs", float("nan")), ("radius", float("nan")), ("horizon_t", float("nan")),
-         ("horizon_t", float("inf"))],
+        [("n_runs", float("nan")), ("radius", float("nan")), ("radius", float("inf")),
+         ("horizon_t", float("nan")), ("horizon_t", float("inf"))],
     )
     def test_rejects_nan_and_infinite_values(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} "):

@@ -31,8 +31,8 @@ def _planar_plant(C):
 
 # (plant, controller) for each block structure that assemble produces.
 LOOP_KINDS = {
-    "static-state-feedback": (_planar_plant(np.eye(2)), LtiController.static([[1.0, -4.0]])),
-    "static-output-feedback": (_planar_plant([[1.0, 0.5]]), LtiController.static([[-2.0]])),
+    "static-state-feedback": (_planar_plant(np.eye(2)), LtiController(D=[[1.0, -4.0]])),
+    "static-output-feedback": (_planar_plant([[1.0, 0.5]]), LtiController(D=[[-2.0]])),
     "dynamic-output-feedback": (
         _planar_plant([[1.0, 0.0]]),
         LtiController(A=[[-3.0]], B=[[1.0]], C=[[-1.5]], D=[[-0.5]]),

@@ -3,7 +3,8 @@
 Thin, validating wrappers around numpy/scipy routines: symmetric
 eigensolve, spectral norm, positive-definiteness test, continuous
 Lyapunov solve and a Hurwitz test.  All functions take and return plain
-``numpy.ndarray`` objects and are pure (safe to call concurrently).
+``numpy.ndarray`` objects and are pure (safe to call concurrently).  A
+Lyapunov solve is accepted by its backward error, not its residual alone.
 """
 
 import numpy as np
@@ -13,7 +14,7 @@ from .errors import DesignInfeasibleError, DimensionError
 
 _TOL = 1e-9
 
-# Residual bound for the Lyapunov solve, relative to |q|.
+# Backward-error bound for the Lyapunov solve, relative to 2|a||P| + |q|.
 _LYAP_RESIDUAL_RTOL = 1e-8
 
 
@@ -70,7 +71,8 @@ def solve_lyapunov(a, q):
 
     Requires ``a`` Hurwitz and ``q`` symmetric positive definite (which
     guarantees a unique positive definite solution).  The result is
-    symmetrized and its residual is verified against |q|.
+    symmetrized and accepted iff its residual r = a^T P + P a + q has the
+    backward error |r| <= 1e-8 (2|a||P| + |q|), which stiff loops meet.
     """
     a = as_matrix(a, "a")
     qm = as_matrix(q, "q")
@@ -91,7 +93,8 @@ def solve_lyapunov(a, q):
     p = scipy.linalg.solve_continuous_lyapunov(a.T, -qm)
     p = 0.5 * (p + p.T)
     residual = spectral_norm(a.T @ p + p @ a + qm)
-    if residual > _LYAP_RESIDUAL_RTOL * max(spectral_norm(qm), np.finfo(float).tiny):
+    scale = 2 * spectral_norm(a) * spectral_norm(p) + spectral_norm(qm)
+    if residual > _LYAP_RESIDUAL_RTOL * scale:
         raise DesignInfeasibleError(
             f"solve_lyapunov: residual {residual:.3e} exceeds tolerance"
         )

@@ -22,7 +22,8 @@ is negative semidefinite (Cbar = [Cp 0]).  :func:`design_certificate`
 produces such a (P, mu) constructively, without an external SDP solver:
 pick P from a Lyapunov solve with slack rho, then mu just large enough
 for the Schur complement, and take the smallest gamma over a fixed grid
-of 20 log-spaced slacks.
+of 20 log-spaced slacks.  P is affine in the slack, so two solves price
+the grid and a third gives P; no slack is skipped.
 
 A static gain u = K y is the controller ``LtiController(D=K)``, with no
 controller state (n_c = 0).  For static full-state feedback (y = x) only
@@ -37,6 +38,7 @@ import numpy as np
 
 from .errors import CertificateError, DesignInfeasibleError, DimensionError
 from .linalg import (
+    _require_square_symmetric,
     as_matrix,
     is_hurwitz,
     is_positive_definite,
@@ -135,7 +137,7 @@ class ClosedLoopMatrices:
 
 @dataclass(frozen=True)
 class LmiCertificate:
-    """A candidate (P, eps1, eps2, mu) for the block matrix inequality."""
+    """A candidate (P, eps1, eps2, mu) for the block matrix inequality; P is symmetric."""
 
     P: np.ndarray
     eps1: float
@@ -144,6 +146,7 @@ class LmiCertificate:
 
     def __post_init__(self):
         object.__setattr__(self, "P", as_matrix(self.P, "P"))
+        _require_square_symmetric(self.P, "P")
         if not 0 <= self.eps1 < inf:
             raise CertificateError("eps1 must be finite and nonnegative")
         if not 0 < self.eps2 < inf:
@@ -231,10 +234,11 @@ def design_certificate(clm: ClosedLoopMatrices, eps1=1e-2, eps2=1e-2) -> LmiCert
     For each slack rho, P(rho) solves the Lyapunov equation with
     right-hand side A2^T A2 + eps1 Cbar^T Cbar + eps2 I + rho I, and
     mu(rho) = |B1^T P(rho)|^2 / rho makes the Schur complement exactly
-    balance.  The candidate with the smallest gamma = sqrt(mu) wins;
-    a slack whose Lyapunov solve misses its residual bound is skipped.
-    The resulting gamma can exceed what a full SDP solve would find;
-    it is always feasible.
+    balance.  P is affine in rho, P(rho) = P(lo) + (rho - lo) P1 (lo the
+    smallest slack, P1 the solution for right-hand side I), so two solves
+    price all 20 slacks and a third, at the first cheapest one, gives P and
+    mu.  A failing solve raises DesignInfeasibleError.  The resulting gamma
+    can exceed what a full SDP solve would find; it is always feasible.
     """
     if not 0 <= eps1 < inf:
         raise CertificateError("eps1 must be finite and nonnegative")
@@ -244,26 +248,18 @@ def design_certificate(clm: ClosedLoopMatrices, eps1=1e-2, eps2=1e-2) -> LmiCert
         raise DesignInfeasibleError(
             "A1 is not Hurwitz: the emulated controller does not stabilize the loop"
         )
-    base = clm.A2.T @ clm.A2 + eps1 * (clm.Cbar.T @ clm.Cbar) + eps2 * np.eye(clm.n_x)
+    eye = np.eye(clm.n_x)
+    base = clm.A2.T @ clm.A2 + eps1 * (clm.Cbar.T @ clm.Cbar) + eps2 * eye
     # 20 log-spaced slacks spanning [1e-3, 1e3] times the problem scale.
     scale = max(spectral_norm(base), np.finfo(float).tiny)
     slacks = scale * np.logspace(-3, 3, 20)
-    best = None
-    for rho in slacks:
-        try:
-            P = solve_lyapunov(clm.A1, base + rho * np.eye(clm.n_x))
-        except DesignInfeasibleError:
-            continue  # A1 is Hurwitz, so the solve missed its residual bound at this slack
-        mu = spectral_norm(clm.B1.T @ P) ** 2 / rho
-        if best is None or mu < best[0]:
-            best = (mu, P)
-    if best is None:
-        raise DesignInfeasibleError(
-            f"no slack solves the Lyapunov equation within its residual bound "
-            f"({len(slacks)} tried)"
-        )
-
-    mu, P = best
+    # Not base itself: base + lo I stays definite when eps2 is below 1e-9.
+    lo = slacks[0]
+    G0 = clm.B1.T @ solve_lyapunov(clm.A1, base + lo * eye)
+    G1 = clm.B1.T @ solve_lyapunov(clm.A1, eye)
+    rho = min(slacks, key=lambda r: spectral_norm(G0 + (r - lo) * G1) ** 2 / r)
+    P = solve_lyapunov(clm.A1, base + rho * eye)
+    mu = spectral_norm(clm.B1.T @ P) ** 2 / rho
     cand = LmiCertificate(P=P, eps1=eps1, eps2=eps2, mu=mu)
     if not is_feasible(clm, cand):
         raise DesignInfeasibleError(

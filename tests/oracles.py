@@ -5,13 +5,16 @@ test: characteristic-polynomial bisection instead of a packaged
 eigensolver, power iteration instead of an SVD, Kronecker vectorization
 instead of a Schur-based Lyapunov solve, leading principal minors
 instead of an eigenvalue test, the Schur complement instead of the full
-LMI block matrix.
+LMI block matrix, one Lyapunov solve per design slack instead of two
+that price the whole slack grid.
 """
 
 import math
 from decimal import Decimal, localcontext
 
 import numpy as np
+
+from etclab import DesignInfeasibleError, solve_lyapunov, spectral_norm
 
 
 def charpoly_eigenvalues(a, n_grid=4001, tol=1e-12):
@@ -155,3 +158,26 @@ def lmi_schur_residual(clm, cand):
          + cand.eps2 * np.eye(P.shape[0]))
     PB = P @ B1
     return float(np.linalg.eigvalsh(S + (PB @ PB.T) / cand.mu).max())
+
+
+def slack_grid_design(clm, eps1=1e-2, eps2=1e-2):
+    """(P, mu) of the 20-slack design grid, solved slack by slack.
+
+    Each slack rho gets its own Lyapunov solve with right-hand side
+    base + rho I, a slack whose solve misses its residual bound is
+    skipped, and the first smallest mu(rho) = |B1^T P(rho)|^2 / rho wins.
+    """
+    base = clm.A2.T @ clm.A2 + eps1 * (clm.Cbar.T @ clm.Cbar) + eps2 * np.eye(clm.n_x)
+    scale = max(spectral_norm(base), np.finfo(float).tiny)
+    best = None
+    for rho in scale * np.logspace(-3, 3, 20):
+        try:
+            P = solve_lyapunov(clm.A1, base + rho * np.eye(clm.n_x))
+        except DesignInfeasibleError:
+            continue
+        mu = spectral_norm(clm.B1.T @ P) ** 2 / rho
+        if best is None or mu < best[1]:
+            best = (P, mu)
+    if best is None:
+        raise DesignInfeasibleError("no slack solves the Lyapunov equation")
+    return best

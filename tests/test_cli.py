@@ -374,6 +374,18 @@ class TestConfigResolver:
         assert err == "error: config.certificate: mu must be finite and nonnegative\n"
         assert not os.path.exists(cfg["output_dir"])
 
+    @pytest.mark.parametrize("command", ["check", "simulate"])
+    def test_asymmetric_certificate_p_exits_one_naming_it(self, capsys, tmp_path, command):
+        # lmi_residual symmetrises P, so this candidate is feasible; P itself is not symmetric.
+        P = design_certificate(tabuada_matrices(), eps1=0.0, eps2=TABUADA_EPS2).P.tolist()
+        P[0][1] += 1e-3
+        cert = {"P": P, "eps1": 0.0, "eps2": 0.68, "mu": 17.3495**2}
+        path, cfg = _write_config(tmp_path, LTI_CFG, lambda c: c.update(certificate=cert))
+        rc, out, err = _run(capsys, command, "--config", str(path))
+        assert (rc, out) == (1, "")
+        assert err == "error: config.certificate: P: not symmetric within tolerance 1e-09\n"
+        assert not os.path.exists(cfg["output_dir"])
+
     def test_design_and_simulate_report_the_same_gamma(self, capsys, tmp_path):
         path, _ = _write_config(tmp_path, LTI_CFG)
         cert_path = tmp_path / "cert.json"

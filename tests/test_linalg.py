@@ -6,6 +6,7 @@ import pytest
 from etclab import (
     DesignInfeasibleError,
     DimensionError,
+    assemble,
     is_hurwitz,
     is_positive_definite,
     solve_lyapunov,
@@ -128,6 +129,15 @@ class TestSolveLyapunov:
             assert np.abs(p - p.T).max() <= 1e-10
             residual = spectral_norm(a.T @ p + p @ a + q)
             assert residual <= 1e-8 * spectral_norm(q)
+
+    def test_accepts_a_backward_stable_stiff_solve(self, stiff_observer_loop):
+        a = assemble(*stiff_observer_loop).A1
+        q = np.eye(a.shape[0])
+        p = solve_lyapunov(a, q)
+        residual = spectral_norm(a.T @ p + p @ a + q)
+        assert residual > 1e-8 * spectral_norm(q)  # a bound relative to |q| rejects it
+        assert residual <= 1e-8 * (2 * spectral_norm(a) * spectral_norm(p) + spectral_norm(q))
+        assert is_positive_definite(p)
 
     def test_rejects_unstable(self):
         with pytest.raises(DesignInfeasibleError):

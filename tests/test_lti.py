@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from etclab import (
     CertificateError,
@@ -8,15 +9,21 @@ from etclab import (
     LmiCertificate,
     LtiController,
     LtiPlant,
+    ZetaParams,
     assemble,
+    check_assumption_sampled,
     design_certificate,
     extract_assumption,
     is_positive_definite,
     lmi_residual,
+    lti_loop,
     masp,
+    solve_lyapunov,
     spectral_norm,
+    zeta_time,
 )
-from oracles import lmi_schur_residual
+from etclab.systems import tabuada_matrices
+from oracles import lmi_schur_residual, slack_grid_design
 
 A = [[0.0, 1.0], [-2.0, 3.0]]
 B = [[0.0], [1.0]]
@@ -198,25 +205,10 @@ class TestDesignCertificate:
         with pytest.raises(DesignInfeasibleError):
             design_certificate(clm, eps1=0.0, eps2=0.1)
 
-    def test_skips_slacks_whose_lyapunov_solve_fails(self, monkeypatch):
+    def test_failing_lyapunov_solve_propagates(self, monkeypatch):
         # An observer-based loop (2 plant + 2 controller states) whose large
-        # slacks miss the Lyapunov residual bound; the small ones solve.
-        plant = LtiPlant(
-            A=[[0.8987174889940196, -1.2955766032187992],
-               [-0.28655882094835194, 0.05643174998256089]],
-            B=[[0.5592453386303013], [0.5142649014798377]],
-            C=[[-0.8171255611462112, 0.33086818674306095],
-               [1.4564175685710241, -0.7286522690942522]],
-        )
-        ctrl = LtiController(
-            A=[[129.26727906934724, -145.9078216875876],
-               [122.24335442241427, -135.07233172537207]],
-            B=[[-0.8465183349271559, 1.5214236429791788],
-               [0.46162364123051775, -0.9854472379307159]],
-            C=[[234.73794487799503, -261.06774571994737]],
-            D=[[0.0, 0.0]],
-        )
-        clm = assemble(plant, ctrl)
+        # slacks used to miss a Lyapunov residual bound relative to |q|.
+        clm = _observer_loop_with_large_gains()
         cand = design_certificate(clm)
         assert extract_assumption(clm, cand).gamma == pytest.approx(np.sqrt(cand.mu))
 
@@ -224,7 +216,7 @@ class TestDesignCertificate:
             raise DesignInfeasibleError("residual bound missed")
 
         monkeypatch.setattr("etclab.lti.solve_lyapunov", fails)
-        with pytest.raises(DesignInfeasibleError, match=r"no slack solves.*\(20 tried\)"):
+        with pytest.raises(DesignInfeasibleError, match="residual bound missed"):
             design_certificate(clm)
 
     def test_random_stabilizable_systems(self, rng):
@@ -242,6 +234,124 @@ class TestDesignCertificate:
             cand = design_certificate(clm)
             scale = max(1.0, spectral_norm(clm.A2.T @ clm.A2) + cand.eps2, cand.mu)
             assert lmi_residual(clm, cand) <= 1e-7 * scale
+
+
+def _observer_loop_with_large_gains():
+    plant = LtiPlant(
+        A=[[0.8987174889940196, -1.2955766032187992],
+           [-0.28655882094835194, 0.05643174998256089]],
+        B=[[0.5592453386303013], [0.5142649014798377]],
+        C=[[-0.8171255611462112, 0.33086818674306095],
+           [1.4564175685710241, -0.7286522690942522]],
+    )
+    ctrl = LtiController(
+        A=[[129.26727906934724, -145.9078216875876],
+           [122.24335442241427, -135.07233172537207]],
+        B=[[-0.8465183349271559, 1.5214236429791788],
+           [0.46162364123051775, -0.9854472379307159]],
+        C=[[234.73794487799503, -261.06774571994737]],
+        D=[[0.0, 0.0]],
+    )
+    return assemble(plant, ctrl)
+
+
+def _output_feedback_clm():
+    """The dynamic output-feedback loop of test_systems (n_x = 3, n_e = 2)."""
+    plant = LtiPlant(A=[[0.0, 1.0], [-2.0, -3.0]], B=[[0.0], [1.0]], C=[[1.0, 0.0]])
+    return assemble(plant, LtiController(A=[[-3.0]], B=[[1.0]], C=[[-1.5]], D=[[-0.5]]))
+
+
+def _lqr_clm(seed, n, observer):
+    """A random n-state plant under LQR state feedback or an observer-based controller."""
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(1, 3))
+    Ap, Bp = rng.standard_normal((n, n)), rng.standard_normal((n, m))
+    K = Bp.T @ scipy.linalg.solve_continuous_are(Ap, Bp, np.eye(n), np.eye(m))
+    if not observer:
+        return assemble(LtiPlant(A=Ap, B=Bp, C=np.eye(n)), LtiController(D=-K))
+    p = int(rng.integers(1, 3))
+    Cp = rng.standard_normal((p, n))
+    Lo = scipy.linalg.solve_continuous_are(Ap.T, Cp.T, np.eye(n), np.eye(p)) @ Cp.T
+    ctrl = LtiController(A=Ap - Bp @ K - Lo @ Cp, B=Lo, C=-K, D=np.zeros((m, p)))
+    return assemble(LtiPlant(A=Ap, B=Bp, C=Cp), ctrl)
+
+
+def _assert_grid_answer_from_three_solves(monkeypatch, clm, **eps):
+    # P and mu are bitwise the slack-by-slack grid's, from exactly 3 solves.
+    calls = []
+
+    def counted(a, q):
+        calls.append(q)
+        return solve_lyapunov(a, q)
+
+    monkeypatch.setattr("etclab.lti.solve_lyapunov", counted)
+    cand = design_certificate(clm, **eps)
+    P, mu = slack_grid_design(clm, **eps)
+    assert len(calls) == 3
+    assert np.array_equal(cand.P, P)
+    assert cand.mu == mu
+
+
+class TestSlackPricing:
+    @pytest.mark.parametrize("build, eps", [
+        (tabuada_matrices, {"eps1": 0.0, "eps2": 0.68}),
+        (tabuada_matrices, {}),
+        (_output_feedback_clm, {}),
+        (_observer_loop_with_large_gains, {}),
+    ], ids=["tabuada-0.68", "tabuada-defaults", "output-feedback", "large-gains"])
+    def test_matches_the_slack_by_slack_grid(self, monkeypatch, build, eps):
+        _assert_grid_answer_from_three_solves(monkeypatch, build(), **eps)
+
+    @pytest.mark.parametrize("observer", [False, True], ids=["static", "observer"])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("k", range(5))
+    def test_matches_the_grid_on_random_lqr_loops(self, monkeypatch, observer, n, k):
+        clm = _lqr_clm([20261018, n, k, observer], n, observer)
+        _assert_grid_answer_from_three_solves(monkeypatch, clm)
+
+    def test_tiny_eps2(self, monkeypatch):
+        # base = A2^T A2 + eps2 I fails the solver's 1e-9 definiteness test
+        # here, so the slacks are priced from the smallest one, not from base.
+        clm = _output_feedback_clm()
+        assert not is_positive_definite(clm.A2.T @ clm.A2 + 1e-12 * np.eye(clm.n_x))
+        _assert_grid_answer_from_three_solves(monkeypatch, clm, eps1=0.0, eps2=1e-12)
+
+
+class TestBackwardErrorBound:
+    """Stiff loops design; a perturbed Lyapunov solve still fails the design."""
+
+    def test_stiff_loop_designs_and_passes_its_checks(self, stiff_observer_loop):
+        plant, ctrl = stiff_observer_loop
+        clm = assemble(plant, ctrl)
+        cert = extract_assumption(clm, design_certificate(clm))
+        rep = check_assumption_sampled(  # the sizes and seed of its benchmark unit
+            lti_loop(plant, ctrl, cert), cert, n_samples=500, radius=10.0, seed=152108349
+        )
+        assert rep.passed, rep.summary()
+        ceiling = masp(cert.gamma, cert.L)
+        assert 0.0 < zeta_time(cert.gamma, cert.L, ZetaParams(theta=1e-4, eta=1e-6)) < ceiling
+
+    def test_stiff_loop_rejects_a_perturbed_solve(self, monkeypatch, stiff_observer_loop):
+        # Scaling P by 1 + 1e-6 stays inside this loop's bound (2|a||P| is
+        # 4.5e8 |q|); adding 1e-6 max|P| to every entry does not.
+        clm = assemble(*stiff_observer_loop)
+        exact = scipy.linalg.solve_continuous_lyapunov
+        monkeypatch.setattr(
+            "etclab.linalg.scipy.linalg.solve_continuous_lyapunov",
+            lambda a, q: exact(a, q) + 1e-6 * np.abs(exact(a, q)).max(),
+        )
+        with pytest.raises(DesignInfeasibleError, match="residual"):
+            design_certificate(clm)
+
+    @pytest.mark.parametrize("build", [tabuada_matrices, _output_feedback_clm])
+    def test_a_solve_off_by_a_relative_1e_6_fails_the_design(self, monkeypatch, build):
+        exact = scipy.linalg.solve_continuous_lyapunov
+        monkeypatch.setattr(
+            "etclab.linalg.scipy.linalg.solve_continuous_lyapunov",
+            lambda a, q: (1 + 1e-6) * exact(a, q),
+        )
+        with pytest.raises(DesignInfeasibleError, match="residual"):
+            design_certificate(build())
 
 
 class TestExtractAssumption:

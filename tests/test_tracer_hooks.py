@@ -58,3 +58,15 @@ def test_pure_event_run_reaches_the_event_and_certificate_patch_points(tabuada):
     assert sol.n_jumps > 0
     assert stats["trigger.event"][0] > 0
     assert stats["model.cert"][0] > 0
+
+
+def test_designing_the_planar_loop_makes_three_traced_lyapunov_solves():
+    # The planar and certify workloads require calls at linalg.solve_lyapunov.
+    spans = _load_spans()
+    tracer = spans.Tracer()
+    tracer.install(etclab)
+    try:
+        etclab.tabuada_loop()
+    finally:
+        tracer.uninstall()
+    assert tracer.stats()["linalg.solve_lyapunov"][0] == 3

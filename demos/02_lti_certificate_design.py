@@ -38,7 +38,7 @@ print(f"  P = {np.round(cand.P, 6).tolist()}")
 print(f"  mu = {cand.mu:.4f}  ->  gamma = {cand.gamma:.4f}")
 print(f"  block residual = {lmi_residual(clm, cand):.3e}  (feasible iff <= 0)")
 
-cert = design = extract_assumption(clm, cand)
+cert = extract_assumption(clm, cand)
 T_max = masp(cert.gamma, cert.L)
 print(f"  dwell-time ceiling masp(gamma, L) = {T_max:.4f}")
 print("  (the published gains gamma = 17.3495 give 0.0790; the constructive")

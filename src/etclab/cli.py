@@ -26,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, DivergenceError, EtcLabError
+from .errors import CertificateError, ConfigError, DimensionError, DivergenceError, EtcLabError
 from .hybrid import HybridSolution, SimSettings, r_monitor, simulate
 from .lti import LmiCertificate, LtiController, LtiPlant, assemble, design_certificate, extract_assumption
 from .model import HybridState
@@ -192,8 +192,13 @@ class Resolved:
         inline certificate or one designed with ``eps``."""
         if self.system != "lti-custom":
             return _build(BUILTIN_LOOPS[self.system], self.params, "system.params")
-        cand = self.certificate or design_certificate(self.clm, **self.eps)
-        cert = extract_assumption(self.clm, cand)
+        if self.certificate is None:
+            cert = extract_assumption(self.clm, design_certificate(self.clm, **self.eps))
+        else:
+            try:
+                cert = extract_assumption(self.clm, self.certificate)
+            except (CertificateError, DimensionError) as exc:
+                raise ConfigError(f"config.certificate: {exc}") from None
         return lti_loop_from_matrices(self.clm, name=self.system), cert
 
 

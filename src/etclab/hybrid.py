@@ -16,6 +16,9 @@ landing exactly on T; or tests the event once at dwell expiry (each
 segment start in pure-event mode); or takes a monitored step, bisecting
 if the event fired in it.  Every flow step passes one norm guard, so a
 divergence (NaN from f or g included) always carries the partial solution.
+Recorded samples go to one flat (t, z, tau) log per run, cut into
+segments at the jumps once, at the end; rows keep references to z,
+which is never modified in place once recorded.
 
 Flows use classical fixed-step RK4 (no dense output): one body over z,
 or its matrix form, a propagator, for linear loops.  A linear loop
@@ -201,39 +204,18 @@ def flow_step(sys: ClosedLoopSystem, q: HybridState, h: float) -> HybridState:
     return HybridState(z[: sys.n_x], z[sys.n_x :], q.tau + h)
 
 
-class _Recorder:
-    """Accumulates per-segment (t, z, tau) rows and assembles the solution."""
+def _segments(rows, cuts, n_x):
+    """Cut the flat (t, z, tau) sample log into one Segment per flow interval.
 
-    def __init__(self, record_states, n_x):
-        self.record_states = record_states
-        self.n_x = n_x
-        self.segments: List[Segment] = []
-        self.jump_times: List[float] = []
-        self._t, self._z, self._tau = [], [], []
-
-    def sample(self, t, z, tau):
-        # z is never modified in place once recorded, so no copy is needed.
-        if self.record_states:
-            self._t.append(t)
-            self._z.append(z)
-            self._tau.append(tau)
-
-    def close_segment(self):
-        if self.record_states:
-            z = np.asarray(self._z)
-            self.segments.append(
-                Segment(
-                    j=len(self.segments),
-                    t=np.asarray(self._t),
-                    x=z[:, : self.n_x],
-                    e=z[:, self.n_x :],
-                    tau=np.asarray(self._tau),
-                )
-            )
-            self._t, self._z, self._tau = [], [], []
-
-    def solution(self, terminated):
-        return HybridSolution(self.segments, list(self.jump_times), terminated)
+    ``cuts`` holds the row at which each jump starts the next interval.
+    """
+    if not rows:
+        return []
+    t, z, tau = map(np.asarray, zip(*rows))
+    bounds = zip([0, *cuts], [*cuts, len(rows)])
+    return [
+        Segment(j, t[a:b], z[a:b, :n_x], z[a:b, n_x:], tau[a:b]) for j, (a, b) in enumerate(bounds)
+    ]
 
 
 def simulate(
@@ -270,13 +252,18 @@ def simulate(
     step, horizon, guard = settings.step, settings.horizon_t, settings.blowup_norm
     eps = 1e-15 * max(1.0, horizon)
     T = cfg.T  # 0 in pure-event mode, where the dwell branch never runs
-    rec = _Recorder(settings.record_states, n_x)
+    record = settings.record_states
+    # The sample log: (t, z, tau) rows, the row where each jump cuts it, the
+    # jump times.  z is never modified in place once recorded, so rows hold
+    # references, not copies.
+    rows, cuts, jump_times = [], [], []
 
     z, tau = np.concatenate((q0.x, q0.e)), q0.tau
     base = -tau  # absolute time is base + tau; a jump at t sets base = t, tau = 0
     monitoring = False  # set once the event test at dwell expiry has failed
     terminated = "horizon"
-    rec.sample(0.0, z, tau)
+    if record:
+        rows.append((0.0, z, tau))
     while True:
         t = base + tau
         if monitoring:
@@ -295,7 +282,7 @@ def simulate(
             break
         elif h_ev is None or h_ev(z[:n_x], z[n_x:]) >= 0.0:
             # Dwell expiry with the event already on, or periodic: jump now.
-            if h_ev is not None and rec.jump_times and t == base:
+            if h_ev is not None and jump_times and t == base:
                 # No flow since the last jump: e is still 0, so jumping
                 # again leaves z unchanged, forever.
                 terminated = "zeno"
@@ -308,16 +295,17 @@ def simulate(
         if h is not None:
             z_next = flow(z, h)
             if not math.sqrt(z_next.dot(z_next)) <= guard:  # catches NaN as well
-                rec.sample(base + tau_next, z_next, tau_next)
-                rec.close_segment()
+                if record:
+                    rows.append((base + tau_next, z_next, tau_next))
                 raise DivergenceError(
                     f"state norm exceeded blow-up guard {guard:g}",
-                    partial=rec.solution("blow-up"),
+                    partial=HybridSolution(_segments(rows, cuts, n_x), jump_times, "blow-up"),
                     state=HybridState(z_next[:n_x], z_next[n_x:], tau_next),
                 )
             if not monitoring or h_ev(z_next[:n_x], z_next[n_x:]) < 0.0:
                 z, tau = z_next, tau_next
-                rec.sample(t_next, z, tau)
+                if record:
+                    rows.append((t_next, z, tau))
                 continue
             # The event fired inside this step: bisect for its first instant.
             lo, hi, z_hi = 0.0, h, z_next
@@ -330,23 +318,24 @@ def simulate(
                     lo = mid
             z, tau = z_hi, tau + hi
             t = base + tau
-            rec.sample(t, z, tau)
+            if record:
+                rows.append((t, z, tau))
 
         # Jump at t: reset the error and the clock.
-        rec.jump_times.append(t)
-        rec.close_segment()
+        jump_times.append(t)
+        cuts.append(len(rows))
         z = z.copy()
         z[n_x:] = 0.0
         base, tau, monitoring = t, 0.0, False
-        rec.sample(t, z, tau)
-        if len(rec.jump_times) >= settings.max_jumps:
+        if record:
+            rows.append((t, z, tau))
+        if len(jump_times) >= settings.max_jumps:
             terminated = "max-jumps"
             break
         if t >= horizon:
             break
 
-    rec.close_segment()
-    return rec.solution(terminated)
+    return HybridSolution(_segments(rows, cuts, n_x), jump_times, terminated)
 
 
 def r_monitor(sol: HybridSolution, cert: Certificate, zp: ZetaParams):

@@ -180,17 +180,17 @@ class AssumptionReport:
     n_samples: int
     radius: float
     seed: int
-    rtol: float
     max_violation: Dict[str, float]
     scale: Dict[str, float]
     worst_point: Dict[str, tuple]
     n_skipped: int
 
     INEQUALITIES = ("v-bounds", "v-decay", "w-growth")
+    RTOL = 1e-5  # pass threshold, relative to each inequality's scale
 
     def violation_excess(self, key):
         """Violation beyond the tolerance; > 0 means the check failed."""
-        return self.max_violation[key] - self.rtol * self.scale[key]
+        return self.max_violation[key] - self.RTOL * self.scale[key]
 
     @property
     def passed(self):
@@ -202,7 +202,7 @@ class AssumptionReport:
             verdict = "ok" if self.violation_excess(k) <= 0.0 else "VIOLATED"
             lines.append(
                 f"{k}: max violation {self.max_violation[k]:.6g} "
-                f"(tol {self.rtol * self.scale[k]:.3g}) {verdict}"
+                f"(tol {self.RTOL * self.scale[k]:.3g}) {verdict}"
             )
         lines.append(f"skipped {self.n_skipped} samples near nondifferentiable points")
         return "\n".join(lines)
@@ -309,7 +309,6 @@ def check_assumption_sampled(
         n_samples=n_samples,
         radius=radius,
         seed=seed,
-        rtol=1e-5,  # pass threshold, relative to each inequality's scale
         max_violation=max_v,
         scale=scale,
         worst_point=worst,

@@ -386,6 +386,28 @@ class TestConfigResolver:
         assert err == "error: config.certificate: P: not symmetric within tolerance 1e-09\n"
         assert not os.path.exists(cfg["output_dir"])
 
+    @pytest.mark.parametrize("command", ["check", "simulate"])
+    @pytest.mark.parametrize(
+        "cert, message",
+        [
+            (
+                {"P": np.eye(3).tolist(), "eps1": 0.0, "eps2": 0.68, "mu": 400.0},
+                "P has shape (3, 3), expected (2, 2)",
+            ),
+            (
+                {"P": np.eye(2).tolist(), "eps1": 0.0, "eps2": 0.5, "mu": 400.0},
+                "candidate is not feasible (residual 2.130e+00)",
+            ),
+        ],
+        ids=["wrong-shape", "infeasible"],
+    )
+    def test_rejected_certificate_exits_one_naming_it(self, capsys, tmp_path, command, cert, message):
+        path, cfg = _write_config(tmp_path, LTI_CFG, lambda c: c.update(certificate=cert))
+        rc, out, err = _run(capsys, command, "--config", str(path))
+        assert (rc, out) == (1, "")
+        assert err == f"error: config.certificate: {message}\n"
+        assert not os.path.exists(cfg["output_dir"])
+
     def test_design_and_simulate_report_the_same_gamma(self, capsys, tmp_path):
         path, _ = _write_config(tmp_path, LTI_CFG)
         cert_path = tmp_path / "cert.json"

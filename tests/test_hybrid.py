@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 import warnings
 
@@ -479,6 +480,99 @@ class TestReproducibility:
         expected = [(i + 1 + offset, sol.jump_times[i + offset], g) for i, g in enumerate(gaps)]
         assert sol.gap_rows() == expected
         assert sol.inter_event_gaps == gaps
+
+
+def _state_digest(sol):
+    """SHA-256 over each segment's j, t, x, e, tau bytes, the stop reason and the jump times."""
+    digest = hashlib.sha256()
+    for seg in sol.segments:
+        digest.update(str(seg.j).encode())
+        for a in (seg.t, seg.x, seg.e, seg.tau):
+            digest.update(f"{a.dtype}{a.shape}".encode())
+            digest.update(a.tobytes())
+    digest.update(sol.terminated.encode())
+    digest.update(" ".join(t.hex() for t in sol.jump_times).encode())
+    return digest.hexdigest()
+
+
+def _diverging_loops():
+    """name: (loop, certificate, trigger) for runs that pass a blow-up guard of 1e3.
+
+    x' = 3x + e, e' = -x' jumps on the clock on the RK4 body and on its
+    events (bisected) on the propagator before it diverges.
+    """
+    M = np.array([[3.0, 1.0], [-3.0, -1.0]])
+
+    def loop(stacked_matrix):
+        return ClosedLoopSystem(
+            n_x=1, n_e=1,
+            f=lambda x, e: M[:1].dot(np.concatenate((x, e))),
+            g=lambda x, e: M[1:].dot(np.concatenate((x, e))),
+            stacked_matrix=stacked_matrix,
+        )
+
+    return {
+        "blow-up-closure": (loop(None), _permissive_cert(), TriggerConfig(mode="periodic", T=0.05)),
+        "blow-up-linear": (loop(M), _permissive_cert().with_gamma(3.0), _of_cfg(T=0.01)),
+    }
+
+
+# _state_digest of each PINNED_RUNS run and each _diverging_loops partial,
+# recorded from the simulator that kept one recorder object per run.
+STATE_DIGESTS = {
+    "dwell-expiry": "b2ac819d5c8b0b5b9216307ee1acddbd1b540753cbaa268b517aa963f6a6050f",
+    "bisected": "79a8f437ad03c29e28440f5ea59a1ab8bee0d881fc62e72141dc5afb633da3f7",
+    "periodic": "f774a918d840f0a6564c2c6e12e6f5998032f89cfa8d8c4a4579e9d05b7d2a09",
+    "zeno": "4ea559136a82b2c353b172cb95de3ff67d81b7af73ac4fe8be171e2d8287595b",
+    "jump-set": "10c8f89e428486058ff28075290dede6d15a5d6a1389f1bcd826392f7c36a509",
+    "tau0": "88e5d779b0c3629b5b0d0ecb3bcbffa7bcafcdcb86bc951e03df299e20e02353",
+    "horizon-in-dwell": "480fe3a6368f92606aae1eb8890b148048d78c2b44873714fc85aef5ba4853ea",
+    "max-jumps": "ed7a2e5fb3295ca0d408184053bd65199029641d5fbf9fe90eea34e14a48bc88",
+    "lorenz": "b5fe6ef903bbec4d09149752e4071d728f620bbd55b4e2f31537aec3303ecf56",
+    "blow-up-closure": "800832b37df681e12ac938c7c52e23299929dbb277d179ae59b383d7a49b8770",
+    "blow-up-linear": "a38bb1b137e38e12311f4f208b7a3aaa522aab5c9b728f7f0fc334628fe92f97",
+}
+
+
+def _recorded_run(name, request, record_states=True):
+    """The solution of a PINNED_RUNS run, or the partial of a _diverging_loops run."""
+    if name in PINNED_RUNS:
+        loop, cfg, x0, e0, tau0, horizon, max_jumps = PINNED_RUNS[name]
+        sys, cert = request.getfixturevalue(loop)
+        q0 = HybridState(np.array(x0), np.array(e0), tau0)
+        settings = SimSettings(step=1e-3, horizon_t=horizon, max_jumps=max_jumps, event_tol=1e-6,
+                               record_states=record_states)
+        return simulate(sys, cert, cfg, q0, settings)
+    sys, cert, cfg = _diverging_loops()[name]
+    q0 = HybridState(np.array([1.0]), np.zeros(1), 0.0)
+    settings = SimSettings(step=1e-3, horizon_t=20.0, event_tol=1e-6, blowup_norm=1e3,
+                           record_states=record_states)
+    with pytest.raises(DivergenceError) as info:
+        simulate(sys, cert, cfg, q0, settings)
+    return info.value.partial
+
+
+class TestRecordedStates:
+    @pytest.mark.parametrize("name", sorted(STATE_DIGESTS))
+    def test_matches_pinned_digest(self, name, request):
+        assert _state_digest(_recorded_run(name, request)) == STATE_DIGESTS[name]
+
+    @pytest.mark.parametrize("name", sorted(STATE_DIGESTS))
+    def test_segments_meet_at_the_jumps(self, name, request):
+        sol = _recorded_run(name, request)
+        assert [seg.j for seg in sol.segments] == list(range(sol.n_jumps + 1))
+        for j, t_j in enumerate(sol.jump_times):
+            before, after = sol.segments[j], sol.segments[j + 1]
+            assert before.t[-1] == t_j == after.t[0]
+            assert not after.e[0].any() and after.tau[0] == 0.0
+            assert after.x[0].tobytes() == before.x[-1].tobytes()
+
+    @pytest.mark.parametrize("name", sorted(STATE_DIGESTS))
+    def test_recording_off_keeps_the_event_log(self, name, request):
+        on = _recorded_run(name, request)
+        off = _recorded_run(name, request, record_states=False)
+        assert off.segments == []
+        assert (off.terminated, off.jump_times) == (on.terminated, on.jump_times)
 
 
 def _batches(sys, cert):

@@ -24,15 +24,26 @@ Flows use classical fixed-step RK4 (no dense output): one body over z,
 or its matrix form, a propagator, for linear loops.  A linear loop
 builds one propagator per step length and memoises it, so the full
 step, the dwell landings and the bisection sub-steps (a few hundred
-distinct lengths per batch) each build theirs once.  ``flow_step``
-takes the same step from the same memo; identical inputs give
-bit-identical logs.
+distinct lengths per batch) each build theirs once.  No event is tested
+inside the dwell, so on a linear loop its full steps (neither landing on
+T nor cut by the horizon) flow as one block: the states after 1, ..., m
+steps are P z, P^2 z, ..., P^m z for the full step's propagator P, one
+matrix-vector product with a memoised stack of at most ``_DWELL_BLOCK``
+powers, and one vectorised norm guard.  The clock follows the same
+float recurrence as single steps, so t, tau and the jump times are those
+of stepping one at a time; the states differ from it by rounding, within
+32 ulps relative to max(1, |z|) when a dwell is re-stepped from its start
+(``TestDwellBlock``).  A block that meets inf, NaN or the guard is
+discarded, and the run steps singly from there on.  ``flow_step`` takes
+the single step from the same memo; identical inputs give bit-identical
+logs.
 The per-step paths here and in the certificate terms use ``ndarray.dot``
 and ``math.sqrt(v.dot(v))``, which numpy runs through the same BLAS
 kernels as ``@`` and ``np.linalg.norm`` without their dispatch cost; a
 tier-1 test (``TestHotPathKernels``) pins that the bits agree.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import List, Optional
@@ -41,6 +52,7 @@ import numpy as np
 
 from .errors import ConfigError, DivergenceError, DomainError
 from .model import Certificate, ClosedLoopSystem, HybridState, check_pairing
+from .sampling import check_int
 from .trigger import TriggerConfig, ZetaParams, event_function, zeta_solution
 
 
@@ -61,13 +73,15 @@ class SimSettings:
             raise ConfigError("step must be positive and finite")
         if not 0 < self.horizon_t < math.inf:
             raise ConfigError("horizon_t must be positive and finite")
-        if not self.max_jumps >= 1:
-            raise ConfigError("max_jumps must be at least 1")
+        try:
+            check_int(self.max_jumps, "max_jumps", low=1)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         # Below ulp(step) the event bisection's midpoint can stall before its bracket closes.
         if not math.ulp(self.step) <= self.event_tol < self.step:
             raise ConfigError("event_tol must satisfy ulp(step) <= event_tol < step")
-        if not self.blowup_norm > 0:
-            raise ConfigError("blowup_norm must be positive")
+        if not 0 < self.blowup_norm < math.inf:
+            raise ConfigError("blowup_norm must be positive and finite")
 
 
 @dataclass
@@ -130,6 +144,11 @@ class HybridSolution:
 # so a whole planar benchmark run needs about 1,500 propagators.  The bound
 # keeps memory flat for callers whose step lengths never repeat.
 _PROPAGATOR_MEMO_SIZE = 4096
+# A dwell's full steps flow in blocks of at most this many propagator powers.
+# The power memo keeps whole stacks for at most
+# _PROPAGATOR_MEMO_SIZE // _DWELL_BLOCK step lengths, so it too holds at most
+# _PROPAGATOR_MEMO_SIZE matrices.
+_DWELL_BLOCK = 128
 
 
 def _rk4_propagator(M, h):
@@ -178,6 +197,54 @@ def _stepper(sys: ClosedLoopSystem):
     return lambda z, h: _rk4(F, z, h)
 
 
+def _block_flow(sys: ClosedLoopSystem, step: float):
+    """Return flow_block(z, m) -> the (m, n) states after 1, ..., m steps of length step.
+
+    Row j is P^j z, with P the RK4 propagator for ``step`` and m at most
+    ``_DWELL_BLOCK``.  The powers are built lazily by P^j = P P^(j-1) and
+    memoised on the loop as one (m n, n) stack per step length, so a
+    block is one matrix-vector product.  None for a loop without a
+    ``stacked_matrix``.  Overflowing powers or states come out as inf or
+    NaN; callers silence numpy's warnings and check the rows.
+    """
+    M = sys.stacked_matrix
+    if M is None:
+        return None
+    memo, n = sys._powers, M.shape[0]
+
+    def flow_block(z, m):
+        powers = memo.get(step)
+        if powers is None or len(powers) < m * n:
+            if step not in memo and len(memo) >= _PROPAGATOR_MEMO_SIZE // _DWELL_BLOCK:
+                memo.clear()
+            P = _rk4_propagator(M, step)
+            stack = np.empty((m, n, n))
+            stack[0] = P
+            for j in range(1, m):
+                stack[j] = P.dot(stack[j - 1])
+            powers = memo[step] = stack.reshape(m * n, n)
+        return powers[: m * n].dot(z).reshape(m, n)
+
+    return flow_block
+
+
+@functools.lru_cache(maxsize=64)
+def _dwell_clock(step, T, tau):
+    """The clock after each of the next full steps of a dwell at tau, as an array and a tuple.
+
+    A full step is one with step < T - tau, so it does not land on T; the
+    clock follows ``simulate``'s float recurrence tau + step, for at most
+    ``_DWELL_BLOCK`` steps.
+    """
+    taus = []
+    while step < T - tau and len(taus) < _DWELL_BLOCK:
+        tau += step
+        taus.append(tau)
+    arr = np.array(taus)
+    arr.setflags(write=False)
+    return arr, tuple(taus)
+
+
 def _check_state(sys: ClosedLoopSystem, q: HybridState):
     """Raise ConfigError unless q has the loop's dimensions, DomainError unless finite."""
     if q.x.shape != (sys.n_x,) or q.e.shape != (sys.n_e,):
@@ -190,7 +257,13 @@ def _check_state(sys: ClosedLoopSystem, q: HybridState):
 
 
 def flow_step(sys: ClosedLoopSystem, q: HybridState, h: float) -> HybridState:
-    """The state ``simulate`` records one step of size h after q, bit for bit.
+    """One flow step of size h from q: ``simulate``'s single step, from the same memo.
+
+    A step that ``simulate`` takes singly (a dwell landing, a monitored or
+    bisection step, any step of a nonlinear loop) records this state bit
+    for bit.  Of a dwell block, the first row P z matches it too (with
+    numpy's BLAS, as ``TestFlowStep`` checks); later rows equal repeated
+    ``flow_step`` only within the bound in the module docstring.
 
     Raises ValueError unless 0 < h < inf, and ConfigError or DomainError
     for a q that ``simulate`` rejects.
@@ -250,6 +323,7 @@ def simulate(
     n_x = sys.n_x
     flow = _stepper(sys)
     step, horizon, guard = settings.step, settings.horizon_t, settings.blowup_norm
+    block = _block_flow(sys, step)
     eps = 1e-15 * max(1.0, horizon)
     T = cfg.T  # 0 in pure-event mode, where the dwell branch never runs
     record = settings.record_states
@@ -275,6 +349,25 @@ def simulate(
             # Dwell: flow freely and land exactly on T.
             if t >= horizon:
                 break
+            if block is not None and step < T - tau and step <= horizon - t:
+                # Full steps, neither landing on T nor cut by the horizon, flow
+                # as one block of propagator powers.  t only grows, so the
+                # steps that start at least a step before the horizon are a prefix.
+                taus, tau_k = _dwell_clock(step, T, tau)
+                ts = base + taus
+                m = 1 + int(np.count_nonzero(horizon - ts[:-1] >= step))
+                with np.errstate(over="ignore", invalid="ignore"):
+                    Z = block(z, m)
+                    within = math.sqrt(np.einsum("ij,ij->i", Z, Z).max()) <= guard
+                if within:
+                    z, tau = Z[-1], tau_k[m - 1]
+                    if record:
+                        rows.extend(zip(ts[:m].tolist(), Z, tau_k[:m]))
+                else:
+                    # Inf, NaN or past the guard: step singly from here on, so
+                    # that a divergence ends as the single-step path ends it.
+                    block = None
+                continue
             h = min(step, T - tau, horizon - t)
             tau_next = T if h == T - tau else tau + h
             t_next = base + tau_next

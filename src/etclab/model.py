@@ -55,8 +55,9 @@ class ClosedLoopSystem:
     same classical RK4 step as a matrix polynomial) instead of calling f
     and g.  The loop keeps a read-only float copy of M, which must be
     (n_x + n_e) square (DimensionError otherwise), and memoises one
-    propagator per step length in a private dict that a copy made with
-    ``dataclasses.replace`` starts afresh.
+    propagator per step length, and the powers of the full step's
+    propagator that ``simulate`` flows a dwell with, in private dicts
+    that a copy made with ``dataclasses.replace`` starts afresh.
     """
 
     n_x: int
@@ -66,6 +67,9 @@ class ClosedLoopSystem:
     stacked_matrix: Optional[np.ndarray] = None
     name: str = ""
     _propagators: Dict[float, np.ndarray] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    _powers: Dict[float, np.ndarray] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 

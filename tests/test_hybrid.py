@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -36,7 +37,8 @@ from etclab import (
     tabuada_loop,
     zeta_time,
 )
-from etclab.hybrid import _PROPAGATOR_MEMO_SIZE, _rk4_propagator
+from etclab import hybrid
+from etclab.hybrid import _DWELL_BLOCK, _PROPAGATOR_MEMO_SIZE, _rk4_propagator
 from etclab.systems import lti_loop_from_matrices
 
 SETTINGS = SimSettings(step=1e-3, horizon_t=1.0, event_tol=1e-6)
@@ -161,11 +163,17 @@ class TestSimSettings:
             ("horizon_t", float("inf")),
             ("max_jumps", float("nan")),
             ("blowup_norm", float("nan")),
+            ("blowup_norm", float("inf")),
         ],
     )
     def test_rejects_nan_and_infinite_values(self, field, value):
         with pytest.raises(ConfigError, match=f"^{field} "):
             SimSettings(**{field: value})
+
+    @pytest.mark.parametrize("value", [2.5, True, "3"])
+    def test_max_jumps_must_be_an_integer(self, value):
+        with pytest.raises(ConfigError, match="^max_jumps must be an integer >= 1"):
+            SimSettings(max_jumps=value)
 
     def test_event_tol_of_one_ulp_of_the_step_ends_the_bisection(self, tabuada):
         # Adjacent floats below the step lie at most one ulp(step) apart.
@@ -355,15 +363,17 @@ class TestSimulate:
         assert sol.terminated == "max-jumps"
 
 
-# Stop reason, jump times and final x of seeded runs as float.hex, recorded
-# from the earlier two-loop (dwell loop + monitor loop) simulator.  The
-# single-loop simulator, and any engine after it, must reproduce them bit
-# for bit.
+# Stop reason, jump times and final x of seeded runs as float.hex.  The stop
+# reasons and jump times were recorded from the earlier two-loop (dwell loop +
+# monitor loop) simulator, and every engine since reproduces them bit for
+# bit.  The final x of the six tabuada runs that flow a dwell were re-pinned
+# when full dwell steps became blocks of propagator powers (TestDwellBlock
+# bounds that move); the zeno, jump-set and Lorenz runs keep their pins.
 PINNED = {
     "dwell-expiry": (
         "horizon",
         ["0x1.3333333333333p-4", "0x1.3333333333333p-3"],
-        ["-0x1.d0557a9652244p+0", "-0x1.571e21dad2395p+3"],
+        ["-0x1.d0557a9652250p+0", "-0x1.571e21dad239dp+3"],
     ),
     "bisected": (
         "horizon",
@@ -371,7 +381,7 @@ PINNED = {
             "0x1.401a9fbe76c8bp-4", "0x1.3fb4395810624p-3", "0x1.dd90624dd2f1ap-3",
             "0x1.3c53333333333p-2", "0x1.8920000000000p-2", "0x1.d5ecccccccccdp-2",
         ],
-        ["0x1.ee6f4cb28b170p+0", "-0x1.13fc8cf8e840fp+1"],
+        ["0x1.ee6f4cb28b149p+0", "-0x1.13fc8cf8e840dp+1"],
     ),
     "periodic": (
         "horizon",
@@ -379,7 +389,7 @@ PINNED = {
             "0x1.47ae147ae147bp-6", "0x1.47ae147ae147bp-5", "0x1.eb851eb851eb8p-5",
             "0x1.47ae147ae147bp-4",
         ],
-        ["0x1.16faaa21677bbp+0", "0x1.97e216db6a0c9p-1"],
+        ["0x1.16faaa21677aap+0", "0x1.97e216db6a0bep-1"],
     ),
     "zeno": (
         "zeno",
@@ -400,7 +410,7 @@ PINNED = {
             "0x1.401a9fbe76c8dp-4", "0x1.3fb4395810626p-3", "0x1.dd90624dd2f1cp-3",
             "0x1.3c53333333334p-2", "0x1.8920000000001p-2", "0x1.d5ecccccccccep-2",
         ],
-        ["0x1.ee6f4cb28b16fp+0", "-0x1.13fc8cf8e8411p+1"],
+        ["0x1.ee6f4cb28b148p+0", "-0x1.13fc8cf8e840bp+1"],
     ),
     "horizon-in-dwell": (
         "horizon",
@@ -411,7 +421,7 @@ PINNED = {
             "0x1.848ffffffffffp-1", "0x1.aaf6666666665p-1", "0x1.d15cccccccccbp-1",
             "0x1.f7c3333333331p-1",
         ],
-        ["0x1.dde59bd38bec1p-1", "-0x1.c7387326c5d99p+0"],
+        ["0x1.dde59bd38be74p-1", "-0x1.c7387326c5d81p+0"],
     ),
     "max-jumps": (
         "max-jumps",
@@ -419,7 +429,7 @@ PINNED = {
             "0x1.401a9fbe76c8bp-4", "0x1.3fb4395810624p-3", "0x1.dd90624dd2f1ap-3",
             "0x1.3c53333333333p-2",
         ],
-        ["0x1.2c6762635111ap+1", "-0x1.16d193496cb7ap+1"],
+        ["0x1.2c6762635110bp+1", "-0x1.16d193496cb75p+1"],
     ),
     "lorenz": (
         "horizon",
@@ -518,19 +528,20 @@ def _diverging_loops():
 
 
 # _state_digest of each PINNED_RUNS run and each _diverging_loops partial,
-# recorded from the simulator that kept one recorder object per run.
+# recorded from the simulator that kept one recorder object per run; the
+# seven runs whose dwell states flow as blocks were re-pinned with PINNED.
 STATE_DIGESTS = {
-    "dwell-expiry": "b2ac819d5c8b0b5b9216307ee1acddbd1b540753cbaa268b517aa963f6a6050f",
-    "bisected": "79a8f437ad03c29e28440f5ea59a1ab8bee0d881fc62e72141dc5afb633da3f7",
-    "periodic": "f774a918d840f0a6564c2c6e12e6f5998032f89cfa8d8c4a4579e9d05b7d2a09",
+    "dwell-expiry": "2696d4d3d52d65abc7247775830e903bdf9610014f30527731a58e25cc6b3817",
+    "bisected": "42f88eda9e400105c7a1b9bc1c241371d6b912a47d973265ed84c6dc9092ca4f",
+    "periodic": "abbf15924dd22c700635ca535335cbd324da8a5471849ac617d3a48c93768a38",
     "zeno": "4ea559136a82b2c353b172cb95de3ff67d81b7af73ac4fe8be171e2d8287595b",
     "jump-set": "10c8f89e428486058ff28075290dede6d15a5d6a1389f1bcd826392f7c36a509",
-    "tau0": "88e5d779b0c3629b5b0d0ecb3bcbffa7bcafcdcb86bc951e03df299e20e02353",
-    "horizon-in-dwell": "480fe3a6368f92606aae1eb8890b148048d78c2b44873714fc85aef5ba4853ea",
-    "max-jumps": "ed7a2e5fb3295ca0d408184053bd65199029641d5fbf9fe90eea34e14a48bc88",
+    "tau0": "c85a4257febbbbd0db8b705f0133136a835c247cee896960d1fd3328d7a72efc",
+    "horizon-in-dwell": "e2d3347c506ff686d0a7255d160726deaa10548c919ca50db12e52c51365bcb4",
+    "max-jumps": "aedd7b9f631ffc74af8130bdf53119637c139129d4a7d37fc01e0d95dc569b2e",
     "lorenz": "b5fe6ef903bbec4d09149752e4071d728f620bbd55b4e2f31537aec3303ecf56",
     "blow-up-closure": "800832b37df681e12ac938c7c52e23299929dbb277d179ae59b383d7a49b8770",
-    "blow-up-linear": "a38bb1b137e38e12311f4f208b7a3aaa522aab5c9b728f7f0fc334628fe92f97",
+    "blow-up-linear": "e255d9abf7a4c1143f4e1b4c4a3ce07abbdc2a2973db45bf51105e29883caf85",
 }
 
 
@@ -597,6 +608,15 @@ def _assert_same_runs(sols, ref):
                 assert getattr(seg, name).tobytes() == getattr(rseg, name).tobytes()
 
 
+def _power_stack(M, h, k):
+    """P^1, ..., P^k for the RK4 propagator P of step h, stacked as (k n, n) rows."""
+    P = _rk4_propagator(M, h)
+    powers = [P]
+    for _ in range(k - 1):
+        powers.append(P.dot(powers[-1]))
+    return np.concatenate(powers)
+
+
 class TestPropagatorMemo:
     # The session-scoped ``tabuada`` fixture shares its memo across tests,
     # so each test here builds its own loops.
@@ -605,17 +625,37 @@ class TestPropagatorMemo:
         sys, cert = tabuada_loop()
         first = _batches(sys, cert)
         assert sys._propagators  # the bisections and dwell landings filled it
+        assert list(sys._powers) == [1e-3]  # the state-feedback dwells filled it
         _assert_same_runs(_batches(sys, cert), first)  # warm
         _assert_same_runs(_batches(*tabuada_loop()), first)  # cold
         M = sys.stacked_matrix
         for h, P in sys._propagators.items():
             assert P.tobytes() == _rk4_propagator(M, h).tobytes()
+        for h, powers in sys._powers.items():
+            k, rest = divmod(len(powers), 4)
+            assert rest == 0 and 1 <= k <= _DWELL_BLOCK
+            assert powers.tobytes() == _power_stack(M, h, k).tobytes()
 
     def test_replace_starts_a_fresh_memo(self):
         sys, cert = tabuada_loop()
         _batches(sys, cert)
         copy = dataclasses.replace(sys, name="copy")
         assert copy._propagators == {} and copy._propagators is not sys._propagators
+        assert copy._powers == {} and copy._powers is not sys._powers
+
+    def test_power_memo_stays_bounded(self):
+        # Each run's step length gets a stack; a dwell of T / step = 200
+        # steps needs two blocks, but no stack grows past _DWELL_BLOCK.
+        sys, cert = tabuada_loop()
+        cfg = TriggerConfig(mode="periodic", T=0.075)
+        q0 = HybridState(np.array([1.0, -1.0]), np.zeros(2), 0.0)
+        bound = _PROPAGATOR_MEMO_SIZE // _DWELL_BLOCK
+        for k in range(bound + 5):
+            step = 3.75e-4 * (1.0 - k * 1e-6)
+            simulate(sys, cert, cfg, q0, SimSettings(step=step, horizon_t=0.1, event_tol=1e-6))
+            assert len(sys._powers) <= bound
+            assert len(sys._powers[step]) == _DWELL_BLOCK * 4
+        assert len(sys._powers) < bound + 5  # cleared at least once
 
     def test_memo_stays_bounded_and_exact(self):
         sys, _ = tabuada_loop()
@@ -630,6 +670,106 @@ class TestPropagatorMemo:
             expected = _rk4_propagator(M, h).dot(z)
             assert np.concatenate((qn.x, qn.e)).tobytes() == expected.tobytes()
         assert len(memo) < n  # cleared at least once
+
+
+# Re-stepped from its first sample, a dwell's recorded states stay within this
+# bound, relative to max(1, |z|), of the step path: rounding of P^j z against
+# j products P(...(P z)).  Seen: at most 12 ulps on 120 tabuada runs and 8.5
+# to 10.6 ulps on 340 random LQR loops.
+_DWELL_RTOL = 32 * np.finfo(float).eps
+
+
+def _dwell_deviation(sys, sol, T, settings, tau0=0.0):
+    """Largest deviation of the recorded dwell states from re-stepping them.
+
+    Each segment's dwell is re-stepped from its first sample with
+    ``_rk4_propagator(M, h).dot`` over the step lengths of ``simulate``'s
+    single-step schedule, whose t and tau the samples must carry bit for
+    bit.  Deviations are relative to max(1, |z|) of the re-stepped state.
+    """
+    M, step, horizon = sys.stacked_matrix, settings.step, settings.horizon_t
+    worst = 0.0
+    for seg in sol.segments:
+        base = -tau0 if seg.j == 0 else seg.t[0]
+        z, tau = np.concatenate((seg.x[0], seg.e[0])), seg.tau[0]
+        for t_k, x_k, e_k, tau_k in zip(seg.t[1:], seg.x[1:], seg.e[1:], seg.tau[1:]):
+            if not tau < T:
+                break
+            h = min(step, T - tau, horizon - (base + tau))
+            tau = T if h == T - tau else tau + h
+            assert (t_k, tau_k) == (base + tau, tau)
+            z = _rk4_propagator(M, h).dot(z)
+            dev = np.linalg.norm(np.concatenate((x_k, e_k)) - z) / max(1.0, np.linalg.norm(z))
+            worst = max(worst, dev)
+    return worst
+
+
+def _step_path(sys, cert, cfg, q0, settings):
+    """``simulate`` with every dwell step taken singly."""
+    with mock.patch.object(hybrid, "_block_flow", lambda sys, step: None):
+        return simulate(sys, cert, cfg, q0, settings)
+
+
+def _assert_dwell_blocks_within_bound(sys, cert, cfg, q0, settings):
+    """The run keeps the step path's stop reason, jump times, t and tau, and the dwell bound."""
+    sol = simulate(sys, cert, cfg, q0, settings)
+    ref = _step_path(sys, cert, cfg, q0, settings)
+    assert sol.terminated == ref.terminated
+    assert [t.hex() for t in sol.jump_times] == [t.hex() for t in ref.jump_times]
+    assert len(sol.segments) == len(ref.segments)
+    for seg, rseg in zip(sol.segments, ref.segments):
+        assert seg.t.tobytes() == rseg.t.tobytes() and seg.tau.tobytes() == rseg.tau.tobytes()
+    assert _dwell_deviation(sys, sol, cfg.T, settings, q0.tau) <= _DWELL_RTOL
+    return sol
+
+
+# name: (trigger, x0, e0, tau0, horizon, step) on the planar loop
+BLOCK_RUNS = {
+    "state-feedback": (_sf_cfg(), [3.0, -2.0], [0.0, 0.0], 0.0, 0.5, 1e-3),
+    "dwell-expiry": (_sf_cfg(), [0.1, 0.0], [50.0, 50.0], 0.0, 0.2, 1e-3),
+    "periodic": (TriggerConfig(mode="periodic", T=0.02), [1.0, 1.0], [0.0, 0.0], 0.0, 0.1, 1e-3),
+    "output-feedback": (_of_cfg(T=0.05), [3.0, -2.0], [0.5, -0.5], 0.0, 1.0, 1e-3),
+    "tau0": (_sf_cfg(), [3.0, -2.0], [0.0, 0.0], 0.03, 0.5, 1e-3),
+    "horizon-in-dwell": (_sf_cfg(), [3.0, -2.0], [0.0, 0.0], 0.0, 0.9999, 1e-3),
+    # 149 full steps per dwell: a block of _DWELL_BLOCK, then one of 21.
+    "two-blocks": (_sf_cfg(), [3.0, -2.0], [0.0, 0.0], 0.0, 0.5, 5e-4),
+}
+
+
+class TestDwellBlock:
+    @pytest.mark.parametrize("name", sorted(BLOCK_RUNS))
+    def test_dwell_states_within_bound_of_the_step_path(self, name):
+        cfg, x0, e0, tau0, horizon, step = BLOCK_RUNS[name]
+        sys, cert = tabuada_loop()
+        q0 = HybridState(np.array(x0), np.array(e0), tau0)
+        settings = SimSettings(step=step, horizon_t=horizon, event_tol=1e-6)
+        sol = _assert_dwell_blocks_within_bound(sys, cert, cfg, q0, settings)
+        assert sol.n_jumps >= 2
+        assert step in sys._powers  # the dwells did flow as blocks
+
+    def test_overflow_inside_a_block_ends_as_the_step_path(self):
+        # x' = 2e4 x grows 8,221-fold per RK4 step: the 128th power of the
+        # propagator overflows, the block's rows come out inf, and the run
+        # steps singly from the dwell's start until the guard trips two
+        # steps later.
+        lam = 2e4
+        sys = ClosedLoopSystem(
+            n_x=1, n_e=1, f=lambda x, e: lam * x, g=lambda x, e: -lam * x,
+            stacked_matrix=np.array([[lam, 0.0], [-lam, 0.0]]),
+        )
+        cfg = TriggerConfig(mode="periodic", T=0.2)
+        q0 = HybridState(np.array([1.0]), np.zeros(1), 0.0)
+        settings = SimSettings(step=1e-3, horizon_t=1.0, event_tol=1e-6, blowup_norm=1e6)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no overflow RuntimeWarning either
+            with pytest.raises(DivergenceError) as info:
+                simulate(sys, _permissive_cert(), cfg, q0, settings)
+            with pytest.raises(DivergenceError) as ref:
+                _step_path(sys, _permissive_cert(), cfg, q0, settings)
+        assert not np.isfinite(sys._powers[1e-3]).all()
+        partial = info.value.partial
+        assert partial.terminated == "blow-up" and partial.segments[0].t.size == 3
+        assert _state_digest(partial) == _state_digest(ref.value.partial)
 
 
 class TestStackedMatrix:
@@ -729,7 +869,8 @@ def _lqr_loops(draw):
     )
 )
 def test_random_lqr_loop_keeps_the_dwell_time_and_the_hybrid_sets(loop):
-    """Gaps of at least T, states in C u D, reproducible jump times, nonincreasing R.
+    """Gaps of at least T, states in C u D, reproducible jump times, nonincreasing R,
+    and dwell blocks that keep the step path's jump times within the dwell bound.
 
     C and D are the flow and jump sets of the hybrid solution concept of
     Goebel, Sanfelice and Teel (2012).
@@ -752,7 +893,7 @@ def test_random_lqr_loop_keeps_the_dwell_time_and_the_hybrid_sets(loop):
     # its terms, so event_tol scales with T like the step does.
     sim = SimSettings(step=T / 20, horizon_t=1.0, event_tol=T * 1e-6)
     q0 = HybridState(x0, np.zeros(n), 0.0)
-    sol = simulate(sys, cert, cfg, q0, sim)
+    sol = _assert_dwell_blocks_within_bound(sys, cert, cfg, q0, sim)
     assert all(gap >= T - sim.event_tol for gap in sol.inter_event_gaps)
     _assert_in_flow_or_jump_set(sol, cert, cfg)
     assert simulate(sys, cert, cfg, q0, sim).jump_times == sol.jump_times

@@ -20,27 +20,27 @@ Recorded samples go to one flat (t, z, tau) log per run, cut into
 segments at the jumps once, at the end; rows keep references to z,
 which is never modified in place once recorded.
 
-Flows use classical fixed-step RK4 (no dense output): one body over z,
-or its matrix form, a propagator, for linear loops.  A linear loop
-builds one propagator per step length and memoises it, so the full
-step, the dwell landings and the bisection sub-steps (a few hundred
-distinct lengths per batch) each build theirs once.  No event is tested
-inside the dwell, so on a linear loop its full steps (neither landing on
-T nor cut by the horizon) flow as one block: the states after 1, ..., m
-steps are P z, P^2 z, ..., P^m z for the full step's propagator P, one
-matrix-vector product with a memoised stack of at most ``_DWELL_BLOCK``
-powers, and one vectorised norm guard.  The clock follows the same
-float recurrence as single steps, so t, tau and the jump times are those
-of stepping one at a time; the states differ from it by rounding, within
-32 ulps relative to max(1, |z|) when a dwell is re-stepped from its start
-(``TestDwellBlock``).  A block that meets inf, NaN or the guard is
-discarded, and the run steps singly from there on.  ``flow_step`` takes
-the single step from the same memo; identical inputs give bit-identical
-logs.
+Flows use classical fixed-step RK4 (no dense output): one body over z, or its
+matrix form, a propagator, for linear loops.  Propagators depend only on the
+stacked matrix and the step, so they are cached here by the matrix's bytes,
+shared by loops with equal matrices: the full step, the dwell landings and the
+bisection sub-steps (a few hundred lengths per batch) each build theirs once.
+No event is tested inside the dwell, so on a linear loop its full steps
+(neither landing on T nor cut by the horizon) flow as one block: the states
+after 1, ..., m steps are P z, P^2 z, ..., P^m z for the full step's
+propagator P, one matrix-vector product with a cached read-only stack of
+``_DWELL_BLOCK`` powers, and one vectorised norm guard.  The clock follows the
+same float recurrence as single steps, so t, tau and the jump times are those
+of stepping one at a time; the states differ from it by rounding, within 32
+ulps relative to max(1, |z|) when a dwell is re-stepped from its start
+(``TestDwellBlock``).  A block that meets inf, NaN or the guard is discarded,
+and the run steps singly from there on.  ``flow_step`` takes the single step
+from the same memo; identical inputs give bit-identical logs.
 The per-step paths here and in the certificate terms use ``ndarray.dot``
 and ``math.sqrt(v.dot(v))``, which numpy runs through the same BLAS
 kernels as ``@`` and ``np.linalg.norm`` without their dispatch cost; a
-tier-1 test (``TestHotPathKernels``) pins that the bits agree.
+tier-1 test (``TestHotPathKernels``) pins that the bits agree.  Only the
+single-step norm guard uses ``math.hypot``, which cannot overflow.
 """
 
 import functools
@@ -133,7 +133,7 @@ class HybridSolution:
         return [gap for _j, _t, gap in self.gap_rows()]
 
     def final_state(self) -> Optional[HybridState]:
-        if not self.segments or self.segments[-1].t.size == 0:
+        if not self.segments:  # none recorded; every segment starts with a sample
             return None
         seg = self.segments[-1]
         return HybridState(seg.x[-1].copy(), seg.e[-1].copy(), float(seg.tau[-1]))
@@ -144,11 +144,9 @@ class HybridSolution:
 # so a whole planar benchmark run needs about 1,500 propagators.  The bound
 # keeps memory flat for callers whose step lengths never repeat.
 _PROPAGATOR_MEMO_SIZE = 4096
-# A dwell's full steps flow in blocks of at most this many propagator powers.
-# The power memo keeps whole stacks for at most
-# _PROPAGATOR_MEMO_SIZE // _DWELL_BLOCK step lengths, so it too holds at most
-# _PROPAGATOR_MEMO_SIZE matrices.
-_DWELL_BLOCK = 128
+_MEMO_MATRICES = 8  # stacked matrices whose propagator memos are kept
+_DWELL_BLOCK = 128  # most propagator powers in one block of a dwell's full steps
+_POWER_STACKS = 32  # (matrix, step) pairs whose power stacks are kept
 
 
 def _rk4_propagator(M, h):
@@ -168,17 +166,26 @@ def _rk4(F, z, h):
     return z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+@functools.lru_cache(maxsize=_MEMO_MATRICES)
+def _propagator_memo(M_bytes):
+    """{h: RK4 propagator for step h} of the stacked matrix with these bytes.
+
+    ``_stepper`` clears it at 4,096 entries, so the 8 kept memos hold 32,768 matrices at worst.
+    """
+    return {}
+
+
 def _stepper(sys: ClosedLoopSystem):
     """Return advance(z, h) -> z', the one flow step of ``simulate`` and ``flow_step``.
 
-    Linear loops apply the RK4 propagator for h, built once per h and
-    loop and memoised on the loop (the dict is cleared when it reaches
-    ``_PROPAGATOR_MEMO_SIZE`` entries); the rest run ``_rk4`` on the
-    stacked F(z) = (f(x, e), g(x, e)), z = (x, e).
+    Linear loops apply the RK4 propagator for h from the memo of their
+    stacked matrix, fetched once here so that each step looks it up with a
+    plain ``dict.get``; the rest run ``_rk4`` on the stacked
+    F(z) = (f(x, e), g(x, e)), z = (x, e).
     """
     M, n_x, f, g = sys.stacked_matrix, sys.n_x, sys.f, sys.g
     if M is not None:
-        memo = sys._propagators
+        memo = _propagator_memo(M.tobytes())
 
         def advance(z, h):
             P = memo.get(h)
@@ -197,35 +204,35 @@ def _stepper(sys: ClosedLoopSystem):
     return lambda z, h: _rk4(F, z, h)
 
 
+@functools.lru_cache(maxsize=_POWER_STACKS)
+def _dwell_powers(M_bytes, n, step):
+    """P, P^2, ..., P^_DWELL_BLOCK for the RK4 propagator P of step, as read-only rows.
+
+    M_bytes are the C-order bytes of the n x n stacked matrix; P^j = P P^(j-1).
+    The kept stacks hold 32 x 128 = 4,096 matrices at worst.
+    """
+    P = _rk4_propagator(np.frombuffer(M_bytes).reshape(n, n).copy(), step)  # aligned like M
+    powers = [P]
+    for _ in range(_DWELL_BLOCK - 1):
+        powers.append(P.dot(powers[-1]))
+    stack = np.concatenate(powers)
+    stack.setflags(write=False)
+    return stack
+
+
 def _block_flow(sys: ClosedLoopSystem, step: float):
     """Return flow_block(z, m) -> the (m, n) states after 1, ..., m steps of length step.
 
-    Row j is P^j z, with P the RK4 propagator for ``step`` and m at most
-    ``_DWELL_BLOCK``.  The powers are built lazily by P^j = P P^(j-1) and
-    memoised on the loop as one (m n, n) stack per step length, so a
-    block is one matrix-vector product.  None for a loop without a
-    ``stacked_matrix``.  Overflowing powers or states come out as inf or
-    NaN; callers silence numpy's warnings and check the rows.
+    Row j is P^j z, from one product with ``_dwell_powers``; m is at most
+    ``_DWELL_BLOCK``.  None for a loop without a ``stacked_matrix``.
+    Overflowing powers or states come out as inf or NaN; callers silence
+    numpy's warnings and check the rows.
     """
     M = sys.stacked_matrix
     if M is None:
         return None
-    memo, n = sys._powers, M.shape[0]
-
-    def flow_block(z, m):
-        powers = memo.get(step)
-        if powers is None or len(powers) < m * n:
-            if step not in memo and len(memo) >= _PROPAGATOR_MEMO_SIZE // _DWELL_BLOCK:
-                memo.clear()
-            P = _rk4_propagator(M, step)
-            stack = np.empty((m, n, n))
-            stack[0] = P
-            for j in range(1, m):
-                stack[j] = P.dot(stack[j - 1])
-            powers = memo[step] = stack.reshape(m * n, n)
-        return powers[: m * n].dot(z).reshape(m, n)
-
-    return flow_block
+    key, n = M.tobytes(), M.shape[0]
+    return lambda z, m: _dwell_powers(key, n, step)[: m * n].dot(z).reshape(m, n)
 
 
 @functools.lru_cache(maxsize=64)
@@ -387,7 +394,7 @@ def simulate(
 
         if h is not None:
             z_next = flow(z, h)
-            if not math.sqrt(z_next.dot(z_next)) <= guard:  # catches NaN as well
+            if not math.hypot(*z_next.tolist()) <= guard:  # catches NaN as well
                 if record:
                     rows.append((base + tau_next, z_next, tau_next))
                 raise DivergenceError(
@@ -424,8 +431,6 @@ def simulate(
             rows.append((t, z, tau))
         if len(jump_times) >= settings.max_jumps:
             terminated = "max-jumps"
-            break
-        if t >= horizon:
             break
 
     return HybridSolution(_segments(rows, cuts, n_x), jump_times, terminated)

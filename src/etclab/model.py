@@ -10,8 +10,8 @@ output map included; ``check_pairing`` tells whether the two fit.
 """
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, Optional
+from dataclasses import dataclass, replace
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -53,11 +53,10 @@ class ClosedLoopSystem:
     linear flow (x, e)' = M (x, e) and must agree with f and g; both
     ``simulate`` and ``flow_step`` then step with the RK4 propagator (the
     same classical RK4 step as a matrix polynomial) instead of calling f
-    and g.  The loop keeps a read-only float copy of M, which must be
-    (n_x + n_e) square (DimensionError otherwise), and memoises one
-    propagator per step length, and the powers of the full step's
-    propagator that ``simulate`` flows a dwell with, in private dicts
-    that a copy made with ``dataclasses.replace`` starts afresh.
+    and g.  The loop keeps a read-only, C-ordered float copy of M, which
+    must be (n_x + n_e) square (DimensionError otherwise).  The loop holds
+    no simulator state: ``hybrid`` caches the propagators by the bytes of
+    M, so loops with equal matrices share them.
     """
 
     n_x: int
@@ -66,17 +65,11 @@ class ClosedLoopSystem:
     g: Callable[[np.ndarray, np.ndarray], np.ndarray]
     stacked_matrix: Optional[np.ndarray] = None
     name: str = ""
-    _propagators: Dict[float, np.ndarray] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
-    _powers: Dict[float, np.ndarray] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
 
     def __post_init__(self):
         if self.stacked_matrix is None:
             return
-        M = np.array(self.stacked_matrix, dtype=float)
+        M = np.array(self.stacked_matrix, dtype=float, order="C")
         n = self.n_x + self.n_e
         if M.shape != (n, n):
             raise DimensionError(

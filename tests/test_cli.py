@@ -427,6 +427,67 @@ class TestConfigResolver:
         assert json.loads(cert_path.read_text())["eps2"] == 0.01
 
 
+# name: (argv, config document or None, ETC_LAB_SEED or None, exit code,
+# start of stderr, check of stdout and the output directory, or None for
+# "no output"); "{config}" in argv is the document, written to a file.
+CLI_EXITS = {
+    "config-file-not-found": (
+        ["simulate", "--config", "{absent}"], None, None, 1, "error: config file not found: ", None,
+    ),
+    "config-not-an-object": (
+        ["simulate", "--config", "{config}"], [LORENZ_CFG], None, 1,
+        "error: config: expected an object, got list", None,
+    ),
+    "certificate-on-a-built-in": (
+        ["check", "--config", "{config}"], {**LORENZ_CFG, "certificate": {"P": [[1.0]]}}, None, 1,
+        "error: config.certificate: built-in system 'lorenz' carries its own certificate", None,
+    ),
+    "seed-not-an-integer": (
+        ["simulate", "--config", "{config}"], LORENZ_CFG, "7.5", 1,
+        "error: ETC_LAB_SEED must be an integer, got '7.5'", None,
+    ),
+    "neither-config-nor-system": (
+        ["simulate"], None, None, 1, "error: simulate requires --config or --system", None,
+    ),
+    "design-of-a-nonlinear-loop": (
+        ["design", "--system", "lorenz"], None, None, 1,
+        "error: design expects an LTI system, got 'lorenz'", None,
+    ),
+    "design-to-stdout": (
+        ["design", "--out", "-"], None, None, 0, "gamma = ",
+        lambda out, outdir: json.loads(out)["T_max"] > 0.0,
+    ),
+    "zeta-transit-warning": (
+        # The default zeta's transit time, 0.00988, is below T = 0.01.
+        ["simulate", "--config", "{config}"], {k: v for k, v in LORENZ_CFG.items() if k != "zeta"},
+        None, 0,
+        "warning: dwell time is not below the zeta transit time; R-monitor output is empty",
+        lambda out, outdir: (outdir / "rmonitor.csv").read_text() == "t,j,R\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(CLI_EXITS))
+def test_exit_code_and_message(capsys, tmp_path, monkeypatch, name):
+    argv, doc, seed, code, message, check = CLI_EXITS[name]
+    outdir = tmp_path / "out"
+    if isinstance(doc, dict):
+        doc = {**doc, "output_dir": str(outdir)}
+    if doc is not None:
+        (tmp_path / "config.json").write_text(json.dumps(doc))
+    if seed is not None:
+        monkeypatch.setenv("ETC_LAB_SEED", seed)
+    paths = {"config": tmp_path / "config.json", "absent": tmp_path / "absent.json"}
+    argv = [a.format(**paths) for a in argv]
+    rc, out, err = _run(capsys, *argv)
+    assert rc == code
+    assert err.startswith(message)
+    if check is None:
+        assert out == "" and not outdir.exists()
+    else:
+        assert check(out, outdir)
+
+
 def _key_paths(d, prefix=()):
     for k, v in d.items():
         yield prefix + (k,)

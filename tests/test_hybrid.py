@@ -38,7 +38,13 @@ from etclab import (
     zeta_time,
 )
 from etclab import hybrid
-from etclab.hybrid import _DWELL_BLOCK, _PROPAGATOR_MEMO_SIZE, _rk4_propagator
+from etclab.hybrid import (
+    _DWELL_BLOCK,
+    _MEMO_MATRICES,
+    _POWER_STACKS,
+    _PROPAGATOR_MEMO_SIZE,
+    _rk4_propagator,
+)
 from etclab.systems import lti_loop_from_matrices
 
 SETTINGS = SimSettings(step=1e-3, horizon_t=1.0, event_tol=1e-6)
@@ -135,6 +141,15 @@ class TestFlowStep:
         with pytest.raises(DomainError, match="must be finite"):
             flow_step(sys, HybridState(np.array([1.0, bad, 0.0]), np.zeros(1), 0.0), 1e-3)
 
+    def test_nonfinite_derivative_raises_divergence(self):
+        sys = ClosedLoopSystem(
+            n_x=1, n_e=1, f=lambda x, e: np.full(1, np.nan), g=lambda x, e: 0.0 * e
+        )
+        q = HybridState(np.array([1.0]), np.zeros(1), 0.0)
+        with pytest.raises(DivergenceError, match="non-finite") as info:
+            flow_step(sys, q, 1e-3)
+        assert info.value.state is q
+
     @pytest.mark.parametrize("loop, T, radius", [("tabuada", 0.02, 10.0), ("lorenz", 0.01, 5.0)])
     def test_equals_the_first_step_of_simulate(self, loop, T, radius, request):
         # Linear loops take the propagator, the rest the RK4 body, in both.
@@ -194,6 +209,13 @@ class TestHybridSolution:
     def test_stores_no_gap_field(self):
         fields = [f.name for f in dataclasses.fields(HybridSolution)]
         assert fields == ["segments", "jump_times", "terminated"]
+
+    def test_final_state_is_none_without_recorded_states(self, tabuada):
+        sys, cert = tabuada
+        q0 = HybridState(np.array([3.0, -2.0]), np.zeros(2), 0.0)
+        settings = SimSettings(step=1e-3, horizon_t=0.2, event_tol=1e-6, record_states=False)
+        sol = simulate(sys, cert, _sf_cfg(), q0, settings)
+        assert sol.n_jumps >= 1 and sol.final_state() is None
 
 
 class TestSimulate:
@@ -347,6 +369,26 @@ class TestSimulate:
         assert partial.terminated == "blow-up"
         assert np.all(np.isfinite(partial.segments[-1].x[:-1]))
         assert not np.all(np.isfinite(partial.segments[-1].x[-1]))
+
+    @pytest.mark.parametrize("linear", [True, False], ids=["propagator", "closure"])
+    def test_guard_above_the_squared_norm_overflow_raises_divergence(self, linear):
+        # x' = 2e4 x grows about 1e9-fold per step of 0.02, so |z| passes
+        # 1.3e154, where z.dot(z) overflows, on its way to the guard at 1e200.
+        lam = 2e4
+        sys = ClosedLoopSystem(
+            n_x=1, n_e=1, f=lambda x, e: lam * x, g=lambda x, e: -lam * x,
+            stacked_matrix=np.array([[lam, 0.0], [-lam, 0.0]]) if linear else None,
+        )
+        q0 = HybridState(np.array([1.0]), np.zeros(1), 0.0)
+        settings = SimSettings(step=0.02, horizon_t=10.0, event_tol=1e-6, blowup_norm=1e200)
+        cfg = TriggerConfig(mode="periodic", T=0.2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no overflow RuntimeWarning either
+            with pytest.raises(DivergenceError, match=r"guard 1e\+200") as info:
+                simulate(sys, _permissive_cert(), cfg, q0, settings)
+        seg = info.value.partial.segments[-1]
+        norms = [math.hypot(x, e) for x, e in zip(seg.x[:, 0], seg.e[:, 0])]
+        assert norms[-2] <= 1e200 < norms[-1] < math.inf
 
     @pytest.mark.parametrize("tau0", [float("nan"), float("inf")])
     def test_nonfinite_initial_clock_rejected(self, tau0):
@@ -617,59 +659,91 @@ def _power_stack(M, h, k):
     return np.concatenate(powers)
 
 
+def _clear_flow_caches():
+    hybrid._propagator_memo.cache_clear()
+    hybrid._dwell_powers.cache_clear()
+
+
 class TestPropagatorMemo:
-    # The session-scoped ``tabuada`` fixture shares its memo across tests,
-    # so each test here builds its own loops.
+    # The caches are keyed by the stacked matrix, so every tabuada loop
+    # shares them; the tests that count entries start them cold.
 
     def test_warm_and_cold_memo_give_identical_runs(self):
+        _clear_flow_caches()
         sys, cert = tabuada_loop()
         first = _batches(sys, cert)
-        assert sys._propagators  # the bisections and dwell landings filled it
-        assert list(sys._powers) == [1e-3]  # the state-feedback dwells filled it
+        key, M = sys.stacked_matrix.tobytes(), sys.stacked_matrix
+        warm = hybrid._propagator_memo(key)
+        assert warm  # the bisections and dwell landings filled it
+        assert hybrid._dwell_powers.cache_info().currsize == 1  # the state-feedback dwells
         _assert_same_runs(_batches(sys, cert), first)  # warm
+        _clear_flow_caches()
         _assert_same_runs(_batches(*tabuada_loop()), first)  # cold
-        M = sys.stacked_matrix
-        for h, P in sys._propagators.items():
+        cold = hybrid._propagator_memo(key)
+        assert cold is not warm and cold.keys() <= warm.keys()
+        for h, P in [*warm.items(), *cold.items()]:
             assert P.tobytes() == _rk4_propagator(M, h).tobytes()
-        for h, powers in sys._powers.items():
-            k, rest = divmod(len(powers), 4)
-            assert rest == 0 and 1 <= k <= _DWELL_BLOCK
-            assert powers.tobytes() == _power_stack(M, h, k).tobytes()
+        hits = hybrid._dwell_powers.cache_info().hits
+        powers = hybrid._dwell_powers(key, 4, 1e-3)
+        assert hybrid._dwell_powers.cache_info().hits == hits + 1  # the cold runs cached it
+        assert not powers.flags.writeable
+        assert powers.tobytes() == _power_stack(M, 1e-3, _DWELL_BLOCK).tobytes()
 
-    def test_replace_starts_a_fresh_memo(self):
+    def test_replace_copy_shares_the_caches_and_gives_identical_runs(self):
         sys, cert = tabuada_loop()
-        _batches(sys, cert)
+        first = _batches(sys, cert)
+        memo = hybrid._propagator_memo(sys.stacked_matrix.tobytes())
+        size, built = len(memo), hybrid._dwell_powers.cache_info().misses
         copy = dataclasses.replace(sys, name="copy")
-        assert copy._propagators == {} and copy._propagators is not sys._propagators
-        assert copy._powers == {} and copy._powers is not sys._powers
+        _assert_same_runs(_batches(copy, cert), first)
+        assert len(memo) == size  # no propagator was built again
+        assert hybrid._dwell_powers.cache_info().misses == built  # nor a power stack
 
     def test_power_memo_stays_bounded(self):
-        # Each run's step length gets a stack; a dwell of T / step = 200
-        # steps needs two blocks, but no stack grows past _DWELL_BLOCK.
+        # Each run's step length gets one stack of _DWELL_BLOCK powers; a
+        # dwell of T / step = 200 steps takes two blocks from it.
+        assert _DWELL_BLOCK <= 128 and _POWER_STACKS <= 32
+        assert hybrid._dwell_powers.cache_info().maxsize == _POWER_STACKS
+        _clear_flow_caches()
         sys, cert = tabuada_loop()
+        key = sys.stacked_matrix.tobytes()
         cfg = TriggerConfig(mode="periodic", T=0.075)
         q0 = HybridState(np.array([1.0, -1.0]), np.zeros(2), 0.0)
-        bound = _PROPAGATOR_MEMO_SIZE // _DWELL_BLOCK
-        for k in range(bound + 5):
+        n = _POWER_STACKS + 5
+        for k in range(n):
             step = 3.75e-4 * (1.0 - k * 1e-6)
             simulate(sys, cert, cfg, q0, SimSettings(step=step, horizon_t=0.1, event_tol=1e-6))
-            assert len(sys._powers) <= bound
-            assert len(sys._powers[step]) == _DWELL_BLOCK * 4
-        assert len(sys._powers) < bound + 5  # cleared at least once
+            info = hybrid._dwell_powers.cache_info()
+            assert info.currsize <= _POWER_STACKS
+            assert hybrid._dwell_powers(key, 4, step).shape == (_DWELL_BLOCK * 4, 4)
+            assert hybrid._dwell_powers.cache_info().hits == info.hits + 1  # the run cached it
+        info = hybrid._dwell_powers.cache_info()
+        assert info.misses == n and info.currsize == _POWER_STACKS  # the oldest were dropped
 
     def test_memo_stays_bounded_and_exact(self):
+        assert _PROPAGATOR_MEMO_SIZE <= 4096
         sys, _ = tabuada_loop()
-        M, memo = sys.stacked_matrix, sys._propagators
+        M = sys.stacked_matrix
+        memo = hybrid._propagator_memo(M.tobytes())
         z = np.array([0.3, -1.2, 0.5, 0.7])
         q = HybridState(z[:2], z[2:], 0.0)
         n = _PROPAGATOR_MEMO_SIZE + 500
         for k in range(n):
             h = 1e-3 + k * 1e-9
             qn = flow_step(sys, q, h)
-            assert len(memo) <= _PROPAGATOR_MEMO_SIZE
+            assert h in memo and len(memo) <= _PROPAGATOR_MEMO_SIZE
             expected = _rk4_propagator(M, h).dot(z)
             assert np.concatenate((qn.x, qn.e)).tobytes() == expected.tobytes()
         assert len(memo) < n  # cleared at least once
+
+    def test_memos_are_kept_for_a_bounded_number_of_matrices(self):
+        _clear_flow_caches()
+        q = HybridState(np.array([1.0]), np.zeros(1), 0.0)
+        for k in range(_MEMO_MATRICES + 3):
+            M = np.array([[-1.0 - k, 0.0], [1.0 + k, 0.0]])
+            flow_step(ClosedLoopSystem(1, 1, None, None, stacked_matrix=M), q, 1e-3)
+            assert hybrid._propagator_memo.cache_info().currsize <= _MEMO_MATRICES
+        assert hybrid._propagator_memo.cache_info().currsize == _MEMO_MATRICES
 
 
 # Re-stepped from its first sample, a dwell's recorded states stay within this
@@ -743,9 +817,12 @@ class TestDwellBlock:
         sys, cert = tabuada_loop()
         q0 = HybridState(np.array(x0), np.array(e0), tau0)
         settings = SimSettings(step=step, horizon_t=horizon, event_tol=1e-6)
+        before = hybrid._dwell_powers.cache_info()
         sol = _assert_dwell_blocks_within_bound(sys, cert, cfg, q0, settings)
+        after = hybrid._dwell_powers.cache_info()
         assert sol.n_jumps >= 2
-        assert step in sys._powers  # the dwells did flow as blocks
+        # The dwells flowed as blocks.
+        assert after.hits + after.misses > before.hits + before.misses
 
     def test_overflow_inside_a_block_ends_as_the_step_path(self):
         # x' = 2e4 x grows 8,221-fold per RK4 step: the 128th power of the
@@ -766,13 +843,19 @@ class TestDwellBlock:
                 simulate(sys, _permissive_cert(), cfg, q0, settings)
             with pytest.raises(DivergenceError) as ref:
                 _step_path(sys, _permissive_cert(), cfg, q0, settings)
-        assert not np.isfinite(sys._powers[1e-3]).all()
+        with np.errstate(over="ignore", invalid="ignore"):
+            stack = hybrid._dwell_powers(sys.stacked_matrix.tobytes(), 2, 1e-3)
+        assert not np.isfinite(stack).all()
         partial = info.value.partial
         assert partial.terminated == "blow-up" and partial.segments[0].t.size == 3
         assert _state_digest(partial) == _state_digest(ref.value.partial)
 
 
 class TestStackedMatrix:
+    def test_loop_holds_no_simulator_state(self):
+        fields = [f.name for f in dataclasses.fields(ClosedLoopSystem)]
+        assert fields == ["n_x", "n_e", "f", "g", "stacked_matrix", "name"]
+
     def test_wrong_shape_rejected_at_construction(self, tabuada):
         sys, _ = tabuada
         with pytest.raises(DimensionError, match=r"\(3, 3\).*\(4, 4\)"):

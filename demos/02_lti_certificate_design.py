@@ -7,6 +7,8 @@ SDP solver, and verifies it two independent ways: by the block-matrix
 residual and by sampling the certificate inequalities at random states.
 """
 
+import dataclasses
+
 import numpy as np
 
 from etclab import (
@@ -54,6 +56,7 @@ print("verdict:", "PASS" if report.passed else "FAIL")
 print()
 print("Falsification check: corrupt gamma by 10x down and re-sample")
 report_bad = check_assumption_sampled(
-    loop, cert.with_gamma(cert.gamma / 10.0), n_samples=5000, radius=50.0, seed=0
+    loop, dataclasses.replace(cert, gamma=cert.gamma / 10.0),
+    n_samples=5000, radius=50.0, seed=0,
 )
 print("corrupted verdict:", "PASS" if report_bad.passed else "FAIL (as it should be)")

@@ -39,8 +39,10 @@ from the same memo; identical inputs give bit-identical logs.
 The per-step paths here and in the certificate terms use ``ndarray.dot``
 and ``math.sqrt(v.dot(v))``, which numpy runs through the same BLAS
 kernels as ``@`` and ``np.linalg.norm`` without their dispatch cost; a
-tier-1 test (``TestHotPathKernels``) pins that the bits agree.  Only the
-single-step norm guard uses ``math.hypot``, which cannot overflow.
+tier-1 test (``TestHotPathKernels``) pins that the bits agree.  A state's
+size is one rule: ``math.hypot`` of z, which cannot overflow, at most
+``blowup_norm`` <= 1e150 for q0 and after every single step, so no accepted
+state's square overflows.
 """
 
 import functools
@@ -80,8 +82,10 @@ class SimSettings:
         # Below ulp(step) the event bisection's midpoint can stall before its bracket closes.
         if not math.ulp(self.step) <= self.event_tol < self.step:
             raise ConfigError("event_tol must satisfy ulp(step) <= event_tol < step")
-        if not 0 < self.blowup_norm < math.inf:
-            raise ConfigError("blowup_norm must be positive and finite")
+        # Up to 1e150 the square of every accepted state, which V, W^2 and the
+        # event excess take, stays below 1e300 and cannot overflow.
+        if not 0 < self.blowup_norm <= 1e150:
+            raise ConfigError("blowup_norm must satisfy 0 < blowup_norm <= 1e150")
 
 
 @dataclass
@@ -308,7 +312,8 @@ def simulate(
     """Simulate the closed loop from q0 until horizon, max_jumps or blow-up.
 
     Raises DimensionError if the certificate does not pair with the
-    loop, DomainError if q0 lies outside the flow and jump sets,
+    loop, DomainError if q0 is larger than the blow-up guard or lies
+    outside the flow and jump sets,
     ConfigError for invalid settings (dwell time at or above the MASP
     ceiling, step too coarse relative to T), and DivergenceError
     (carrying the partial solution) if the state norm passes the
@@ -322,14 +327,19 @@ def simulate(
             f"step {settings.step:g} too coarse: event detection requires step <= T/10 "
             f"= {cfg.T / 10.0:g}"
         )
+    z, guard = np.concatenate((q0.x, q0.e)), settings.blowup_norm
+    # Before any certificate term squares q0, so that none can overflow.
+    size = math.hypot(*z.tolist())
+    if not size <= guard:
+        raise DomainError(f"initial state norm {size:g} exceeds blowup_norm {guard:g}")
     h_ev = event_function(cert, cfg)  # None in periodic mode
     h0 = None if h_ev is None else h_ev(q0.x, q0.e)
-    if not any(cfg.membership(h0, q0.tau, tol=1e-12 * max(1.0, q0.norm()))):
+    if not any(cfg.membership(h0, q0.tau, tol=1e-12 * max(1.0, size))):
         raise DomainError("initial state lies outside the flow and jump sets")
 
     n_x = sys.n_x
     flow = _stepper(sys)
-    step, horizon, guard = settings.step, settings.horizon_t, settings.blowup_norm
+    step, horizon = settings.step, settings.horizon_t
     block = _block_flow(sys, step)
     eps = 1e-15 * max(1.0, horizon)
     T = cfg.T  # 0 in pure-event mode, where the dwell branch never runs
@@ -339,7 +349,7 @@ def simulate(
     # references, not copies.
     rows, cuts, jump_times = [], [], []
 
-    z, tau = np.concatenate((q0.x, q0.e)), q0.tau
+    tau = q0.tau
     base = -tau  # absolute time is base + tau; a jump at t sets base = t, tau = 0
     monitoring = False  # set once the event test at dwell expiry has failed
     terminated = "horizon"

@@ -38,10 +38,10 @@ import numpy as np
 
 from .errors import CertificateError, DesignInfeasibleError, DimensionError
 from .linalg import (
+    _TOL,
     _require_square_symmetric,
     as_matrix,
     is_hurwitz,
-    is_positive_definite,
     solve_lyapunov,
     spectral_norm,
     sym_eigenvalues,
@@ -137,7 +137,7 @@ class ClosedLoopMatrices:
 
 @dataclass(frozen=True)
 class LmiCertificate:
-    """A candidate (P, eps1, eps2, mu) for the block matrix inequality; P is symmetric."""
+    """A candidate (P, eps1, eps2, mu) for the block matrix inequality; P is exactly symmetric."""
 
     P: np.ndarray
     eps1: float
@@ -145,8 +145,9 @@ class LmiCertificate:
     mu: float
 
     def __post_init__(self):
-        object.__setattr__(self, "P", as_matrix(self.P, "P"))
-        _require_square_symmetric(self.P, "P")
+        P = as_matrix(self.P, "P")
+        _require_square_symmetric(P, "P")
+        object.__setattr__(self, "P", 0.5 * (P + P.T))
         if not 0 <= self.eps1 < inf:
             raise CertificateError("eps1 must be finite and nonnegative")
         if not 0 < self.eps2 < inf:
@@ -205,7 +206,7 @@ def lmi_residual(clm: ClosedLoopMatrices, cand: LmiCertificate) -> float:
     The candidate is feasible iff the value is <= 0 (up to a small
     numerical tolerance chosen by the caller).
     """
-    P = 0.5 * (cand.P + cand.P.T)
+    P = cand.P
     if P.shape != (clm.n_x, clm.n_x):
         raise DimensionError(
             f"P has shape {P.shape}, expected ({clm.n_x}, {clm.n_x})"
@@ -275,12 +276,12 @@ def extract_assumption(clm: ClosedLoopMatrices, cand: LmiCertificate) -> Certifi
         raise CertificateError(
             f"candidate is not feasible (residual {lmi_residual(clm, cand):.3e})"
         )
-    if not is_positive_definite(cand.P):
-        raise CertificateError("P must be positive definite")
-    P = 0.5 * (cand.P + cand.P.T)
-    A2, B2, Cbar = clm.A2, clm.B2, clm.Cbar
-    eigs = sym_eigenvalues(P)
+    P = cand.P
+    eigs = np.linalg.eigvalsh(P)  # one eigensolve: definiteness and the V bounds
     p_lo, p_hi = float(eigs[0]), float(eigs[-1])
+    if not p_lo > _TOL:  # is_positive_definite's threshold
+        raise CertificateError("P must be positive definite")
+    A2, B2, Cbar = clm.A2, clm.B2, clm.Cbar
     eps1, eps2 = cand.eps1, cand.eps2
     L = spectral_norm(B2)
     gamma = cand.gamma

@@ -10,7 +10,7 @@ output map included; ``check_pairing`` tells whether the two fit.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -35,10 +35,6 @@ class HybridState:
         self.e = np.asarray(self.e, dtype=float)
         if not 0 <= self.tau < math.inf:  # NaN fails too
             raise ValueError(f"tau must be finite and nonnegative, got {self.tau}")
-
-    def norm(self):
-        """Euclidean norm of the (x, e) part."""
-        return float(np.sqrt(self.x @ self.x + self.e @ self.e))
 
 
 @dataclass(frozen=True)
@@ -109,10 +105,6 @@ class Certificate:
     def __post_init__(self):
         if not (0 <= self.gamma < math.inf and 0 <= self.L < math.inf):
             raise ValueError("Certificate: gamma and L must be finite and nonnegative")
-
-    def with_gamma(self, gamma):
-        """Copy with a different gain gamma (used by falsification tests)."""
-        return replace(self, gamma=float(gamma))
 
 
 def check_pairing(sys: ClosedLoopSystem, cert: Certificate):

@@ -54,7 +54,6 @@ class RunStats:
     run: int
     n_events: int
     min_gap: Optional[float]
-    mean_gap: Optional[float]
 
 
 @dataclass
@@ -110,17 +109,10 @@ def run_batch(
             failures.append(k)
             continue
         rows = sol.gap_rows()
-        gaps = [gap for _j, _t, gap in rows]
         n_events_total += sol.n_jumps
         events.extend((k,) + row for row in rows)
-        per_run.append(
-            RunStats(
-                run=k,
-                n_events=sol.n_jumps,
-                min_gap=min(gaps) if gaps else None,
-                mean_gap=float(np.mean(gaps)) if gaps else None,
-            )
-        )
+        min_gap = min(gap for _j, _t, gap in rows) if rows else None
+        per_run.append(RunStats(run=k, n_events=sol.n_jumps, min_gap=min_gap))
 
     pooled = [gap for _run, _j, _t, gap in events]
     tau_min = min(pooled) if pooled else None

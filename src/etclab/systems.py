@@ -285,8 +285,8 @@ def check_assumption_sampled(
         h_v = 1e-6 * max(1.0, nx)
         grad_v = _grad_fd(cert.V, x, h_v)
         lhs = float(grad_v.dot(sys.f(x, e)))
-        w = cert.W(e)
-        rhs = -cert.alpha(nx) - cert.H(x) ** 2 - cert.delta(cert.y_of_x(x)) + g2 * w * w
+        w, hx = cert.W(e), cert.H(x)  # H serves both right-hand sides
+        rhs = -cert.alpha(nx) - hx**2 - cert.delta(cert.y_of_x(x)) + g2 * w * w
         note("v-decay", lhs, rhs)
         scale["v-decay"] = max(scale["v-decay"], abs(lhs), abs(rhs))
 
@@ -297,7 +297,7 @@ def check_assumption_sampled(
             h_w = 1e-6 * ne
             grad_w = _grad_fd(cert.W, e, h_w)
             lhs = float(grad_w.dot(sys.g(x, e)))
-            rhs = cert.L * w + cert.H(x)
+            rhs = cert.L * w + hx
             note("w-growth", lhs, rhs)
             scale["w-growth"] = max(scale["w-growth"], abs(lhs), abs(rhs))
 

@@ -6,13 +6,16 @@ eigensolver, power iteration instead of an SVD, Kronecker vectorization
 instead of a Schur-based Lyapunov solve, leading principal minors
 instead of an eigenvalue test, the Schur complement instead of the full
 LMI block matrix, one Lyapunov solve per design slack instead of two
-that price the whole slack grid.
+that price the whole slack grid, the matrix exponential and a bracketing
+root finder instead of RK4 steps and an event bisection.
 """
 
 import math
 from decimal import Decimal, localcontext
 
 import numpy as np
+import scipy.linalg
+import scipy.optimize
 
 from etclab import DesignInfeasibleError, solve_lyapunov, spectral_norm
 
@@ -181,3 +184,74 @@ def slack_grid_design(clm, eps1=1e-2, eps2=1e-2):
     if best is None:
         raise DesignInfeasibleError("no slack solves the Lyapunov equation")
     return best
+
+
+class LtiHybridOracle:
+    """The jump-priority hybrid solution of an LTI loop, from scipy alone.
+
+    Goebel, Sanfelice and Teel, "Hybrid Dynamical Systems" (2012): flow
+    z' = M z with M = [[A1, B1], [A2, B2]] by the exact exponential
+    ``scipy.linalg.expm``, dwell until tau = T, then jump at the first
+    time the excess z^T Q z reaches 0 (at tau = T if it already has);
+    a jump resets e to 0 and tau to 0.  Q comes from the closed-loop blocks
+    and the candidate's (eps1, eps2, gamma) with the trigger's sigma, not
+    from the library's certificate terms:
+
+        output-feedback   diag(-eps1 Cbar^T Cbar, gamma^2 I)
+        state-feedback    diag(-sigma (eps2 I + A2^T A2 + eps1 Cbar^T Cbar), gamma^2 I)
+        pure-event        the state-feedback Q, with T = 0
+        periodic          no excess: jumps every T
+
+    After the dwell the excess is scanned on a grid of spacing ``DS``, a
+    tenth of the simulator's usual step, stepped by the powers of one
+    ``expm(M DS)`` (``CHUNK`` grid points per product), and the first
+    crossing is refined with ``scipy.optimize.brentq`` on expm(M s) z.  A
+    crossing that opens and closes between two grid points is not seen.
+    """
+
+    DS = 1e-4
+    CHUNK = 256
+
+    def __init__(self, clm, eps1, eps2, gamma, mode, T=0.0, sigma=None):
+        n_x, n_e = clm.n_x, clm.n_e
+        self.M = np.block([[clm.A1, clm.B1], [clm.A2, clm.B2]])
+        self.T = T
+        self.Q = None
+        if mode != "periodic":
+            qx = eps1 * (clm.Cbar.T @ clm.Cbar)
+            if mode != "output-feedback":
+                qx = sigma * (eps2 * np.eye(n_x) + clm.A2.T @ clm.A2 + qx)
+            self.Q = scipy.linalg.block_diag(-qx, gamma * gamma * np.eye(n_e))
+        step = scipy.linalg.expm(self.M * self.DS)
+        powers = [step]
+        for _ in range(self.CHUNK - 1):
+            powers.append(step @ powers[-1])
+        self.powers = np.stack(powers)  # E^1, ..., E^CHUNK
+
+    def excess(self, z):
+        return float(z @ self.Q @ z)
+
+    def flow(self, z, s):
+        return scipy.linalg.expm(self.M * s) @ z
+
+    def next_jump(self, z, tau, horizon):
+        """Time from (z, tau) to the next jump, or None if it comes after ``horizon``."""
+        s = max(self.T - tau, 0.0)
+        if s > horizon:
+            return None
+        z = self.flow(z, s)
+        if self.Q is None or self.excess(z) >= 0.0:
+            return s
+        while s < horizon:
+            Z = self.powers @ z
+            k = np.flatnonzero(np.einsum("ij,jk,ik->i", Z, self.Q, Z) >= 0.0)
+            if k.size:
+                k = int(k[0])
+                z_prev = z if k == 0 else Z[k - 1]
+                s += k * self.DS
+                root = scipy.optimize.brentq(
+                    lambda u: self.excess(self.flow(z_prev, u)), 0.0, self.DS, xtol=1e-14
+                )
+                return s + root if s + root <= horizon else None
+            z, s = Z[-1], s + self.CHUNK * self.DS
+        return None

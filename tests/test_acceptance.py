@@ -10,6 +10,7 @@ R envelope along its runs.  The checks themselves are implemented
 faithfully and the violations are real, localized and reproducible.
 """
 
+import dataclasses
 import math
 import time
 
@@ -284,11 +285,13 @@ def test_criterion_6_sampled_certification(lorenz_check):
     sys6, cert6 = tabuada_loop()
     report6 = check_assumption_sampled(sys6, cert6, n_samples=10_000, radius=50.0, seed=0)
     falsified6 = check_assumption_sampled(
-        sys6, cert6.with_gamma(cert6.gamma / 10.0), n_samples=10_000, radius=50.0, seed=0
+        sys6, dataclasses.replace(cert6, gamma=cert6.gamma / 10.0),
+        n_samples=10_000, radius=50.0, seed=0,
     )
     sys_l, cert_l = lorenz_loop()
     falsified_l = check_assumption_sampled(
-        sys_l, cert_l.with_gamma(cert_l.gamma / 10.0), n_samples=10_000, radius=50.0, seed=0
+        sys_l, dataclasses.replace(cert_l, gamma=cert_l.gamma / 10.0),
+        n_samples=10_000, radius=50.0, seed=0,
     )
     elapsed = time.perf_counter() - t0
     ok = report6.passed and not falsified6.passed and not falsified_l.passed and elapsed < 10.0

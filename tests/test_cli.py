@@ -457,6 +457,16 @@ CLI_EXITS = {
         ["design", "--out", "-"], None, None, 0, "gamma = ",
         lambda out, outdir: json.loads(out)["T_max"] > 0.0,
     ),
+    "blowup-norm-above-1e150": (
+        ["simulate", "--config", "{config}"],
+        {**LORENZ_CFG, "sim": {**LORENZ_CFG["sim"], "blowup_norm": 1e200}}, None, 1,
+        "error: config.sim: blowup_norm must satisfy 0 < blowup_norm <= 1e150\n", None,
+    ),
+    "initial-past-the-guard": (
+        ["simulate", "--config", "{config}"],
+        {**LORENZ_CFG, "initial": {"x": [1e10, 0.0, 0.0], "e": [0.0]}}, None, 1,
+        "error: initial state norm 1e+10 exceeds blowup_norm 1e+09\n", None,
+    ),
     "zeta-transit-warning": (
         # The default zeta's transit time, 0.00988, is below T = 0.01.
         ["simulate", "--config", "{config}"], {k: v for k, v in LORENZ_CFG.items() if k != "zeta"},

@@ -45,7 +45,9 @@ from etclab.hybrid import (
     _PROPAGATOR_MEMO_SIZE,
     _rk4_propagator,
 )
-from etclab.systems import lti_loop_from_matrices
+from etclab.montecarlo import BatchSpec, sample_initial
+from etclab.systems import TABUADA_EPS2, lti_loop_from_matrices, tabuada_matrices
+from oracles import LtiHybridOracle
 
 SETTINGS = SimSettings(step=1e-3, horizon_t=1.0, event_tol=1e-6)
 
@@ -372,23 +374,48 @@ class TestSimulate:
 
     @pytest.mark.parametrize("linear", [True, False], ids=["propagator", "closure"])
     def test_guard_above_the_squared_norm_overflow_raises_divergence(self, linear):
-        # x' = 2e4 x grows about 1e9-fold per step of 0.02, so |z| passes
-        # 1.3e154, where z.dot(z) overflows, on its way to the guard at 1e200.
+        # x' = 2e4 x grows about 1e9-fold per step of 0.02, so from x0 = 10 the
+        # first state past the guard at 1e150 is also past 1.3e154, where
+        # z.dot(z) overflows: the guard must trip on it without a warning.
         lam = 2e4
         sys = ClosedLoopSystem(
             n_x=1, n_e=1, f=lambda x, e: lam * x, g=lambda x, e: -lam * x,
             stacked_matrix=np.array([[lam, 0.0], [-lam, 0.0]]) if linear else None,
         )
-        q0 = HybridState(np.array([1.0]), np.zeros(1), 0.0)
-        settings = SimSettings(step=0.02, horizon_t=10.0, event_tol=1e-6, blowup_norm=1e200)
+        q0 = HybridState(np.array([10.0]), np.zeros(1), 0.0)
+        settings = SimSettings(step=0.02, horizon_t=10.0, event_tol=1e-6, blowup_norm=1e150)
         cfg = TriggerConfig(mode="periodic", T=0.2)
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no overflow RuntimeWarning either
-            with pytest.raises(DivergenceError, match=r"guard 1e\+200") as info:
+            with pytest.raises(DivergenceError, match=r"guard 1e\+150") as info:
                 simulate(sys, _permissive_cert(), cfg, q0, settings)
         seg = info.value.partial.segments[-1]
         norms = [math.hypot(x, e) for x, e in zip(seg.x[:, 0], seg.e[:, 0])]
-        assert norms[-2] <= 1e200 < norms[-1] < math.inf
+        assert norms[-2] <= 1e150 < norms[-1] < math.inf
+        assert norms[-1] > math.sqrt(np.finfo(float).max)  # so its square overflows
+
+    @pytest.mark.parametrize(
+        "x0, guard, error, message",
+        [
+            (1e160, 1e300, ConfigError, r"^blowup_norm must satisfy 0 < blowup_norm <= 1e150$"),
+            (1e160, 1e150, DomainError, r"^initial state norm 1e\+160 exceeds blowup_norm 1e\+150"),
+            (1e10, 1e9, DomainError, r"^initial state norm 1e\+10 exceeds blowup_norm 1e\+09"),
+        ],
+        ids=["guard-above-1e150", "q0-past-a-large-guard", "q0-past-the-default-guard"],
+    )
+    def test_state_past_the_size_rule_is_rejected_before_any_square(
+        self, tabuada, x0, guard, error, message
+    ):
+        # blowup_norm is at most 1e150 and q0 at most blowup_norm, so no
+        # certificate term squares a state above 1e150; a larger q0 used to
+        # overflow the initial event excess, or to diverge after one step.
+        sys, cert = tabuada
+        q0 = HybridState(np.array([x0, 0.0]), np.zeros(2), 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(error, match=message):  # a guard above 1e150 fails here
+                settings = SimSettings(step=1e-3, horizon_t=1.0, blowup_norm=guard)
+                simulate(sys, cert, _sf_cfg(T=0.075), q0, settings)
 
     @pytest.mark.parametrize("tau0", [float("nan"), float("inf")])
     def test_nonfinite_initial_clock_rejected(self, tau0):
@@ -565,7 +592,9 @@ def _diverging_loops():
 
     return {
         "blow-up-closure": (loop(None), _permissive_cert(), TriggerConfig(mode="periodic", T=0.05)),
-        "blow-up-linear": (loop(M), _permissive_cert().with_gamma(3.0), _of_cfg(T=0.01)),
+        "blow-up-linear": (
+            loop(M), dataclasses.replace(_permissive_cert(), gamma=3.0), _of_cfg(T=0.01)
+        ),
     }
 
 
@@ -985,3 +1014,78 @@ def test_random_lqr_loop_keeps_the_dwell_time_and_the_hybrid_sets(loop):
     assert T < zeta_time(cert.gamma, cert.L, zp)
     r = np.array([v[2] for v in r_monitor(sol, cert, zp)])
     assert np.diff(r).max() <= 1e-6 * r[0]
+
+
+# Two LQR loops drawn once on the property test's 0.05 grid: (A, B).
+_FIXED_LQR = {
+    "lqr3": (
+        [[-1.35, 0.95, 1.05], [1.85, 1.15, -0.85], [-0.75, 0.6, 0.6]], [[0.8], [1.5], [-0.85]]
+    ),
+    "lqr2": ([[-0.95, -1.4], [0.8, 0.95]], [[-1.9], [-1.55]]),
+}
+
+
+def _exact_reference_case(name, mode):
+    """(loop, cert, trigger, oracle): tabuada at T = 0.075, or an LQR loop at masp / 2."""
+    if name == "tabuada":
+        clm, T, eps = tabuada_matrices(), 0.075, (0.0, TABUADA_EPS2)
+        sys, cert = tabuada_loop()
+    else:
+        A, B = map(np.array, _FIXED_LQR[name])
+        n = A.shape[0]
+        K = B.T @ scipy.linalg.solve_continuous_are(A, B, np.eye(n), np.eye(1))
+        clm = assemble(LtiPlant(A=A, B=B, C=np.eye(n)), LtiController(D=-K))
+        cand = design_certificate(clm)
+        cert, eps = extract_assumption(clm, cand), (cand.eps1, cand.eps2)
+        sys, T = lti_loop_from_matrices(clm), masp(cert.gamma, cert.L) / 2
+    cfg = TriggerConfig(
+        mode=mode, T=0.0 if mode == "pure-event" else T,
+        sigma=0.7 if mode in ("state-feedback", "pure-event") else None,
+    )
+    return sys, cert, cfg, LtiHybridOracle(clm, *eps, cert.gamma, mode, cfg.T, cfg.sigma)
+
+
+class TestExactLtiReference:
+    """Each jump time of ``simulate`` against the exact LTI hybrid solution.
+
+    The oracle (``oracles.LtiHybridOracle``: expm flow, grid scan, brentq)
+    restarts from every jump state that ``simulate`` records, so errors do
+    not accumulate over the jumps.  The bisection returns the end of a
+    bracket of at most event_tol that contains the RK4 flow's crossing, and
+    RK4 at step 1e-3 moves that crossing far less than event_tol here, so
+    each jump lies within event_tol of the exact one (largest seen: 9.8e-7
+    for event_tol = 1e-6; dwell-expiry and periodic jumps agree exactly).
+    """
+
+    @pytest.mark.parametrize(
+        "name, mode, n_runs",
+        [
+            ("tabuada", "state-feedback", 10),
+            ("tabuada", "pure-event", 6),
+            ("tabuada", "periodic", 4),
+            ("lqr3", "state-feedback", 4),
+            ("lqr3", "output-feedback", 4),
+            ("lqr2", "state-feedback", 4),
+            ("lqr2", "output-feedback", 4),
+        ],
+    )
+    def test_jump_times_within_event_tol_of_the_exact_solution(self, name, mode, n_runs):
+        sys, cert, cfg, oracle = _exact_reference_case(name, mode)
+        settings = SimSettings(step=1e-3, horizon_t=2.0, event_tol=1e-6)
+        spec = BatchSpec(n_runs=n_runs, radius=100.0, horizon_t=2.0, seed=0,
+                         trigger=cfg, sim=settings)
+        worst, n_jumps = 0.0, 0
+        for k in range(n_runs):
+            sol = simulate(sys, cert, cfg, sample_initial(spec, k, sys.n_x, sys.n_e), settings)
+            # Segment j starts at the state that jump j leaves (j = 0: q0).
+            for j, seg in enumerate(sol.segments):
+                t0, z0 = float(seg.t[0]), np.concatenate((seg.x[0], seg.e[0]))
+                s = oracle.next_jump(z0, float(seg.tau[0]), settings.horizon_t - t0)
+                if j == sol.n_jumps:
+                    assert s is None, f"run {k}: exact jump at {t0 + s!r} after the last"
+                    continue
+                assert s is not None, f"run {k}: no exact jump for jump {j + 1}"
+                worst = max(worst, abs(sol.jump_times[j] - (t0 + s)))
+            n_jumps += sol.n_jumps
+        assert n_jumps >= 10 * n_runs
+        assert worst <= settings.event_tol

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -148,6 +150,16 @@ class TestLmiResidual:
     def test_infeasible_candidate(self, planar_clm):
         cand = LmiCertificate(P=np.eye(2), eps1=0.0, eps2=1.0, mu=1e-6)
         assert lmi_residual(planar_clm, cand) > 0.0
+
+    def test_candidate_stores_p_exactly_symmetric(self, planar_clm):
+        # Asymmetry within the tolerance is accepted and stored symmetrised once.
+        P = design_certificate(planar_clm, eps1=0.0, eps2=0.68).P.copy()
+        P[0, 1] += 1e-12
+        cand = LmiCertificate(P=P, eps1=0.0, eps2=0.68, mu=17.3495**2)
+        assert np.array_equal(cand.P, cand.P.T)
+        assert np.array_equal(cand.P, 0.5 * (P + P.T))
+        with pytest.raises(ValueError, match="not symmetric"):
+            LmiCertificate(P=[[1.0, 1e-3], [0.0, 1.0]], eps1=0.0, eps2=1.0, mu=1.0)
 
 
 class TestDesignCertificate:
@@ -386,3 +398,31 @@ class TestExtractAssumption:
         bad = LmiCertificate(P=np.eye(2), eps1=0.0, eps2=1.0, mu=1e-6)
         with pytest.raises(CertificateError):
             extract_assumption(planar_clm, bad)
+
+    def test_one_eigensolve_of_p_gives_the_v_bounds(self, planar_clm, monkeypatch):
+        cand = design_certificate(planar_clm, eps1=0.0, eps2=0.68)
+        eigvalsh = np.linalg.eigvalsh
+        calls = []
+
+        def counted(a, *args, **kwargs):
+            calls.append(np.array_equal(a, cand.P))
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        cert = extract_assumption(planar_clm, cand)
+        assert calls.count(True) == 1
+        monkeypatch.undo()
+        lo, hi = np.linalg.eigvalsh(cand.P)[[0, -1]]
+        assert (cert.alpha_lower(2.0), cert.alpha_upper(2.0)) == (lo * 4.0, hi * 4.0)
+
+    @pytest.mark.parametrize("p", [-1.0, 1e-10], ids=["negative", "below-1e-9"])
+    def test_rejects_a_feasible_p_that_is_not_positive_definite(self, p):
+        # A1 = 1 (unstable) admits P = -1; A1 = -1 with eps2 = 1e-10 admits
+        # P = 1e-10, below is_positive_definite's threshold of 1e-9.
+        a1 = 1.0 if p < 0 else -1.0
+        clm = replace(_scalar_clm(), A1=np.array([[a1]]))
+        cand = LmiCertificate(P=[[p]], eps1=0.0, eps2=1e-10, mu=1.0)
+        assert lmi_residual(clm, cand) <= 0.0
+        assert is_positive_definite(cand.P) is False
+        with pytest.raises(CertificateError, match="P must be positive definite"):
+            extract_assumption(clm, cand)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -209,7 +210,8 @@ class TestCheckAssumptionSampled:
     def test_corrupted_gamma_fails(self, tabuada):
         sys, cert = tabuada
         report = check_assumption_sampled(
-            sys, cert.with_gamma(cert.gamma / 10.0), n_samples=2_000, radius=50, seed=0
+            sys, dataclasses.replace(cert, gamma=cert.gamma / 10.0),
+            n_samples=2_000, radius=50, seed=0,
         )
         assert not report.passed
         assert report.violation_excess("v-decay") > 0

@@ -11,11 +11,13 @@ at tau = T exactly.  At the equilibrium this degenerates to periodic
 sampling with period T.
 
 ``simulate`` is one loop over the stacked state z = (x, e) and the
-clock tau (absolute time base + tau).  Each pass flows in the dwell,
-landing exactly on T; or tests the event once at dwell expiry (each
-segment start in pure-event mode); or takes a monitored step, bisecting
-if the event fired in it.  Every flow step passes one norm guard, so a
-divergence (NaN from f or g included) always carries the partial solution.
+clock tau; a sample at jump count j has time t = t_j + tau (t_0 = -q0.tau).
+Each pass ends the run if horizon - t <= 1e-15 max(1, horizon), the one
+horizon test; or flows in the dwell, landing exactly on T; or tests the
+event once at dwell expiry (each segment start in pure-event mode); or
+takes a monitored step, bisecting if the event fired in it.  Every flow
+step passes one norm guard, so a divergence (NaN from f or g included)
+always carries the partial solution.
 Recorded samples go to one flat (t, z, tau) log per run, cut into
 segments at the jumps once, at the end; rows keep references to z,
 which is never modified in place once recorded.
@@ -357,15 +359,13 @@ def simulate(
         rows.append((0.0, z, tau))
     while True:
         t = base + tau
+        if horizon - t <= eps:
+            break
         if monitoring:
             h = min(step, horizon - t)
-            if h <= eps:
-                break
-            tau_next, t_next = tau + h, t + h
+            tau_next = tau + h
         elif tau < T:
             # Dwell: flow freely and land exactly on T.
-            if t >= horizon:
-                break
             if block is not None and step < T - tau and step <= horizon - t:
                 # Full steps, neither landing on T nor cut by the horizon, flow
                 # as one block of propagator powers.  t only grows, so the
@@ -387,12 +387,9 @@ def simulate(
                 continue
             h = min(step, T - tau, horizon - t)
             tau_next = T if h == T - tau else tau + h
-            t_next = base + tau_next
-        elif t >= horizon - eps:
-            break
         elif h_ev is None or h_ev(z[:n_x], z[n_x:]) >= 0.0:
             # Dwell expiry with the event already on, or periodic: jump now.
-            if h_ev is not None and jump_times and t == base:
+            if jump_times and tau == 0.0:  # only pure-event mode tests at tau = 0
                 # No flow since the last jump: e is still 0, so jumping
                 # again leaves z unchanged, forever.
                 terminated = "zeno"
@@ -403,10 +400,11 @@ def simulate(
             continue
 
         if h is not None:
+            t_next = base + tau_next
             z_next = flow(z, h)
             if not math.hypot(*z_next.tolist()) <= guard:  # catches NaN as well
                 if record:
-                    rows.append((base + tau_next, z_next, tau_next))
+                    rows.append((t_next, z_next, tau_next))
                 raise DivergenceError(
                     f"state norm exceeded blow-up guard {guard:g}",
                     partial=HybridSolution(_segments(rows, cuts, n_x), jump_times, "blow-up"),

@@ -18,7 +18,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .errors import DivergenceError
+from .errors import ConfigError, DivergenceError
 from .hybrid import SimSettings, simulate
 from .model import Certificate, ClosedLoopSystem, HybridState
 from .sampling import check_int, uniform_ball
@@ -92,10 +92,13 @@ def run_batch(
     """Simulate the runs one after another and aggregate their event logs.
 
     ``n_workers`` must be 1: under the interpreter lock threads ran them slower.
+    Raises ConfigError, before any run, if the ball of initial conditions passes the blow-up guard.
     """
     if n_workers != 1:
         raise ValueError(f"n_workers must be 1 (runs are sequential), got {n_workers!r}")
     sim = replace(spec.sim, horizon_t=spec.horizon_t, record_states=False)
+    if not spec.radius <= sim.blowup_norm:
+        raise ConfigError(f"batch radius {spec.radius:g} exceeds blowup_norm {sim.blowup_norm:g}")
 
     per_run = []
     failures = []

@@ -112,27 +112,25 @@ def _comparison_ode(gamma, L, zp, caller):
     return lam, a, 1.0 / zp.theta, c, math.sqrt(abs(c))
 
 
-def _tau_at(s, lam, c, r):
-    """The time tau at which zeta_solution's parameter s(tau) equals s."""
+def _fall_time(lam, a, z0, c, r, end):
+    """The time at which zeta_solution's zeta falls from z0 to end >= 0.
+
+    That is atan(r s)/(lam r), s/lam or atanh(r s)/(lam r) at s = (z0 - end) / d with
+    d = 1 + a z0 + end (z0 + a).  As a - r = 1/(a + r), d (1 - r s) = 1 + z0/(a + r)
+    + end (z0 + a + r), so atanh(r s) = log1p(2 r s / (1 - r s)) / 2 does not cancel.
+    """
+    if c < 0.0:
+        x = 2.0 * r * (z0 - end) / (1.0 + z0 / (a + r) + end * (z0 + a + r))  # 2 r s / (1 - r s)
+        return 0.5 * math.log1p(x) / (lam * r)
+    s = (z0 - end) / (1.0 + a * z0 + end * (z0 + a))
     if c > 0.0:
         return math.atan(r * s) / (lam * r)
-    if c < 0.0:
-        return math.atanh(r * s) / (lam * r)
     return s / lam
 
 
 def zeta_time(gamma, L, zp):
-    """Transit time of the comparison ODE from 1/theta down to theta.
-
-    Closed form: zeta_solution's expression equals theta at
-    s* = (z0 - theta) / (1 + a z0 + theta (z0 + a)) with z0 = 1/theta,
-    and s* maps to the time atan(r s*)/(lam r), s*/lam or
-    atanh(r s*)/(lam r) on the three branches.  The transit time is
-    finite and positive for every valid parameter set.
-    """
-    lam, a, z0, c, r = _comparison_ode(gamma, L, zp, "zeta_time")
-    theta = zp.theta
-    return _tau_at((z0 - theta) / (1.0 + a * z0 + theta * (z0 + a)), lam, c, r)
+    """Transit time of the comparison ODE from 1/theta down to theta: finite, positive."""
+    return _fall_time(*_comparison_ode(gamma, L, zp, "zeta_time"), zp.theta)
 
 
 def zeta_solution(gamma, L, zp):
@@ -148,8 +146,7 @@ def zeta_solution(gamma, L, zp):
     zeta falls monotonically and stays at 0 after crossing it.
     """
     lam, a, z0, c, r = _comparison_ode(gamma, L, zp, "zeta_solution")
-    s_zero = z0 / (1.0 + a * z0)  # s at the zero crossing, reached at tau_zero
-    tau_zero = _tau_at(s_zero, lam, c, r)
+    tau_zero = _fall_time(lam, a, z0, c, r, 0.0)  # zeta reaches 0 here
 
     def zeta(tau):
         if tau >= tau_zero:

@@ -127,6 +127,25 @@ def masp_arctanh_reference(gamma, L, digits=800):
         return float(((1 + r) / (1 - r)).ln() / (2 * l * r))
 
 
+def zeta_arctanh_reference(gamma, L, theta, eta, end, digits=60):
+    """Time for the comparison ODE to fall from 1/theta to end, for L > sqrt(gamma^2 + eta).
+
+    Evaluates the arctanh branch of ``trigger.zeta_solution``, atanh(r s) / (lam r)
+    at s = (z0 - end) / (1 + a z0 + end (z0 + a)), as ln((1 + r s) / (1 - r s)) / (2 lam r)
+    in 60-digit decimal arithmetic on the exact values of the doubles, with
+    z0 = 1/theta, lam = sqrt(gamma^2 + eta), a = L/lam and r = sqrt(a^2 - 1).
+    """
+    with localcontext() as ctx:
+        ctx.prec = digits
+        g, l, th, et, end = map(Decimal, (gamma, L, theta, eta, end))
+        lam = (g * g + et).sqrt()
+        a = l / lam
+        r = (a * a - 1).sqrt()
+        z0 = 1 / th
+        rs = r * (z0 - end) / (1 + a * z0 + end * (z0 + a))
+        return float(((1 + rs) / (1 - rs)).ln() / (2 * lam * r))
+
+
 def zeta_rk4_step(z, h, L, lam):
     """One classical RK4 step of the comparison ODE zeta' = -2 L zeta - lam (zeta^2 + 1)."""
 

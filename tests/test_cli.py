@@ -271,6 +271,14 @@ class TestBatchCommand:
         assert rc == 0
         assert other["tau_avg"] != base["tau_avg"]  # different ICs were drawn
 
+    def test_ball_past_the_blowup_guard_exits_one_naming_both(self, capsys, tmp_path):
+        path, cfg = _write_config(tmp_path, LORENZ_CFG, lambda c: c["batch"].update(radius=1e12))
+        rc, _, err = _run(capsys, "batch", "--config", str(path))
+        assert (rc, err) == (1, "error: batch radius 1e+12 exceeds blowup_norm 1e+09\n")
+        assert not os.path.exists(cfg["output_dir"])
+        # simulate starts from the config's initial state, not from the ball.
+        assert _run(capsys, "simulate", "--config", str(path))[0] == 0
+
     def test_workers_flag_is_gone(self, capsys, lorenz_config):
         path, cfg = lorenz_config
         rc, _, err = _run(capsys, "batch", "--config", str(path), "--workers", "2")
@@ -531,13 +539,14 @@ def test_mutated_config_resolves_or_raises_config_error(path, change):
 # SHA-256 of every file simulate and batch write for LORENZ_CFG and
 # LTI_CFG.  Any change to a writer that moves one byte fails here.  The LTI
 # states.csv and rmonitor.csv were re-pinned when dwell states became
-# propagator powers (test_hybrid.py::TestDwellBlock bounds the move).
+# propagator powers (test_hybrid.py::TestDwellBlock bounds the move); the
+# Lorenz ones when a monitored step's t became t_j + tau (one row's t moved).
 ARTEFACT_SHA256 = {
     ("lorenz", "simulate"): {
         "events.csv": "4dc68a50c264a51ebb28645dd663cc65490639eb4ef36790343f8909dd38eff2",
         "plot.csv": "d82c7c7c98edc41bc61c68e413339f513f51b13f29e82cff09c89bf945d87a77",
-        "rmonitor.csv": "6129224eebbcd60aa37fd5a9e92ecf7a296bf499605197a718ffc8b5f570d74f",
-        "states.csv": "dd8e3bea5d01f937762b58f9a2e03867d42e0a01326df3aac8c93cefd9a6cfaf",
+        "rmonitor.csv": "0c8032f2a18c16790da1cf2c770b3a44d4f647b6157454de43e896756f429757",
+        "states.csv": "f8cae265ec685073212a56df98f3ca8c018378d44de1dfd28586673665dae607",
     },
     ("lorenz", "batch"): {
         "events.csv": "a161e12e12bfb28119da9238bdf5cb7c4d58c3c198368cccd985db3285fb2866",

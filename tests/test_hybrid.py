@@ -255,7 +255,30 @@ class TestSimulate:
             if seg.t.size == 0:
                 continue
             assert np.all(np.diff(seg.t) > 0)
-            assert np.allclose(seg.t - starts[seg.j], seg.tau, atol=1e-9)
+            assert np.array_equal(seg.t, starts[seg.j] + seg.tau)
+
+    @pytest.mark.parametrize(
+        "loop, cfg, x0, tau0",
+        [
+            ("tabuada", _sf_cfg(), [3.0, -2.0], 0.0),
+            ("tabuada", _sf_cfg(), [3.0, -2.0], 0.03),
+            ("tabuada", TriggerConfig(mode="pure-event", T=0.0, sigma=0.7), [3.0, -2.0], 0.0),
+            ("tabuada", TriggerConfig(mode="periodic", T=0.075), [3.0, -2.0], 0.0),
+            ("lorenz", _of_cfg(0.01), [1.0, 1.0, 1.0], 0.004),
+        ],
+        ids=["state-feedback", "state-feedback-tau0", "pure-event", "periodic", "lorenz"],
+    )
+    def test_every_sample_reads_its_time_from_the_clock(self, loop, cfg, x0, tau0, request):
+        # t = t_j + tau exactly, with t_0 = -q0.tau: the hybrid time domain's
+        # own clock, whether a sample ends a dwell block, a dwell landing, a
+        # monitored step or a bisection.
+        sys, cert = request.getfixturevalue(loop)
+        q0 = HybridState(np.array(x0), np.zeros(sys.n_e), tau0)
+        sol = simulate(sys, cert, cfg, q0, SimSettings(step=1e-3, horizon_t=10.0))
+        starts = [-tau0] + sol.jump_times
+        assert sol.n_jumps >= 100
+        for seg in sol.segments:
+            assert np.array_equal(seg.t, starts[seg.j] + seg.tau)
 
     def test_dwell_time_respected(self, tabuada, rng):
         sys, cert = tabuada
@@ -601,18 +624,20 @@ def _diverging_loops():
 # _state_digest of each PINNED_RUNS run and each _diverging_loops partial,
 # recorded from the simulator that kept one recorder object per run; the
 # seven runs whose dwell states flow as blocks were re-pinned with PINNED.
+# jump-set, lorenz and blow-up-linear were re-pinned when every sample's t
+# became t_j + tau: a monitored step's t had been t + h, one rounding off.
 STATE_DIGESTS = {
     "dwell-expiry": "2696d4d3d52d65abc7247775830e903bdf9610014f30527731a58e25cc6b3817",
     "bisected": "42f88eda9e400105c7a1b9bc1c241371d6b912a47d973265ed84c6dc9092ca4f",
     "periodic": "abbf15924dd22c700635ca535335cbd324da8a5471849ac617d3a48c93768a38",
     "zeno": "4ea559136a82b2c353b172cb95de3ff67d81b7af73ac4fe8be171e2d8287595b",
-    "jump-set": "10c8f89e428486058ff28075290dede6d15a5d6a1389f1bcd826392f7c36a509",
+    "jump-set": "a55531233c04ba9158968c9b203accefe19270e32eb3741df0c0c14c4094cd9c",
     "tau0": "c85a4257febbbbd0db8b705f0133136a835c247cee896960d1fd3328d7a72efc",
     "horizon-in-dwell": "e2d3347c506ff686d0a7255d160726deaa10548c919ca50db12e52c51365bcb4",
     "max-jumps": "aedd7b9f631ffc74af8130bdf53119637c139129d4a7d37fc01e0d95dc569b2e",
-    "lorenz": "b5fe6ef903bbec4d09149752e4071d728f620bbd55b4e2f31537aec3303ecf56",
+    "lorenz": "d3b40331950b48352acf7360e71241c408e7bc010137f78a4b061ad5a2129ef0",
     "blow-up-closure": "800832b37df681e12ac938c7c52e23299929dbb277d179ae59b383d7a49b8770",
-    "blow-up-linear": "e255d9abf7a4c1143f4e1b4c4a3ce07abbdc2a2973db45bf51105e29883caf85",
+    "blow-up-linear": "c466e828731d4417a889ca1179f7c6527724edba0561b9fe4349c4f954f64d29",
 }
 
 
@@ -1025,8 +1050,11 @@ _FIXED_LQR = {
 }
 
 
-def _exact_reference_case(name, mode):
-    """(loop, cert, trigger, oracle): tabuada at T = 0.075, or an LQR loop at masp / 2."""
+def _exact_reference_case(name, mode, eps1=1e-2):
+    """(loop, cert, trigger, oracle): tabuada at T = 0.075, or an LQR loop at masp / 2.
+
+    An LQR loop's certificate is designed with the weight eps1.
+    """
     if name == "tabuada":
         clm, T, eps = tabuada_matrices(), 0.075, (0.0, TABUADA_EPS2)
         sys, cert = tabuada_loop()
@@ -1035,7 +1063,7 @@ def _exact_reference_case(name, mode):
         n = A.shape[0]
         K = B.T @ scipy.linalg.solve_continuous_are(A, B, np.eye(n), np.eye(1))
         clm = assemble(LtiPlant(A=A, B=B, C=np.eye(n)), LtiController(D=-K))
-        cand = design_certificate(clm)
+        cand = design_certificate(clm, eps1=eps1)
         cert, eps = extract_assumption(clm, cand), (cand.eps1, cand.eps2)
         sys, T = lti_loop_from_matrices(clm), masp(cert.gamma, cert.L) / 2
     cfg = TriggerConfig(
@@ -1055,6 +1083,9 @@ class TestExactLtiReference:
     RK4 at step 1e-3 moves that crossing far less than event_tol here, so
     each jump lies within event_tol of the exact one (largest seen: 9.8e-7
     for event_tol = 1e-6; dwell-expiry and periodic jumps agree exactly).
+    In output-feedback mode the default eps1 = 1e-2 puts every LQR jump at
+    dwell expiry, so the loops are also run designed with eps1 = 1, where
+    most of lqr3's and some of lqr2's jumps are located by bisection.
     """
 
     @pytest.mark.parametrize(
@@ -1070,11 +1101,25 @@ class TestExactLtiReference:
         ],
     )
     def test_jump_times_within_event_tol_of_the_exact_solution(self, name, mode, n_runs):
-        sys, cert, cfg, oracle = _exact_reference_case(name, mode)
+        self._check_against_the_oracle(name, mode, n_runs)
+
+    @pytest.mark.parametrize("name", ["lqr3", "lqr2"])
+    def test_located_output_feedback_jumps_within_event_tol(self, name):
+        # 160 of lqr3's 203 jumps and 41 of lqr2's 148 are located; at least
+        # one must be, so that these cases cannot turn periodic unnoticed.
+        assert self._check_against_the_oracle(name, "output-feedback", 4, eps1=1.0) >= 1
+
+    @staticmethod
+    def _check_against_the_oracle(name, mode, n_runs, eps1=1e-2):
+        """Assert every jump of n_runs seeded runs within event_tol of the oracle's.
+
+        Returns how many of the jumps were located after the dwell, not taken at its expiry.
+        """
+        sys, cert, cfg, oracle = _exact_reference_case(name, mode, eps1)
         settings = SimSettings(step=1e-3, horizon_t=2.0, event_tol=1e-6)
         spec = BatchSpec(n_runs=n_runs, radius=100.0, horizon_t=2.0, seed=0,
                          trigger=cfg, sim=settings)
-        worst, n_jumps = 0.0, 0
+        worst, n_jumps, n_located = 0.0, 0, 0
         for k in range(n_runs):
             sol = simulate(sys, cert, cfg, sample_initial(spec, k, sys.n_x, sys.n_e), settings)
             # Segment j starts at the state that jump j leaves (j = 0: q0).
@@ -1086,6 +1131,8 @@ class TestExactLtiReference:
                     continue
                 assert s is not None, f"run {k}: no exact jump for jump {j + 1}"
                 worst = max(worst, abs(sol.jump_times[j] - (t0 + s)))
+                n_located += seg.tau[-1] > cfg.T  # a dwell-expiry jump has tau = T exactly
             n_jumps += sol.n_jumps
         assert n_jumps >= 10 * n_runs
         assert worst <= settings.event_tol
+        return n_located

@@ -5,10 +5,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from etclab import montecarlo
 from etclab import (
     BatchSpec,
     Certificate,
     ClosedLoopSystem,
+    ConfigError,
     SimSettings,
     TriggerConfig,
     emit_report,
@@ -120,6 +122,23 @@ class TestRunBatch:
         sys, cert = tabuada
         with pytest.raises(ValueError, match="n_workers"):
             run_batch(sys, cert, _spec(n_runs=1), n_workers=2)
+
+    @pytest.mark.parametrize("radius", [1.5e9, 1e12])
+    def test_ball_past_the_blowup_guard_is_rejected_before_any_run(self, tabuada, monkeypatch,
+                                                                   radius):
+        sys, cert = tabuada
+        simulated = []
+        monkeypatch.setattr(montecarlo, "simulate", lambda *args: simulated.append(args))
+        spec = replace(_spec(n_runs=3), radius=radius)
+        with pytest.raises(ConfigError) as info:
+            run_batch(sys, cert, spec)
+        assert str(info.value) == f"batch radius {radius:g} exceeds blowup_norm 1e+09"
+        assert simulated == []
+
+    def test_ball_at_the_blowup_guard_runs(self, tabuada):
+        sys, cert = tabuada
+        spec = replace(_spec(n_runs=2), sim=replace(SIM, blowup_norm=100.0))
+        assert run_batch(sys, cert, spec).n_runs == 2
 
     def test_zeno_free_at_batch_scale(self, tabuada):
         sys, cert = tabuada

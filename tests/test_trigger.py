@@ -14,8 +14,14 @@ from etclab import (
     masp,
     zeta_time,
 )
+from etclab import trigger
 from etclab.trigger import zeta_solution
-from oracles import masp_arctanh_reference, zeta_rk4_step, zeta_transit_time_reference
+from oracles import (
+    masp_arctanh_reference,
+    zeta_arctanh_reference,
+    zeta_rk4_step,
+    zeta_transit_time_reference,
+)
 
 
 class TestMasp:
@@ -132,6 +138,43 @@ def test_arctanh_branch_matches_decimal_reference(ratio, L):
     gamma = ratio * L
     assume(0.0 < gamma < L)
     assert masp(gamma, L) == pytest.approx(masp_arctanh_reference(gamma, L), rel=1e-15)
+
+
+# (gamma, L, theta, eta) with L > sqrt(gamma^2 + eta), where zeta_solution's
+# parameter reaches 1 - r s of about 1e-6, 1e-12 and 2e-16 at the transit.
+_ARCTANH_POINTS = [(1e-3, 1.0, 1e-4, 1e-6), (1e-6, 1.0, 1e-8, 1e-12), (1e-9, 1e3, 1e-8, 1e-12)]
+
+
+class TestZetaArctanhBranch:
+    """zeta_time and zeta_solution's zero crossing against a 60-digit decimal reference.
+
+    At these points atanh(r s) taken as is loses up to 1.9e-4 (zeta_time)
+    and 5.9e-2 (the zero crossing) relative, to the cancellation in 1 - r s.
+    """
+
+    @pytest.mark.parametrize("gamma, L, theta, eta", _ARCTANH_POINTS)
+    def test_transit_time(self, gamma, L, theta, eta):
+        ref = zeta_arctanh_reference(gamma, L, theta, eta, end=theta)
+        assert zeta_time(gamma, L, ZetaParams(theta, eta)) == pytest.approx(ref, rel=1e-15)
+
+    @pytest.mark.parametrize("gamma, L, theta, eta", _ARCTANH_POINTS)
+    def test_zero_crossing(self, gamma, L, theta, eta):
+        # The time after which zeta_solution returns 0.
+        ode = trigger._comparison_ode(gamma, L, ZetaParams(theta, eta), "test")
+        ref = zeta_arctanh_reference(gamma, L, theta, eta, end=0.0)
+        assert trigger._fall_time(*ode, 0.0) == pytest.approx(ref, rel=1e-15)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        gamma=st.floats(1e-9, 1000.0),
+        L=st.floats(1e-3, 1000.0),
+        theta=st.floats(1e-8, 0.9),  # nearer 1, z0 - theta cancels on every branch
+        eta=st.floats(1e-12, 10.0),
+    )
+    def test_matches_decimal_reference(self, gamma, L, theta, eta):
+        assume(L > math.sqrt(gamma * gamma + eta))
+        ref = zeta_arctanh_reference(gamma, L, theta, eta, end=theta)
+        assert zeta_time(gamma, L, ZetaParams(theta, eta)) == pytest.approx(ref, rel=2e-15)
 
 
 @settings(max_examples=300, deadline=None)

@@ -15,9 +15,9 @@ clock tau; a sample at jump count j has time t = t_j + tau (t_0 = -q0.tau).
 Each pass ends the run if horizon - t <= 1e-15 max(1, horizon), the one
 horizon test; or flows in the dwell, landing exactly on T; or tests the
 event once at dwell expiry (each segment start in pure-event mode); or
-takes a monitored step, bisecting if the event fired in it.  Every flow
-step passes one norm guard, so a divergence (NaN from f or g included)
-always carries the partial solution.
+takes a monitored step or a block of them, bisecting if the event fired.
+Every flow step passes one norm guard, so a divergence (NaN from f or g
+included) always carries the partial solution.
 Recorded samples go to one flat (t, z, tau) log per run, cut into
 segments at the jumps once, at the end; rows keep references to z,
 which is never modified in place once recorded.
@@ -27,17 +27,27 @@ matrix form, a propagator, for linear loops.  Propagators depend only on the
 stacked matrix and the step, so they are cached here by the matrix's bytes,
 shared by loops with equal matrices: the full step, the dwell landings and the
 bisection sub-steps (a few hundred lengths per batch) each build theirs once.
-No event is tested inside the dwell, so on a linear loop its full steps
-(neither landing on T nor cut by the horizon) flow as one block: the states
-after 1, ..., m steps are P z, P^2 z, ..., P^m z for the full step's
-propagator P, one matrix-vector product with a cached read-only stack of
-``_DWELL_BLOCK`` powers, and one vectorised norm guard.  The clock follows the
-same float recurrence as single steps, so t, tau and the jump times are those
-of stepping one at a time; the states differ from it by rounding, within 32
-ulps relative to max(1, |z|) when a dwell is re-stepped from its start
-(``TestDwellBlock``).  A block that meets inf, NaN or the guard is discarded,
-and the run steps singly from there on.  ``flow_step`` takes the single step
-from the same memo; identical inputs give bit-identical logs.
+On a linear loop full steps (neither landing on T nor cut by the horizon)
+flow as blocks: the states after 1, ..., m steps are P z, ..., P^m z for the
+full step's propagator P, one product with a cached read-only stack of
+``_DWELL_BLOCK`` powers, under one vectorised norm guard, with the clock of
+single steps, so t and tau are those of stepping one at a time.  A dwell's
+full steps are block rows, as no event is tested there.  So are monitored
+steps, after the first ``_LEAD_IN`` = 4 of a phase that follows a dwell,
+when the certificate carries its LTI form (``Certificate.lti_form``): the
+excess is then z^T Q z for the Q of ``trigger.event_form``, which only
+screens.  A row is kept untested if z^T Q z < -1e-12 |Q|_inf |z|^2; z^T Q z
+and h agree to about 10 n eps |Q|_inf |z|^2 (1e-14 at n = 4), so h is
+negative there too.  The first other row's step is taken singly, where h
+decides whether the event fired and the bisection locates it, so h decides
+every jump; a jump moves from the single-step path's only where an excess at
+a step boundary lies within rounding of 0.  Re-stepped singly from their
+segment's start, states differ by rounding, relative to max(1, |z|), within
+32 ulps in a dwell and 32 + k/2 ulps at the k-th step after it
+(``TestDwellBlock``, ``TestMonitoredBlock``; seen: at most 44).  A block that
+meets inf, NaN or the guard is discarded, and the run steps singly from there
+on.  ``flow_step`` takes the single step from the same memo; identical inputs
+give bit-identical logs.
 The per-step paths here and in the certificate terms use ``ndarray.dot``
 and ``math.sqrt(v.dot(v))``, which numpy runs through the same BLAS
 kernels as ``@`` and ``np.linalg.norm`` without their dispatch cost; a
@@ -57,7 +67,7 @@ import numpy as np
 from .errors import ConfigError, DivergenceError, DomainError
 from .model import Certificate, ClosedLoopSystem, HybridState, check_pairing
 from .sampling import check_int
-from .trigger import TriggerConfig, ZetaParams, event_function, zeta_solution
+from .trigger import TriggerConfig, ZetaParams, event_form, event_function, zeta_solution
 
 
 @dataclass(frozen=True)
@@ -151,8 +161,17 @@ class HybridSolution:
 # keeps memory flat for callers whose step lengths never repeat.
 _PROPAGATOR_MEMO_SIZE = 4096
 _MEMO_MATRICES = 8  # stacked matrices whose propagator memos are kept
-_DWELL_BLOCK = 128  # most propagator powers in one block of a dwell's full steps
+_DWELL_BLOCK = 128  # most propagator powers in one block of full steps
 _POWER_STACKS = 32  # (matrix, step) pairs whose power stacks are kept
+# Single steps after a dwell expires before monitored blocks take over: the
+# planar state-feedback runs end most such phases within 1-2 steps, where a
+# block's fixed cost (about 15 us, some 2 single steps) buys nothing.
+_LEAD_IN = 4
+# The screen's margin, relative to |Q|_inf |z|^2 (see the module docstring).
+# Below tiny, the smallest normal float, rounding is absolute, so the margin
+# gets tiny added and such rows are always candidates.
+_SCREEN_RTOL = 1e-12
+_TINY = np.finfo(float).tiny
 
 
 def _rk4_propagator(M, h):
@@ -242,15 +261,15 @@ def _block_flow(sys: ClosedLoopSystem, step: float):
 
 
 @functools.lru_cache(maxsize=64)
-def _dwell_clock(step, T, tau):
-    """The clock after each of the next full steps of a dwell at tau, as an array and a tuple.
+def _block_clock(step, end, tau):
+    """The clock after each of the next steps from tau short of end, as an array and a tuple.
 
-    A full step is one with step < T - tau, so it does not land on T; the
-    clock follows ``simulate``'s float recurrence tau + step, for at most
-    ``_DWELL_BLOCK`` steps.
+    A dwell's end is T, so none of its steps lands on T; a monitored block's
+    end is inf.  The clock follows ``simulate``'s float recurrence tau + step,
+    for at most ``_DWELL_BLOCK`` steps.
     """
     taus = []
-    while step < T - tau and len(taus) < _DWELL_BLOCK:
+    while step < end - tau and len(taus) < _DWELL_BLOCK:
         tau += step
         taus.append(tau)
     arr = np.array(taus)
@@ -272,11 +291,13 @@ def _check_state(sys: ClosedLoopSystem, q: HybridState):
 def flow_step(sys: ClosedLoopSystem, q: HybridState, h: float) -> HybridState:
     """One flow step of size h from q: ``simulate``'s single step, from the same memo.
 
-    A step that ``simulate`` takes singly (a dwell landing, a monitored or
-    bisection step, any step of a nonlinear loop) records this state bit
-    for bit.  Of a dwell block, the first row P z matches it too (with
-    numpy's BLAS, as ``TestFlowStep`` checks); later rows equal repeated
-    ``flow_step`` only within the bound in the module docstring.
+    A step that ``simulate`` takes singly (a dwell landing, a monitored step
+    of a phase's lead-in or at a screen candidate, a bisection step, any
+    monitored step without a quadratic form, any step of a nonlinear loop)
+    records this state bit for bit.  Of a block, dwell or monitored, the
+    first row P z matches it too (with numpy's BLAS, as ``TestFlowStep``
+    checks); later rows equal repeated ``flow_step`` only within the bounds
+    in the module docstring.
 
     Raises ValueError unless 0 < h < inf, and ConfigError or DomainError
     for a q that ``simulate`` rejects.
@@ -345,6 +366,14 @@ def simulate(
     block = _block_flow(sys, step)
     eps = 1e-15 * max(1.0, horizon)
     T = cfg.T  # 0 in pure-event mode, where the dwell branch never runs
+    # Single monitored steps before blocks take over in each phase: all of
+    # them without a quadratic form to screen with, _LEAD_IN after a dwell,
+    # none in pure-event mode, whose phases start at the jump.
+    if cert.lti_form is None:
+        lead_in = math.inf
+    else:
+        lead_in = _LEAD_IN if T > 0.0 else 0
+    Q = None  # the form, built at the run's first monitored block
     record = settings.record_states
     # The sample log: (t, z, tau) rows, the row where each jump cuts it, the
     # jump times.  z is never modified in place once recorded, so rows hold
@@ -354,6 +383,7 @@ def simulate(
     tau = q0.tau
     base = -tau  # absolute time is base + tau; a jump at t sets base = t, tau = 0
     monitoring = False  # set once the event test at dwell expiry has failed
+    singles = 0  # single steps taken since monitoring last started
     terminated = "horizon"
     if record:
         rows.append((0.0, z, tau))
@@ -361,30 +391,49 @@ def simulate(
         t = base + tau
         if horizon - t <= eps:
             break
+        if (
+            block is not None
+            and step <= horizon - t
+            and (singles >= lead_in if monitoring else step < T - tau)
+        ):
+            # Full steps, neither landing on T nor cut by the horizon, flow as
+            # one block of propagator powers.  t only grows, so the steps that
+            # start at least a step before the horizon are a prefix.
+            taus, tau_k = _block_clock(step, math.inf if monitoring else T, tau)
+            ts = base + taus
+            m = 1 + int(np.count_nonzero(horizon - ts[:-1] >= step))
+            with np.errstate(over="ignore", invalid="ignore"):
+                Z = block(z, m)
+                sq = np.einsum("ij,ij->i", Z, Z)
+                within = math.sqrt(sq.max()) <= guard
+            if not within:
+                # Inf, NaN or past the guard: step singly from here on, so
+                # that a divergence ends as the single-step path ends it.
+                block = None
+                continue
+            k = m
+            if monitoring:
+                if Q is None:
+                    Q = event_form(cert, cfg)
+                    margin = _SCREEN_RTOL * np.abs(Q).sum(axis=1).max()
+                # A row passes only if z^T Q z is negative by far more than its
+                # rounding and h_ev's; the first other row is a candidate.
+                passed = np.einsum("ij,ij->i", Z.dot(Q), Z) < -(margin * sq + _TINY)
+                k = m if passed.all() else int(passed.argmin())
+            if k:
+                z, tau = Z[k - 1], tau_k[k - 1]
+                if record:
+                    rows.extend(zip(ts[:k].tolist(), Z, tau_k[:k]))
+            if k == m:
+                continue
+            # The candidate's step is taken singly below, where h_ev decides.
+            t = base + tau
         if monitoring:
             h = min(step, horizon - t)
             tau_next = tau + h
+            singles += 1
         elif tau < T:
             # Dwell: flow freely and land exactly on T.
-            if block is not None and step < T - tau and step <= horizon - t:
-                # Full steps, neither landing on T nor cut by the horizon, flow
-                # as one block of propagator powers.  t only grows, so the
-                # steps that start at least a step before the horizon are a prefix.
-                taus, tau_k = _dwell_clock(step, T, tau)
-                ts = base + taus
-                m = 1 + int(np.count_nonzero(horizon - ts[:-1] >= step))
-                with np.errstate(over="ignore", invalid="ignore"):
-                    Z = block(z, m)
-                    within = math.sqrt(np.einsum("ij,ij->i", Z, Z).max()) <= guard
-                if within:
-                    z, tau = Z[-1], tau_k[m - 1]
-                    if record:
-                        rows.extend(zip(ts[:m].tolist(), Z, tau_k[:m]))
-                else:
-                    # Inf, NaN or past the guard: step singly from here on, so
-                    # that a divergence ends as the single-step path ends it.
-                    block = None
-                continue
             h = min(step, T - tau, horizon - t)
             tau_next = T if h == T - tau else tau + h
         elif h_ev is None or h_ev(z[:n_x], z[n_x:]) >= 0.0:
@@ -396,7 +445,7 @@ def simulate(
                 break
             h = None
         else:
-            monitoring = True
+            monitoring, singles = True, 0
             continue
 
         if h is not None:

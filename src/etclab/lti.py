@@ -305,4 +305,5 @@ def extract_assumption(clm: ClosedLoopMatrices, cand: LmiCertificate) -> Certifi
         n_y=Cbar.shape[0],
         y_of_x=Cbar.dot,
         name="lti-quadratic",
+        lti_form=(clm, cand),
     )

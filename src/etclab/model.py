@@ -10,7 +10,7 @@ output map included; ``check_pairing`` tells whether the two fit.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -85,6 +85,12 @@ class Certificate:
     dwell-time ceiling.  ``alpha_lower``/``alpha_upper`` sandwich V by
     class-K-infinity bounds.  The certificate is global: the paper's
     inequalities hold at every (x, e), so it carries no radius.
+
+    ``lti_form`` is the ``(ClosedLoopMatrices, LmiCertificate)`` pair that
+    ``lti.extract_assumption`` built the terms from, None otherwise.
+    ``trigger.event_form`` reads it, with the live gamma, for the quadratic
+    form of the event excess, so a copy that replaces W, H, delta, alpha
+    or y_of_x by other functions must also drop it (``lti_form=None``).
     """
 
     V: Callable[[np.ndarray], float]
@@ -101,6 +107,7 @@ class Certificate:
     n_y: int
     y_of_x: Callable[[np.ndarray], np.ndarray] = _identity
     name: str = ""
+    lti_form: Optional[tuple] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if not (0 <= self.gamma < math.inf and 0 <= self.L < math.inf):

@@ -36,11 +36,16 @@ With a dwell, C is h <= 0 or tau in [0, T], and D, its boundary, is
 h >= 0 and tau >= T with h = 0 or tau = T; pure-event has C: h <= 0,
 D: h >= 0, and periodic C: tau in [0, T], D: tau = T.  Equality cases
 belong to both C and D; the simulator's jump policy restores determinism.
+For a certificate from ``lti.extract_assumption`` each h is a quadratic
+form z^T Q z of z = (x, e); ``event_form`` gives Q, which the simulator
+uses only to screen block rows, never to decide a jump.
 """
 
 import math
 from dataclasses import dataclass
 from typing import Optional
+
+import numpy as np
 
 from .errors import ConfigError
 from .model import Certificate
@@ -154,7 +159,16 @@ def zeta_solution(gamma, L, zp):
         if c > 0.0:
             s = math.tan(lam * r * tau) / r
         elif c < 0.0:
-            s = math.tanh(lam * r * tau) / r
+            x = lam * r * tau
+            if x > 0.5:
+                # tanh(x) = r s saturates at 1, and 1 - r s cancels in the
+                # numerator; its complement d = 1 - r s = 2 q / (1 + q), q = e^(-2x),
+                # and a - r = 1/(a + r) keep the digits up to the zero crossing.
+                q = math.exp(-2.0 * x)
+                d = 2.0 * q / (1.0 + q)
+                num = (1.0 + a * z0) * d - 1.0 - z0 / (a + r)
+                return max(num / (r + (z0 + a) * (1.0 - d)), 0.0)
+            s = math.tanh(x) / r
         else:
             s = lam * tau
         # zeta = u - a, expanded so that zeta(0) is exactly 1/theta.
@@ -243,3 +257,28 @@ def event_function(cert: Certificate, cfg: TriggerConfig):
 
         return h
     return None
+
+
+def event_form(cert: Certificate, cfg: TriggerConfig):
+    """The symmetric Q with h(x, e) = z^T Q z, z = (x, e), for ``event_function``'s h.
+
+    Built from the certificate's ``lti_form`` and its live gamma:
+
+        output-feedback               diag(-eps1 Cbar^T Cbar, gamma^2 I)
+        state-feedback, pure-event    diag(-sigma (eps2 I + A2^T A2 + eps1 I), gamma^2 I)
+
+    (the state-feedback excess takes delta at x, hence eps1 I).  None in
+    periodic mode or for a certificate without an ``lti_form``.
+    """
+    if cert.lti_form is None or cfg.mode == "periodic":
+        return None
+    clm, cand = cert.lti_form
+    if cfg.mode == "output-feedback":
+        qx = cand.eps1 * (clm.Cbar.T @ clm.Cbar)
+    else:
+        eye = np.eye(clm.n_x)
+        qx = cfg.sigma * (cand.eps2 * eye + clm.A2.T @ clm.A2 + cand.eps1 * eye)
+    Q = np.zeros((clm.n_x + clm.n_e,) * 2)
+    Q[: clm.n_x, : clm.n_x] = -qx
+    Q[clm.n_x :, clm.n_x :] = cert.gamma * cert.gamma * np.eye(clm.n_e)
+    return Q

@@ -274,3 +274,22 @@ class LtiHybridOracle:
                 return s + root if s + root <= horizon else None
             z, s = Z[-1], s + self.CHUNK * self.DS
         return None
+
+
+def zeta_arctanh_value_reference(gamma, L, theta, eta, tau, digits=80):
+    """zeta(tau) of the comparison ODE for L > sqrt(gamma^2 + eta), in 80-digit decimal arithmetic.
+
+    Evaluates ``trigger.zeta_solution``'s formula (z0 - (1 + a z0) s) / (1 + (z0 + a) s)
+    with s = tanh(lam r tau) / r as it stands, tanh(v) = 1 - 2 / (e^(2v) + 1), on the
+    exact values of the doubles; 80 digits carry 1 - r s past 1e-60.  Negative
+    values (after the zero crossing) are returned as they are.
+    """
+    with localcontext() as ctx:
+        ctx.prec = digits
+        g, l, th, et, tau = map(Decimal, (gamma, L, theta, eta, tau))
+        lam = (g * g + et).sqrt()
+        a = l / lam
+        r = (a * a - 1).sqrt()
+        z0 = 1 / th
+        s = (1 - 2 / ((2 * lam * r * tau).exp() + 1)) / r
+        return float((z0 - (1 + a * z0) * s) / (1 + (z0 + a) * s))

@@ -539,8 +539,9 @@ def test_mutated_config_resolves_or_raises_config_error(path, change):
 # SHA-256 of every file simulate and batch write for LORENZ_CFG and
 # LTI_CFG.  Any change to a writer that moves one byte fails here.  The LTI
 # states.csv and rmonitor.csv were re-pinned when dwell states became
-# propagator powers (test_hybrid.py::TestDwellBlock bounds the move); the
-# Lorenz ones when a monitored step's t became t_j + tau (one row's t moved).
+# propagator powers (test_hybrid.py::TestDwellBlock bounds the move) and again
+# when monitored steps did too (TestMonitoredBlock); the Lorenz ones when a
+# monitored step's t became t_j + tau (one row's t moved).
 ARTEFACT_SHA256 = {
     ("lorenz", "simulate"): {
         "events.csv": "4dc68a50c264a51ebb28645dd663cc65490639eb4ef36790343f8909dd38eff2",
@@ -555,8 +556,8 @@ ARTEFACT_SHA256 = {
     ("lti", "simulate"): {
         "events.csv": "1beeb4c2eafe488252088204d26016c624129803191687429f9099aa217e3418",
         "plot.csv": "45c4713cef323993dc3645a24d70b8453bfe8b005ace61d5859507cf7dc218ec",
-        "rmonitor.csv": "afde655290ef766f80f350408f5952996672e60cbe504154eadac201d15c67ba",
-        "states.csv": "ac79d6906393ea012f13b9eca491ede75e6012542d073002f383d6ea772625c6",
+        "rmonitor.csv": "b4957017c49a9dbaad20107a43f789d083c3eddd2499bbff5f4b866adda4cfab",
+        "states.csv": "cde8e5768dd7acf41b868c33820899b4461bcf125fe49e97b878faa2c74e0c6b",
     },
     ("lti", "batch"): {
         "events.csv": "5e5e91b10cbb44177df0bfe51a33a195389f7c9582307c97f8d5e9de737e4582",

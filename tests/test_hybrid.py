@@ -37,7 +37,7 @@ from etclab import (
     tabuada_loop,
     zeta_time,
 )
-from etclab import hybrid
+from etclab import hybrid, trigger
 from etclab.hybrid import (
     _DWELL_BLOCK,
     _MEMO_MATRICES,
@@ -47,6 +47,7 @@ from etclab.hybrid import (
 )
 from etclab.montecarlo import BatchSpec, sample_initial
 from etclab.systems import TABUADA_EPS2, lti_loop_from_matrices, tabuada_matrices
+from etclab.trigger import MODES
 from oracles import LtiHybridOracle
 
 SETTINGS = SimSettings(step=1e-3, horizon_t=1.0, event_tol=1e-6)
@@ -460,7 +461,8 @@ class TestSimulate:
 # monitor loop) simulator, and every engine since reproduces them bit for
 # bit.  The final x of the six tabuada runs that flow a dwell were re-pinned
 # when full dwell steps became blocks of propagator powers (TestDwellBlock
-# bounds that move); the zeno, jump-set and Lorenz runs keep their pins.
+# bounds that move), and those of jump-set and tau0 when monitored steps
+# did too (TestMonitoredBlock); the zeno and Lorenz runs keep their pins.
 PINNED = {
     "dwell-expiry": (
         "horizon",
@@ -494,7 +496,7 @@ PINNED = {
             "0x0.0p+0", "0x1.c6604189374c2p-5", "0x1.ccb020c49ba64p-4",
             "0x1.5eb7ced916877p-3", "0x1.db34bc6a7efa4p-3", "0x1.2e25e353f7cf2p-2",
         ],
-        ["0x1.874f4b384c1f9p-4", "-0x1.cd18f57590e6fp-6"],
+        ["0x1.874f4b384c1d3p-4", "-0x1.cd18f57590e58p-6"],
     ),
     "tau0": (
         "horizon",
@@ -502,7 +504,7 @@ PINNED = {
             "0x1.401a9fbe76c8dp-4", "0x1.3fb4395810626p-3", "0x1.dd90624dd2f1cp-3",
             "0x1.3c53333333334p-2", "0x1.8920000000001p-2", "0x1.d5ecccccccccep-2",
         ],
-        ["0x1.ee6f4cb28b148p+0", "-0x1.13fc8cf8e840bp+1"],
+        ["0x1.ee6f4cb28b146p+0", "-0x1.13fc8cf8e8408p+1"],
     ),
     "horizon-in-dwell": (
         "horizon",
@@ -626,13 +628,14 @@ def _diverging_loops():
 # seven runs whose dwell states flow as blocks were re-pinned with PINNED.
 # jump-set, lorenz and blow-up-linear were re-pinned when every sample's t
 # became t_j + tau: a monitored step's t had been t + h, one rounding off.
+# jump-set and tau0 were re-pinned when monitored steps became blocks too.
 STATE_DIGESTS = {
     "dwell-expiry": "2696d4d3d52d65abc7247775830e903bdf9610014f30527731a58e25cc6b3817",
     "bisected": "42f88eda9e400105c7a1b9bc1c241371d6b912a47d973265ed84c6dc9092ca4f",
     "periodic": "abbf15924dd22c700635ca535335cbd324da8a5471849ac617d3a48c93768a38",
     "zeno": "4ea559136a82b2c353b172cb95de3ff67d81b7af73ac4fe8be171e2d8287595b",
-    "jump-set": "a55531233c04ba9158968c9b203accefe19270e32eb3741df0c0c14c4094cd9c",
-    "tau0": "c85a4257febbbbd0db8b705f0133136a835c247cee896960d1fd3328d7a72efc",
+    "jump-set": "7f71f90ee1bc00a6434e119ac8fe681dc82aaff0540070e38e42ca78b7476b25",
+    "tau0": "ca2acbb8291419e436eecb0bf9a966f237750a1b7a617bda25e82022adf54096",
     "horizon-in-dwell": "e2d3347c506ff686d0a7255d160726deaa10548c919ca50db12e52c51365bcb4",
     "max-jumps": "aedd7b9f631ffc74af8130bdf53119637c139129d4a7d37fc01e0d95dc569b2e",
     "lorenz": "d3b40331950b48352acf7360e71241c408e7bc010137f78a4b061ad5a2129ef0",
@@ -800,46 +803,60 @@ class TestPropagatorMemo:
         assert hybrid._propagator_memo.cache_info().currsize == _MEMO_MATRICES
 
 
-# Re-stepped from its first sample, a dwell's recorded states stay within this
-# bound, relative to max(1, |z|), of the step path: rounding of P^j z against
-# j products P(...(P z)).  Seen: at most 12 ulps on 120 tabuada runs and 8.5
-# to 10.6 ulps on 340 random LQR loops.
+# Re-stepped from its first sample, a segment's recorded states stay within
+# these bounds, relative to max(1, |z|), of the step path: rounding of P^j z
+# against j products P(...(P z)), which grows with j.  A dwell's states stay
+# within 32 ulps (seen: at most 12 on 120 tabuada runs and 8.5 to 10.6 on 340
+# random LQR loops).  After the dwell the k-th state of a segment stays within
+# 32 + k/2 ulps (seen: at most 20.2 on 120 tabuada runs of 10 s and on 60
+# random LQR loops; 43.9 at k near 100 on the property test's pinned loop).
 _DWELL_RTOL = 32 * np.finfo(float).eps
+_MONITOR_RTOL_PER_STEP = np.finfo(float).eps / 2
 
 
-def _dwell_deviation(sys, sol, T, settings, tau0=0.0):
-    """Largest deviation of the recorded dwell states from re-stepping them.
+def _block_deviation(sys, sol, T, settings, tau0=0.0):
+    """Largest ratio of a recorded state's deviation from re-stepping it to its bound.
 
-    Each segment's dwell is re-stepped from its first sample with
+    Each segment is re-stepped from its first sample with
     ``_rk4_propagator(M, h).dot`` over the step lengths of ``simulate``'s
-    single-step schedule, whose t and tau the samples must carry bit for
-    bit.  Deviations are relative to max(1, |z|) of the re-stepped state.
+    single-step schedule, in the dwell and after it, whose t and tau the
+    samples must carry bit for bit; only a segment's last sample, a state
+    located by bisection, may be off the schedule.  Deviations are relative
+    to max(1, |z|) of the re-stepped state; the bounds are ``_DWELL_RTOL``
+    in the dwell and ``_DWELL_RTOL + k * _MONITOR_RTOL_PER_STEP`` for the
+    segment's k-th sample after it.
     """
     M, step, horizon = sys.stacked_matrix, settings.step, settings.horizon_t
+    propagators = {}
     worst = 0.0
     for seg in sol.segments:
         base = -tau0 if seg.j == 0 else seg.t[0]
         z, tau = np.concatenate((seg.x[0], seg.e[0])), seg.tau[0]
-        for t_k, x_k, e_k, tau_k in zip(seg.t[1:], seg.x[1:], seg.e[1:], seg.tau[1:]):
-            if not tau < T:
+        for k in range(1, seg.t.size):
+            dwell = tau < T
+            h = min(step, T - tau if dwell else step, horizon - (base + tau))
+            tau = T if dwell and h == T - tau else tau + h
+            if (seg.t[k], seg.tau[k]) != (base + tau, tau):
+                assert not dwell and k == seg.t.size - 1
                 break
-            h = min(step, T - tau, horizon - (base + tau))
-            tau = T if h == T - tau else tau + h
-            assert (t_k, tau_k) == (base + tau, tau)
-            z = _rk4_propagator(M, h).dot(z)
-            dev = np.linalg.norm(np.concatenate((x_k, e_k)) - z) / max(1.0, np.linalg.norm(z))
-            worst = max(worst, dev)
+            if h not in propagators:
+                propagators[h] = _rk4_propagator(M, h)
+            z = propagators[h].dot(z)
+            z_k = np.concatenate((seg.x[k], seg.e[k]))
+            dev = np.linalg.norm(z_k - z) / max(1.0, np.linalg.norm(z))
+            bound = _DWELL_RTOL + (0 if dwell else k * _MONITOR_RTOL_PER_STEP)
+            worst = max(worst, dev / bound)
     return worst
 
 
 def _step_path(sys, cert, cfg, q0, settings):
-    """``simulate`` with every dwell step taken singly."""
+    """``simulate`` with every step taken singly, in the dwell and after it."""
     with mock.patch.object(hybrid, "_block_flow", lambda sys, step: None):
         return simulate(sys, cert, cfg, q0, settings)
 
 
-def _assert_dwell_blocks_within_bound(sys, cert, cfg, q0, settings):
-    """The run keeps the step path's stop reason, jump times, t and tau, and the dwell bound."""
+def _assert_blocks_within_bound(sys, cert, cfg, q0, settings):
+    """The run keeps the step path's stop reason, jump times, t and tau, and the block bounds."""
     sol = simulate(sys, cert, cfg, q0, settings)
     ref = _step_path(sys, cert, cfg, q0, settings)
     assert sol.terminated == ref.terminated
@@ -847,7 +864,7 @@ def _assert_dwell_blocks_within_bound(sys, cert, cfg, q0, settings):
     assert len(sol.segments) == len(ref.segments)
     for seg, rseg in zip(sol.segments, ref.segments):
         assert seg.t.tobytes() == rseg.t.tobytes() and seg.tau.tobytes() == rseg.tau.tobytes()
-    assert _dwell_deviation(sys, sol, cfg.T, settings, q0.tau) <= _DWELL_RTOL
+    assert _block_deviation(sys, sol, cfg.T, settings, q0.tau) <= 1.0
     return sol
 
 
@@ -861,6 +878,8 @@ BLOCK_RUNS = {
     "horizon-in-dwell": (_sf_cfg(), [3.0, -2.0], [0.0, 0.0], 0.0, 0.9999, 1e-3),
     # 149 full steps per dwell: a block of _DWELL_BLOCK, then one of 21.
     "two-blocks": (_sf_cfg(), [3.0, -2.0], [0.0, 0.0], 0.0, 0.5, 5e-4),
+    # No dwell: monitored blocks of up to _DWELL_BLOCK steps between the jumps.
+    "pure-event": (_PE, [3.0, -2.0], [0.0, 0.0], 0.0, 1.0, 1e-3),
 }
 
 
@@ -872,7 +891,7 @@ class TestDwellBlock:
         q0 = HybridState(np.array(x0), np.array(e0), tau0)
         settings = SimSettings(step=step, horizon_t=horizon, event_tol=1e-6)
         before = hybrid._dwell_powers.cache_info()
-        sol = _assert_dwell_blocks_within_bound(sys, cert, cfg, q0, settings)
+        sol = _assert_blocks_within_bound(sys, cert, cfg, q0, settings)
         after = hybrid._dwell_powers.cache_info()
         assert sol.n_jumps >= 2
         # The dwells flowed as blocks.
@@ -1007,38 +1026,45 @@ def _lqr_loops(draw):
 )
 def test_random_lqr_loop_keeps_the_dwell_time_and_the_hybrid_sets(loop):
     """Gaps of at least T, states in C u D, reproducible jump times, nonincreasing R,
-    and dwell blocks that keep the step path's jump times within the dwell bound.
+    and blocks that keep the step path's jump times within the block bound.
 
-    C and D are the flow and jump sets of the hybrid solution concept of
-    Goebel, Sanfelice and Teel (2012).
+    Each loop is designed with eps1 = 1e-2 and with eps1 = 1, where more of the
+    output-feedback jumps are located after the dwell; a pure-event run on the
+    same loop is monitored throughout, in blocks.  C and D are the flow and
+    jump sets of the hybrid solution concept of Goebel, Sanfelice and Teel (2012).
     """
     A, B, K, x0 = loop
     n = A.shape[0]
     clm = assemble(LtiPlant(A=A, B=B, C=np.eye(n)), LtiController(D=-K))
-    try:
-        cand = design_certificate(clm)
-    except DesignInfeasibleError:
-        assume(False)
-    cert = extract_assumption(clm, cand)
-    T = masp(cert.gamma, cert.L) / 2
-    # Nearly uncontrollable draws give T down to 1e-10 and so billions of
-    # steps over the horizon; 1e-3 caps a run at 20,000 steps.
-    assume(T >= 1e-3)
     sys = lti_loop_from_matrices(clm)
-    cfg = TriggerConfig(mode="output-feedback", T=T)
-    # A located event's excess is off by about 2 event_tol / tau relative to
-    # its terms, so event_tol scales with T like the step does.
-    sim = SimSettings(step=T / 20, horizon_t=1.0, event_tol=T * 1e-6)
     q0 = HybridState(x0, np.zeros(n), 0.0)
-    sol = _assert_dwell_blocks_within_bound(sys, cert, cfg, q0, sim)
-    assert all(gap >= T - sim.event_tol for gap in sol.inter_event_gaps)
-    _assert_in_flow_or_jump_set(sol, cert, cfg)
-    assert simulate(sys, cert, cfg, q0, sim).jump_times == sol.jump_times
-    # The R envelope does not increase (same tolerance as the planar test).
-    zp = ZetaParams(theta=1e-4, eta=1e-6)
-    assert T < zeta_time(cert.gamma, cert.L, zp)
-    r = np.array([v[2] for v in r_monitor(sol, cert, zp)])
-    assert np.diff(r).max() <= 1e-6 * r[0]
+    designs = 0
+    for eps1 in (1e-2, 1.0):
+        try:
+            cert = extract_assumption(clm, design_certificate(clm, eps1=eps1))
+        except DesignInfeasibleError:
+            continue
+        T = masp(cert.gamma, cert.L) / 2
+        # Nearly uncontrollable draws give T down to 1e-10 and so billions of
+        # steps over the horizon; 1e-3 caps a run at 20,000 steps.
+        if T < 1e-3:
+            continue
+        designs += 1
+        # A located event's excess is off by about 2 event_tol / tau relative to
+        # its terms, so event_tol scales with T like the step does.
+        sim = SimSettings(step=T / 20, horizon_t=1.0, event_tol=T * 1e-6)
+        cfg = TriggerConfig(mode="output-feedback", T=T)
+        sol = _assert_blocks_within_bound(sys, cert, cfg, q0, sim)
+        assert all(gap >= T - sim.event_tol for gap in sol.inter_event_gaps)
+        _assert_in_flow_or_jump_set(sol, cert, cfg)
+        assert simulate(sys, cert, cfg, q0, sim).jump_times == sol.jump_times
+        # The R envelope does not increase (same tolerance as the planar test).
+        zp = ZetaParams(theta=1e-4, eta=1e-6)
+        assert T < zeta_time(cert.gamma, cert.L, zp)
+        r = np.array([v[2] for v in r_monitor(sol, cert, zp)])
+        assert np.diff(r).max() <= 1e-6 * r[0]
+        _assert_in_flow_or_jump_set(_assert_blocks_within_bound(sys, cert, _PE, q0, sim), cert, _PE)
+    assume(designs)
 
 
 # Two LQR loops drawn once on the property test's 0.05 grid: (A, B).
@@ -1136,3 +1162,106 @@ class TestExactLtiReference:
         assert n_jumps >= 10 * n_runs
         assert worst <= settings.event_tol
         return n_located
+
+
+def _monitored_blocks(run):
+    """run()'s result and the number of monitored blocks it took (their clock has no end)."""
+    with mock.patch.object(hybrid, "_block_clock", wraps=hybrid._block_clock) as clock:
+        result = run()
+    return result, sum(c.args[1] == math.inf for c in clock.call_args_list)
+
+
+class TestMonitoredBlock:
+    """Monitored steps flow as blocks; z^T Q z screens rows and h_ev decides every jump."""
+
+    @staticmethod
+    def _seeded_runs(n_runs=4, horizon=2.0):
+        """(q0, settings) of the first n_runs of a criterion-4 style batch."""
+        spec = BatchSpec(n_runs=n_runs, radius=100.0, horizon_t=horizon, seed=0, trigger=_PE,
+                         sim=SimSettings(step=1e-3, horizon_t=horizon, event_tol=1e-6))
+        return [(sample_initial(spec, k, 2, 2), spec.sim) for k in range(n_runs)]
+
+    def test_pure_event_runs_take_monitored_blocks(self):
+        sys, cert = tabuada_loop()
+        for q0, sim in self._seeded_runs():
+            with mock.patch.object(hybrid, "event_form", wraps=hybrid.event_form) as form:
+                sol, n_blocks = _monitored_blocks(lambda: simulate(sys, cert, _PE, q0, sim))
+            form.assert_called_once()  # Q is built once, at the run's first block
+            assert n_blocks >= sol.n_jumps >= 10
+
+    def test_short_monitored_phases_stay_single(self):
+        # The first ten of criterion 4's state-feedback runs, over 2 s, end
+        # their monitored phases within the lead-in, so none of them builds Q
+        # or takes a monitored block.
+        sys, cert = tabuada_loop()
+        cfg = _sf_cfg()
+        spec = BatchSpec(n_runs=10, radius=100.0, horizon_t=2.0, seed=0, trigger=cfg,
+                         sim=SimSettings(step=1e-3, horizon_t=2.0, event_tol=1e-6))
+        with mock.patch.object(hybrid, "event_form") as form:
+            for k in range(spec.n_runs):
+                sol = simulate(sys, cert, cfg, sample_initial(spec, k, 2, 2), spec.sim)
+                assert sol.n_jumps >= 10
+        form.assert_not_called()
+
+    @pytest.mark.parametrize("name", ["pure-event", "tau0"])
+    def test_overestimating_form_cannot_decide_a_jump(self, name):
+        # Q = +I makes every row a candidate: each monitored step is then taken
+        # singly, and the jumps are those of the true Q and of the step path.
+        sys, cert = tabuada_loop()
+        cfg, x0, e0, tau0, horizon, step = BLOCK_RUNS[name]
+        q0 = HybridState(np.array(x0), np.array(e0), tau0)
+        settings = SimSettings(step=step, horizon_t=horizon, event_tol=1e-6)
+        true_q, n_blocks = _monitored_blocks(lambda: simulate(sys, cert, cfg, q0, settings))
+        assert n_blocks >= 1
+        with mock.patch.object(hybrid, "event_form", lambda cert, cfg: np.eye(4)):
+            plus_i = _assert_blocks_within_bound(sys, cert, cfg, q0, settings)
+        assert [t.hex() for t in plus_i.jump_times] == [t.hex() for t in true_q.jump_times]
+        if name == "pure-event":  # no dwell either: every step is the step path's
+            _assert_same_runs([plus_i], [_step_path(sys, cert, cfg, q0, settings)])
+
+    @pytest.mark.parametrize("cfg", [_PE, _sf_cfg()], ids=["pure-event", "state-feedback"])
+    def test_replaced_gamma_keeps_the_step_paths_jumps(self, cfg):
+        sys, cert = tabuada_loop()
+        half = dataclasses.replace(cert, gamma=cert.gamma / 2)
+        Q = trigger.event_form(half, cfg)
+        assert np.array_equal(Q[2:, 2:], (half.gamma * half.gamma) * np.eye(2))
+        for q0, sim in self._seeded_runs(n_runs=3):
+            sol, n_blocks = _monitored_blocks(
+                lambda: _assert_blocks_within_bound(sys, half, cfg, q0, sim)
+            )
+            assert n_blocks >= 1 and sol.n_jumps >= 2
+
+    @pytest.mark.parametrize("name", ["tabuada", "lqr3", "lqr2"])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_form_is_the_oracles_Q(self, name, mode):
+        sys, cert, cfg, oracle = _exact_reference_case(name, mode)
+        Q = trigger.event_form(cert, cfg)
+        if oracle.Q is None:
+            assert Q is None
+        else:
+            assert Q.tobytes() == oracle.Q.tobytes()
+
+    @pytest.mark.parametrize("name", ["tabuada", "lqr3", "lqr2"])
+    @pytest.mark.parametrize("mode", ["output-feedback", "state-feedback"])
+    def test_form_agrees_with_the_closure_far_inside_the_margin(self, name, mode):
+        # The screen's margin, 1e-12 |Q|_inf |z|^2, rests on z^T Q z and h_ev
+        # agreeing to about 10 n eps |Q|_inf |z|^2; check that on states of
+        # sizes from 1e-100 to 1e100.
+        sys, cert, cfg, _ = _exact_reference_case(name, mode)
+        Q, h = trigger.event_form(cert, cfg), event_function(cert, cfg)
+        n, q_inf = Q.shape[0], np.abs(Q).sum(axis=1).max()
+        rng = np.random.default_rng(5)
+        for _ in range(2000):
+            z = rng.standard_normal(n) * 10.0 ** rng.uniform(-100, 100)
+            err = abs(float(z.dot(Q).dot(z)) - h(z[: sys.n_x], z[sys.n_x :]))
+            assert err <= 10 * n * np.finfo(float).eps * q_inf * z.dot(z)
+
+    def test_certificate_without_a_form_steps_singly(self):
+        sys, cert = tabuada_loop()
+        bare = dataclasses.replace(cert, lti_form=None)
+        cfg, x0, e0, tau0, horizon, step = BLOCK_RUNS["pure-event"]
+        q0 = HybridState(np.array(x0), np.array(e0), tau0)
+        settings = SimSettings(step=step, horizon_t=horizon, event_tol=1e-6)
+        sol, n_blocks = _monitored_blocks(lambda: simulate(sys, bare, cfg, q0, settings))
+        assert n_blocks == 0
+        _assert_same_runs([sol], [_step_path(sys, cert, cfg, q0, settings)])

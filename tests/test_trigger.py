@@ -19,6 +19,7 @@ from etclab.trigger import zeta_solution
 from oracles import (
     masp_arctanh_reference,
     zeta_arctanh_reference,
+    zeta_arctanh_value_reference,
     zeta_rk4_step,
     zeta_transit_time_reference,
 )
@@ -146,7 +147,7 @@ _ARCTANH_POINTS = [(1e-3, 1.0, 1e-4, 1e-6), (1e-6, 1.0, 1e-8, 1e-12), (1e-9, 1e3
 
 
 class TestZetaArctanhBranch:
-    """zeta_time and zeta_solution's zero crossing against a 60-digit decimal reference.
+    """zeta_time, zeta_solution's zero crossing and its values against decimal references.
 
     At these points atanh(r s) taken as is loses up to 1.9e-4 (zeta_time)
     and 5.9e-2 (the zero crossing) relative, to the cancellation in 1 - r s.
@@ -163,6 +164,19 @@ class TestZetaArctanhBranch:
         ode = trigger._comparison_ode(gamma, L, ZetaParams(theta, eta), "test")
         ref = zeta_arctanh_reference(gamma, L, theta, eta, end=0.0)
         assert trigger._fall_time(*ode, 0.0) == pytest.approx(ref, rel=1e-15)
+
+    @pytest.mark.parametrize("fraction", [0.5, 0.9, 0.97, 0.999])
+    @pytest.mark.parametrize("gamma, L, theta, eta", _ARCTANH_POINTS)
+    def test_value_up_to_the_zero_crossing(self, gamma, L, theta, eta, fraction):
+        # At (1e-9, 1e3, 1e-8, 1e-12) tanh saturates from 0.9 of tau_zero on:
+        # s taken as tanh(lam r tau) / r read 2.13e-8 (for 2.62e-8) there and
+        # 0.0 at 0.97 and 0.999.  Near the crossing zeta's own condition number
+        # grows like 1 / (1 - fraction); seen: at most 6.1e-14 at 0.999.
+        ode = trigger._comparison_ode(gamma, L, ZetaParams(theta, eta), "test")
+        tau = fraction * trigger._fall_time(*ode, 0.0)
+        ref = zeta_arctanh_value_reference(gamma, L, theta, eta, tau)
+        got = zeta_solution(gamma, L, ZetaParams(theta, eta))(tau)
+        assert got == pytest.approx(ref, rel=1e-12)
 
     @settings(max_examples=200, deadline=None)
     @given(

@@ -24,30 +24,32 @@ which is never modified in place once recorded.
 
 Flows use classical fixed-step RK4 (no dense output): one body over z, or its
 matrix form, a propagator, for linear loops.  Propagators depend only on the
-stacked matrix and the step, so they are cached here by the matrix's bytes,
-shared by loops with equal matrices: the full step, the dwell landings and the
-bisection sub-steps (a few hundred lengths per batch) each build theirs once.
-On a linear loop full steps (neither landing on T nor cut by the horizon)
-flow as blocks: the states after 1, ..., m steps are P z, ..., P^m z for the
-full step's propagator P, one product with a cached read-only stack of
-``_DWELL_BLOCK`` powers, under one vectorised norm guard, with the clock of
-single steps, so t and tau are those of stepping one at a time.  A dwell's
-full steps are block rows, as no event is tested there.  So are monitored
-steps, after the first ``_LEAD_IN`` = 4 of a phase that follows a dwell,
-when the certificate carries its LTI form (``Certificate.lti_form``): the
-excess is then z^T Q z for the Q of ``trigger.event_form``, which only
-screens.  A row is kept untested if z^T Q z < -1e-12 |Q|_inf |z|^2; z^T Q z
-and h agree to about 10 n eps |Q|_inf |z|^2 (1e-14 at n = 4), so h is
-negative there too.  The first other row's step is taken singly, where h
-decides whether the event fired and the bisection locates it, so h decides
-every jump; a jump moves from the single-step path's only where an excess at
-a step boundary lies within rounding of 0.  Re-stepped singly from their
-segment's start, states differ by rounding, relative to max(1, |z|), within
-32 ulps in a dwell and 32 + k/2 ulps at the k-th step after it
-(``TestDwellBlock``, ``TestMonitoredBlock``; seen: at most 44).  A block that
-meets inf, NaN or the guard is discarded, and the run steps singly from there
-on.  ``flow_step`` takes the single step from the same memo; identical inputs
-give bit-identical logs.
+stacked matrix and the step, so one LRU cache of 4,096 keeps them by (matrix
+bytes, step), shared by loops with equal matrices: the full step, the dwell
+landings and the bisection sub-steps (a few hundred lengths per batch) each
+build theirs once.  On a linear loop full steps (neither landing on T nor cut
+by the horizon) flow as blocks: the states after 1, ..., m steps are P z, ...,
+P^m z for the full step's propagator P, one product with a read-only stack of
+``_DWELL_BLOCK`` powers of that cached P (the 32 latest stacks are kept),
+under one vectorised norm guard, with the clock of single steps, so t and tau
+are those of stepping one at a time.  A dwell's full steps are block rows, as
+no event is tested there.  So are monitored steps, after the first
+``_LEAD_IN`` = 4 of a phase that follows a dwell, when the certificate
+carries its LTI form (``Certificate.lti_form``) and it still matches the
+certificate's terms: the excess is then z^T Q z for the Q of
+``trigger.event_form``, which only screens (a stale form is None, and the
+run's monitored steps go singly).  A row is kept untested if z^T Q z <
+-1e-12 |Q|_inf |z|^2; z^T Q z and h agree to about 10 n eps |Q|_inf |z|^2
+(1e-14 at n = 4), so h is negative there too.  The first other row's step is
+taken singly, where h decides whether the event fired and the bisection
+locates it, so h decides every jump; a jump moves from the single-step path's
+only where an excess at a step boundary lies within rounding of 0.
+Re-stepped singly from their segment's start, states differ by rounding,
+relative to max(1, |z|), within 32 ulps in a dwell and 32 + k/2 ulps at the
+k-th step after it (``TestDwellBlock``, ``TestMonitoredBlock``; seen: at most
+44).  A block that meets inf, NaN or the guard is discarded, and the run
+steps singly from there on.  ``flow_step`` takes the single step with the
+same cached propagator; identical inputs give bit-identical logs.
 The per-step paths here and in the certificate terms use ``ndarray.dot``
 and ``math.sqrt(v.dot(v))``, which numpy runs through the same BLAS
 kernels as ``@`` and ``np.linalg.norm`` without their dispatch cost; a
@@ -67,7 +69,9 @@ import numpy as np
 from .errors import ConfigError, DivergenceError, DomainError
 from .model import Certificate, ClosedLoopSystem, HybridState, check_pairing
 from .sampling import check_int
-from .trigger import TriggerConfig, ZetaParams, event_form, event_function, zeta_solution
+from .trigger import (
+    SCREEN_RTOL, TriggerConfig, ZetaParams, event_form, event_function, zeta_solution,
+)
 
 
 @dataclass(frozen=True)
@@ -158,19 +162,16 @@ class HybridSolution:
 # Bisection sub-steps repeat: 0.5 * (lo + hi) from (0, h) walks the same
 # dyadic tree for every event, at most 1,023 nodes per h at event_tol 1e-6,
 # so a whole planar benchmark run needs about 1,500 propagators.  The bound
-# keeps memory flat for callers whose step lengths never repeat.
-_PROPAGATOR_MEMO_SIZE = 4096
-_MEMO_MATRICES = 8  # stacked matrices whose propagator memos are kept
+# keeps memory flat for callers whose step lengths never repeat; the power
+# stacks get as many matrices again.
+_PROPAGATORS = 4096
 _DWELL_BLOCK = 128  # most propagator powers in one block of full steps
-_POWER_STACKS = 32  # (matrix, step) pairs whose power stacks are kept
 # Single steps after a dwell expires before monitored blocks take over: the
 # planar state-feedback runs end most such phases within 1-2 steps, where a
 # block's fixed cost (about 15 us, some 2 single steps) buys nothing.
 _LEAD_IN = 4
-# The screen's margin, relative to |Q|_inf |z|^2 (see the module docstring).
-# Below tiny, the smallest normal float, rounding is absolute, so the margin
-# gets tiny added and such rows are always candidates.
-_SCREEN_RTOL = 1e-12
+# The screen's margin is SCREEN_RTOL |Q|_inf |z|^2 plus tiny, the smallest
+# normal float, below which rounding is absolute: such rows are candidates.
 _TINY = np.finfo(float).tiny
 
 
@@ -191,36 +192,24 @@ def _rk4(F, z, h):
     return z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-@functools.lru_cache(maxsize=_MEMO_MATRICES)
-def _propagator_memo(M_bytes):
-    """{h: RK4 propagator for step h} of the stacked matrix with these bytes.
-
-    ``_stepper`` clears it at 4,096 entries, so the 8 kept memos hold 32,768 matrices at worst.
-    """
-    return {}
+@functools.lru_cache(maxsize=_PROPAGATORS)
+def _propagator(M_bytes, n, h):
+    """The read-only RK4 propagator for step h of the n x n matrix with these C-order bytes."""
+    P = _rk4_propagator(np.frombuffer(M_bytes).reshape(n, n).copy(), h)  # aligned like M
+    P.setflags(write=False)
+    return P
 
 
 def _stepper(sys: ClosedLoopSystem):
     """Return advance(z, h) -> z', the one flow step of ``simulate`` and ``flow_step``.
 
-    Linear loops apply the RK4 propagator for h from the memo of their
-    stacked matrix, fetched once here so that each step looks it up with a
-    plain ``dict.get``; the rest run ``_rk4`` on the stacked
-    F(z) = (f(x, e), g(x, e)), z = (x, e).
+    Linear loops apply the cached propagator for h; the rest run ``_rk4``
+    on the stacked F(z) = (f(x, e), g(x, e)), z = (x, e).
     """
     M, n_x, f, g = sys.stacked_matrix, sys.n_x, sys.f, sys.g
     if M is not None:
-        memo = _propagator_memo(M.tobytes())
-
-        def advance(z, h):
-            P = memo.get(h)
-            if P is None:
-                if len(memo) >= _PROPAGATOR_MEMO_SIZE:
-                    memo.clear()
-                P = memo[h] = _rk4_propagator(M, h)
-            return P.dot(z)
-
-        return advance
+        key, n = M.tobytes(), M.shape[0]
+        return lambda z, h: _propagator(key, n, h).dot(z)
 
     def F(z):
         x, e = z[:n_x], z[n_x:]
@@ -229,40 +218,35 @@ def _stepper(sys: ClosedLoopSystem):
     return lambda z, h: _rk4(F, z, h)
 
 
-@functools.lru_cache(maxsize=_POWER_STACKS)
+@functools.lru_cache(maxsize=_PROPAGATORS // _DWELL_BLOCK)
 def _dwell_powers(M_bytes, n, step):
-    """P, P^2, ..., P^_DWELL_BLOCK for the RK4 propagator P of step, as read-only rows.
+    """P, P^2, ..., P^_DWELL_BLOCK for ``_propagator``'s P of step, as read-only rows.
 
-    M_bytes are the C-order bytes of the n x n stacked matrix; P^j = P P^(j-1).
-    The kept stacks hold 32 x 128 = 4,096 matrices at worst.
+    P^j = P P^(j-1); overflowing powers come out as inf or NaN, silently.
     """
-    P = _rk4_propagator(np.frombuffer(M_bytes).reshape(n, n).copy(), step)  # aligned like M
+    P = _propagator(M_bytes, n, step)
     powers = [P]
-    for _ in range(_DWELL_BLOCK - 1):
-        powers.append(P.dot(powers[-1]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(_DWELL_BLOCK - 1):
+            powers.append(P.dot(powers[-1]))
     stack = np.concatenate(powers)
     stack.setflags(write=False)
     return stack
 
 
 def _block_flow(sys: ClosedLoopSystem, step: float):
-    """Return flow_block(z, m) -> the (m, n) states after 1, ..., m steps of length step.
+    """The ``_dwell_powers`` stack of the loop for step, or None without a ``stacked_matrix``.
 
-    Row j is P^j z, from one product with ``_dwell_powers``; m is at most
-    ``_DWELL_BLOCK``.  None for a loop without a ``stacked_matrix``.
-    Overflowing powers or states come out as inf or NaN; callers silence
-    numpy's warnings and check the rows.
+    Its first m n rows times z are the states after 1, ..., m steps,
+    m <= ``_DWELL_BLOCK``; ``simulate`` checks them for inf and NaN.
     """
     M = sys.stacked_matrix
-    if M is None:
-        return None
-    key, n = M.tobytes(), M.shape[0]
-    return lambda z, m: _dwell_powers(key, n, step)[: m * n].dot(z).reshape(m, n)
+    return None if M is None else _dwell_powers(M.tobytes(), M.shape[0], step)
 
 
 @functools.lru_cache(maxsize=64)
 def _block_clock(step, end, tau):
-    """The clock after each of the next steps from tau short of end, as an array and a tuple.
+    """The clock after each of the next steps from tau short of end, as a read-only array.
 
     A dwell's end is T, so none of its steps lands on T; a monitored block's
     end is inf.  The clock follows ``simulate``'s float recurrence tau + step,
@@ -274,7 +258,7 @@ def _block_clock(step, end, tau):
         taus.append(tau)
     arr = np.array(taus)
     arr.setflags(write=False)
-    return arr, tuple(taus)
+    return arr
 
 
 def _check_state(sys: ClosedLoopSystem, q: HybridState):
@@ -289,7 +273,7 @@ def _check_state(sys: ClosedLoopSystem, q: HybridState):
 
 
 def flow_step(sys: ClosedLoopSystem, q: HybridState, h: float) -> HybridState:
-    """One flow step of size h from q: ``simulate``'s single step, from the same memo.
+    """One flow step of size h from q: ``simulate``'s single step, with the same propagator.
 
     A step that ``simulate`` takes singly (a dwell landing, a monitored step
     of a phase's lead-in or at a screen candidate, a bisection step, any
@@ -363,7 +347,8 @@ def simulate(
     n_x = sys.n_x
     flow = _stepper(sys)
     step, horizon = settings.step, settings.horizon_t
-    block = _block_flow(sys, step)
+    powers = _block_flow(sys, step)  # None: every step is taken singly
+    n = z.size
     eps = 1e-15 * max(1.0, horizon)
     T = cfg.T  # 0 in pure-event mode, where the dwell branch never runs
     # Single monitored steps before blocks take over in each phase: all of
@@ -392,38 +377,41 @@ def simulate(
         if horizon - t <= eps:
             break
         if (
-            block is not None
+            powers is not None
             and step <= horizon - t
             and (singles >= lead_in if monitoring else step < T - tau)
         ):
+            if monitoring and Q is None:
+                Q = event_form(cert, cfg)
+                if Q is None:  # the form disagrees with h_ev: no monitored blocks
+                    lead_in = math.inf
+                    continue
+                margin = SCREEN_RTOL * np.abs(Q).sum(axis=1).max()
             # Full steps, neither landing on T nor cut by the horizon, flow as
             # one block of propagator powers.  t only grows, so the steps that
             # start at least a step before the horizon are a prefix.
-            taus, tau_k = _block_clock(step, math.inf if monitoring else T, tau)
+            taus = _block_clock(step, math.inf if monitoring else T, tau)
             ts = base + taus
             m = 1 + int(np.count_nonzero(horizon - ts[:-1] >= step))
             with np.errstate(over="ignore", invalid="ignore"):
-                Z = block(z, m)
+                Z = powers[: m * n].dot(z).reshape(m, n)
                 sq = np.einsum("ij,ij->i", Z, Z)
                 within = math.sqrt(sq.max()) <= guard
             if not within:
                 # Inf, NaN or past the guard: step singly from here on, so
                 # that a divergence ends as the single-step path ends it.
-                block = None
+                powers = None
                 continue
             k = m
             if monitoring:
-                if Q is None:
-                    Q = event_form(cert, cfg)
-                    margin = _SCREEN_RTOL * np.abs(Q).sum(axis=1).max()
                 # A row passes only if z^T Q z is negative by far more than its
                 # rounding and h_ev's; the first other row is a candidate.
                 passed = np.einsum("ij,ij->i", Z.dot(Q), Z) < -(margin * sq + _TINY)
                 k = m if passed.all() else int(passed.argmin())
             if k:
-                z, tau = Z[k - 1], tau_k[k - 1]
+                z, tau = Z[k - 1], float(taus[k - 1])
                 if record:
-                    rows.extend(zip(ts[:k].tolist(), Z, tau_k[:k]))
+                    rows.extend(zip(ts[:k].tolist(), Z, taus[:k].tolist()))
             if k == m:
                 continue
             # The candidate's step is taken singly below, where h_ev decides.

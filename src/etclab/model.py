@@ -89,8 +89,12 @@ class Certificate:
     ``lti_form`` is the ``(ClosedLoopMatrices, LmiCertificate)`` pair that
     ``lti.extract_assumption`` built the terms from, None otherwise.
     ``trigger.event_form`` reads it, with the live gamma, for the quadratic
-    form of the event excess, so a copy that replaces W, H, delta, alpha
-    or y_of_x by other functions must also drop it (``lti_form=None``).
+    form of the event excess.  A copy that replaces W, H, delta, alpha or
+    y_of_x keeps it, and ``event_form`` checks it against the new terms
+    at three fixed probe states: where they disagree it yields None, and
+    the simulator steps singly.  Terms that agree with the form only at
+    those states go unnoticed, so such a copy should drop it
+    (``lti_form=None``).
     """
 
     V: Callable[[np.ndarray], float]

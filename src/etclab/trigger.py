@@ -51,6 +51,10 @@ from .errors import ConfigError
 from .model import Certificate
 
 MODES = ("output-feedback", "state-feedback", "pure-event", "periodic")
+# z^T Q z of ``event_form`` and the excess closure agree within
+# SCREEN_RTOL |Q|_inf |z|^2, far above the rounding of either (about
+# 10 n eps |Q|_inf |z|^2); the simulator's screen keeps this margin.
+SCREEN_RTOL = 1e-12
 
 
 def masp(gamma, L):
@@ -196,6 +200,8 @@ class TriggerConfig:
         if self.mode in ("state-feedback", "pure-event"):
             if self.sigma is None or not 0.0 < self.sigma < 1.0:
                 raise ConfigError(f"{self.mode} mode requires sigma in (0, 1)")
+        elif self.sigma is not None:
+            raise ConfigError(f"{self.mode} mode takes no sigma, got {self.sigma!r}")
 
     def membership(self, h, tau, tol=0.0):
         """(in C, in D) for the event excess h and the clock tau.
@@ -268,17 +274,27 @@ def event_form(cert: Certificate, cfg: TriggerConfig):
         state-feedback, pure-event    diag(-sigma (eps2 I + A2^T A2 + eps1 I), gamma^2 I)
 
     (the state-feedback excess takes delta at x, hence eps1 I).  None in
-    periodic mode or for a certificate without an ``lti_form``.
+    periodic mode, for a certificate without an ``lti_form``, and for a
+    stale one: a copy whose replaced terms make h differ from z^T Q z by
+    more than ``SCREEN_RTOL`` |Q|_inf |z|^2 at any of three fixed probe
+    states of sizes 1e-3, 1 and 1e3 with no zero component.
     """
     if cert.lti_form is None or cfg.mode == "periodic":
         return None
     clm, cand = cert.lti_form
+    n_x, n = clm.n_x, clm.n_x + clm.n_e
     if cfg.mode == "output-feedback":
         qx = cand.eps1 * (clm.Cbar.T @ clm.Cbar)
     else:
-        eye = np.eye(clm.n_x)
+        eye = np.eye(n_x)
         qx = cfg.sigma * (cand.eps2 * eye + clm.A2.T @ clm.A2 + cand.eps1 * eye)
-    Q = np.zeros((clm.n_x + clm.n_e,) * 2)
-    Q[: clm.n_x, : clm.n_x] = -qx
-    Q[clm.n_x :, clm.n_x :] = cert.gamma * cert.gamma * np.eye(clm.n_e)
+    Q = np.zeros((n, n))
+    Q[:n_x, :n_x] = -qx
+    Q[n_x:, n_x:] = cert.gamma * cert.gamma * np.eye(clm.n_e)
+    # Three probes of sizes 1e-3, 1 and 1e3; the cosine of an integer is never 0.
+    Z = np.cos(np.arange(1.0, 3 * n + 1)).reshape(3, n) * np.array([[1e-3], [1.0], [1e3]])
+    h, tol = event_function(cert, cfg), SCREEN_RTOL * np.abs(Q).sum(axis=1).max()
+    for z, zqz, zz in zip(Z, np.einsum("ij,jk,ik->i", Z, Q, Z), np.einsum("ij,ij->i", Z, Z)):
+        if not abs(zqz - h(z[:n_x], z[n_x:])) <= tol * zz:  # NaN fails too
+            return None
     return Q

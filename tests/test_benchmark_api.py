@@ -9,6 +9,8 @@ suite rather than only a benchmark run.
 
 import ast
 import inspect
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -87,3 +89,14 @@ def test_chain_resolves_and_accepts_its_keywords(where, chain):
         return
     unknown = sorted(keywords - set(params))
     assert not unknown, f"{where} passes {unknown} to etclab.{'.'.join(chain)}"
+
+
+def test_benchmark_selftest_passes():
+    # Every workload at a tiny size, untraced and traced; it writes only to
+    # the git-ignored .perfbench_out/.
+    proc = subprocess.run(
+        [sys.executable, "perfbench/selftest.py"], cwd=PERFBENCH.parent,
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "selftest passed" in proc.stdout.splitlines()

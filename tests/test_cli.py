@@ -465,6 +465,11 @@ CLI_EXITS = {
         ["design", "--out", "-"], None, None, 0, "gamma = ",
         lambda out, outdir: json.loads(out)["T_max"] > 0.0,
     ),
+    "sigma-on-output-feedback": (
+        ["simulate", "--config", "{config}"],
+        {**LORENZ_CFG, "trigger": {**LORENZ_CFG["trigger"], "sigma": 0.7}}, None, 1,
+        "error: config.trigger: output-feedback mode takes no sigma, got 0.7\n", None,
+    ),
     "blowup-norm-above-1e150": (
         ["simulate", "--config", "{config}"],
         {**LORENZ_CFG, "sim": {**LORENZ_CFG["sim"], "blowup_norm": 1e200}}, None, 1,

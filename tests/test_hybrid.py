@@ -38,13 +38,7 @@ from etclab import (
     zeta_time,
 )
 from etclab import hybrid, trigger
-from etclab.hybrid import (
-    _DWELL_BLOCK,
-    _MEMO_MATRICES,
-    _POWER_STACKS,
-    _PROPAGATOR_MEMO_SIZE,
-    _rk4_propagator,
-)
+from etclab.hybrid import _DWELL_BLOCK, _PROPAGATORS, _rk4_propagator
 from etclab.montecarlo import BatchSpec, sample_initial
 from etclab.systems import TABUADA_EPS2, lti_loop_from_matrices, tabuada_matrices
 from etclab.trigger import MODES
@@ -717,90 +711,119 @@ def _power_stack(M, h, k):
 
 
 def _clear_flow_caches():
-    hybrid._propagator_memo.cache_clear()
+    hybrid._propagator.cache_clear()
     hybrid._dwell_powers.cache_clear()
 
 
-class TestPropagatorMemo:
+def _recording_builds(run):
+    """run()'s result and the step lengths of the propagators it built, in order."""
+    with mock.patch.object(hybrid, "_rk4_propagator", wraps=_rk4_propagator) as build:
+        result = run()
+    return result, [c.args[1] for c in build.call_args_list]
+
+
+_STACKS = _PROPAGATORS // _DWELL_BLOCK  # power stacks kept
+
+
+class TestPropagatorCache:
     # The caches are keyed by the stacked matrix, so every tabuada loop
     # shares them; the tests that count entries start them cold.
 
-    def test_warm_and_cold_memo_give_identical_runs(self):
+    def test_warm_and_cold_caches_give_identical_runs(self):
         _clear_flow_caches()
         sys, cert = tabuada_loop()
-        first = _batches(sys, cert)
-        key, M = sys.stacked_matrix.tobytes(), sys.stacked_matrix
-        warm = hybrid._propagator_memo(key)
-        assert warm  # the bisections and dwell landings filled it
-        assert hybrid._dwell_powers.cache_info().currsize == 1  # the state-feedback dwells
+        first, built = _recording_builds(lambda: _batches(sys, cert))
+        assert len(built) > 1  # the bisections and dwell landings filled it
+        assert hybrid._dwell_powers.cache_info().currsize == 1  # one step length
+        misses = hybrid._propagator.cache_info().misses
         _assert_same_runs(_batches(sys, cert), first)  # warm
+        assert hybrid._propagator.cache_info().misses == misses  # nothing built again
         _clear_flow_caches()
-        _assert_same_runs(_batches(*tabuada_loop()), first)  # cold
-        cold = hybrid._propagator_memo(key)
-        assert cold is not warm and cold.keys() <= warm.keys()
-        for h, P in [*warm.items(), *cold.items()]:
+        cold, rebuilt = _recording_builds(lambda: _batches(*tabuada_loop()))
+        _assert_same_runs(cold, first)
+        assert rebuilt == built
+        key, M = sys.stacked_matrix.tobytes(), sys.stacked_matrix
+        hits = hybrid._propagator.cache_info().hits
+        for h in built:
+            P = hybrid._propagator(key, 4, h)
+            assert not P.flags.writeable
             assert P.tobytes() == _rk4_propagator(M, h).tobytes()
+        assert hybrid._propagator.cache_info().hits == hits + len(built)  # the cold runs cached them
         hits = hybrid._dwell_powers.cache_info().hits
         powers = hybrid._dwell_powers(key, 4, 1e-3)
-        assert hybrid._dwell_powers.cache_info().hits == hits + 1  # the cold runs cached it
+        assert hybrid._dwell_powers.cache_info().hits == hits + 1
         assert not powers.flags.writeable
         assert powers.tobytes() == _power_stack(M, 1e-3, _DWELL_BLOCK).tobytes()
+        # The stack starts from the cached full-step propagator, not a second one.
+        assert powers[:4].tobytes() == hybrid._propagator(key, 4, 1e-3).tobytes()
 
     def test_replace_copy_shares_the_caches_and_gives_identical_runs(self):
         sys, cert = tabuada_loop()
         first = _batches(sys, cert)
-        memo = hybrid._propagator_memo(sys.stacked_matrix.tobytes())
-        size, built = len(memo), hybrid._dwell_powers.cache_info().misses
+        built = hybrid._propagator.cache_info().misses, hybrid._dwell_powers.cache_info().misses
         copy = dataclasses.replace(sys, name="copy")
         _assert_same_runs(_batches(copy, cert), first)
-        assert len(memo) == size  # no propagator was built again
-        assert hybrid._dwell_powers.cache_info().misses == built  # nor a power stack
+        # No propagator and no power stack was built again.
+        assert (hybrid._propagator.cache_info().misses,
+                hybrid._dwell_powers.cache_info().misses) == built
 
-    def test_power_memo_stays_bounded(self):
+    def test_power_stacks_stay_bounded(self):
         # Each run's step length gets one stack of _DWELL_BLOCK powers; a
         # dwell of T / step = 200 steps takes two blocks from it.
-        assert _DWELL_BLOCK <= 128 and _POWER_STACKS <= 32
-        assert hybrid._dwell_powers.cache_info().maxsize == _POWER_STACKS
+        assert _DWELL_BLOCK <= 128 and _STACKS <= 32
+        assert hybrid._dwell_powers.cache_info().maxsize == _STACKS
         _clear_flow_caches()
         sys, cert = tabuada_loop()
         key = sys.stacked_matrix.tobytes()
         cfg = TriggerConfig(mode="periodic", T=0.075)
         q0 = HybridState(np.array([1.0, -1.0]), np.zeros(2), 0.0)
-        n = _POWER_STACKS + 5
+        n = _STACKS + 5
         for k in range(n):
             step = 3.75e-4 * (1.0 - k * 1e-6)
             simulate(sys, cert, cfg, q0, SimSettings(step=step, horizon_t=0.1, event_tol=1e-6))
             info = hybrid._dwell_powers.cache_info()
-            assert info.currsize <= _POWER_STACKS
+            assert info.currsize <= _STACKS
             assert hybrid._dwell_powers(key, 4, step).shape == (_DWELL_BLOCK * 4, 4)
             assert hybrid._dwell_powers.cache_info().hits == info.hits + 1  # the run cached it
         info = hybrid._dwell_powers.cache_info()
-        assert info.misses == n and info.currsize == _POWER_STACKS  # the oldest were dropped
+        assert info.misses == n and info.currsize == _STACKS  # the oldest were dropped
 
-    def test_memo_stays_bounded_and_exact(self):
-        assert _PROPAGATOR_MEMO_SIZE <= 4096
+    def test_propagators_stay_bounded_and_exact(self):
+        assert _PROPAGATORS <= 4096
+        assert hybrid._propagator.cache_info().maxsize == _PROPAGATORS
+        _clear_flow_caches()
         sys, _ = tabuada_loop()
         M = sys.stacked_matrix
-        memo = hybrid._propagator_memo(M.tobytes())
         z = np.array([0.3, -1.2, 0.5, 0.7])
         q = HybridState(z[:2], z[2:], 0.0)
-        n = _PROPAGATOR_MEMO_SIZE + 500
+        n = _PROPAGATORS + 500
         for k in range(n):
             h = 1e-3 + k * 1e-9
             qn = flow_step(sys, q, h)
-            assert h in memo and len(memo) <= _PROPAGATOR_MEMO_SIZE
+            info = hybrid._propagator.cache_info()
+            assert info.misses == k + 1 and info.currsize <= _PROPAGATORS
             expected = _rk4_propagator(M, h).dot(z)
             assert np.concatenate((qn.x, qn.e)).tobytes() == expected.tobytes()
-        assert len(memo) < n  # cleared at least once
+        assert info.currsize == _PROPAGATORS  # the oldest were dropped
 
-    def test_memos_are_kept_for_a_bounded_number_of_matrices(self):
+    def test_bounds_hold_across_many_matrices(self):
+        # Propagators and stacks of all matrices share the two bounds.
         _clear_flow_caches()
         q = HybridState(np.array([1.0]), np.zeros(1), 0.0)
-        for k in range(_MEMO_MATRICES + 3):
-            M = np.array([[-1.0 - k, 0.0], [1.0 + k, 0.0]])
-            flow_step(ClosedLoopSystem(1, 1, None, None, stacked_matrix=M), q, 1e-3)
-            assert hybrid._propagator_memo.cache_info().currsize <= _MEMO_MATRICES
-        assert hybrid._propagator_memo.cache_info().currsize == _MEMO_MATRICES
+        # 8 steps of 2^-12 land on the horizon exactly: one block, no shorter last step.
+        cfg = TriggerConfig(mode="periodic", T=0.2)
+        settings = SimSettings(step=2.0**-12, horizon_t=2.0**-9, event_tol=1e-6)
+        loops = [
+            ClosedLoopSystem(1, 1, None, None, stacked_matrix=[[-1.0 - k, 0.0], [1.0 + k, 0.0]])
+            for k in range(_PROPAGATORS + 3)
+        ]
+        for k, sys in enumerate(loops[: _STACKS + 3]):
+            simulate(sys, _permissive_cert(), cfg, q, settings)  # one propagator, one stack
+            assert hybrid._dwell_powers.cache_info().currsize == min(k + 1, _STACKS)
+        for sys in loops[_STACKS + 3 :]:
+            flow_step(sys, q, 2.0**-12)
+        info = hybrid._propagator.cache_info()
+        assert info.misses == len(loops) and info.currsize == _PROPAGATORS
 
 
 # Re-stepped from its first sample, a segment's recorded states stay within
@@ -1255,6 +1278,29 @@ class TestMonitoredBlock:
             z = rng.standard_normal(n) * 10.0 ** rng.uniform(-100, 100)
             err = abs(float(z.dot(Q).dot(z)) - h(z[: sys.n_x], z[sys.n_x :]))
             assert err <= 10 * n * np.finfo(float).eps * q_inf * z.dot(z)
+
+    @pytest.mark.parametrize("term", ["W", "H", "delta", "alpha"])
+    @pytest.mark.parametrize("cfg", [_PE, _sf_cfg()], ids=["pure-event", "state-feedback"])
+    def test_form_of_a_copy_is_kept_only_while_it_matches_the_terms(self, cfg, term):
+        _, cert = tabuada_loop()
+        f = getattr(cert, term)
+        same = dataclasses.replace(cert, **{term: lambda v: f(v)})
+        assert trigger.event_form(same, cfg).tobytes() == trigger.event_form(cert, cfg).tobytes()
+        other = dataclasses.replace(cert, **{term: lambda v: f(v) + 1.0})
+        assert trigger.event_form(other, cfg) is None
+
+    def test_stale_form_is_ignored_and_the_steps_go_singly(self):
+        # A copy with another W keeps lti_form.  Screened with that form, the
+        # run jumped 34 times; its own excess, stepped singly, jumps 96 times.
+        sys, cert = tabuada_loop()
+        stale = dataclasses.replace(cert, W=lambda e: 3.0 * math.sqrt(e.dot(e)))
+        q0 = HybridState(np.array([3.0, -2.0]), np.zeros(2), 0.0)
+        settings = SimSettings(step=1e-3, horizon_t=2.0, event_tol=1e-6)
+        sol, n_blocks = _monitored_blocks(lambda: simulate(sys, stale, _PE, q0, settings))
+        assert n_blocks == 0 and sol.n_jumps == 96
+        _assert_same_runs([sol], [_step_path(sys, stale, _PE, q0, settings)])
+        bare = dataclasses.replace(stale, lti_form=None)
+        _assert_same_runs([sol], [simulate(sys, bare, _PE, q0, settings)])
 
     def test_certificate_without_a_form_steps_singly(self):
         sys, cert = tabuada_loop()

@@ -7,7 +7,9 @@ deleted patch point fail the test suite, not only a traced benchmark run.
 
 import dataclasses
 import importlib.util
+import math
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
@@ -70,3 +72,32 @@ def test_designing_the_planar_loop_makes_three_traced_lyapunov_solves():
     finally:
         tracer.uninstall()
     assert tracer.stats()["linalg.solve_lyapunov"][0] == 3
+
+
+def test_traced_planar_loop_takes_the_untraced_path(tabuada):
+    # The tracer's certificate is a copy with wrapped terms that keeps
+    # lti_form.  Its form must still be accepted, so that a traced run times
+    # the monitored blocks of an untraced one.
+    spans = _load_spans()
+    q0 = HybridState(np.array([3.0, -2.0]), np.zeros(2), 0.0)
+    cfg = TriggerConfig(mode="pure-event", sigma=0.7)
+    settings = SimSettings(step=1e-3, horizon_t=2.0)
+    hybrid = etclab.hybrid
+
+    def run(sys, cert):
+        """The hex jump times and the number of monitored blocks (their clock has no end)."""
+        with mock.patch.object(hybrid, "_block_clock", wraps=hybrid._block_clock) as clock:
+            sol = etclab.simulate(sys, cert, cfg, q0, settings)
+        return [t.hex() for t in sol.jump_times], sum(c.args[1] == math.inf
+                                                      for c in clock.call_args_list)
+
+    bare = run(*tabuada)
+    tracer = spans.Tracer()
+    tracer.install(etclab)
+    try:
+        traced = run(*tracer.wrap_loop(*tabuada))
+    finally:
+        tracer.uninstall()
+    assert tracer.stats()["model.cert"][0] > 0
+    assert traced == bare
+    assert bare[1] >= len(bare[0]) >= 10

@@ -272,6 +272,13 @@ class TestTriggerConfig:
         with pytest.raises(ConfigError):
             TriggerConfig(mode="state-feedback", T=0.05)
 
+    @pytest.mark.parametrize(
+        "mode, sigma", [("periodic", 5.0), ("output-feedback", -3.0), ("output-feedback", 0.7)]
+    )
+    def test_modes_that_never_read_sigma_reject_it(self, mode, sigma):
+        with pytest.raises(ConfigError, match=f"^{mode} mode takes no sigma, got {sigma}$"):
+            TriggerConfig(mode=mode, T=0.01, sigma=sigma)
+
     def test_unknown_mode(self):
         with pytest.raises(ConfigError):
             TriggerConfig(mode="self-triggered", T=0.1)

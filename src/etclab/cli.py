@@ -278,7 +278,12 @@ def _cmd_check(args):
 
 def _cmd_simulate(args):
     doc = _config_of(args)
-    trigger = _override(doc.get("trigger", {}), T=args.T, mode=args.mode, sigma=args.sigma)
+    trigger = doc.get("trigger", {})
+    # --mode drops the config's T or sigma that its mode rejects; --T or --sigma still sets it.
+    drop = {"pure-event": "T", "output-feedback": "sigma", "periodic": "sigma"}.get(args.mode)
+    if isinstance(trigger, dict) and drop in trigger:
+        trigger = {k: v for k, v in trigger.items() if k != drop}
+    trigger = _override(trigger, T=args.T, mode=args.mode, sigma=args.sigma)
     r = Resolved(_override(doc, trigger=trigger), run=True)
     loop, cert = r.loop()
     q0 = r.initial

@@ -33,17 +33,12 @@ P^m z for the full step's propagator P, one product with a read-only stack of
 ``_DWELL_BLOCK`` powers of that cached P (the 32 latest stacks are kept),
 under one vectorised norm guard, with the clock of single steps, so t and tau
 are those of stepping one at a time.  A dwell's full steps are block rows, as
-no event is tested there.  So are monitored steps, after the first
-``_LEAD_IN`` = 4 of a phase that follows a dwell, when the certificate
-carries its LTI form (``Certificate.lti_form``) and it still matches the
-certificate's terms: the excess is then z^T Q z for the Q of
-``trigger.event_form``, which only screens (a stale form is None, and the
-run's monitored steps go singly).  A row is kept untested if z^T Q z <
--1e-12 |Q|_inf |z|^2; z^T Q z and h agree to about 10 n eps |Q|_inf |z|^2
-(1e-14 at n = 4), so h is negative there too.  The first other row's step is
-taken singly, where h decides whether the event fired and the bisection
-locates it, so h decides every jump; a jump moves from the single-step path's
-only where an excess at a step boundary lies within rounding of 0.
+no event is tested there.  So are monitored steps, after the first ``_LEAD_IN``
+= 4 of a phase that follows a dwell, if ``trigger.event_screen`` gives a row
+test: rows it clears stay untested, and the first other row's step is taken
+singly, where h decides whether the event fired and the bisection locates it,
+so h decides every jump; a jump moves from the single-step path's only where
+an excess at a step boundary lies within rounding of 0.
 Re-stepped singly from their segment's start, states differ by rounding,
 relative to max(1, |z|), within 32 ulps in a dwell and 32 + k/2 ulps at the
 k-th step after it (``TestDwellBlock``, ``TestMonitoredBlock``; seen: at most
@@ -69,9 +64,7 @@ import numpy as np
 from .errors import ConfigError, DivergenceError, DomainError
 from .model import Certificate, ClosedLoopSystem, HybridState, check_pairing
 from .sampling import check_int
-from .trigger import (
-    SCREEN_RTOL, TriggerConfig, ZetaParams, event_form, event_function, zeta_solution,
-)
+from .trigger import TriggerConfig, ZetaParams, event_function, event_screen, zeta_solution
 
 
 @dataclass(frozen=True)
@@ -170,9 +163,6 @@ _DWELL_BLOCK = 128  # most propagator powers in one block of full steps
 # planar state-feedback runs end most such phases within 1-2 steps, where a
 # block's fixed cost (about 15 us, some 2 single steps) buys nothing.
 _LEAD_IN = 4
-# The screen's margin is SCREEN_RTOL |Q|_inf |z|^2 plus tiny, the smallest
-# normal float, below which rounding is absolute: such rows are candidates.
-_TINY = np.finfo(float).tiny
 
 
 def _rk4_propagator(M, h):
@@ -277,7 +267,7 @@ def flow_step(sys: ClosedLoopSystem, q: HybridState, h: float) -> HybridState:
 
     A step that ``simulate`` takes singly (a dwell landing, a monitored step
     of a phase's lead-in or at a screen candidate, a bisection step, any
-    monitored step without a quadratic form, any step of a nonlinear loop)
+    monitored step without a screen, any step of a nonlinear loop)
     records this state bit for bit.  Of a block, dwell or monitored, the
     first row P z matches it too (with numpy's BLAS, as ``TestFlowStep``
     checks); later rows equal repeated ``flow_step`` only within the bounds
@@ -351,14 +341,10 @@ def simulate(
     n = z.size
     eps = 1e-15 * max(1.0, horizon)
     T = cfg.T  # 0 in pure-event mode, where the dwell branch never runs
-    # Single monitored steps before blocks take over in each phase: all of
-    # them without a quadratic form to screen with, _LEAD_IN after a dwell,
-    # none in pure-event mode, whose phases start at the jump.
-    if cert.lti_form is None:
-        lead_in = math.inf
-    else:
-        lead_in = _LEAD_IN if T > 0.0 else 0
-    Q = None  # the form, built at the run's first monitored block
+    # Single monitored steps per phase before blocks: _LEAD_IN after a dwell, none
+    # in pure-event mode (phases start at the jump), all once event_screen gave None.
+    lead_in = _LEAD_IN if T > 0.0 else 0
+    quiet = None  # the screen, asked for at the run's first monitored block
     record = settings.record_states
     # The sample log: (t, z, tau) rows, the row where each jump cuts it, the
     # jump times.  z is never modified in place once recorded, so rows hold
@@ -381,12 +367,11 @@ def simulate(
             and step <= horizon - t
             and (singles >= lead_in if monitoring else step < T - tau)
         ):
-            if monitoring and Q is None:
-                Q = event_form(cert, cfg)
-                if Q is None:  # the form disagrees with h_ev: no monitored blocks
+            if monitoring and quiet is None:
+                quiet = event_screen(cert, cfg)
+                if quiet is None:  # no screen: no monitored blocks
                     lead_in = math.inf
                     continue
-                margin = SCREEN_RTOL * np.abs(Q).sum(axis=1).max()
             # Full steps, neither landing on T nor cut by the horizon, flow as
             # one block of propagator powers.  t only grows, so the steps that
             # start at least a step before the horizon are a prefix.
@@ -404,9 +389,7 @@ def simulate(
                 continue
             k = m
             if monitoring:
-                # A row passes only if z^T Q z is negative by far more than its
-                # rounding and h_ev's; the first other row is a candidate.
-                passed = np.einsum("ij,ij->i", Z.dot(Q), Z) < -(margin * sq + _TINY)
+                passed = quiet(Z, sq)  # the first row not cleared is a candidate
                 k = m if passed.all() else int(passed.argmin())
             if k:
                 z, tau = Z[k - 1], float(taus[k - 1])

@@ -87,14 +87,10 @@ class Certificate:
     inequalities hold at every (x, e), so it carries no radius.
 
     ``lti_form`` is the ``(ClosedLoopMatrices, LmiCertificate)`` pair that
-    ``lti.extract_assumption`` built the terms from, None otherwise.
-    ``trigger.event_form`` reads it, with the live gamma, for the quadratic
-    form of the event excess.  A copy that replaces W, H, delta, alpha or
-    y_of_x keeps it, and ``event_form`` checks it against the new terms
-    at three fixed probe states: where they disagree it yields None, and
-    the simulator steps singly.  Terms that agree with the form only at
-    those states go unnoticed, so such a copy should drop it
-    (``lti_form=None``).
+    ``lti.extract_assumption`` built the terms from, None otherwise; only
+    ``trigger`` reads it.  A copy that replaces W, H, delta, alpha or y_of_x
+    keeps it, and terms that agree with it at ``trigger.event_screen``'s probe
+    states go unnoticed, so such a copy should drop it (``lti_form=None``).
     """
 
     V: Callable[[np.ndarray], float]

@@ -37,8 +37,8 @@ h >= 0 and tau >= T with h = 0 or tau = T; pure-event has C: h <= 0,
 D: h >= 0, and periodic C: tau in [0, T], D: tau = T.  Equality cases
 belong to both C and D; the simulator's jump policy restores determinism.
 For a certificate from ``lti.extract_assumption`` each h is a quadratic
-form z^T Q z of z = (x, e); ``event_form`` gives Q, which the simulator
-uses only to screen block rows, never to decide a jump.
+form z^T Q z of z = (x, e); ``event_form`` gives Q, and ``event_screen``
+the simulator's row test of it, which only skips states and decides no jump.
 """
 
 import math
@@ -51,10 +51,8 @@ from .errors import ConfigError
 from .model import Certificate
 
 MODES = ("output-feedback", "state-feedback", "pure-event", "periodic")
-# z^T Q z of ``event_form`` and the excess closure agree within
-# SCREEN_RTOL |Q|_inf |z|^2, far above the rounding of either (about
-# 10 n eps |Q|_inf |z|^2); the simulator's screen keeps this margin.
-SCREEN_RTOL = 1e-12
+SCREEN_RTOL = 1e-12  # ``event_screen``'s margin, per |Q|_inf
+_TINY = np.finfo(float).tiny
 
 
 def masp(gamma, L):
@@ -274,10 +272,7 @@ def event_form(cert: Certificate, cfg: TriggerConfig):
         state-feedback, pure-event    diag(-sigma (eps2 I + A2^T A2 + eps1 I), gamma^2 I)
 
     (the state-feedback excess takes delta at x, hence eps1 I).  None in
-    periodic mode, for a certificate without an ``lti_form``, and for a
-    stale one: a copy whose replaced terms make h differ from z^T Q z by
-    more than ``SCREEN_RTOL`` |Q|_inf |z|^2 at any of three fixed probe
-    states of sizes 1e-3, 1 and 1e3 with no zero component.
+    periodic mode and without an ``lti_form``; ``event_screen`` checks it.
     """
     if cert.lti_form is None or cfg.mode == "periodic":
         return None
@@ -291,10 +286,31 @@ def event_form(cert: Certificate, cfg: TriggerConfig):
     Q = np.zeros((n, n))
     Q[:n_x, :n_x] = -qx
     Q[n_x:, n_x:] = cert.gamma * cert.gamma * np.eye(clm.n_e)
-    # Three probes of sizes 1e-3, 1 and 1e3; the cosine of an integer is never 0.
-    Z = np.cos(np.arange(1.0, 3 * n + 1)).reshape(3, n) * np.array([[1e-3], [1.0], [1e3]])
-    h, tol = event_function(cert, cfg), SCREEN_RTOL * np.abs(Q).sum(axis=1).max()
-    for z, zqz, zz in zip(Z, np.einsum("ij,jk,ik->i", Z, Q, Z), np.einsum("ij,ij->i", Z, Z)):
-        if not abs(zqz - h(z[:n_x], z[n_x:])) <= tol * zz:  # NaN fails too
-            return None
     return Q
+
+
+def event_screen(cert: Certificate, cfg: TriggerConfig):
+    """The row test quiet(Z, sq) of ``event_form``'s Q; None where Q is None or stale.
+
+    quiet clears a row z of Z (sq: |z|^2) only if z^T Q z < -(margin |z|^2 + tiny), so h < 0
+    there: margin = ``SCREEN_RTOL`` |Q|_inf is far above the ~10 n eps |Q|_inf |z|^2 by which
+    z^T Q z and h differ, and below tiny, the smallest normal float, rounding is absolute.
+    Q is stale (a copy kept ``lti_form`` but replaced terms) if h and z^T Q z differ by more
+    than margin |z|^2 at any of three probe states, of sizes 1e-3, 1 and 1e3 with no zero
+    component: the probes share the rows' z^T Q z and margin, and so test their bound.
+    """
+    Q = event_form(cert, cfg)
+    if Q is None:
+        return None
+    margin = SCREEN_RTOL * np.abs(Q).sum(axis=1).max()
+
+    def zqz(Z):
+        return np.einsum("ij,ij->i", Z.dot(Q), Z)
+
+    n_x, h = cert.n_x, event_function(cert, cfg)
+    # The cosine of an integer is never 0, so no probe has a zero component.
+    Z = np.cos(np.arange(1.0, 3 * len(Q) + 1)).reshape(3, -1) * np.array([[1e-3], [1.0], [1e3]])
+    gap = np.abs(zqz(Z) - [h(z[:n_x], z[n_x:]) for z in Z])
+    if not (gap <= margin * np.einsum("ij,ij->i", Z, Z)).all():  # NaN fails too
+        return None
+    return lambda Z, sq: zqz(Z) < -(margin * sq + _TINY)

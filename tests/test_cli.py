@@ -201,6 +201,24 @@ class TestSimulateCommand:
         assert "dwell time exceeds MASP" in err
         assert not os.path.exists(tmp_path / "never")
 
+    @pytest.mark.parametrize("mode", ["periodic", "output-feedback", "pure-event"])
+    def test_mode_flag_drops_the_config_field_its_mode_rejects(self, capsys, tmp_path, mode):
+        # The config is state-feedback with T = 0.05 and sigma = 0.7: periodic and
+        # output-feedback mode reject its sigma, pure-event mode its T.
+        path, _ = _write_config(tmp_path, LTI_CFG)
+        rc, out, _ = _run(capsys, "simulate", "--config", str(path), "--mode", mode)
+        assert rc == 0
+        assert "terminated: horizon" in out
+
+    def test_mode_flag_keeps_an_explicit_field_its_mode_rejects(self, capsys, tmp_path):
+        path, cfg = _write_config(tmp_path, LTI_CFG)
+        rc, out, err = _run(
+            capsys, "simulate", "--config", str(path), "--mode", "periodic", "--sigma", "0.5"
+        )
+        assert (rc, out) == (1, "")
+        assert err == "error: config.trigger: periodic mode takes no sigma, got 0.5\n"
+        assert not os.path.exists(cfg["output_dir"])
+
     def test_malformed_config_reports_location(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"system": {"name": "lorenz",}}')

@@ -1145,8 +1145,10 @@ class TestExactLtiReference:
             ("tabuada", "periodic", 4),
             ("lqr3", "state-feedback", 4),
             ("lqr3", "output-feedback", 4),
+            ("lqr3", "pure-event", 4),
             ("lqr2", "state-feedback", 4),
             ("lqr2", "output-feedback", 4),
+            ("lqr2", "pure-event", 4),
         ],
     )
     def test_jump_times_within_event_tol_of_the_exact_solution(self, name, mode, n_runs):
@@ -1195,7 +1197,7 @@ def _monitored_blocks(run):
 
 
 class TestMonitoredBlock:
-    """Monitored steps flow as blocks; z^T Q z screens rows and h_ev decides every jump."""
+    """Monitored steps flow as blocks; event_screen clears rows and h_ev decides every jump."""
 
     @staticmethod
     def _seeded_runs(n_runs=4, horizon=2.0):
@@ -1207,36 +1209,41 @@ class TestMonitoredBlock:
     def test_pure_event_runs_take_monitored_blocks(self):
         sys, cert = tabuada_loop()
         for q0, sim in self._seeded_runs():
-            with mock.patch.object(hybrid, "event_form", wraps=hybrid.event_form) as form:
+            with mock.patch.object(hybrid, "event_screen", wraps=hybrid.event_screen) as screen:
                 sol, n_blocks = _monitored_blocks(lambda: simulate(sys, cert, _PE, q0, sim))
-            form.assert_called_once()  # Q is built once, at the run's first block
+            screen.assert_called_once()  # built once, at the run's first block
             assert n_blocks >= sol.n_jumps >= 10
 
     def test_short_monitored_phases_stay_single(self):
         # The first ten of criterion 4's state-feedback runs, over 2 s, end
-        # their monitored phases within the lead-in, so none of them builds Q
-        # or takes a monitored block.
+        # their monitored phases within the lead-in, so none of them builds the
+        # screen or takes a monitored block.
         sys, cert = tabuada_loop()
         cfg = _sf_cfg()
         spec = BatchSpec(n_runs=10, radius=100.0, horizon_t=2.0, seed=0, trigger=cfg,
                          sim=SimSettings(step=1e-3, horizon_t=2.0, event_tol=1e-6))
-        with mock.patch.object(hybrid, "event_form") as form:
+        with mock.patch.object(hybrid, "event_screen") as screen:
             for k in range(spec.n_runs):
                 sol = simulate(sys, cert, cfg, sample_initial(spec, k, 2, 2), spec.sim)
                 assert sol.n_jumps >= 10
-        form.assert_not_called()
+        screen.assert_not_called()
 
     @pytest.mark.parametrize("name", ["pure-event", "tau0"])
     def test_overestimating_form_cannot_decide_a_jump(self, name):
-        # Q = +I makes every row a candidate: each monitored step is then taken
-        # singly, and the jumps are those of the true Q and of the step path.
+        # A screen that clears no row, as Q = +I would, makes every row a candidate:
+        # each monitored step is then taken singly, and the jumps are those of the
+        # true screen and of the step path.
         sys, cert = tabuada_loop()
         cfg, x0, e0, tau0, horizon, step = BLOCK_RUNS[name]
         q0 = HybridState(np.array(x0), np.array(e0), tau0)
         settings = SimSettings(step=step, horizon_t=horizon, event_tol=1e-6)
         true_q, n_blocks = _monitored_blocks(lambda: simulate(sys, cert, cfg, q0, settings))
         assert n_blocks >= 1
-        with mock.patch.object(hybrid, "event_form", lambda cert, cfg: np.eye(4)):
+
+        def none_cleared(Z, sq):
+            return np.zeros(len(Z), dtype=bool)
+
+        with mock.patch.object(hybrid, "event_screen", lambda cert, cfg: none_cleared):
             plus_i = _assert_blocks_within_bound(sys, cert, cfg, q0, settings)
         assert [t.hex() for t in plus_i.jump_times] == [t.hex() for t in true_q.jump_times]
         if name == "pure-event":  # no dwell either: every step is the step path's
@@ -1279,6 +1286,46 @@ class TestMonitoredBlock:
             err = abs(float(z.dot(Q).dot(z)) - h(z[: sys.n_x], z[sys.n_x :]))
             assert err <= 10 * n * np.finfo(float).eps * q_inf * z.dot(z)
 
+    @staticmethod
+    def _screened(name, mode, low, high, seed):
+        """(|z|^2, cleared, h_ev, per row; |Q|_inf) for 4,000 states of sizes 10^low..10^high.
+
+        e is scaled by up to 1e-8 against x, as it grows from 0 after a jump, so
+        that some rows are cleared in every mode.
+        """
+        sys, cert, cfg, _ = _exact_reference_case(name, mode)
+        quiet, h = trigger.event_screen(cert, cfg), event_function(cert, cfg)
+        rng, n_x = np.random.default_rng(seed), sys.n_x
+        Z = rng.standard_normal((4000, n_x + sys.n_e)) * 10.0 ** rng.uniform(low, high, (4000, 1))
+        Z[:, n_x:] *= 10.0 ** rng.uniform(-8, 0, (4000, 1))
+        sq = np.einsum("ij,ij->i", Z, Z)
+        h_rows = np.array([h(z[:n_x], z[n_x:]) for z in Z])
+        q_inf = np.abs(trigger.event_form(cert, cfg)).sum(axis=1).max()
+        return sq, quiet(Z, sq), h_rows, q_inf
+
+    @pytest.mark.parametrize("name", ["tabuada", "lqr3", "lqr2"])
+    @pytest.mark.parametrize("mode", ["output-feedback", "state-feedback", "pure-event"])
+    def test_screen_clears_only_rows_with_a_negative_excess(self, name, mode):
+        _, cleared, h_rows, _ = self._screened(name, mode, -150, 100, seed=11)
+        if (name, mode) == ("tabuada", "output-feedback"):  # eps1 = 0: Q = diag(0, gamma^2 I)
+            assert not cleared.any()
+        else:
+            assert 100 <= cleared.sum() < cleared.size
+        assert (h_rows[cleared] < 0.0).all()
+
+    @pytest.mark.parametrize("name", ["tabuada", "lqr3", "lqr2"])
+    @pytest.mark.parametrize("mode", ["output-feedback", "state-feedback", "pure-event"])
+    def test_screen_clears_no_row_whose_form_may_be_subnormal(self, name, mode):
+        # |z^T Q z| <= |Q|_inf |z|^2, so where that bound lies below tiny the
+        # floor keeps every row a candidate: rounding there is absolute, and h
+        # can read 0 where z^T Q z reads a negative subnormal.  (A row with
+        # |z|^2 just below tiny may still be cleared when |Q|_inf > 1.)
+        sq, cleared, h_rows, q_inf = self._screened(name, mode, -175, -150, seed=13)
+        below = q_inf * sq < np.finfo(float).tiny
+        assert below.sum() >= 1000
+        assert not cleared[below].any()
+        assert (h_rows[cleared] < 0.0).all()
+
     @pytest.mark.parametrize("term", ["W", "H", "delta", "alpha"])
     @pytest.mark.parametrize("cfg", [_PE, _sf_cfg()], ids=["pure-event", "state-feedback"])
     def test_form_of_a_copy_is_kept_only_while_it_matches_the_terms(self, cfg, term):
@@ -1286,8 +1333,9 @@ class TestMonitoredBlock:
         f = getattr(cert, term)
         same = dataclasses.replace(cert, **{term: lambda v: f(v)})
         assert trigger.event_form(same, cfg).tobytes() == trigger.event_form(cert, cfg).tobytes()
+        assert trigger.event_screen(same, cfg) is not None
         other = dataclasses.replace(cert, **{term: lambda v: f(v) + 1.0})
-        assert trigger.event_form(other, cfg) is None
+        assert trigger.event_screen(other, cfg) is None
 
     def test_stale_form_is_ignored_and_the_steps_go_singly(self):
         # A copy with another W keeps lti_form.  Screened with that form, the

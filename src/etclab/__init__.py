@@ -4,8 +4,10 @@ The package covers the full pipeline: compute the dwell-time ceiling
 masp(gamma, L), certify a closed loop against the Lyapunov-type
 inequalities (analytically for the built-in benchmarks, constructively
 for LTI loops, and by sampling for anything), simulate the hybrid
-closed loop with events localised by bisection to ``event_tol``, and
-reproduce inter-transmission-time statistics over seeded batches.
+closed loop with events placed at the root of the RK4 excess polynomial on
+LTI loops with a quadratic certificate form and localised by bisection to
+``event_tol`` on the rest, and reproduce inter-transmission-time statistics
+over seeded batches.
 """
 
 from .errors import (

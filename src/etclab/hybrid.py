@@ -5,17 +5,26 @@ transmission (jump) resets (x, e, tau) to (x, 0, 0).  The simulator
 adopts a deterministic jump policy, the jump-priority solution of
 Goebel, Sanfelice and Teel, "Hybrid Dynamical Systems" (2012): with a
 dwell time T > 0 it flows freely until tau = T, then monitors the event
-excess h(x, e) and jumps at the first time h >= 0, located by
-bisection; if h >= 0 already when the dwell expires, the jump happens
-at tau = T exactly.  At the equilibrium this degenerates to periodic
-sampling with period T.
+excess h(x, e) and jumps at the first time h >= 0 (located as below);
+if h >= 0 already when the dwell expires, the jump happens at tau = T
+exactly.  At the equilibrium this degenerates to periodic sampling with
+period T.
 
 ``simulate`` is one loop over the stacked state z = (x, e) and the
 clock tau; a sample at jump count j has time t = t_j + tau (t_0 = -q0.tau).
 Each pass ends the run if horizon - t <= 1e-15 max(1, horizon), the one
 horizon test; or flows in the dwell, landing exactly on T; or tests the
 event once at dwell expiry (each segment start in pure-event mode); or
-takes a monitored step or a block of them, bisecting if the event fired.
+takes a monitored step or a block of them, locating the jump if the event fired.
+The closure h decides that a step fired.  On a linear loop whose certificate
+has a current form (``trigger.event_screen`` is not None) the jump is placed at
+the first root in (0, h] of the excess along the step, z(s)^T Q z(s) with
+z(s) = sum_i s^i (M^i / i!) z the RK4 step of length s: a degree-8 polynomial
+whose coefficients the screen gives, solved by ``_excess_root`` to 1e-13 of
+the step, and the jump state is z at the root.  Nonlinear loops, certificates
+without a current form and the rare step where the polynomial and h disagree
+within rounding (counted in ``HybridSolution.bisection_jumps``) bisect for the
+first instant with h >= 0 to ``event_tol``.
 Every flow step passes one norm guard, so a divergence (NaN from f or g
 included) always carries the partial solution.
 Recorded samples go to one flat (t, z, tau) log per run, cut into
@@ -26,19 +35,22 @@ Flows use classical fixed-step RK4 (no dense output): one body over z, or its
 matrix form, a propagator, for linear loops.  Propagators depend only on the
 stacked matrix and the step, so one LRU cache of 4,096 keeps them by (matrix
 bytes, step), shared by loops with equal matrices: the full step, the dwell
-landings and the bisection sub-steps (a few hundred lengths per batch) each
-build theirs once.  On a linear loop full steps (neither landing on T nor cut
-by the horizon) flow as blocks: the states after 1, ..., m steps are P z, ...,
-P^m z for the full step's propagator P, one product with a read-only stack of
-``_DWELL_BLOCK`` powers of that cached P (the 32 latest stacks are kept),
-under one vectorised norm guard, with the clock of single steps, so t and tau
-are those of stepping one at a time.  A dwell's full steps are block rows, as
-no event is tested there.  So are monitored steps, after the first ``_LEAD_IN``
-= 4 of a phase that follows a dwell, if ``trigger.event_screen`` gives a row
-test: rows it clears stay untested, and the first other row's step is taken
-singly, where h decides whether the event fired and the bisection locates it,
-so h decides every jump; a jump moves from the single-step path's only where
-an excess at a step boundary lies within rounding of 0.
+landings, the horizon's last steps and the bisection sub-steps each build
+theirs once; roots are one-off lengths, so the jump state at a root is a sum
+of ``_taylor_stack`` rows and no propagator.  On a linear loop full steps
+(neither landing on T nor cut by the horizon) flow as blocks: the states after
+1, ..., m steps are P z, ..., P^m z for the full step's propagator P, one
+product with a read-only stack of ``_DWELL_BLOCK`` powers of that cached P
+(the 32 latest stacks are kept), under one vectorised norm guard, with the
+clock of single steps, so t and tau are those of stepping one at a time.  A
+dwell's full steps are block rows, as no event is tested there.  So are
+monitored steps, after the first ``_LEAD_IN`` = 4 of a phase that follows a
+dwell, if ``trigger.event_screen`` gives a row test: rows it clears stay
+untested, and the first other row's step is taken singly, where h decides
+whether the event fired, so h decides every jump; the jump falls in the
+single-step path's step unless an excess at a step boundary lies within
+rounding of 0, and a root-placed jump moves from the single-step path's with
+the rounding of the state before it (``TestDwellBlock``).
 Re-stepped singly from their segment's start, states differ by rounding,
 relative to max(1, |z|), within 32 ulps in a dwell and 32 + k/2 ulps at the
 k-th step after it (``TestDwellBlock``, ``TestMonitoredBlock``; seen: at most
@@ -118,12 +130,17 @@ class HybridSolution:
     count, so a degenerate jump at t = 0 is a jump but no gap.
     ``terminated`` is "horizon", "max-jumps", "blow-up" or "zeno" (a jump
     at the instant of the previous one with e already zero: the jump map
-    is then the identity and would repeat forever).
+    is then the identity and would repeat forever).  Of the jumps located
+    inside a monitored step, ``root_jumps`` were placed at the root of the
+    excess polynomial and ``bisection_jumps`` by the bisection, fallbacks
+    included; jumps at dwell expiry or on the clock count in neither.
     """
 
     segments: List[Segment]
     jump_times: List[float]
     terminated: str = "horizon"
+    root_jumps: int = 0
+    bisection_jumps: int = 0
 
     @property
     def n_jumps(self):
@@ -154,15 +171,20 @@ class HybridSolution:
 
 # Bisection sub-steps repeat: 0.5 * (lo + hi) from (0, h) walks the same
 # dyadic tree for every event, at most 1,023 nodes per h at event_tol 1e-6,
-# so a whole planar benchmark run needs about 1,500 propagators.  The bound
-# keeps memory flat for callers whose step lengths never repeat; the power
-# stacks get as many matrices again.
+# so a planar benchmark run that bisected every jump needed about 1,500
+# propagators; root-placed jumps need none.  The bound keeps memory flat for
+# callers whose step lengths never repeat; the power stacks get as many
+# matrices again.
 _PROPAGATORS = 4096
 _DWELL_BLOCK = 128  # most propagator powers in one block of full steps
 # Single steps after a dwell expires before monitored blocks take over: the
 # planar state-feedback runs end most such phases within 1-2 steps, where a
 # block's fixed cost (about 15 us, some 2 single steps) buys nothing.
 _LEAD_IN = 4
+_RK4_TERMS = 5  # RK4's propagator is the degree-4 Taylor polynomial of exp(s M)
+# The root's bracket, relative to the step, far below any event_tol.
+_ROOT_RTOL = 1e-13
+_ROOT_ITERATIONS = 100
 
 
 def _rk4_propagator(M, h):
@@ -171,6 +193,65 @@ def _rk4_propagator(M, h):
     A = M * h
     A2 = A @ A
     return np.eye(M.shape[0]) + A + A2 / 2.0 + (A2 @ A) / 6.0 + (A2 @ A2) / 24.0
+
+
+@functools.lru_cache(maxsize=_PROPAGATORS // _DWELL_BLOCK)
+def _taylor_stack(M_bytes, n):
+    """M^i / i!, i = 0, ..., 4, as read-only (5 n, n) rows, for the n x n matrix of these bytes.
+
+    ``_propagator``'s P for step s is sum_i s^i M^i / i!, so with V the rows
+    (M^i / i!) z the RK4 step of any length s from z is sum_i s^i v_i.
+    """
+    M = np.frombuffer(M_bytes).reshape(n, n)
+    terms = [np.eye(n)]
+    for i in range(1, _RK4_TERMS):
+        terms.append(terms[-1].dot(M) / i)
+    stack = np.concatenate(terms)
+    stack.setflags(write=False)
+    return stack
+
+
+def _excess_root(c, h):
+    """A root of p(s) = sum_k c_k s^k in (0, h]: the end hi of its last bracket, or None.
+
+    Regula falsi with the Illinois rule (the value kept at an end that
+    survives twice in a row is halved) on Horner's form in Python floats,
+    keeping the bisection's invariant p(lo) < 0 <= p(hi) until
+    hi - lo <= ``_ROOT_RTOL`` h.  Like the bisection it finds the first
+    root unless p changes sign more than once in the step.  None where
+    p(0) >= 0 or p(h) < 0 (the form and the closure disagree within
+    rounding), or after ``_ROOT_ITERATIONS`` steps: ``simulate`` then bisects.
+    """
+    c = c.tolist()[::-1]
+
+    def p(s):
+        v = 0.0
+        for ck in c:
+            v = v * s + ck
+        return v
+
+    lo, hi, p_lo, p_hi = 0.0, h, c[-1], p(h)
+    if not p_lo < 0.0 <= p_hi:  # NaN fails too
+        return None
+    kept = None  # the end that the last step kept
+    for _ in range(_ROOT_ITERATIONS):
+        if hi - lo <= _ROOT_RTOL * h:
+            return hi
+        s = lo - p_lo * (hi - lo) / (p_hi - p_lo)
+        if not lo < s < hi:
+            s = 0.5 * (lo + hi)
+        v = p(s)
+        if v >= 0.0:
+            hi, p_hi = s, v
+            if kept == "lo":
+                p_lo *= 0.5
+            kept = "lo"
+        else:
+            lo, p_lo = s, v
+            if kept == "hi":
+                p_hi *= 0.5
+            kept = "hi"
+    return None
 
 
 def _rk4(F, z, h):
@@ -334,17 +415,21 @@ def simulate(
     if not any(cfg.membership(h0, q0.tau, tol=1e-12 * max(1.0, size))):
         raise DomainError("initial state lies outside the flow and jump sets")
 
-    n_x = sys.n_x
+    n_x, M = sys.n_x, sys.stacked_matrix
     flow = _stepper(sys)
     step, horizon = settings.step, settings.horizon_t
     powers = _block_flow(sys, step)  # None: every step is taken singly
     n = z.size
+    taylor = None if M is None else _taylor_stack(M.tobytes(), n)
     eps = 1e-15 * max(1.0, horizon)
     T = cfg.T  # 0 in pure-event mode, where the dwell branch never runs
     # Single monitored steps per phase before blocks: _LEAD_IN after a dwell, none
     # in pure-event mode (phases start at the jump), all once event_screen gave None.
     lead_in = _LEAD_IN if T > 0.0 else 0
-    quiet = None  # the screen, asked for at the run's first monitored block
+    # event_screen is asked once per linear run, at its first monitored block
+    # or fired step; None (no current form) means single steps and bisection.
+    screen, asked = None, taylor is None
+    n_root = n_bisected = 0
     record = settings.record_states
     # The sample log: (t, z, tau) rows, the row where each jump cuts it, the
     # jump times.  z is never modified in place once recorded, so rows hold
@@ -367,9 +452,10 @@ def simulate(
             and step <= horizon - t
             and (singles >= lead_in if monitoring else step < T - tau)
         ):
-            if monitoring and quiet is None:
-                quiet = event_screen(cert, cfg)
-                if quiet is None:  # no screen: no monitored blocks
+            if monitoring:
+                if not asked:
+                    screen, asked = event_screen(cert, cfg), True
+                if screen is None:  # no screen: no monitored blocks
                     lead_in = math.inf
                     continue
             # Full steps, neither landing on T nor cut by the horizon, flow as
@@ -389,7 +475,7 @@ def simulate(
                 continue
             k = m
             if monitoring:
-                passed = quiet(Z, sq)  # the first row not cleared is a candidate
+                passed = screen.quiet(Z, sq)  # the first row not cleared is a candidate
                 k = m if passed.all() else int(passed.argmin())
             if k:
                 z, tau = Z[k - 1], float(taus[k - 1])
@@ -427,7 +513,9 @@ def simulate(
                     rows.append((t_next, z_next, tau_next))
                 raise DivergenceError(
                     f"state norm exceeded blow-up guard {guard:g}",
-                    partial=HybridSolution(_segments(rows, cuts, n_x), jump_times, "blow-up"),
+                    partial=HybridSolution(
+                        _segments(rows, cuts, n_x), jump_times, "blow-up", n_root, n_bisected
+                    ),
                     state=HybridState(z_next[:n_x], z_next[n_x:], tau_next),
                 )
             if not monitoring or h_ev(z_next[:n_x], z_next[n_x:]) < 0.0:
@@ -435,15 +523,29 @@ def simulate(
                 if record:
                     rows.append((t_next, z, tau))
                 continue
-            # The event fired inside this step: bisect for its first instant.
-            lo, hi, z_hi = 0.0, h, z_next
-            while hi - lo > settings.event_tol:
-                mid = 0.5 * (lo + hi)
-                z_mid = flow(z, mid)
-                if h_ev(z_mid[:n_x], z_mid[n_x:]) >= 0.0:
-                    hi, z_hi = mid, z_mid
-                else:
-                    lo = mid
+            # The event fired inside this step: on a linear loop with a current
+            # form its first instant is the root of the excess along the step,
+            # z(s)^T Q z(s) with z(s) = sum s^i v_i; otherwise bisect for it.
+            if not asked:
+                screen, asked = event_screen(cert, cfg), True
+            hi = None
+            if screen is not None:
+                V = taylor.dot(z).reshape(_RK4_TERMS, n)
+                hi = _excess_root(screen.coefficients(V), h)
+            if hi is not None:
+                # Powers of a one-off length: no propagator, so none reaches the cache.
+                z_hi = (hi ** np.arange(_RK4_TERMS)).dot(V)
+                n_root += 1
+            else:
+                lo, hi, z_hi = 0.0, h, z_next
+                while hi - lo > settings.event_tol:
+                    mid = 0.5 * (lo + hi)
+                    z_mid = flow(z, mid)
+                    if h_ev(z_mid[:n_x], z_mid[n_x:]) >= 0.0:
+                        hi, z_hi = mid, z_mid
+                    else:
+                        lo = mid
+                n_bisected += 1
             z, tau = z_hi, tau + hi
             t = base + tau
             if record:
@@ -461,7 +563,7 @@ def simulate(
             terminated = "max-jumps"
             break
 
-    return HybridSolution(_segments(rows, cuts, n_x), jump_times, terminated)
+    return HybridSolution(_segments(rows, cuts, n_x), jump_times, terminated, n_root, n_bisected)
 
 
 def r_monitor(sol: HybridSolution, cert: Certificate, zp: ZetaParams):

@@ -38,12 +38,15 @@ D: h >= 0, and periodic C: tau in [0, T], D: tau = T.  Equality cases
 belong to both C and D; the simulator's jump policy restores determinism.
 For a certificate from ``lti.extract_assumption`` each h is a quadratic
 form z^T Q z of z = (x, e); ``event_form`` gives Q, and ``event_screen``
-the simulator's row test of it, which only skips states and decides no jump.
+the simulator's two uses of it: a row test, which only skips states, and the
+coefficients of z(s)^T Q z(s) along a step, which place a jump the closure
+has decided.  Neither decides a jump.
 """
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -289,12 +292,33 @@ def event_form(cert: Certificate, cfg: TriggerConfig):
     return Q
 
 
-def event_screen(cert: Certificate, cfg: TriggerConfig):
-    """The row test quiet(Z, sq) of ``event_form``'s Q; None where Q is None or stale.
+class EventScreen(NamedTuple):
+    """``event_screen``'s two maps of one current form Q."""
 
-    quiet clears a row z of Z (sq: |z|^2) only if z^T Q z < -(margin |z|^2 + tiny), so h < 0
-    there: margin = ``SCREEN_RTOL`` |Q|_inf is far above the ~10 n eps |Q|_inf |z|^2 by which
-    z^T Q z and h differ, and below tiny, the smallest normal float, rounding is absolute.
+    quiet: Callable  # (Z, sq) -> the rows of Z that are cleared, as booleans
+    coefficients: Callable  # V -> c with z(s)^T Q z(s) = sum_k c_k s^k for z(s) = sum_i s^i v_i
+
+
+@functools.lru_cache(maxsize=8)
+def _antidiagonals(r):
+    """i + j over the r x r index pairs, row by row, read-only: the bin of each G[i, j] in c."""
+    k = np.arange(r)
+    bins = np.add.outer(k, k).ravel()
+    bins.setflags(write=False)
+    return bins
+
+
+def event_screen(cert: Certificate, cfg: TriggerConfig):
+    """``EventScreen`` of ``event_form``'s Q; None where Q is None or stale.
+
+    quiet(Z, sq) clears a row z of Z (sq: |z|^2) only if z^T Q z < -(margin |z|^2 + tiny), so
+    h < 0 there: margin = ``SCREEN_RTOL`` |Q|_inf is far above the ~10 n eps |Q|_inf |z|^2 by
+    which z^T Q z and h differ, and below tiny, the smallest normal float, rounding is absolute.
+    coefficients(V) maps the rows v_0, ..., v_(r-1) of V to the 2r - 1 coefficients
+    c_k = sum_(i+j=k) v_i^T Q v_j of the excess along z(s) = sum_i s^i v_i: one product
+    V Q V^T and one sum over its anti-diagonals.  ``simulate`` places a linear loop's jump
+    at their root once the closure has decided that the step fired; nonlinear loops and
+    certificates whose screen is None keep the bisection.
     Q is stale (a copy kept ``lti_form`` but replaced terms) if h and z^T Q z differ by more
     than margin |z|^2 at any of three probe states, of sizes 1e-3, 1 and 1e3 with no zero
     component: the probes share the rows' z^T Q z and margin, and so test their bound.
@@ -313,4 +337,8 @@ def event_screen(cert: Certificate, cfg: TriggerConfig):
     gap = np.abs(zqz(Z) - [h(z[:n_x], z[n_x:]) for z in Z])
     if not (gap <= margin * np.einsum("ij,ij->i", Z, Z)).all():  # NaN fails too
         return None
-    return lambda Z, sq: zqz(Z) < -(margin * sq + _TINY)
+
+    def coefficients(V):
+        return np.bincount(_antidiagonals(len(V)), weights=V.dot(Q).dot(V.T).ravel())
+
+    return EventScreen(lambda Z, sq: zqz(Z) < -(margin * sq + _TINY), coefficients)

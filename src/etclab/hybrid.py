@@ -31,7 +31,8 @@ Recorded samples go to one flat (t, z, tau) log per run, cut into
 segments at the jumps once, at the end; rows keep references to z,
 which is never modified in place once recorded.
 
-Flows use classical fixed-step RK4 (no dense output): one body over z, or its
+Flows use classical fixed-step RK4 (no dense output): one body over z's
+components as Python floats, bit-identical to the same sums on arrays, or its
 matrix form, a propagator, for linear loops.  Propagators depend only on the
 stacked matrix and the step, so one LRU cache of 4,096 keeps them by (matrix
 bytes, step), shared by loops with equal matrices: the full step, the dwell
@@ -73,7 +74,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .errors import ConfigError, DivergenceError, DomainError
+from .errors import ConfigError, DimensionError, DivergenceError, DomainError
 from .model import Certificate, ClosedLoopSystem, HybridState, check_pairing
 from .sampling import check_int
 from .trigger import TriggerConfig, ZetaParams, event_function, event_screen, zeta_solution
@@ -254,15 +255,6 @@ def _excess_root(c, h):
     return None
 
 
-def _rk4(F, z, h):
-    # One classical RK4 step of z' = F(z); the only RK4 body in etclab.
-    k1 = F(z)
-    k2 = F(z + (0.5 * h) * k1)
-    k3 = F(z + (0.5 * h) * k2)
-    k4 = F(z + h * k3)
-    return z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
 @functools.lru_cache(maxsize=_PROPAGATORS)
 def _propagator(M_bytes, n, h):
     """The read-only RK4 propagator for step h of the n x n matrix with these C-order bytes."""
@@ -274,19 +266,44 @@ def _propagator(M_bytes, n, h):
 def _stepper(sys: ClosedLoopSystem):
     """Return advance(z, h) -> z', the one flow step of ``simulate`` and ``flow_step``.
 
-    Linear loops apply the cached propagator for h; the rest run ``_rk4``
-    on the stacked F(z) = (f(x, e), g(x, e)), z = (x, e).
+    Linear loops apply the cached propagator for h.  The rest take the one
+    RK4 body in etclab, over z's components as Python floats: each stage
+    calls f and g on the x and e views of one array and reads their
+    derivatives back with ``tolist``.  The sums are numpy's elementwise
+    ones, a + (h/2) k, a + h k and a + (h/6) (((k1 + 2 k2) + 2 k3) + k4),
+    in that order, and Python floats round each operation alone, so the
+    step is bit-identical to the same body on arrays.  Raises
+    DimensionError unless f and g give n_x + n_e derivatives in all.
     """
     M, n_x, f, g = sys.stacked_matrix, sys.n_x, sys.f, sys.g
     if M is not None:
         key, n = M.tobytes(), M.shape[0]
         return lambda z, h: _propagator(key, n, h).dot(z)
+    n = n_x + sys.n_e
 
-    def F(z):
-        x, e = z[:n_x], z[n_x:]
-        return np.concatenate((f(x, e), g(x, e)))
+    def F(s):
+        x, e = s[:n_x], s[n_x:]
+        return f(x, e).tolist() + g(x, e).tolist()
 
-    return lambda z, h: _rk4(F, z, h)
+    def advance(z, h):
+        a = z.tolist()
+        k1 = F(z)
+        if len(k1) != n:  # zip would drop or ignore the difference silently
+            raise DimensionError(
+                f"f and g of loop {sys.name!r} return {len(k1)} derivatives, but "
+                f"(n_x, n_e) = ({n_x}, {sys.n_e}) needs {n}"
+            )
+        c = 0.5 * h
+        k2 = F(np.array([ai + c * ki for ai, ki in zip(a, k1)]))
+        k3 = F(np.array([ai + c * ki for ai, ki in zip(a, k2)]))
+        k4 = F(np.array([ai + h * ki for ai, ki in zip(a, k3)]))
+        c = h / 6.0
+        return np.array([
+            ai + c * (((k1i + 2.0 * k2i) + 2.0 * k3i) + k4i)
+            for ai, k1i, k2i, k3i, k4i in zip(a, k1, k2, k3, k4)
+        ])
+
+    return advance
 
 
 @functools.lru_cache(maxsize=_PROPAGATORS // _DWELL_BLOCK)
@@ -354,8 +371,9 @@ def flow_step(sys: ClosedLoopSystem, q: HybridState, h: float) -> HybridState:
     checks); later rows equal repeated ``flow_step`` only within the bounds
     in the module docstring.
 
-    Raises ValueError unless 0 < h < inf, and ConfigError or DomainError
-    for a q that ``simulate`` rejects.
+    Raises ValueError unless 0 < h < inf, ConfigError or DomainError
+    for a q that ``simulate`` rejects, and DimensionError if f and g
+    return other than n_x + n_e derivatives in all.
     """
     if not 0 < h < math.inf:  # NaN fails too
         raise ValueError("flow_step: h must be positive and finite")
@@ -390,8 +408,9 @@ def simulate(
     """Simulate the closed loop from q0 until horizon, max_jumps or blow-up.
 
     Raises DimensionError if the certificate does not pair with the
-    loop, DomainError if q0 is larger than the blow-up guard or lies
-    outside the flow and jump sets,
+    loop or f and g return other than n_x + n_e derivatives, DomainError
+    if q0 is larger than the blow-up guard or lies outside the flow and
+    jump sets,
     ConfigError for invalid settings (dwell time at or above the MASP
     ceiling, step too coarse relative to T), and DivergenceError
     (carrying the partial solution) if the state norm passes the
@@ -580,7 +599,7 @@ def r_monitor(sol: HybridSolution, cert: Certificate, zp: ZetaParams):
     zeta = zeta_solution(cert.gamma, cert.L, zp)
     out = []
     for seg in sol.segments:
-        for t, x, e, tau in zip(seg.t, seg.x, seg.e, seg.tau):
+        for t, x, e, tau in zip(seg.t.tolist(), seg.x, seg.e, seg.tau.tolist()):
             w = cert.W(e)
-            out.append((float(t), seg.j, cert.V(x) + lam * zeta(float(tau)) * w * w))
+            out.append((t, seg.j, cert.V(x) + lam * zeta(tau) * w * w))
     return out

@@ -42,8 +42,11 @@ class ClosedLoopSystem:
     """Flow maps of the networked closed loop.
 
     ``f(x, e)`` is the derivative of x and ``g(x, e)`` the derivative of
-    e.  Both evaluators must vanish at the origin (the equilibrium) and
-    be deterministic.  The output map belongs to the certificate.
+    e.  Both get x and e as float array views of one stacked state and
+    return 1-D float arrays, of length n_x and n_e; the simulator reads
+    them with ``tolist``.  Both evaluators must vanish at the origin (the
+    equilibrium) and be deterministic.  The output map belongs to the
+    certificate.
 
     ``stacked_matrix``, when present, is the matrix M of the stacked
     linear flow (x, e)' = M (x, e) and must agree with f and g; both

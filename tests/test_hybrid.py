@@ -85,6 +85,35 @@ def _permissive_cert():
     )
 
 
+def _array_rk4(sys, z, h):
+    """The RK4 body on arrays, over F(z) = concatenate((f, g)): the reference for a nonlinear step."""
+
+    def F(z):
+        x, e = z[: sys.n_x], z[sys.n_x :]
+        return np.concatenate((sys.f(x, e), sys.g(x, e)))
+
+    k1 = F(z)
+    k2 = F(z + (0.5 * h) * k1)
+    k3 = F(z + (0.5 * h) * k2)
+    k4 = F(z + h * k3)
+    return z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _closure_steps():
+    """The step lengths of a nonlinear run at step 1e-3, T = 0.01 and event_tol 1e-6: a full
+    step, the dwell landing T - tau after the full steps, and the bisection's halvings
+    of the step down to event_tol."""
+    step, T, event_tol = 1e-3, 0.01, 1e-6
+    tau = 0.0
+    while step < T - tau:
+        tau += step
+    halvings = [step / 2**k for k in range(1, 64) if step / 2**k >= event_tol]
+    return [step, T - tau, *halvings, event_tol]
+
+
+_CLOSURE_STEPS = _closure_steps()
+
+
 class TestFlowStep:
     def test_equilibrium_fixed_point(self, lorenz):
         sys, _ = lorenz
@@ -146,6 +175,36 @@ class TestFlowStep:
         with pytest.raises(DivergenceError, match="non-finite") as info:
             flow_step(sys, q, 1e-3)
         assert info.value.state is q
+
+    @pytest.mark.parametrize("entry", ["simulate", "flow_step"])
+    def test_derivatives_of_the_wrong_length_raise_dimension_error(self, entry):
+        sys = ClosedLoopSystem(
+            n_x=1, n_e=1, f=lambda x, e: np.array((x[0], x[0])), g=lambda x, e: 0.0 * e,
+            name="long-f",
+        )
+        q = HybridState(np.array([1.0]), np.zeros(1), 0.0)
+        settings = SimSettings(step=1e-3, horizon_t=1.0, event_tol=1e-6)
+        with pytest.raises(DimensionError, match=r"loop 'long-f' return 3 derivatives.* needs 2"):
+            if entry == "simulate":
+                simulate(sys, _permissive_cert(), _of_cfg(T=0.05), q, settings)
+            else:
+                flow_step(sys, q, 1e-3)
+
+    @pytest.mark.parametrize("loop", ["lorenz", "blow-up-closure"])
+    def test_nonlinear_step_equals_the_rk4_body_on_arrays(self, loop, request):
+        # The float body keeps the array body's sums in order, so every byte agrees.
+        if loop == "lorenz":
+            sys, _ = request.getfixturevalue("lorenz")
+        else:
+            sys = _diverging_loops()[loop][0]
+        rng = np.random.default_rng(11)
+        n = sys.n_x + sys.n_e
+        for _ in range(200):
+            z = rng.uniform(-5.0, 5.0, n)
+            q = HybridState(z[: sys.n_x], z[sys.n_x :], 0.0)
+            for h in _CLOSURE_STEPS:
+                qn = flow_step(sys, q, h)
+                assert np.concatenate((qn.x, qn.e)).tobytes() == _array_rk4(sys, z, h).tobytes()
 
     @pytest.mark.parametrize("loop, T, radius", [("tabuada", 0.02, 10.0), ("lorenz", 0.01, 5.0)])
     def test_equals_the_first_step_of_simulate(self, loop, T, radius, request):
@@ -1033,6 +1092,23 @@ class TestStackedMatrix:
 
 
 class TestRMonitor:
+    @pytest.mark.parametrize("loop, cfg", [("tabuada", _sf_cfg()), ("lorenz", _of_cfg())])
+    def test_triples_match_the_per_sample_formula(self, loop, cfg, request):
+        # Reference: each sample's numpy scalars t and tau converted one at a time.
+        sys, cert = request.getfixturevalue(loop)
+        q0 = HybridState(np.full(sys.n_x, 2.0), np.zeros(sys.n_e), 0.0)
+        sol = simulate(sys, cert, cfg, q0, SETTINGS)
+        zp = ZetaParams(theta=0.01, eta=0.01)
+        lam, zeta = zp.lam(cert.gamma), trigger.zeta_solution(cert.gamma, cert.L, zp)
+        expected = []
+        for seg in sol.segments:
+            for t, x, e, tau in zip(seg.t, seg.x, seg.e, seg.tau):
+                w = cert.W(e)
+                expected.append((float(t), seg.j, cert.V(x) + lam * zeta(float(tau)) * w * w))
+        samples = r_monitor(sol, cert, zp)
+        assert samples == expected
+        assert [tuple(map(type, s)) for s in samples] == [tuple(map(type, s)) for s in expected]
+
     def test_r_equals_v_right_after_jumps(self, tabuada):
         sys, cert = tabuada
         q0 = HybridState(np.array([5.0, -1.0]), np.zeros(2), 0.0)
@@ -1078,6 +1154,11 @@ class TestRMonitor:
 _ENTRY = st.integers(-40, 40).map(lambda k: k / 20)
 
 
+def _lqr_gain(A, B):
+    """B^T X for the stabilizing solution X of the Riccati equation with unit weights."""
+    return B.T @ scipy.linalg.solve_continuous_are(A, B, np.eye(A.shape[0]), np.eye(1))
+
+
 @st.composite
 def _lqr_loops(draw):
     """(A, B, K, x0): a 2- or 3-state plant, its LQR gain and an initial state."""
@@ -1087,7 +1168,7 @@ def _lqr_loops(draw):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
-            K = B.T @ scipy.linalg.solve_continuous_are(A, B, np.eye(n), np.eye(1))
+            K = _lqr_gain(A, B)
         except (np.linalg.LinAlgError, ValueError, Warning):
             K = None  # (A, B) is not stabilizable, or the Riccati solve failed
     assume(K is not None and np.any(K))  # K = 0 leaves no loop to close
@@ -1105,6 +1186,16 @@ def _lqr_loops(draw):
         np.array([[-1.55], [0.25]]),
         np.array([[1.0, 15.6638413]]),
         np.array([1.0, 1.0]),
+    )
+)
+# |x0| near 6e-162 puts R near 4.9e-322, where one rounding step (5e-324)
+# exceeds the relative slack 1e-6 R, which underflows to 0.
+@example(
+    loop=(
+        np.array([[0.0, 0.0], [0.0, 0.05]]),
+        np.array([[0.05], [0.05]]),
+        _lqr_gain(np.array([[0.0, 0.0], [0.0, 0.05]]), np.array([[0.05], [0.05]])),
+        np.array([4.52e-162, 4.52e-162]),
     )
 )
 def test_random_lqr_loop_keeps_the_dwell_time_and_the_hybrid_sets(loop):
@@ -1144,11 +1235,12 @@ def test_random_lqr_loop_keeps_the_dwell_time_and_the_hybrid_sets(loop):
         assert all(gap >= T - sim.event_tol for gap in sol.inter_event_gaps)
         _assert_in_flow_or_jump_set(sol, cert, cfg)
         assert simulate(sys, cert, cfg, q0, sim).jump_times == sol.jump_times
-        # The R envelope does not increase (same tolerance as the planar test).
+        # The R envelope does not increase (same tolerance as the planar test,
+        # floored at a few subnormal spacings, which matters only for R below about 2e-317).
         zp = ZetaParams(theta=1e-4, eta=1e-6)
         assert T < zeta_time(cert.gamma, cert.L, zp)
         r = np.array([v[2] for v in r_monitor(sol, cert, zp)])
-        assert np.diff(r).max() <= 1e-6 * r[0]
+        assert np.diff(r).max() <= max(1e-6 * r[0], 4 * math.ulp(0.0))
         _assert_in_flow_or_jump_set(_assert_blocks_within_bound(sys, cert, _PE, q0, sim), cert, _PE)
         for mode_cfg in (_PE, cfg) if eps1 == 1.0 else (_PE,):
             _assert_root_jumps_exact(clm, cand, sys, cert, mode_cfg, q0, T)

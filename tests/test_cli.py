@@ -3,6 +3,9 @@ import csv
 import hashlib
 import json
 import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -498,6 +501,11 @@ CLI_EXITS = {
         {**LORENZ_CFG, "initial": {"x": [1e10, 0.0, 0.0], "e": [0.0]}}, None, 1,
         "error: initial state norm 1e+10 exceeds blowup_norm 1e+09\n", None,
     ),
+    "controller-D-of-the-wrong-shape": (
+        ["simulate", "--config", "{config}"],
+        {**LTI_CFG, "system": {**LTI_CFG["system"], "controller": {"D": [[1.0, -4.0, 0.0]]}}},
+        None, 1, "error: config.system: controller D has shape (1, 3), expected (1, 2)\n", None,
+    ),
     "zeta-transit-warning": (
         # The default zeta's transit time, 0.00988, is below T = 0.01.
         ["simulate", "--config", "{config}"], {k: v for k, v in LORENZ_CFG.items() if k != "zeta"},
@@ -527,6 +535,22 @@ def test_exit_code_and_message(capsys, tmp_path, monkeypatch, name):
         assert out == "" and not outdir.exists()
     else:
         assert check(out, outdir)
+
+
+@pytest.mark.parametrize(
+    "argv, code, out",
+    [(["masp", "--gamma", "1", "--L", "1"], 0, "1.0000\n"), (["frobnicate"], 1, "")],
+    ids=["masp", "unknown-subcommand"],
+)
+def test_module_entry_point_exits_with_dispatchs_code(argv, code, out):
+    # python -m etclab runs __main__.py, which calls cli.main and exits with its code.
+    proc = subprocess.run(
+        [sys.executable, "-m", "etclab", *argv], cwd=pathlib.Path(__file__).resolve().parents[1],
+        env={**os.environ, "PYTHONPATH": "src"}, capture_output=True, text=True, timeout=120,
+    )
+    assert (proc.returncode, proc.stdout) == (code, out)
+    if code:
+        assert "invalid choice: 'frobnicate'" in proc.stderr
 
 
 def _key_paths(d, prefix=()):

@@ -31,6 +31,7 @@ from etclab import (
     event_function,
     extract_assumption,
     flow_step,
+    lorenz_loop,
     masp,
     r_monitor,
     simulate,
@@ -1521,19 +1522,40 @@ class TestMonitoredBlock:
                          sim=SimSettings(step=1e-3, horizon_t=horizon, event_tol=1e-6))
         return [(sample_initial(spec, k, 2, 2), spec.sim) for k in range(n_runs)]
 
-    def test_pure_event_runs_take_monitored_blocks(self):
-        sys, cert = tabuada_loop()
-        for q0, sim in self._seeded_runs():
-            with mock.patch.object(hybrid, "event_screen", wraps=hybrid.event_screen) as screen:
-                sol, n_blocks = _monitored_blocks(lambda: simulate(sys, cert, _PE, q0, sim))
-            screen.assert_called_once()  # built once, at the run's first block
-            assert n_blocks >= sol.n_jumps >= 10
+    @pytest.mark.parametrize("case", ["pure-event", "periodic", "lorenz"])
+    def test_pure_event_runs_take_monitored_blocks(self, case):
+        # simulate builds the screen once per run of a loop with a stacked
+        # matrix, before its loop, and never on a nonlinear loop.  A periodic
+        # run's screen is None, and neither it nor a Lorenz run takes a block.
+        if case == "lorenz":
+            (sys, cert), cfg = lorenz_loop(), _of_cfg(0.01)
+            q0 = HybridState(np.array([0.1, 0.2, -0.3]), np.zeros(1), 0.0)
+            runs = [(q0, SimSettings(step=1e-3, horizon_t=1.0))]
+        else:
+            (sys, cert), runs = tabuada_loop(), self._seeded_runs()
+            cfg = _PE if case == "pure-event" else TriggerConfig(mode="periodic", T=0.075)
+        for q0, sim in runs:
+            screens = []
+
+            def recording(cert, cfg):
+                screens.append(trigger.event_screen(cert, cfg))
+                return screens[-1]
+
+            with mock.patch.object(hybrid, "event_screen", recording):
+                sol, n_blocks = _monitored_blocks(lambda: simulate(sys, cert, cfg, q0, sim))
+            assert sol.n_jumps >= 10
+            if case == "pure-event":
+                assert len(screens) == 1 and screens[0] is not None
+                assert n_blocks >= sol.n_jumps
+            else:
+                assert screens == ([None] if case == "periodic" else [])
+                assert n_blocks == 0
 
     def test_short_monitored_phases_stay_single(self):
         # The first ten of criterion 4's state-feedback runs, over 2 s, end
         # their monitored phases within the lead-in, so none of them takes a
-        # monitored block; a run builds the screen at most once, at its first
-        # fired step, to place the jump.
+        # monitored block; each run builds the screen exactly once, before its
+        # loop, though only the runs with a located jump read it.
         sys, cert = tabuada_loop()
         cfg = _sf_cfg()
         spec = BatchSpec(n_runs=10, radius=100.0, horizon_t=2.0, seed=0, trigger=cfg,
@@ -1543,7 +1565,7 @@ class TestMonitoredBlock:
             with mock.patch.object(hybrid, "event_screen", wraps=hybrid.event_screen) as screen:
                 sol, n_blocks = _monitored_blocks(lambda: simulate(sys, cert, cfg, q0, spec.sim))
             assert sol.n_jumps >= 10 and n_blocks == 0
-            assert screen.call_count == (1 if sol.root_jumps else 0)
+            screen.assert_called_once()
 
     @pytest.mark.parametrize("name", ["pure-event", "tau0"])
     def test_overestimating_form_cannot_decide_a_jump(self, name):

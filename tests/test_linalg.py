@@ -13,6 +13,7 @@ from etclab import (
     spectral_norm,
     sym_eigenvalues,
 )
+from etclab.linalg import as_matrix
 from oracles import (
     charpoly_eigenvalues,
     lyapunov_kronecker,
@@ -73,6 +74,10 @@ class TestSpectralNorm:
             m = rng.standard_normal((4, 7))
             assert abs(spectral_norm(m) - spectral_norm(m.T)) <= 1e-12
 
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0)])
+    def test_empty_matrix_has_norm_zero(self, shape):
+        assert spectral_norm(np.zeros(shape)) == 0.0
+
 
 class TestIsPositiveDefinite:
     def test_identity(self):
@@ -98,6 +103,15 @@ class TestHurwitz:
     def test_examples(self):
         assert is_hurwitz(np.array([[0.0, 1.0], [-1.0, -1.0]]))
         assert not is_hurwitz(np.array([[0.0, 1.0], [-2.0, 3.0]]))
+
+    def test_empty_matrix_is_hurwitz(self):
+        # A loop without controller states has an empty controller A.
+        assert is_hurwitz(np.zeros((0, 0))) is True
+
+    def test_rejects_nonsquare(self):
+        with pytest.raises(DimensionError) as info:
+            is_hurwitz(np.zeros((2, 3)))
+        assert str(info.value) == "is_hurwitz: expected a square matrix, got (2, 3)"
 
 
 def _random_stable(rng, n):
@@ -146,6 +160,33 @@ class TestSolveLyapunov:
     def test_rejects_dimension_mismatch(self):
         with pytest.raises(DimensionError):
             solve_lyapunov(-np.eye(2), np.eye(3))
+
+    def test_rejects_a_nonsquare_a(self):
+        with pytest.raises(DimensionError) as info:
+            solve_lyapunov(np.zeros((2, 3)), np.eye(2))
+        assert str(info.value) == "solve_lyapunov: a must be square, got (2, 3)"
+
+    def test_rejects_an_indefinite_q(self):
+        with pytest.raises(ValueError) as info:
+            solve_lyapunov(-np.eye(2), np.diag([1.0, -1.0]))
+        assert type(info.value) is ValueError
+        assert str(info.value) == "solve_lyapunov: q must be positive definite"
+
+
+class TestAsMatrix:
+    @pytest.mark.parametrize(
+        "m, error, message",
+        [
+            ([1.0, 2.0], DimensionError, "v: expected a 2-d array, got shape (2,)"),
+            ([[1.0, math.nan]], ValueError, "v: entries must be finite"),
+            ([[1.0, math.inf]], ValueError, "v: entries must be finite"),
+        ],
+        ids=["1-d", "nan", "inf"],
+    )
+    def test_rejects_naming_the_input(self, m, error, message):
+        with pytest.raises(error) as info:
+            as_matrix(m, "v")
+        assert type(info.value) is error and str(info.value) == message
 
 
 def _kernel_inputs(rng, dim):

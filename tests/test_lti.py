@@ -8,6 +8,7 @@ from etclab import (
     CertificateError,
     ClosedLoopMatrices,
     DesignInfeasibleError,
+    DimensionError,
     LmiCertificate,
     LtiController,
     LtiPlant,
@@ -30,6 +31,10 @@ from oracles import lmi_schur_residual, slack_grid_design
 A = [[0.0, 1.0], [-2.0, 3.0]]
 B = [[0.0], [1.0]]
 K = [[1.0, -4.0]]
+
+
+# n_p = 2, n_u = 1, n_y = 1.
+_PLANT_2X1X1 = LtiPlant(A=np.zeros((2, 2)), B=np.zeros((2, 1)), C=np.zeros((1, 2)))
 
 
 @pytest.fixture(scope="module")
@@ -102,6 +107,42 @@ class TestAssemble:
         bad = LtiController(D=np.zeros((1, 2)))  # D is n_u x n_y = 1 x 1
         with pytest.raises(Exception, match="controller D"):
             assemble(plant, bad)
+
+    @pytest.mark.parametrize(
+        "build, error, message",
+        [
+            (lambda: LtiPlant(A=np.zeros((2, 3)), B=np.zeros((2, 1)), C=np.zeros((1, 2))),
+             DimensionError, "plant A must be square"),
+            (lambda: LtiPlant(A=np.zeros((2, 2)), B=np.zeros((3, 1)), C=np.zeros((1, 2))),
+             DimensionError, "plant B row count must match A"),
+            (lambda: LtiPlant(A=np.zeros((2, 2)), B=np.zeros((2, 1)), C=np.zeros((1, 3))),
+             DimensionError, "plant C column count must match A"),
+            (lambda: LtiController(A=np.zeros((1, 2)), D=np.zeros((1, 1))),
+             DimensionError, "controller A must be square"),
+            (lambda: LtiController(A=np.zeros((1, 1)), B=np.zeros((1, 1)), C=np.zeros((1, 2)),
+                                   D=np.zeros((1, 1))),
+             DimensionError, "controller C column count must match A"),
+            (lambda: assemble(_PLANT_2X1X1, LtiController(
+                A=np.zeros((1, 1)), B=np.zeros((1, 2)), C=np.zeros((1, 1)), D=np.zeros((1, 1)))),
+             DimensionError, "controller B has 2 inputs, expected n_y = 1"),
+            (lambda: assemble(_PLANT_2X1X1, LtiController(
+                A=np.zeros((1, 1)), B=np.zeros((1, 1)), C=np.zeros((2, 1)), D=np.zeros((1, 1)))),
+             DimensionError, "controller C has 2 outputs, expected n_u = 1"),
+            (lambda: LmiCertificate(P=np.eye(2), eps1=-1.0, eps2=1.0, mu=1.0),
+             CertificateError, "eps1 must be finite and nonnegative"),
+            (lambda: LmiCertificate(P=np.eye(2), eps1=0.0, eps2=0.0, mu=1.0),
+             CertificateError, "eps2 must be finite and positive"),
+            (lambda: design_certificate(tabuada_matrices(), eps1=-1.0, eps2=0.5),
+             CertificateError, "eps1 must be finite and nonnegative"),
+        ],
+        ids=["plant-A-not-square", "plant-B-rows", "plant-C-columns", "controller-A-not-square",
+             "controller-C-columns", "controller-B-inputs", "controller-C-outputs",
+             "candidate-eps1", "candidate-eps2", "design-eps1"],
+    )
+    def test_input_checks_raise_naming_the_input(self, build, error, message):
+        with pytest.raises(error) as info:
+            build()
+        assert type(info.value) is error and str(info.value) == message
 
 
 def _scalar_clm():

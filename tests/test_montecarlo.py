@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -18,6 +19,7 @@ from etclab import (
     sample_initial,
     simulate,
 )
+from etclab.sampling import uniform_ball
 
 SIM = SimSettings(step=1e-3, horizon_t=1.0, event_tol=1e-6, record_states=False)
 
@@ -104,6 +106,18 @@ class TestSampleInitial:
     def test_index_must_be_an_integer(self, k):
         with pytest.raises(ValueError, match="^run index must be an integer >= 0, got "):
             sample_initial(_spec(n_runs=2), k, 2, 2)
+
+    def test_zero_direction_gives_the_origin(self):
+        # A Gaussian draw of exactly zero has no direction to scale.
+        class ZeroDirection:
+            def standard_normal(self, dim):
+                return np.zeros(dim)
+
+            def random(self):
+                raise AssertionError("the radius is not drawn for a zero direction")
+
+        z = uniform_ball(ZeroDirection(), 4, 100.0)
+        assert z.shape == (4,) and not z.any()
 
 
 class TestRunBatch:
@@ -231,3 +245,16 @@ class TestEmitReport:
         _, events_path = emit_report(rep, tmp_path)
         with open(events_path) as fh:
             assert len(list(csv.reader(fh))) - 1 == 3
+
+    def test_write_failure_names_the_directory(self, tabuada, tmp_path):
+        sys, cert = tabuada
+        rep = run_batch(sys, cert, _spec(n_runs=1))
+        out, summary = str(tmp_path), str(tmp_path / "summary.json")
+        os.mkdir(summary)
+        with pytest.raises(OSError) as info:
+            emit_report(rep, out)  # a str, as the CLI passes it
+        assert type(info.value) is OSError
+        assert str(info.value) == (
+            f"failed to write report under {out!r}: [Errno 21] Is a directory: {summary!r}"
+        )
+        assert isinstance(info.value.__cause__, IsADirectoryError)

@@ -240,6 +240,16 @@ class TestCheckAssumptionSampled:
         with pytest.raises(ValueError, match="radius"):
             check_assumption_sampled(sys, cert, n_samples=10, radius=radius)
 
+    def test_samples_inside_the_skip_band_skip_the_w_check(self, tabuada):
+        # At radius 1e-6 every |e| lies below the skip band 1e-6 max(1, radius),
+        # so W's finite-difference gradient is never taken.
+        sys, cert = tabuada
+        report = check_assumption_sampled(sys, cert, n_samples=200, radius=1e-6, seed=0)
+        assert report.n_skipped == report.n_samples == 200
+        assert report.max_violation["w-growth"] == 0.0
+        assert report.worst_point["w-growth"] is None
+        assert report.passed, report.summary()
+
     def test_nan_certificate_term_fails(self, tabuada):
         import dataclasses
 

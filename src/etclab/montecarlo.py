@@ -152,7 +152,7 @@ def emit_report(rep: BatchReport, path) -> Tuple[str, str]:
             fh.write("\n")
         write_csv(events_path, EVENTS_HEADER, sorted(rep.events))
     except OSError as exc:
-        raise OSError(f"failed to write report under {path!r}: {exc}") from exc
+        raise OSError(f"failed to write report under {os.fspath(path)!r}: {exc}") from exc
     return summary_path, events_path
 
 

@@ -20,12 +20,19 @@ Two benchmarks ship with the package:
     gamma = 17.3495) with a P produced by the constructive design.
 
 ``check_assumption_sampled`` verifies all three certificate
-inequalities at randomly sampled states with finite-difference
-gradients; it is deliberately independent of how a certificate was
-constructed, so it doubles as a falsification tool.
+inequalities at randomly sampled states.  The decay inequalities read
+only the derivatives of V along f and of W along g, so it takes one
+central difference along f and one along g per sample, not full
+finite-difference gradients, and a zero derivative comes out as an exact
+0.  It works through the samples in chunks of fixed size, so its memory
+is bounded whatever the sample count.  It calls the certificate terms
+and the flows one sample at a time and is deliberately independent of
+how a certificate was constructed, so it doubles as a falsification
+tool.
 """
 
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
@@ -208,19 +215,27 @@ class AssumptionReport:
         return "\n".join(lines)
 
 
-def _grad_fd(fn, z, h):
-    # Central differences on one working copy: set a coordinate, evaluate,
-    # restore. fn must not keep a reference to its argument.
-    g = np.empty(z.size)
-    w = z.copy()
-    for i in range(z.size):
-        zi = w[i]
-        w[i] = zi + h
-        fp = fn(w)
-        w[i] = zi - h
-        g[i] = (fp - fn(w)) / (2.0 * h)
-        w[i] = zi
-    return g
+# Samples checked per batch of arrays, so memory stays flat in n_samples.
+_CHUNK = 4096
+
+
+def _along(fn, Z, D, h):
+    """<grad fn(z), d> at each row z of Z with the row d of D, by central differences.
+
+    One difference per row: fn at z +- h d/|d|, the quotient scaled by |d|.
+    A zero d gives exactly 0 and a d that is not finite NaN, with no call of fn.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = np.sqrt(np.einsum("ij,ij->i", D, D))
+    out = np.where(np.isfinite(norm), 0.0, np.nan)
+    live = np.flatnonzero((norm > 0.0) & (norm < np.inf))
+    norm, h = norm[live], h[live]
+    step = (h / norm)[:, None] * D[live]
+    up = np.array([fn(z) for z in Z[live] + step], dtype=float)
+    down = np.array([fn(z) for z in Z[live] - step], dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out[live] = (up - down) / (2.0 * h) * norm
+    return out
 
 
 def check_assumption_sampled(
@@ -238,15 +253,21 @@ def check_assumption_sampled(
         <grad V(x), f(x, e)> <= -alpha(|x|) - H(x)^2 - delta(y) + gamma^2 W(e)^2
         <grad W(e), g(x, e)> <= L W(e) + H(x)
 
-    with y = cert.y_of_x(x), the output the trigger reads, and
-    central-difference gradients, and reports the worst violation
-    of each; a violation that is not finite (a certificate term returning
-    NaN, say) counts as infinite.  Samples too close to the
-    nondifferentiable set of W (e = 0 for norm-type W) are skipped for
-    the W inequality only.  Violations are data, not exceptions; a sample
-    count that is not an integer >= 1 or a radius outside (0, inf) raises
-    ValueError, since no sample would then be evidence, and a
-    certificate of other dimensions than the loop raises DimensionError.
+    with y = cert.y_of_x(x), the output the trigger reads, and reports the
+    worst violation of each; a violation that is not finite (a certificate
+    term or a flow returning NaN, say) counts as infinite.  The left sides
+    of the decay inequalities are directional derivatives, each taken by
+    one central difference of V along f/|f| (step 1e-6 max(1, |x|)) and of
+    W along g/|g| (step 1e-6 |e|), times |f| or |g|, not from a full
+    finite-difference gradient; a zero f or g gives exactly 0.  The
+    certificate terms and the flows are called on one sample at a time,
+    and samples are checked in chunks of a fixed size, so memory does not
+    grow with n_samples.  Samples too close to the nondifferentiable set
+    of W (e = 0 for norm-type W) are skipped for the W inequality only.
+    Violations are data, not exceptions; a sample count that is not an
+    integer >= 1 or a radius outside (0, inf) raises ValueError, since no
+    sample would then be evidence, and a certificate of other dimensions
+    than the loop raises DimensionError.
     """
     check_pairing(sys, cert)
     check_int(n_samples, "n_samples", 1)
@@ -254,7 +275,7 @@ def check_assumption_sampled(
         raise ValueError(f"radius must be positive and finite, got {radius}")
     check_int(seed, "seed")
     rng = np.random.default_rng(seed)
-    dim = sys.n_x + sys.n_e
+    n_x, dim = sys.n_x, sys.n_x + sys.n_e
     g2 = cert.gamma * cert.gamma
     skip_band = 1e-6 * max(1.0, radius)
 
@@ -264,42 +285,46 @@ def check_assumption_sampled(
     worst = {k: None for k in keys}
     skipped = 0
 
-    def note(key, lhs, rhs):
-        # Record the violation of lhs <= rhs at the current sample (x, e).
-        excess = lhs - rhs
-        if not math.isfinite(excess):
-            excess = math.inf
-        if excess > max_v[key]:
-            max_v[key], worst[key] = excess, (x.copy(), e.copy())
+    def note(key, excess, X, E, *sides):
+        # Record the first largest entry of excess, an (n, k) array of the
+        # violations of k inequalities at the n samples (X, E), if it beats
+        # the earlier chunks'; fmax leaves NaN sides out of the scale.
+        if excess.size:
+            excess = np.where(np.isfinite(excess), excess, np.inf)
+            i = int(np.argmax(excess))
+            if excess.flat[i] > max_v[key]:
+                r = i // excess.shape[1]
+                max_v[key], worst[key] = float(excess.flat[i]), (X[r].copy(), E[r].copy())
+        for side in sides:
+            scale[key] = float(np.fmax.reduce(np.abs(side), initial=scale[key]))
 
-    for _ in range(n_samples):
-        z = uniform_ball(rng, dim, radius)
-        x, e = z[: sys.n_x], z[sys.n_x :]
-        nx = math.sqrt(x.dot(x))
+    for start in range(0, n_samples, _CHUNK):
+        Z = np.array([uniform_ball(rng, dim, radius) for _ in range(min(_CHUNK, n_samples - start))])
+        X, E = Z[:, :n_x], Z[:, n_x:]
+        # 9 doubles per sample in one flat buffer: a list of tuples of floats takes 5x the memory.
+        terms, F, G, kept = array("d"), [], [], []
+        for i, (x, e) in enumerate(zip(X, E)):
+            nx, ne = math.sqrt(x.dot(x)), math.sqrt(e.dot(e))
+            terms.extend((nx, ne, cert.V(x), cert.alpha_lower(nx), cert.alpha_upper(nx),
+                          cert.W(e), cert.H(x), cert.alpha(nx), cert.delta(cert.y_of_x(x))))
+            F.append(sys.f(x, e))
+            if ne >= skip_band:
+                kept.append(i)
+                G.append(sys.g(x, e))
+        nx, ne, v, lo, hi, w, hx, a, d = np.frombuffer(terms).reshape(-1, 9).T
+        skipped += len(X) - len(kept)
 
-        v = cert.V(x)
-        note("v-bounds", cert.alpha_lower(nx), v)
-        note("v-bounds", v, cert.alpha_upper(nx))
-        scale["v-bounds"] = max(scale["v-bounds"], abs(v))
-
-        h_v = 1e-6 * max(1.0, nx)
-        grad_v = _grad_fd(cert.V, x, h_v)
-        lhs = float(grad_v.dot(sys.f(x, e)))
-        w, hx = cert.W(e), cert.H(x)  # H serves both right-hand sides
-        rhs = -cert.alpha(nx) - hx**2 - cert.delta(cert.y_of_x(x)) + g2 * w * w
-        note("v-decay", lhs, rhs)
-        scale["v-decay"] = max(scale["v-decay"], abs(lhs), abs(rhs))
-
-        ne = math.sqrt(e.dot(e))
-        if ne < skip_band:
-            skipped += 1
-        else:
-            h_w = 1e-6 * ne
-            grad_w = _grad_fd(cert.W, e, h_w)
-            lhs = float(grad_w.dot(sys.g(x, e)))
-            rhs = cert.L * w + hx
-            note("w-growth", lhs, rhs)
-            scale["w-growth"] = max(scale["w-growth"], abs(lhs), abs(rhs))
+        F = np.array(F, dtype=float).reshape(X.shape)
+        G = np.array(G, dtype=float).reshape(len(kept), sys.n_e)
+        Xk, Ek = X[kept], E[kept]
+        lhs_v = _along(cert.V, X, F, 1e-6 * np.fmax(1.0, nx))
+        lhs_w = _along(cert.W, Ek, G, 1e-6 * ne[kept])
+        with np.errstate(over="ignore", invalid="ignore"):
+            note("v-bounds", np.stack((lo - v, v - hi), axis=1), X, E, v)
+            rhs = -a - hx * hx - d + g2 * w * w
+            note("v-decay", (lhs_v - rhs)[:, None], X, E, lhs_v, rhs)
+            rhs = cert.L * w[kept] + hx[kept]
+            note("w-growth", (lhs_w - rhs)[:, None], Xk, Ek, lhs_w, rhs)
 
     for k in keys:
         if max_v[k] == -np.inf:

@@ -7,7 +7,8 @@ instead of a Schur-based Lyapunov solve, leading principal minors
 instead of an eigenvalue test, the Schur complement instead of the full
 LMI block matrix, one Lyapunov solve per design slack instead of two
 that price the whole slack grid, the matrix exponential and a bracketing
-root finder instead of RK4 steps and an event bisection.
+root finder instead of RK4 steps and an event bisection, coordinate-wise
+gradients instead of one directional difference per inequality.
 """
 
 import math
@@ -17,7 +18,8 @@ import numpy as np
 import scipy.linalg
 import scipy.optimize
 
-from etclab import DesignInfeasibleError, solve_lyapunov, spectral_norm
+from etclab import AssumptionReport, DesignInfeasibleError, solve_lyapunov, spectral_norm
+from etclab.sampling import uniform_ball
 
 
 def charpoly_eigenvalues(a, n_grid=4001, tol=1e-12):
@@ -293,3 +295,90 @@ def zeta_arctanh_value_reference(gamma, L, theta, eta, tau, digits=80):
         z0 = 1 / th
         s = (1 - 2 / ((2 * lam * r * tau).exp() + 1)) / r
         return float((z0 - (1 + a * z0) * s) / (1 + (z0 + a) * s))
+
+
+def _grad_fd(fn, z, h):
+    # Central differences on one working copy: set a coordinate, evaluate,
+    # restore. fn must not keep a reference to its argument.
+    g = np.empty(z.size)
+    w = z.copy()
+    for i in range(z.size):
+        zi = w[i]
+        w[i] = zi + h
+        fp = fn(w)
+        w[i] = zi - h
+        g[i] = (fp - fn(w)) / (2.0 * h)
+        w[i] = zi
+    return g
+
+
+def check_assumption_sampled_reference(sys, cert, n_samples=10_000, radius=50.0, seed=0):
+    """``check_assumption_sampled`` one sample at a time, with full gradients.
+
+    Draws the same points as the library checker and evaluates the same
+    inequalities, but takes grad V and grad W by central differences along
+    each coordinate (2 n_x calls of V and 2 n_e calls of W per sample) and
+    dots them with f and g, recording each sample's violation as it goes.
+    Arguments are not validated.
+    """
+    rng = np.random.default_rng(seed)
+    dim = sys.n_x + sys.n_e
+    g2 = cert.gamma * cert.gamma
+    skip_band = 1e-6 * max(1.0, radius)
+
+    keys = AssumptionReport.INEQUALITIES
+    max_v = {k: -np.inf for k in keys}
+    scale = {k: 1.0 for k in keys}
+    worst = {k: None for k in keys}
+    skipped = 0
+
+    def note(key, lhs, rhs):
+        # Record the violation of lhs <= rhs at the current sample (x, e).
+        excess = lhs - rhs
+        if not math.isfinite(excess):
+            excess = math.inf
+        if excess > max_v[key]:
+            max_v[key], worst[key] = excess, (x.copy(), e.copy())
+
+    for _ in range(n_samples):
+        z = uniform_ball(rng, dim, radius)
+        x, e = z[: sys.n_x], z[sys.n_x :]
+        nx = math.sqrt(x.dot(x))
+
+        v = cert.V(x)
+        note("v-bounds", cert.alpha_lower(nx), v)
+        note("v-bounds", v, cert.alpha_upper(nx))
+        scale["v-bounds"] = max(scale["v-bounds"], abs(v))
+
+        h_v = 1e-6 * max(1.0, nx)
+        grad_v = _grad_fd(cert.V, x, h_v)
+        lhs = float(grad_v.dot(sys.f(x, e)))
+        w, hx = cert.W(e), cert.H(x)
+        rhs = -cert.alpha(nx) - hx**2 - cert.delta(cert.y_of_x(x)) + g2 * w * w
+        note("v-decay", lhs, rhs)
+        scale["v-decay"] = max(scale["v-decay"], abs(lhs), abs(rhs))
+
+        ne = math.sqrt(e.dot(e))
+        if ne < skip_band:
+            skipped += 1
+        else:
+            h_w = 1e-6 * ne
+            grad_w = _grad_fd(cert.W, e, h_w)
+            lhs = float(grad_w.dot(sys.g(x, e)))
+            rhs = cert.L * w + hx
+            note("w-growth", lhs, rhs)
+            scale["w-growth"] = max(scale["w-growth"], abs(lhs), abs(rhs))
+
+    for k in keys:
+        if max_v[k] == -np.inf:
+            max_v[k] = 0.0
+
+    return AssumptionReport(
+        n_samples=n_samples,
+        radius=radius,
+        seed=seed,
+        max_violation=max_v,
+        scale=scale,
+        worst_point=worst,
+        n_skipped=skipped,
+    )

@@ -2,6 +2,7 @@ import csv
 import json
 import os
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -246,13 +247,14 @@ class TestEmitReport:
         with open(events_path) as fh:
             assert len(list(csv.reader(fh))) - 1 == 3
 
-    def test_write_failure_names_the_directory(self, tabuada, tmp_path):
+    @pytest.mark.parametrize("as_path", [str, Path])  # the CLI passes a str
+    def test_write_failure_names_the_directory(self, tabuada, tmp_path, as_path):
         sys, cert = tabuada
         rep = run_batch(sys, cert, _spec(n_runs=1))
         out, summary = str(tmp_path), str(tmp_path / "summary.json")
         os.mkdir(summary)
         with pytest.raises(OSError) as info:
-            emit_report(rep, out)  # a str, as the CLI passes it
+            emit_report(rep, as_path(out))
         assert type(info.value) is OSError
         assert str(info.value) == (
             f"failed to write report under {out!r}: [Errno 21] Is a directory: {summary!r}"

@@ -6,6 +6,10 @@ import pytest
 import scipy.linalg
 
 from etclab import (
+    AssumptionReport,
+    Certificate,
+    ClosedLoopSystem,
+    DesignInfeasibleError,
     DimensionError,
     LtiController,
     LtiPlant,
@@ -23,7 +27,8 @@ from etclab import (
     tabuada_loop,
 )
 from etclab.model import HybridState
-from etclab.systems import BUILTIN_LOOPS, lti_loop_from_matrices
+from etclab.systems import _CHUNK, BUILTIN_LOOPS, lti_loop_from_matrices
+from oracles import check_assumption_sampled_reference
 
 
 def _planar_plant(C):
@@ -279,7 +284,9 @@ CHECKED_LOOPS = {
 # check_assumption_sampled(n_samples=300, radius=20.0, seed=3) per loop:
 # n_skipped, then per inequality max_violation and worst_point (x, e) as
 # float.hex, recorded with the np.linalg.norm / @ forms of the checker and
-# of the certificate terms.
+# of the certificate terms; v-decay and w-growth re-recorded with one
+# directional difference per inequality (the worst points, the v-bounds
+# values and Lorenz's w-growth, where e is 1-D, did not move).
 PINNED_CHECKS = {
     "lorenz": (
         0,
@@ -290,7 +297,7 @@ PINNED_CHECKS = {
                 ["-0x1.9f4707d66dfdap+3"],
             ),
             "v-decay": (
-                "0x1.b00eeef392829p+15",
+                "0x1.b00eeef28e220p+15",
                 ["-0x1.d6a573ad0bdf8p+3", "0x1.64c81494ab493p+3", "0x1.3da52500e11a7p+2"],
                 ["-0x1.76449deb1fed6p-3"],
             ),
@@ -310,12 +317,12 @@ PINNED_CHECKS = {
                 ["-0x1.ec85b8b579873p+1", "-0x1.9974977957ca1p+2"],
             ),
             "v-decay": (
-                "-0x1.64f3d3cd12420p+6",
+                "-0x1.64f3d3ce3d680p+6",
                 ["0x1.0d87249ef7925p+0", "0x1.1d75722939e52p+2", "-0x1.5107503dfd6e4p+3"],
                 ["-0x1.f4b9ca1414766p+3", "0x1.033fa589d2052p+2"],
             ),
             "w-growth": (
-                "-0x1.e4a9a5faac140p+0",
+                "-0x1.e4a9a5ff48420p+0",
                 ["0x1.6f47e1836ac6ap+3", "0x1.3781180d70b8bp+3", "0x1.9467cb449c74fp+3"],
                 ["-0x1.5358dd9874356p-2", "-0x1.8a250d4df9f34p+0"],
             ),
@@ -330,12 +337,12 @@ PINNED_CHECKS = {
                 ["-0x1.d54db1a890fd9p-5", "0x1.e97476eac10d6p+1"],
             ),
             "v-decay": (
-                "-0x1.bfbfc8100f1c3p+6",
+                "-0x1.bfbfc80e720c8p+6",
                 ["0x1.4f89d925cfd82p+1", "0x1.4eccb35910b0ep+2"],
                 ["-0x1.d93466d781251p-4", "-0x1.b2ee0d904bbaap-1"],
             ),
             "w-growth": (
-                "-0x1.275adddebafc0p+0",
+                "-0x1.275adddcc5d20p+0",
                 ["0x1.4111bd1a4bd2cp+3", "0x1.c7aa37dfb0d26p+2"],
                 ["-0x1.34d106cff93a6p+0", "0x1.16ad096380f8ap+3"],
             ),
@@ -356,3 +363,138 @@ class TestCheckerReproducibility:
             worst_x, worst_e = report.worst_point[key]
             assert [float(v).hex() for v in worst_x] == x
             assert [float(v).hex() for v in worst_e] == e
+
+
+def _lqr_loop(seed):
+    """A random LQR-stabilised LTI loop and its designed certificate.
+
+    Seeds cycle through static state feedback and an observer-based output
+    feedback on 2, 3 and 4 plant states; a draw that the Riccati solver or
+    the design rejects is redrawn from the same generator.
+    """
+    output_feedback, n = divmod(seed % 6, 3)
+    n += 2
+    rng = np.random.default_rng(seed)
+    while True:
+        m = int(rng.integers(1, 3))
+        A, B = rng.standard_normal((n, n)), rng.standard_normal((n, m))
+        try:
+            K = B.T @ scipy.linalg.solve_continuous_are(A, B, np.eye(n), np.eye(m))
+            if output_feedback:
+                C = rng.standard_normal((int(rng.integers(1, 3)), n))
+                Lo = scipy.linalg.solve_continuous_are(
+                    A.T, C.T, np.eye(n), np.eye(C.shape[0])) @ C.T
+                plant = LtiPlant(A=A, B=B, C=C)
+                ctrl = LtiController(A=A - B @ K - Lo @ C, B=Lo, C=-K, D=np.zeros((m, len(C))))
+            else:
+                plant, ctrl = LtiPlant(A=A, B=B, C=np.eye(n)), LtiController(D=-K)
+            clm = assemble(plant, ctrl)
+            cert = extract_assumption(clm, design_certificate(clm))
+        except (np.linalg.LinAlgError, ValueError, DesignInfeasibleError):
+            continue
+        return lti_loop(plant, ctrl, cert), cert
+
+
+def _assert_matches_reference(report, ref):
+    """Verdicts, skips and worst points equal; v-bounds bit for bit; decay within 1e-8 scale."""
+    assert report.passed == ref.passed
+    assert report.n_skipped == ref.n_skipped
+    for key in AssumptionReport.INEQUALITIES:
+        got, want = report.worst_point[key], ref.worst_point[key]
+        assert (got is None) == (want is None), key
+        if want is not None:
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1]), key
+    assert report.max_violation["v-bounds"] == ref.max_violation["v-bounds"]
+    assert report.scale["v-bounds"] == ref.scale["v-bounds"]
+    for key in ("v-decay", "w-growth"):
+        got, want = report.max_violation[key], ref.max_violation[key]
+        if math.isinf(want):
+            assert got == want, key
+        else:
+            assert abs(got - want) <= 1e-8 * ref.scale[key], key
+
+
+def _both(sys, cert, **kw):
+    return check_assumption_sampled(sys, cert, **kw), check_assumption_sampled_reference(
+        sys, cert, **kw)
+
+
+def _idle_loop():
+    """f = 0 and g = 0 under a certificate whose decay right sides are all 0."""
+    sys = ClosedLoopSystem(2, 2, f=lambda x, e: np.zeros(2), g=lambda x, e: np.zeros(2))
+    cert = Certificate(
+        V=lambda x: float(x.dot(x)), W=lambda e: math.sqrt(e.dot(e)), H=lambda x: 0.0,
+        delta=lambda y: 0.0, alpha=lambda s: 0.0, gamma=0.0, L=0.0,
+        alpha_lower=lambda s: 0.5 * s * s, alpha_upper=lambda s: 2.0 * s * s,
+        n_x=2, n_e=2, n_y=2,
+    )
+    return sys, cert
+
+
+class TestCheckerAgainstReference:
+    """The directional-difference checker against the coordinate-wise one.
+
+    Both draw the same points, so every verdict, skip count and worst point
+    must agree; v-bounds reads no derivative and must agree bit for bit, and
+    the decay excesses may differ only by rounding, far inside RTOL = 1e-5.
+    """
+
+    @pytest.mark.parametrize("name", sorted(CHECKED_LOOPS))
+    def test_checked_loops(self, name):
+        _assert_matches_reference(
+            *_both(*CHECKED_LOOPS[name](), n_samples=1_000, radius=20.0, seed=5))
+
+    def test_stiff_observer_loop(self, stiff_observer_loop):
+        plant, ctrl = stiff_observer_loop
+        clm = assemble(plant, ctrl)
+        cert = extract_assumption(clm, design_certificate(clm))
+        _assert_matches_reference(
+            *_both(lti_loop(plant, ctrl, cert), cert, n_samples=500, radius=10.0, seed=152108349))
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_lqr_loops(self, seed):
+        _assert_matches_reference(*_both(*_lqr_loop(seed), n_samples=500, radius=10.0, seed=seed))
+
+    @pytest.mark.parametrize("chunk", [1, 7])
+    def test_small_chunks_keep_the_first_worst_point(self, monkeypatch, chunk):
+        monkeypatch.setattr("etclab.systems._CHUNK", chunk)
+        for name in sorted(CHECKED_LOOPS):
+            _assert_matches_reference(
+                *_both(*CHECKED_LOOPS[name](), n_samples=100, radius=20.0, seed=1))
+
+    def test_one_sample_past_a_chunk(self, tabuada):
+        _assert_matches_reference(*_both(*tabuada, n_samples=_CHUNK + 1, radius=50.0, seed=2))
+
+
+class TestCheckerEdgeCases:
+    def test_zero_flow_gives_an_exact_zero(self):
+        # 0/|0| would be NaN (and a RuntimeWarning, an error under this
+        # suite's filter); a zero direction has derivative exactly 0.
+        sys, cert = _idle_loop()
+        report, ref = _both(sys, cert, n_samples=_CHUNK + 1, radius=5.0, seed=0)
+        assert report.max_violation["v-decay"] == report.max_violation["w-growth"] == 0.0
+        assert report.passed
+        _assert_matches_reference(report, ref)  # ties keep the first sample
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    @pytest.mark.parametrize("flow, key", [("f", "v-decay"), ("g", "w-growth")])
+    def test_nonfinite_flow_counts_as_infinite(self, tabuada, flow, key, value):
+        sys, cert = tabuada
+        broken = dataclasses.replace(sys, **{flow: lambda x, e: np.full(2, value)})
+        kw = dict(n_samples=50, radius=50.0, seed=0)
+        report = check_assumption_sampled(broken, cert, **kw)  # warning-free
+        with np.errstate(invalid="ignore"):  # the reference's dot of a gradient with inf warns
+            ref = check_assumption_sampled_reference(broken, cert, **kw)
+        assert report.max_violation[key] == math.inf
+        assert not report.passed
+        _assert_matches_reference(report, ref)
+
+    def test_nan_on_some_samples_leaves_the_scale_finite(self, tabuada):
+        sys, cert = tabuada
+        V = cert.V
+        broken = dataclasses.replace(cert, V=lambda x: math.nan if x[0] > 0 else V(x))
+        report, ref = _both(sys, broken, n_samples=200, radius=50.0, seed=0)
+        assert report.max_violation["v-bounds"] == math.inf
+        for key in AssumptionReport.INEQUALITIES:
+            assert math.isfinite(report.scale[key]), key
+        _assert_matches_reference(report, ref)

@@ -146,7 +146,7 @@ class Resolved:
             ctrl = _build(LtiController, spec["controller"], "system.controller")
             try:
                 self.clm = assemble(plant, ctrl)
-            except DimensionError as exc:
+            except (DimensionError, ValueError) as exc:
                 raise ConfigError(f"config.system: {exc}") from None
             self.eps = _build(_design_eps, spec.get("design", {}), "system.design")
         elif self.system in BUILTIN_LOOPS:

@@ -165,7 +165,8 @@ def assemble(plant: LtiPlant, ctrl: LtiController) -> ClosedLoopMatrices:
 
     Detects the static full-state-feedback special case (y = x, static
     u = K x) and returns the collapsed matrices for it; otherwise the
-    general output-feedback blocks with e = (ey, eu).
+    general output-feedback blocks with e = (ey, eu).  Raises ValueError
+    naming the first of A1, B1, A2 and B2 that is not finite.
     """
     Ap, Bp, Cp = plant.A, plant.B, plant.C
     Ac, Bc, Cc, Dc = ctrl.A, ctrl.B, ctrl.C, ctrl.D
@@ -182,22 +183,31 @@ def assemble(plant: LtiPlant, ctrl: LtiController) -> ClosedLoopMatrices:
             f"controller C has {ctrl.C.shape[0]} outputs, expected n_u = {plant.n_u}"
         )
 
-    Acl = Ap + Bp @ Dc @ Cp
-
-    if ctrl.n_c == 0 and np.array_equal(Cp, np.eye(plant.n_p)):
-        # Full state transmitted, controller co-located with the actuator:
-        # e = xhat - x, so x' = (A + BK)(x) + BK e and e' = -x'.
-        BK = Bp @ Dc
-        return ClosedLoopMatrices(A1=Acl, B1=BK, A2=-Acl, B2=-BK, Cbar=np.eye(plant.n_p))
-
-    A1 = np.block([[Acl, Bp @ Cc], [Bc @ Cp, Ac]])
-    B1 = np.block([[Bp @ Dc, Bp], [Bc, np.zeros((ctrl.n_c, plant.n_u))]])
-    A2 = np.block([[-Cp @ Acl, -Cp @ Bp @ Cc], [-Cc @ Bc @ Cp, -Cc @ Ac]])
-    B2 = np.block(
-        [[-Cp @ Bp @ Dc, -Cp @ Bp], [-Cc @ Bc, np.zeros((plant.n_u, plant.n_u))]]
-    )
-    Cbar = np.block([[Cp, np.zeros((plant.n_y, ctrl.n_c))]])
-    return ClosedLoopMatrices(A1=A1, B1=B1, A2=A2, B2=B2, Cbar=Cbar)
+    # Finite entries can still overflow in the products; the check below names the block.
+    with np.errstate(over="ignore", invalid="ignore"):
+        Acl = Ap + Bp @ Dc @ Cp
+        if ctrl.n_c == 0 and np.array_equal(Cp, np.eye(plant.n_p)):
+            # Full state transmitted, controller co-located with the actuator:
+            # e = xhat - x, so x' = (A + BK)(x) + BK e and e' = -x'.
+            BK = Bp @ Dc
+            blocks = dict(A1=Acl, B1=BK, A2=-Acl, B2=-BK, Cbar=np.eye(plant.n_p))
+        else:
+            blocks = dict(
+                A1=np.block([[Acl, Bp @ Cc], [Bc @ Cp, Ac]]),
+                B1=np.block([[Bp @ Dc, Bp], [Bc, np.zeros((ctrl.n_c, plant.n_u))]]),
+                A2=np.block([[-Cp @ Acl, -Cp @ Bp @ Cc], [-Cc @ Bc @ Cp, -Cc @ Ac]]),
+                B2=np.block(
+                    [[-Cp @ Bp @ Dc, -Cp @ Bp], [-Cc @ Bc, np.zeros((plant.n_u, plant.n_u))]]
+                ),
+                Cbar=np.block([[Cp, np.zeros((plant.n_y, ctrl.n_c))]]),
+            )
+    for name in ("A1", "B1", "A2", "B2"):
+        if not np.isfinite(blocks[name]).all():
+            raise ValueError(
+                f"closed-loop block {name} is not finite: products of the plant and "
+                f"controller entries overflow"
+            )
+    return ClosedLoopMatrices(**blocks)
 
 
 def lmi_residual(clm: ClosedLoopMatrices, cand: LmiCertificate) -> float:

@@ -44,7 +44,11 @@ class ClosedLoopSystem:
     ``f(x, e)`` is the derivative of x and ``g(x, e)`` the derivative of
     e.  Both get x and e as float array views of one stacked state and
     return 1-D float arrays, of length n_x and n_e; the simulator reads
-    them with ``tolist``.  Both evaluators must vanish at the origin (the
+    them with ``tolist``.  A nonlinear f or g runs at each of the four RK4
+    stages, so one that indexes the views pays numpy-scalar prices on
+    every stage; the builtin ``lorenz_loop`` reads its views once
+    (``x.tolist()``, ``e.item(0)``) and computes on Python floats, with
+    the same bits.  Both evaluators must vanish at the origin (the
     equilibrium) and be deterministic.  The output map belongs to the
     certificate.
 

@@ -89,14 +89,18 @@ def lorenz_loop(a: float = 10.0, b: float = 28.0, c: float = 8.0 / 3.0, p1: floa
 
     gain = (p1 / p2) * a + b
 
+    # f, g and H read each view once and compute on Python floats, which
+    # round every operation as numpy's scalars do but cost a fraction of
+    # them, overflow to inf without a warning, and never raise.  V keeps
+    # numpy's ** (a float ** raises OverflowError past about 1.3e154).
     def f(x, e):
-        x1, x2, x3 = x[0], x[1], x[2]
-        u = -gain * (x1 + e[0])
+        x1, x2, x3 = x.tolist()
+        u = -gain * (x1 + e.item(0))
         return np.array((a * (x2 - x1), b * x1 - x2 - x1 * x3 + u, x1 * x2 - c * x3))
 
     def g(x, e):
         # e = yhat - y with y = x1, so e' = -x1' = a (x1 - x2).
-        return np.array((a * (x[0] - x[1]),))
+        return np.array((a * (x.item(0) - x.item(1)),))
 
     sys = ClosedLoopSystem(n_x=3, n_e=1, f=f, g=g, name="lorenz")
 
@@ -108,7 +112,7 @@ def lorenz_loop(a: float = 10.0, b: float = 28.0, c: float = 8.0 / 3.0, p1: floa
     cert = Certificate(
         V=lambda x: p1 * x[0] ** 2 + p2 * x[1] ** 2 + p2 * x[2] ** 2,
         W=lambda e: math.sqrt(e.dot(e)),
-        H=lambda x: a * (abs(x[0]) + abs(x[1])),
+        H=lambda x: a * (abs(x.item(0)) + abs(x.item(1))),
         delta=lambda y: delta_coef * float(y.dot(y)),
         alpha=lambda s: alpha_coef * s * s,
         gamma=gamma,
@@ -224,17 +228,16 @@ def _along(fn, Z, D, h):
 
     One difference per row: fn at z +- h d/|d|, the quotient scaled by |d|.
     A zero d gives exactly 0 and a d that is not finite NaN, with no call of fn.
+    Overflow warnings are the caller's to silence, as the checker does per chunk.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        norm = np.sqrt(np.einsum("ij,ij->i", D, D))
+    norm = np.sqrt(np.einsum("ij,ij->i", D, D))
     out = np.where(np.isfinite(norm), 0.0, np.nan)
     live = np.flatnonzero((norm > 0.0) & (norm < np.inf))
     norm, h = norm[live], h[live]
     step = (h / norm)[:, None] * D[live]
     up = np.array([fn(z) for z in Z[live] + step], dtype=float)
     down = np.array([fn(z) for z in Z[live] - step], dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):
-        out[live] = (up - down) / (2.0 * h) * norm
+    out[live] = (up - down) / (2.0 * h) * norm
     return out
 
 
@@ -255,7 +258,8 @@ def check_assumption_sampled(
 
     with y = cert.y_of_x(x), the output the trigger reads, and reports the
     worst violation of each; a violation that is not finite (a certificate
-    term or a flow returning NaN, say) counts as infinite.  The left sides
+    term or a flow returning NaN, or overflowing far out, say) counts as
+    infinite, and numpy warns of none of them.  The left sides
     of the decay inequalities are directional derivatives, each taken by
     one central difference of V along f/|f| (step 1e-6 max(1, |x|)) and of
     W along g/|g| (step 1e-6 |e|), times |f| or |g|, not from a full
@@ -299,27 +303,30 @@ def check_assumption_sampled(
             scale[key] = float(np.fmax.reduce(np.abs(side), initial=scale[key]))
 
     for start in range(0, n_samples, _CHUNK):
-        Z = np.array([uniform_ball(rng, dim, radius) for _ in range(min(_CHUNK, n_samples - start))])
-        X, E = Z[:, :n_x], Z[:, n_x:]
-        # 9 doubles per sample in one flat buffer: a list of tuples of floats takes 5x the memory.
-        terms, F, G, kept = array("d"), [], [], []
-        for i, (x, e) in enumerate(zip(X, E)):
-            nx, ne = math.sqrt(x.dot(x)), math.sqrt(e.dot(e))
-            terms.extend((nx, ne, cert.V(x), cert.alpha_lower(nx), cert.alpha_upper(nx),
-                          cert.W(e), cert.H(x), cert.alpha(nx), cert.delta(cert.y_of_x(x))))
-            F.append(sys.f(x, e))
-            if ne >= skip_band:
-                kept.append(i)
-                G.append(sys.g(x, e))
-        nx, ne, v, lo, hi, w, hx, a, d = np.frombuffer(terms).reshape(-1, 9).T
-        skipped += len(X) - len(kept)
-
-        F = np.array(F, dtype=float).reshape(X.shape)
-        G = np.array(G, dtype=float).reshape(len(kept), sys.n_e)
-        Xk, Ek = X[kept], E[kept]
-        lhs_v = _along(cert.V, X, F, 1e-6 * np.fmax(1.0, nx))
-        lhs_w = _along(cert.W, Ek, G, 1e-6 * ne[kept])
+        # Overflow and NaN in the terms, the flows and the differences are data
+        # (infinite violations), so numpy warns of none of them in a chunk.
         with np.errstate(over="ignore", invalid="ignore"):
+            n = min(_CHUNK, n_samples - start)
+            Z = np.array([uniform_ball(rng, dim, radius) for _ in range(n)])
+            X, E = Z[:, :n_x], Z[:, n_x:]
+            # 9 doubles per sample in one flat buffer: a list of tuples of floats takes 5x the memory.
+            terms, F, G, kept = array("d"), [], [], []
+            for i, (x, e) in enumerate(zip(X, E)):
+                nx, ne = math.sqrt(x.dot(x)), math.sqrt(e.dot(e))
+                terms.extend((nx, ne, cert.V(x), cert.alpha_lower(nx), cert.alpha_upper(nx),
+                              cert.W(e), cert.H(x), cert.alpha(nx), cert.delta(cert.y_of_x(x))))
+                F.append(sys.f(x, e))
+                if ne >= skip_band:
+                    kept.append(i)
+                    G.append(sys.g(x, e))
+            nx, ne, v, lo, hi, w, hx, a, d = np.frombuffer(terms).reshape(-1, 9).T
+            skipped += len(X) - len(kept)
+
+            F = np.array(F, dtype=float).reshape(X.shape)
+            G = np.array(G, dtype=float).reshape(len(kept), sys.n_e)
+            Xk, Ek = X[kept], E[kept]
+            lhs_v = _along(cert.V, X, F, 1e-6 * np.fmax(1.0, nx))
+            lhs_w = _along(cert.W, Ek, G, 1e-6 * ne[kept])
             note("v-bounds", np.stack((lo - v, v - hi), axis=1), X, E, v)
             rhs = -a - hx * hx - d + g2 * w * w
             note("v-decay", (lhs_v - rhs)[:, None], X, E, lhs_v, rhs)

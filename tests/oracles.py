@@ -8,7 +8,8 @@ instead of an eigenvalue test, the Schur complement instead of the full
 LMI block matrix, one Lyapunov solve per design slack instead of two
 that price the whole slack grid, the matrix exponential and a bracketing
 root finder instead of RK4 steps and an event bisection, coordinate-wise
-gradients instead of one directional difference per inequality.
+gradients instead of one directional difference per inequality, numpy
+scalars instead of Python floats in the Lorenz flows.
 """
 
 import math
@@ -90,6 +91,28 @@ def lyapunov_kronecker(a, q):
     k = np.kron(eye, a.T) + np.kron(a.T, eye)
     vec_p = np.linalg.solve(k, -q.flatten(order="F"))
     return vec_p.reshape((n, n), order="F")
+
+
+def lorenz_numpy_scalar_terms(a=10.0, b=28.0, c=8.0 / 3.0, p1=2.0, p2=30.0):
+    """The Lorenz loop's f, g and H on the numpy scalars x[i] and e[0].
+
+    The same expressions in the same order as ``lorenz_loop``'s closures,
+    which read their views once into Python floats instead.
+    """
+    gain = (p1 / p2) * a + b
+
+    def f(x, e):
+        x1, x2, x3 = x[0], x[1], x[2]
+        u = -gain * (x1 + e[0])
+        return np.array((a * (x2 - x1), b * x1 - x2 - x1 * x3 + u, x1 * x2 - c * x3))
+
+    def g(x, e):
+        return np.array((a * (x[0] - x[1]),))
+
+    def H(x):
+        return a * (abs(x[0]) + abs(x[1]))
+
+    return f, g, H
 
 
 def positive_definite_by_minors(m):

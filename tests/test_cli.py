@@ -6,6 +6,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -506,6 +507,16 @@ CLI_EXITS = {
         {**LTI_CFG, "system": {**LTI_CFG["system"], "controller": {"D": [[1.0, -4.0, 0.0]]}}},
         None, 1, "error: config.system: controller D has shape (1, 3), expected (1, 2)\n", None,
     ),
+    "plant-products-overflow": (
+        # Every entry is finite, but -C A in block A2 passes 1.8e308.
+        ["simulate", "--config", "{config}"],
+        {**LTI_CFG, "system": {
+            **LTI_CFG["system"],
+            "plant": {"A": [[-2.0, 1.0], [-2.0, -3.0]], "B": [[0.0], [1.0]], "C": [[-1e308, 0.0]]},
+            "controller": {"D": [[0.0]]},
+        }},
+        None, 1, "error: config.system: closed-loop block A2 is not finite", None,
+    ),
     "zeta-transit-warning": (
         # The default zeta's transit time, 0.00988, is below T = 0.01.
         ["simulate", "--config", "{config}"], {k: v for k, v in LORENZ_CFG.items() if k != "zeta"},
@@ -535,6 +546,17 @@ def test_exit_code_and_message(capsys, tmp_path, monkeypatch, name):
         assert out == "" and not outdir.exists()
     else:
         assert check(out, outdir)
+
+
+def test_check_counts_overflow_as_violation_without_a_warning(capsys):
+    # At radius 1e200 the norms, V, W, delta and f overflow: each is an infinite
+    # violation in the report, and numpy warns of none of them.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, out, err = _run(capsys, "check", "--system", "lorenz", "--samples", "50",
+                            "--radius", "1e200")
+    assert (rc, err) == (1, "")
+    assert out.endswith("FAIL\n")
 
 
 @pytest.mark.parametrize(

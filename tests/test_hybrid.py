@@ -450,6 +450,21 @@ class TestSimulate:
         assert np.all(np.isfinite(partial.segments[-1].x[:-1]))
         assert not np.all(np.isfinite(partial.segments[-1].x[-1]))
 
+    def test_lorenz_overflow_in_a_stage_raises_divergence(self, lorenz):
+        # From x0 = (5e139, 2.5e139, 0) the second stage's x1 x3 passes 1.8e308:
+        # f returns inf, which the norm guard reports instead of a RuntimeWarning.
+        sys, cert = lorenz
+        q0 = HybridState(np.array([5e139, 2.5e139, 0.0]), np.zeros(1), 0.0)
+        settings = SimSettings(step=1e-3, horizon_t=1.0, event_tol=1e-6, blowup_norm=1e150)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError, match=r"guard 1e\+150") as info:
+                simulate(sys, cert, _of_cfg(T=0.01), q0, settings)
+        partial = info.value.partial
+        assert partial.terminated == "blow-up"
+        assert np.array_equal(partial.segments[0].x[0], q0.x)
+        assert not np.all(np.isfinite(partial.segments[-1].x[-1]))
+
     @pytest.mark.parametrize("linear", [True, False], ids=["propagator", "closure"])
     def test_guard_above_the_squared_norm_overflow_raises_divergence(self, linear):
         # x' = 2e4 x grows about 1e9-fold per step of 0.02, so from x0 = 10 the

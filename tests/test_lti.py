@@ -134,10 +134,20 @@ class TestAssemble:
              CertificateError, "eps2 must be finite and positive"),
             (lambda: design_certificate(tabuada_matrices(), eps1=-1.0, eps2=0.5),
              CertificateError, "eps1 must be finite and nonnegative"),
+            # Finite entries whose products overflow: -C A in A2, and B K in A1.
+            (lambda: assemble(LtiPlant(A=[[-2.0, 1.0], [-2.0, -3.0]], B=[[0.0], [1.0]],
+                                       C=[[-1e308, 0.0]]), LtiController(D=[[0.0]])),
+             ValueError, "closed-loop block A2 is not finite: products of the plant and "
+                         "controller entries overflow"),
+            (lambda: assemble(LtiPlant(A=[[-2.0, 1.0], [-2.0, -3.0]], B=[[0.0], [1e308]],
+                                       C=np.eye(2)), LtiController(D=[[2.0, 0.0]])),
+             ValueError, "closed-loop block A1 is not finite: products of the plant and "
+                         "controller entries overflow"),
         ],
         ids=["plant-A-not-square", "plant-B-rows", "plant-C-columns", "controller-A-not-square",
              "controller-C-columns", "controller-B-inputs", "controller-C-outputs",
-             "candidate-eps1", "candidate-eps2", "design-eps1"],
+             "candidate-eps1", "candidate-eps2", "design-eps1", "output-feedback-overflow",
+             "state-feedback-overflow"],
     )
     def test_input_checks_raise_naming_the_input(self, build, error, message):
         with pytest.raises(error) as info:

@@ -1,9 +1,13 @@
 import dataclasses
 import math
+import struct
+import warnings
 
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from etclab import (
     AssumptionReport,
@@ -28,7 +32,7 @@ from etclab import (
 )
 from etclab.model import HybridState
 from etclab.systems import _CHUNK, BUILTIN_LOOPS, lti_loop_from_matrices
-from oracles import check_assumption_sampled_reference
+from oracles import check_assumption_sampled_reference, lorenz_numpy_scalar_terms
 
 
 def _planar_plant(C):
@@ -46,7 +50,42 @@ LOOP_KINDS = {
 }
 
 
+# The standard Lorenz parameters and a set with no integer coefficient, each
+# with its loop, certificate and numpy-scalar reference terms.
+_LORENZ_PAIRS = [
+    (lorenz_loop(*p), lorenz_numpy_scalar_terms(*p))
+    for p in ((10.0, 28.0, 8.0 / 3.0, 2.0, 30.0), (1.5, 0.3, 2.1, 1.1, 3.7))
+]
+
+# Raw float64 bit patterns, the special values, and normals scaled over 1e+-160.
+_DOUBLES = st.one_of(
+    st.integers(0, 2**64 - 1).map(lambda bits: struct.unpack("<d", struct.pack("<Q", bits))[0]),
+    st.sampled_from((0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310, math.inf,
+                     -math.inf, math.nan, 1.7976931348623157e308, -1.7976931348623157e308)),
+    st.builds(lambda m, k: m * 10.0**k, st.floats(-10.0, 10.0), st.integers(-160, 160)),
+)
+
+
 class TestLorenzLoop:
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(z=st.lists(_DOUBLES, min_size=4, max_size=4), which=st.sampled_from((0, 1)))
+    def test_flows_and_h_keep_the_numpy_scalar_bits(self, z, which):
+        # The closures read their views into Python floats: every result has the
+        # reference's bits, NaN positions alike, and none of them warns.
+        (sys, cert), (f, g, H) = _LORENZ_PAIRS[which]
+        z = np.array(z)
+        x, e = z[:3], z[3:]
+        with np.errstate(all="ignore"):
+            want = (f(x, e), g(x, e), np.array([H(x)]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = (sys.f(x, e), sys.g(x, e), np.array([cert.H(x)]))
+        for w, v in zip(want, got):
+            assert (v.dtype, v.shape) == (w.dtype, w.shape)
+            nan = np.isnan(w)
+            assert np.array_equal(np.isnan(v), nan)
+            assert v[~nan].tobytes() == w[~nan].tobytes()
+
     def test_certificate_constants(self, lorenz):
         _, cert = lorenz
         # alpha coefficient: min(a(p1-1), p2-2a, 2 p2 c) = min(10, 10, 160)

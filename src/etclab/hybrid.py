@@ -26,18 +26,20 @@ without a current form and the rare step where the polynomial and h disagree
 within rounding (counted in ``HybridSolution.bisection_jumps``) bisect for the
 first instant with h >= 0 to ``event_tol``.
 Every flow step passes one norm guard, so a divergence (NaN from f or g
-included) always carries the partial solution.
+included, or an ArithmeticError, which makes the step NaN) always carries
+the partial solution.
 Recorded samples go to one flat (t, z, tau) log per run, cut into
 segments at the jumps once, at the end; rows keep references to z,
 which is never modified in place once recorded.
 
 Flows use classical fixed-step RK4 (no dense output): one body over z's
-components as Python floats, bit-identical to the same sums on arrays, or its
-matrix form, a propagator, for linear loops.  Propagators depend only on the
-stacked matrix and the step, so one LRU cache of 4,096 keeps them by (matrix
-bytes, step), shared by loops with equal matrices: the full step, the dwell
-landings, the horizon's last steps and the bisection sub-steps each build
-theirs once; roots are one-off lengths, so the jump state at a root is a sum
+components as Python floats, bit-identical to the same sums on arrays, which
+hands f and g list slices of each stage and takes back any sequence of
+floats, or its matrix form, a propagator, for linear loops.  Propagators
+depend only on the stacked matrix and the step, so one LRU cache of 4,096
+keeps them by (matrix bytes, step), shared by loops with equal matrices: the
+full step, the dwell landings, the horizon's last steps and the bisection
+sub-steps each build theirs once; roots are one-off lengths, so the jump state at a root is a sum
 of ``_taylor_stack`` rows and no propagator.  On a linear loop full steps
 (neither landing on T nor cut by the horizon) flow as blocks: the states after
 1, ..., m steps are P z, ..., P^m z for the full step's propagator P, one
@@ -97,6 +99,11 @@ class SimSettings:
             raise ConfigError("step must be positive and finite")
         if not 0 < self.horizon_t < math.inf:
             raise ConfigError("horizon_t must be positive and finite")
+        # A work rule: past 1e9 steps a run would take hours, or end at max_jumps.
+        if not self.horizon_t / self.step <= 1e9:
+            raise ConfigError(
+                f"horizon_t {self.horizon_t:g} over step {self.step:g} exceeds 1e9 steps"
+            )
         try:
             check_int(self.max_jumps, "max_jumps", low=1)
         except ValueError as exc:
@@ -268,13 +275,14 @@ def _stepper(sys: ClosedLoopSystem):
     """Return advance(z, h) -> z', the one flow step of ``simulate`` and ``flow_step``.
 
     Linear loops apply the cached propagator for h.  The rest take the one
-    RK4 body in etclab, over z's components as Python floats: each stage
-    calls f and g on the x and e views of one array and reads their
-    derivatives back with ``tolist``.  The sums are numpy's elementwise
-    ones, a + (h/2) k, a + h k and a + (h/6) (((k1 + 2 k2) + 2 k3) + k4),
-    in that order, and Python floats round each operation alone, so the
-    step is bit-identical to the same body on arrays.  Raises
-    DimensionError unless f and g give n_x + n_e derivatives in all.
+    RK4 body in etclab, over z's components as Python floats: each stage is
+    a list s, and F(s) = [*f(s[:n_x], s[n_x:]), *g(s[:n_x], s[n_x:])].
+    The sums are numpy's elementwise ones, a + (h/2) k, a + h k and
+    a + (h/6) (((k1 + 2 k2) + 2 k3) + k4), in that order, and Python floats
+    round each operation alone, so the step is bit-identical to the same
+    body on arrays; only z' becomes an array.  Raises DimensionError unless
+    f and g give n_x + n_e derivatives in all; an ArithmeticError from them
+    gives an all-NaN z', which the callers' finiteness tests reject.
     """
     M, n_x, f, g = sys.stacked_matrix, sys.n_x, sys.f, sys.g
     if M is not None:
@@ -284,20 +292,23 @@ def _stepper(sys: ClosedLoopSystem):
 
     def F(s):
         x, e = s[:n_x], s[n_x:]
-        return f(x, e).tolist() + g(x, e).tolist()
+        return [*f(x, e), *g(x, e)]
 
     def advance(z, h):
         a = z.tolist()
-        k1 = F(z)
-        if len(k1) != n:  # zip would drop or ignore the difference silently
-            raise DimensionError(
-                f"f and g of loop {sys.name!r} return {len(k1)} derivatives, but "
-                f"(n_x, n_e) = ({n_x}, {sys.n_e}) needs {n}"
-            )
-        c = 0.5 * h
-        k2 = F(np.array([ai + c * ki for ai, ki in zip(a, k1)]))
-        k3 = F(np.array([ai + c * ki for ai, ki in zip(a, k2)]))
-        k4 = F(np.array([ai + h * ki for ai, ki in zip(a, k3)]))
+        try:
+            k1 = F(a)
+            if len(k1) != n:  # zip would drop or ignore the difference silently
+                raise DimensionError(
+                    f"f and g of loop {sys.name!r} return {len(k1)} derivatives, but "
+                    f"(n_x, n_e) = ({n_x}, {sys.n_e}) needs {n}"
+                )
+            c = 0.5 * h
+            k2 = F([ai + c * ki for ai, ki in zip(a, k1)])
+            k3 = F([ai + c * ki for ai, ki in zip(a, k2)])
+            k4 = F([ai + h * ki for ai, ki in zip(a, k3)])
+        except ArithmeticError:  # 1.0 / 0.0, or a float ** past 1e154
+            return np.full(n, math.nan)
         c = h / 6.0
         return np.array([
             ai + c * (((k1i + 2.0 * k2i) + 2.0 * k3i) + k4i)
@@ -373,8 +384,9 @@ def flow_step(sys: ClosedLoopSystem, q: HybridState, h: float) -> HybridState:
     in the module docstring.
 
     Raises ValueError unless 0 < h < inf, ConfigError or DomainError
-    for a q that ``simulate`` rejects, and DimensionError if f and g
-    return other than n_x + n_e derivatives in all.
+    for a q that ``simulate`` rejects, DimensionError if f and g
+    return other than n_x + n_e derivatives in all, and DivergenceError
+    if the step is not finite (f or g raising ArithmeticError included).
     """
     if not 0 < h < math.inf:  # NaN fails too
         raise ValueError("flow_step: h must be positive and finite")
@@ -415,7 +427,7 @@ def simulate(
     ConfigError for invalid settings (dwell time at or above the MASP
     ceiling, step too coarse relative to T), and DivergenceError
     (carrying the partial solution) if the state norm passes the
-    blow-up guard or is not finite.
+    blow-up guard or is not finite (f or g raising ArithmeticError included).
     """
     check_pairing(sys, cert)
     _check_state(sys, q0)

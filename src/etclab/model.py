@@ -11,7 +11,7 @@ output map included; ``check_pairing`` tells whether the two fit.
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -42,15 +42,15 @@ class ClosedLoopSystem:
     """Flow maps of the networked closed loop.
 
     ``f(x, e)`` is the derivative of x and ``g(x, e)`` the derivative of
-    e.  Both get x and e as float array views of one stacked state and
-    return 1-D float arrays, of length n_x and n_e; the simulator reads
-    them with ``tolist``.  A nonlinear f or g runs at each of the four RK4
-    stages, so one that indexes the views pays numpy-scalar prices on
-    every stage; the builtin ``lorenz_loop`` reads its views once
-    (``x.tolist()``, ``e.item(0)``) and computes on Python floats, with
-    the same bits.  Both evaluators must vanish at the origin (the
-    equilibrium) and be deterministic.  The output map belongs to the
-    certificate.
+    e.  Both get x and e as sequences of floats and return a sequence of
+    floats (a list, a tuple or a 1-D array) of length n_x and n_e: the
+    simulator passes list slices of its RK4 stage, the sampled checker the
+    rows of its sample arrays.  An ``ArithmeticError`` that either raises
+    in a step (a float division by zero, an overflowing ``**``) ends the
+    step as a non-finite one.  A flow written for arrays converts its
+    input (``A @ np.asarray(x)``).  Both evaluators must vanish at the
+    origin (the equilibrium) and be deterministic.  The output map belongs
+    to the certificate.
 
     ``stacked_matrix``, when present, is the matrix M of the stacked
     linear flow (x, e)' = M (x, e) and must agree with f and g; both
@@ -64,8 +64,8 @@ class ClosedLoopSystem:
 
     n_x: int
     n_e: int
-    f: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    g: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    f: Callable[[Sequence[float], Sequence[float]], Sequence[float]]
+    g: Callable[[Sequence[float], Sequence[float]], Sequence[float]]
     stacked_matrix: Optional[np.ndarray] = None
     name: str = ""
 

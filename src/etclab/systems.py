@@ -89,18 +89,19 @@ def lorenz_loop(a: float = 10.0, b: float = 28.0, c: float = 8.0 / 3.0, p1: floa
 
     gain = (p1 / p2) * a + b
 
-    # f, g and H read each view once and compute on Python floats, which
-    # round every operation as numpy's scalars do but cost a fraction of
-    # them, overflow to inf without a warning, and never raise.  V keeps
-    # numpy's ** (a float ** raises OverflowError past about 1.3e154).
+    # f and g unpack the float sequences they get (the simulator's lists, the
+    # checker's array rows) and return tuples; H reads its view with item.
+    # On Python floats every operation rounds as numpy's scalars do, at a
+    # fraction of their cost, and overflows to inf without a warning.  V
+    # keeps numpy's ** (a float ** raises OverflowError past about 1.3e154).
     def f(x, e):
-        x1, x2, x3 = x.tolist()
-        u = -gain * (x1 + e.item(0))
-        return np.array((a * (x2 - x1), b * x1 - x2 - x1 * x3 + u, x1 * x2 - c * x3))
+        x1, x2, x3 = x
+        u = -gain * (x1 + e[0])
+        return (a * (x2 - x1), b * x1 - x2 - x1 * x3 + u, x1 * x2 - c * x3)
 
     def g(x, e):
         # e = yhat - y with y = x1, so e' = -x1' = a (x1 - x2).
-        return np.array((a * (x.item(0) - x.item(1)),))
+        return (a * (x[0] - x[1]),)
 
     sys = ClosedLoopSystem(n_x=3, n_e=1, f=f, g=g, name="lorenz")
 
@@ -200,8 +201,13 @@ class AssumptionReport:
     RTOL = 1e-5  # pass threshold, relative to each inequality's scale
 
     def violation_excess(self, key):
-        """Violation beyond the tolerance; > 0 means the check failed."""
-        return self.max_violation[key] - self.RTOL * self.scale[key]
+        """Violation beyond the tolerance; > 0 means the check failed.
+
+        +inf when the violation or the scale is not finite, as no tolerance
+        then covers it (inf - RTOL inf would be NaN).
+        """
+        v, s = self.max_violation[key], self.scale[key]
+        return v - self.RTOL * s if math.isfinite(v) and math.isfinite(s) else math.inf
 
     @property
     def passed(self):
@@ -211,10 +217,9 @@ class AssumptionReport:
         lines = []
         for k in self.INEQUALITIES:
             verdict = "ok" if self.violation_excess(k) <= 0.0 else "VIOLATED"
-            lines.append(
-                f"{k}: max violation {self.max_violation[k]:.6g} "
-                f"(tol {self.RTOL * self.scale[k]:.3g}) {verdict}"
-            )
+            scale = self.scale[k]
+            tol = f" (tol {self.RTOL * scale:.3g})" if math.isfinite(scale) else ""
+            lines.append(f"{k}: max violation {self.max_violation[k]:.6g}{tol} {verdict}")
         lines.append(f"skipped {self.n_skipped} samples near nondifferentiable points")
         return "\n".join(lines)
 

@@ -97,7 +97,7 @@ def lorenz_numpy_scalar_terms(a=10.0, b=28.0, c=8.0 / 3.0, p1=2.0, p2=30.0):
     """The Lorenz loop's f, g and H on the numpy scalars x[i] and e[0].
 
     The same expressions in the same order as ``lorenz_loop``'s closures,
-    which read their views once into Python floats instead.
+    which the simulator calls on lists of Python floats instead.
     """
     gain = (p1 / p2) * a + b
 

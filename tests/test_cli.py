@@ -496,6 +496,12 @@ CLI_EXITS = {
         {**LORENZ_CFG, "sim": {**LORENZ_CFG["sim"], "blowup_norm": 1e200}}, None, 1,
         "error: config.sim: blowup_norm must satisfy 0 < blowup_norm <= 1e150\n", None,
     ),
+    "batch-horizon-past-1e9-steps": (
+        # The batch horizon replaces sim.horizon_t, so the work rule holds for it too.
+        ["batch", "--config", "{config}"],
+        {**LORENZ_CFG, "batch": {**LORENZ_CFG["batch"], "horizon_t": 1e30}}, None, 1,
+        "error: horizon_t 1e+30 over step 0.001 exceeds 1e9 steps\n", None,
+    ),
     "initial-past-the-guard": (
         ["simulate", "--config", "{config}"],
         {**LORENZ_CFG, "initial": {"x": [1e10, 0.0, 0.0], "e": [0.0]}}, None, 1,

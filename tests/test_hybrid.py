@@ -170,7 +170,7 @@ class TestFlowStep:
 
     def test_nonfinite_derivative_raises_divergence(self):
         sys = ClosedLoopSystem(
-            n_x=1, n_e=1, f=lambda x, e: np.full(1, np.nan), g=lambda x, e: 0.0 * e
+            n_x=1, n_e=1, f=lambda x, e: np.full(1, np.nan), g=lambda x, e: [0.0 * v for v in e]
         )
         q = HybridState(np.array([1.0]), np.zeros(1), 0.0)
         with pytest.raises(DivergenceError, match="non-finite") as info:
@@ -180,8 +180,8 @@ class TestFlowStep:
     @pytest.mark.parametrize("entry", ["simulate", "flow_step"])
     def test_derivatives_of_the_wrong_length_raise_dimension_error(self, entry):
         sys = ClosedLoopSystem(
-            n_x=1, n_e=1, f=lambda x, e: np.array((x[0], x[0])), g=lambda x, e: 0.0 * e,
-            name="long-f",
+            n_x=1, n_e=1, f=lambda x, e: np.array((x[0], x[0])),
+            g=lambda x, e: [0.0 * v for v in e], name="long-f",
         )
         q = HybridState(np.array([1.0]), np.zeros(1), 0.0)
         settings = SimSettings(step=1e-3, horizon_t=1.0, event_tol=1e-6)
@@ -241,6 +241,11 @@ class TestSimSettings:
     def test_rejects_nan_and_infinite_values(self, field, value):
         with pytest.raises(ConfigError, match=f"^{field} "):
             SimSettings(**{field: value})
+
+    def test_rejects_more_than_1e9_steps(self):
+        SimSettings(step=1e-3, horizon_t=1e6)  # 1e9 steps: the most allowed
+        with pytest.raises(ConfigError, match=r"^horizon_t 1e\+30 over step 0.001 exceeds 1e9"):
+            SimSettings(step=1e-3, horizon_t=1e30)
 
     @pytest.mark.parametrize("value", [2.5, True, "3"])
     def test_max_jumps_must_be_an_integer(self, value):
@@ -423,8 +428,8 @@ class TestSimulate:
         sys = ClosedLoopSystem(
             n_x=1,
             n_e=1,
-            f=lambda x, e: 3.0 * x,
-            g=lambda x, e: 0.0 * e,
+            f=lambda x, e: [3.0 * v for v in x],
+            g=lambda x, e: [0.0 * v for v in e],
         )
         cert = _permissive_cert()
         q0 = HybridState(np.array([1.0]), np.zeros(1), 0.0)
@@ -438,7 +443,8 @@ class TestSimulate:
         # f goes NaN once an RK4 stage overshoots x = 1.5; the nonlinear
         # path reports it through the same norm guard as a linear blow-up.
         sys = ClosedLoopSystem(
-            n_x=1, n_e=1, f=lambda x, e: np.sqrt(1.5 - x), g=lambda x, e: 0.0 * e
+            n_x=1, n_e=1, f=lambda x, e: np.sqrt(1.5 - np.asarray(x)),
+            g=lambda x, e: [0.0 * v for v in e],
         )
         q0 = HybridState(np.array([1.0]), np.zeros(1), 0.0)
         settings = SimSettings(step=1e-3, horizon_t=2.0, event_tol=1e-6)
@@ -449,6 +455,30 @@ class TestSimulate:
         assert partial.terminated == "blow-up"
         assert np.all(np.isfinite(partial.segments[-1].x[:-1]))
         assert not np.all(np.isfinite(partial.segments[-1].x[-1]))
+
+    @pytest.mark.parametrize("loop", ["division", "overflow"])
+    def test_arithmetic_error_in_f_carries_partial_solution(self, loop):
+        # A float f raises where numpy scalars gave inf or NaN; the run ends
+        # as a non-finite step ends it, with the states before it recorded.
+        sys, x0, _, step, n_ok = _raising_loops()[loop]
+        q0 = HybridState(np.array([x0]), np.zeros(1), 0.0)
+        settings = SimSettings(step=step, horizon_t=1.0, event_tol=1e-6, blowup_norm=1e150)
+        with pytest.raises(DivergenceError, match="blow-up guard") as info:
+            simulate(sys, _permissive_cert(), _of_cfg(T=0.05), q0, settings)
+        partial = info.value.partial
+        assert partial.terminated == "blow-up"
+        x = np.concatenate([seg.x[:, 0] for seg in partial.segments])
+        assert len(x) == n_ok + 1
+        assert np.all(np.isfinite(x[:-1])) and np.isnan(x[-1])
+        assert np.isnan(info.value.state.x).all()
+
+    @pytest.mark.parametrize("loop", ["division", "overflow"])
+    def test_arithmetic_error_in_f_raises_divergence_from_flow_step(self, loop):
+        sys, _, x_last, step, _ = _raising_loops()[loop]
+        q = HybridState(np.array([x_last]), np.zeros(1), 0.0)
+        with pytest.raises(DivergenceError, match="non-finite") as info:
+            flow_step(sys, q, step)
+        assert info.value.state is q
 
     def test_lorenz_overflow_in_a_stage_raises_divergence(self, lorenz):
         # From x0 = (5e139, 2.5e139, 0) the second stage's x1 x3 passes 1.8e308:
@@ -472,7 +502,7 @@ class TestSimulate:
         # z.dot(z) overflows: the guard must trip on it without a warning.
         lam = 2e4
         sys = ClosedLoopSystem(
-            n_x=1, n_e=1, f=lambda x, e: lam * x, g=lambda x, e: -lam * x,
+            n_x=1, n_e=1, f=lambda x, e: [lam * v for v in x], g=lambda x, e: [-lam * v for v in x],
             stacked_matrix=np.array([[lam, 0.0], [-lam, 0.0]]) if linear else None,
         )
         q0 = HybridState(np.array([10.0]), np.zeros(1), 0.0)
@@ -673,6 +703,23 @@ def _state_digest(sol):
     digest.update(sol.terminated.encode())
     digest.update(" ".join(t.hex() for t in sol.jump_times).encode())
     return digest.hexdigest()
+
+
+def _raising_loops():
+    """name: (loop, x0, x_last, step, n): f raises ArithmeticError in the step from x_last.
+
+    A run from x0 records n states, x_last the last, before that step.
+    "division": x' = -x / x, that is -1 until x = 0, from 1/64 on steps of
+    1/1024: every stage is exact, and the last stage of the 16th step divides
+    by 0.0.  "overflow": x' = x ** 2 from 1e75 on steps of 1e-3: the third
+    stage of the first step squares 1.25e290.
+    """
+    division = ClosedLoopSystem(1, 1, f=lambda x, e: [-x[0] / x[0]], g=lambda x, e: [0.0])
+    overflow = ClosedLoopSystem(1, 1, f=lambda x, e: [x[0] ** 2], g=lambda x, e: [0.0])
+    return {
+        "division": (division, 2.0**-6, 2.0**-10, 2.0**-10, 16),
+        "overflow": (overflow, 1e75, 1e75, 1e-3, 1),
+    }
 
 
 def _diverging_loops():

@@ -172,7 +172,8 @@ class TestRunBatch:
                 assert min(kept) >= full_min
 
     def test_divergent_runs_are_recorded_not_raised(self):
-        sys = ClosedLoopSystem(n_x=1, n_e=1, f=lambda x, e: 4.0 * x, g=lambda x, e: 0.0 * e)
+        sys = ClosedLoopSystem(n_x=1, n_e=1, f=lambda x, e: [4.0 * v for v in x],
+                               g=lambda x, e: [0.0 * v for v in e])
         cert = Certificate(
             V=lambda x: float(x @ x),
             W=lambda e: float(np.linalg.norm(e)),

@@ -70,8 +70,9 @@ class TestLorenzLoop:
     @settings(max_examples=500, deadline=None, derandomize=True)
     @given(z=st.lists(_DOUBLES, min_size=4, max_size=4), which=st.sampled_from((0, 1)))
     def test_flows_and_h_keep_the_numpy_scalar_bits(self, z, which):
-        # The closures read their views into Python floats: every result has the
-        # reference's bits, NaN positions alike, and none of them warns.
+        # f and g get the simulator's lists of Python floats, H its array view:
+        # every result has the reference's bits, NaN positions alike, and none
+        # of them warns.
         (sys, cert), (f, g, H) = _LORENZ_PAIRS[which]
         z = np.array(z)
         x, e = z[:3], z[3:]
@@ -79,7 +80,8 @@ class TestLorenzLoop:
             want = (f(x, e), g(x, e), np.array([H(x)]))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = (sys.f(x, e), sys.g(x, e), np.array([cert.H(x)]))
+            xs, es = x.tolist(), e.tolist()
+            got = (np.array(sys.f(xs, es)), np.array(sys.g(xs, es)), np.array([cert.H(x)]))
         for w, v in zip(want, got):
             assert (v.dtype, v.shape) == (w.dtype, w.shape)
             nan = np.isnan(w)
@@ -106,8 +108,8 @@ class TestLorenzLoop:
 
     def test_equilibrium(self, lorenz):
         sys, _ = lorenz
-        assert np.all(sys.f(np.zeros(3), np.zeros(1)) == 0.0)
-        assert np.all(sys.g(np.zeros(3), np.zeros(1)) == 0.0)
+        assert np.all(np.asarray(sys.f([0.0] * 3, [0.0])) == 0.0)
+        assert np.all(np.asarray(sys.g([0.0] * 3, [0.0])) == 0.0)
 
     def test_error_dynamics(self, lorenz, rng):
         # e' = -y' = a (x1 - x2), independent of e.
@@ -527,6 +529,15 @@ class TestCheckerEdgeCases:
         assert report.max_violation[key] == math.inf
         assert not report.passed
         _assert_matches_reference(report, ref)
+
+    def test_infinite_scale_gives_an_infinite_excess(self, lorenz):
+        # Far out V overflows, so the v-bounds scale is inf: the excess is
+        # inf, not inf - RTOL inf = NaN, and no tolerance is printed.
+        report = check_assumption_sampled(*lorenz, n_samples=50, radius=1e200, seed=0)
+        assert report.scale["v-bounds"] == report.max_violation["v-bounds"] == math.inf
+        assert report.violation_excess("v-bounds") == math.inf
+        assert not report.passed
+        assert report.summary().splitlines()[0] == "v-bounds: max violation inf VIOLATED"
 
     def test_nan_on_some_samples_leaves_the_scale_finite(self, tabuada):
         sys, cert = tabuada

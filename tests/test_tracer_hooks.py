@@ -101,3 +101,38 @@ def test_traced_planar_loop_takes_the_untraced_path(tabuada):
     assert tracer.stats()["model.cert"][0] > 0
     assert traced == bare
     assert bare[1] >= len(bare[0]) >= 10
+
+
+def test_traced_lorenz_run_calls_f_and_g_on_lists(lorenz):
+    # The nonlinear path calls f and g through the loop's fields, so the
+    # tracer's model.fg wrappers see every stage, on the body's float lists.
+    spans = _load_spans()
+    seen = set()
+
+    def spy(fn):
+        def call(x, e):
+            seen.add((type(x), type(e)))
+            return fn(x, e)
+
+        return call
+
+    sys, cert = lorenz
+    sys = dataclasses.replace(sys, f=spy(sys.f), g=spy(sys.g))
+    q0 = HybridState(np.array([1.0, -1.0, 2.0]), np.zeros(1), 0.0)
+    cfg = TriggerConfig(mode="output-feedback", T=0.01)
+    settings = SimSettings(step=1e-3, horizon_t=0.3)
+
+    def run(sys, cert):
+        return [t.hex() for t in etclab.simulate(sys, cert, cfg, q0, settings).jump_times]
+
+    bare = run(sys, cert)
+    tracer = spans.Tracer()
+    tracer.install(etclab)
+    try:
+        traced = run(*tracer.wrap_loop(sys, cert))
+    finally:
+        tracer.uninstall()
+    assert tracer.stats()["model.fg"][0] > 0
+    assert traced == bare
+    assert len(bare) >= 10
+    assert seen == {(list, list)}

@@ -120,7 +120,8 @@ class Resolved:
     inline certificate, None for "auto".  ``output_dir`` is the config's
     output directory (``--output-dir`` replaces it).  ``run`` marks a command that
     simulates, which requires config.trigger.  ETC_LAB_SEED, when set,
-    replaces the batch seed.
+    replaces the batch seed.  ``ball`` is the batch section, checked in every
+    command; ``batch()`` folds config.sim into it, as the batch's runs get it.
     """
 
     def __init__(self, doc, run=False):
@@ -175,17 +176,18 @@ class Resolved:
             seed = None if env is None else int(env)
         except ValueError:
             raise ConfigError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from None
-        self.batch = _build(
-            BatchSpec, _override(doc.get("batch", {}), seed=seed), "batch",
-            defaults={"n_runs": 100, "radius": 25.0, "horizon_t": self.sim.horizon_t, "seed": 0},
-            trigger=self.trigger, sim=self.sim,
-        )
+        self._batch = (_override(doc.get("batch", {}), seed=seed), "batch",
+                       {"n_runs": 100, "radius": 25.0, "horizon_t": self.sim.horizon_t, "seed": 0})
+        self.ball = _build(BatchSpec, *self._batch, trigger=None, sim=None)
         self.initial = None
         if doc.get("initial") is not None:
             self.initial = _build(HybridState, doc["initial"], "initial", tau=0.0)
         zeta = doc.get("zeta")
         zeta = {"theta": 0.01, "eta": 0.01} if zeta is None else zeta
         self.zeta = _build(ZetaParams, zeta, "zeta")
+
+    def batch(self):
+        return _build(BatchSpec, *self._batch, trigger=self.trigger, sim=self.sim)
 
     def loop(self):
         """(system, certificate): a built-in benchmark, or the LTI loop with its
@@ -288,7 +290,7 @@ def _cmd_simulate(args):
     loop, cert = r.loop()
     q0 = r.initial
     if q0 is None:
-        q0 = sample_initial(r.batch, 0, loop.n_x, loop.n_e)
+        q0 = sample_initial(r.ball, 0, loop.n_x, loop.n_e)
 
     sol = simulate(loop, cert, r.trigger, q0, r.sim)
 
@@ -332,7 +334,7 @@ def _cmd_batch(args):
     batch = _override(doc.get("batch", {}), n_runs=args.runs)
     r = Resolved(_override(doc, batch=batch), run=True)
     loop, cert = r.loop()
-    report = run_batch(loop, cert, r.batch)
+    report = run_batch(loop, cert, r.batch())
     outdir = r.output_dir if args.output_dir is None else args.output_dir
     summary_path, events_path = emit_report(report, outdir)
     tau_min = "n/a" if report.tau_min is None else _display(report.tau_min)

@@ -177,12 +177,12 @@ class HybridSolution:
         return HybridState(seg.x[-1].copy(), seg.e[-1].copy(), float(seg.tau[-1]))
 
 
-# Bisection sub-steps repeat: 0.5 * (lo + hi) from (0, h) walks the same
-# dyadic tree for every event, at most 1,023 nodes per h at event_tol 1e-6,
-# so a planar benchmark run that bisected every jump needed about 1,500
-# propagators; root-placed jumps need none.  The bound keeps memory flat for
-# callers whose step lengths never repeat; the power stacks get as many
-# matrices again.
+# Measured on 40 tabuada runs of 2 s: 27 propagators built in state-feedback
+# mode (T = 0.075) and 41 in pure-event mode, with 123 and 1,373 jumps at roots
+# and none bisected: the full step, the dwell landing and about one horizon-cut
+# length per run.  The bound is for lengths that never repeat: ``flow_step``
+# takes any, and a run without a screen bisects on dyadic sub-steps (up to
+# 1,023 per step at event_tol 1e-6).  The power stacks hold as many again.
 _PROPAGATORS = 4096
 _DWELL_BLOCK = 128  # most propagator powers in one block of full steps
 # Single steps after a dwell expires before monitored blocks take over.  Of the

@@ -45,12 +45,13 @@ class ClosedLoopSystem:
     e.  Both get x and e as sequences of floats and return a sequence of
     floats (a list, a tuple or a 1-D array) of length n_x and n_e: the
     simulator passes list slices of its RK4 stage, the sampled checker the
-    rows of its sample arrays.  An ``ArithmeticError`` that either raises
-    in a step (a float division by zero, an overflowing ``**``) ends the
-    step as a non-finite one.  A flow written for arrays converts its
-    input (``A @ np.asarray(x)``).  Both evaluators must vanish at the
-    origin (the equilibrium) and be deterministic.  The output map belongs
-    to the certificate.
+    rows of its sample arrays.  Only an ``ArithmeticError`` raised in a
+    step (a float division by zero, an overflowing ``**``) ends it as a
+    non-finite one; any other exception, such as ``math.sqrt``'s ValueError,
+    propagates as itself, with no partial solution.  A flow written for
+    arrays converts its input (``A @ np.asarray(x)``).  Both evaluators
+    must vanish at the origin (the equilibrium) and be deterministic.  The
+    output map belongs to the certificate.
 
     ``stacked_matrix``, when present, is the matrix M of the stacked
     linear flow (x, e)' = M (x, e) and must agree with f and g; both

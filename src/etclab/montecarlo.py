@@ -30,14 +30,18 @@ EVENTS_HEADER = ("run", "j", "t_j", "gap")
 
 @dataclass(frozen=True)
 class BatchSpec:
-    """A batch: how many runs, the IC ball, the horizon and the seed."""
+    """A batch: how many runs, the IC ball, the horizon and the seed.
+
+    ``sim`` holds ``horizon_t`` and ``record_states=False``, checked on construction; runs get it as is.
+    A spec without ``sim`` is a ball only: ``sample_initial`` reads it, ``run_batch`` cannot.
+    """
 
     n_runs: int
     radius: float
     horizon_t: float
     seed: int
-    trigger: TriggerConfig
-    sim: SimSettings
+    trigger: Optional[TriggerConfig]
+    sim: Optional[SimSettings]
 
     def __post_init__(self):
         check_int(self.n_runs, "n_runs", 1)
@@ -47,6 +51,10 @@ class BatchSpec:
         if not 0 < self.horizon_t < math.inf:
             raise ValueError("horizon_t must be positive and finite")
         check_int(self.seed, "seed")
+        if self.sim is not None:
+            object.__setattr__(self, "sim", replace(self.sim, horizon_t=self.horizon_t, record_states=False))
+            if not self.radius <= self.sim.blowup_norm:
+                raise ConfigError(f"batch radius {self.radius:g} exceeds blowup_norm {self.sim.blowup_norm:g}")
 
 
 @dataclass(frozen=True)
@@ -89,41 +97,30 @@ def run_batch(
     spec: BatchSpec,
     n_workers: int = 1,
 ) -> BatchReport:
-    """Simulate the runs one after another and aggregate their event logs.
+    """Simulate the runs one after another, each with ``spec.sim`` as given, and pool their logs.
 
     ``n_workers`` must be 1: under the interpreter lock threads ran them slower.
-    Raises ConfigError, before any run, if the ball of initial conditions passes the blow-up guard.
     """
     if n_workers != 1:
         raise ValueError(f"n_workers must be 1 (runs are sequential), got {n_workers!r}")
-    sim = replace(spec.sim, horizon_t=spec.horizon_t, record_states=False)
-    if not spec.radius <= sim.blowup_norm:
-        raise ConfigError(f"batch radius {spec.radius:g} exceeds blowup_norm {sim.blowup_norm:g}")
-
-    per_run = []
-    failures = []
-    events = []
-    n_events_total = 0
+    per_run, failures, events = [], [], []
     for k in range(spec.n_runs):
         q0 = sample_initial(spec, k, sys.n_x, sys.n_e)
         try:
-            sol = simulate(sys, cert, spec.trigger, q0, sim)
+            sol = simulate(sys, cert, spec.trigger, q0, spec.sim)
         except DivergenceError:
             failures.append(k)
             continue
         rows = sol.gap_rows()
-        n_events_total += sol.n_jumps
         events.extend((k,) + row for row in rows)
         min_gap = min(gap for _j, _t, gap in rows) if rows else None
         per_run.append(RunStats(run=k, n_events=sol.n_jumps, min_gap=min_gap))
 
     pooled = [gap for _run, _j, _t, gap in events]
-    tau_min = min(pooled) if pooled else None
-    tau_avg = float(np.mean(pooled)) if pooled else None
     return BatchReport(
-        tau_min=tau_min,
-        tau_avg=tau_avg,
-        n_events_total=n_events_total,
+        tau_min=min(pooled) if pooled else None,
+        tau_avg=float(np.mean(pooled)) if pooled else None,
+        n_events_total=sum(r.n_events for r in per_run),
         n_runs=spec.n_runs,
         per_run=per_run,
         failures=failures,

@@ -7,7 +7,8 @@ instead of a Schur-based Lyapunov solve, leading principal minors
 instead of an eigenvalue test, the Schur complement instead of the full
 LMI block matrix, one Lyapunov solve per design slack instead of two
 that price the whole slack grid, the matrix exponential and a bracketing
-root finder instead of RK4 steps and an event bisection, coordinate-wise
+root finder instead of RK4 steps and an event bisection, the exact
+periodic map instead of the emulation bound of the MASP, coordinate-wise
 gradients instead of one directional difference per inequality, numpy
 scalars instead of Python floats in the Lorenz flows.
 """
@@ -228,6 +229,16 @@ def slack_grid_design(clm, eps1=1e-2, eps2=1e-2):
     if best is None:
         raise DesignInfeasibleError("no slack solves the Lyapunov equation")
     return best
+
+
+def periodic_map(clm, T):
+    """Phi(T) = [I 0] expm(M T) [I; 0], with M = [[A1, B1], [A2, B2]].
+
+    In periodic mode each transmission resets e to 0, so the states at the
+    transmissions obey x_{k+1} = Phi(T) x_k exactly.
+    """
+    M = np.block([[clm.A1, clm.B1], [clm.A2, clm.B2]])
+    return scipy.linalg.expm(M * T)[: clm.n_x, : clm.n_x]
 
 
 class LtiHybridOracle:

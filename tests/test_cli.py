@@ -292,14 +292,6 @@ class TestBatchCommand:
         assert rc == 0
         assert other["tau_avg"] != base["tau_avg"]  # different ICs were drawn
 
-    def test_ball_past_the_blowup_guard_exits_one_naming_both(self, capsys, tmp_path):
-        path, cfg = _write_config(tmp_path, LORENZ_CFG, lambda c: c["batch"].update(radius=1e12))
-        rc, _, err = _run(capsys, "batch", "--config", str(path))
-        assert (rc, err) == (1, "error: batch radius 1e+12 exceeds blowup_norm 1e+09\n")
-        assert not os.path.exists(cfg["output_dir"])
-        # simulate starts from the config's initial state, not from the ball.
-        assert _run(capsys, "simulate", "--config", str(path))[0] == 0
-
     def test_workers_flag_is_gone(self, capsys, lorenz_config):
         path, cfg = lorenz_config
         rc, _, err = _run(capsys, "batch", "--config", str(path), "--workers", "2")
@@ -456,6 +448,9 @@ class TestConfigResolver:
         assert json.loads(cert_path.read_text())["eps2"] == 0.01
 
 
+# LTI_CFG, which has no batch section, under a guard below the default ball radius 25.
+SMALL_GUARD_CFG = {**LTI_CFG, "sim": {**LTI_CFG["sim"], "blowup_norm": 10.0}}
+
 # name: (argv, config document or None, ETC_LAB_SEED or None, exit code,
 # start of stderr, check of stdout and the output directory, or None for
 # "no output"); "{config}" in argv is the document, written to a file.
@@ -497,10 +492,38 @@ CLI_EXITS = {
         "error: config.sim: blowup_norm must satisfy 0 < blowup_norm <= 1e150\n", None,
     ),
     "batch-horizon-past-1e9-steps": (
-        # The batch horizon replaces sim.horizon_t, so the work rule holds for it too.
+        # BatchSpec folds its horizon into sim, so the work rule holds for it before any run.
         ["batch", "--config", "{config}"],
         {**LORENZ_CFG, "batch": {**LORENZ_CFG["batch"], "horizon_t": 1e30}}, None, 1,
-        "error: horizon_t 1e+30 over step 0.001 exceeds 1e9 steps\n", None,
+        "error: config.batch: horizon_t 1e+30 over step 0.001 exceeds 1e9 steps\n", None,
+    ),
+    "batch-radius-past-the-guard": (
+        ["batch", "--config", "{config}"],
+        {**LORENZ_CFG, "batch": {**LORENZ_CFG["batch"], "radius": 1e12}}, None, 1,
+        "error: config.batch: batch radius 1e+12 exceeds blowup_norm 1e+09\n", None,
+    ),
+    "batch-radius-past-the-guard-on-simulate": (
+        # simulate starts from config.initial, not from the ball.
+        ["simulate", "--config", "{config}"],
+        {**LORENZ_CFG, "batch": {**LORENZ_CFG["batch"], "radius": 1e12}}, None, 0, "",
+        lambda out, outdir: out.startswith("gamma = ") and (outdir / "states.csv").exists(),
+    ),
+    "default-ball-past-a-small-guard": (
+        # No batch section: its default radius 25 exceeds blowup_norm 10 only for a batch.
+        ["batch", "--config", "{config}"], SMALL_GUARD_CFG, None, 1,
+        "error: config.batch: batch radius 25 exceeds blowup_norm 10\n", None,
+    ),
+    "default-ball-past-a-small-guard-on-simulate": (
+        ["simulate", "--config", "{config}"], SMALL_GUARD_CFG, None, 0, "",
+        lambda out, outdir: out.startswith("gamma = ") and (outdir / "states.csv").exists(),
+    ),
+    "default-ball-past-a-small-guard-on-design": (
+        ["design", "--config", "{config}"], SMALL_GUARD_CFG, None, 0, "gamma = ",
+        lambda out, outdir: json.loads(out)["T_max"] > 0.0 and not outdir.exists(),
+    ),
+    "default-ball-past-a-small-guard-on-check": (
+        ["check", "--config", "{config}", "--samples", "200"], SMALL_GUARD_CFG, None, 0, "",
+        lambda out, outdir: out.endswith("PASS\n") and not outdir.exists(),
     ),
     "initial-past-the-guard": (
         ["simulate", "--config", "{config}"],

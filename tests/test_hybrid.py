@@ -480,6 +480,23 @@ class TestSimulate:
             flow_step(sys, q, step)
         assert info.value.state is q
 
+    def test_other_exceptions_from_f_propagate_as_themselves(self):
+        # Only an ArithmeticError ends a step as a NaN one.  math.sqrt of a
+        # negative raises ValueError, whose message differs across Python
+        # versions; it leaves simulate and flow_step as itself, with no partial.
+        sys = ClosedLoopSystem(
+            n_x=1, n_e=1, f=lambda x, e: [math.sqrt(1.5 - x[0])],
+            g=lambda x, e: [0.0 * v for v in e],
+        )
+        q0 = HybridState(np.array([1.0]), np.zeros(1), 0.0)
+        settings = SimSettings(step=1e-3, horizon_t=2.0, event_tol=1e-6)
+        with pytest.raises(ValueError) as info:
+            simulate(sys, _permissive_cert(), _of_cfg(T=0.05), q0, settings)
+        assert type(info.value) is ValueError
+        with pytest.raises(ValueError) as info:
+            flow_step(sys, HybridState(np.array([1.4]), np.zeros(1), 0.0), 1.0)
+        assert type(info.value) is ValueError
+
     def test_lorenz_overflow_in_a_stage_raises_divergence(self, lorenz):
         # From x0 = (5e139, 2.5e139, 0) the second stage's x1 x3 passes 1.8e308:
         # f returns inf, which the norm guard reports instead of a RuntimeWarning.
@@ -1579,10 +1596,11 @@ class TestMonitoredBlock:
 
     @staticmethod
     def _seeded_runs(n_runs=4, horizon=2.0):
-        """(q0, settings) of the first n_runs of a criterion-4 style batch."""
+        """(q0, settings) of the first n_runs of a criterion-4 style batch, recording states."""
+        settings = SimSettings(step=1e-3, horizon_t=horizon, event_tol=1e-6)
         spec = BatchSpec(n_runs=n_runs, radius=100.0, horizon_t=horizon, seed=0, trigger=_PE,
-                         sim=SimSettings(step=1e-3, horizon_t=horizon, event_tol=1e-6))
-        return [(sample_initial(spec, k, 2, 2), spec.sim) for k in range(n_runs)]
+                         sim=settings)
+        return [(sample_initial(spec, k, 2, 2), settings) for k in range(n_runs)]
 
     @pytest.mark.parametrize("case", ["pure-event", "periodic", "lorenz"])
     def test_pure_event_runs_take_monitored_blocks(self, case):
@@ -1620,12 +1638,12 @@ class TestMonitoredBlock:
         # loop, though only the runs with a located jump read it.
         sys, cert = tabuada_loop()
         cfg = _sf_cfg()
-        spec = BatchSpec(n_runs=10, radius=100.0, horizon_t=2.0, seed=0, trigger=cfg,
-                         sim=SimSettings(step=1e-3, horizon_t=2.0, event_tol=1e-6))
+        settings = SimSettings(step=1e-3, horizon_t=2.0, event_tol=1e-6)
+        spec = BatchSpec(n_runs=10, radius=100.0, horizon_t=2.0, seed=0, trigger=cfg, sim=settings)
         for k in range(spec.n_runs):
             q0 = sample_initial(spec, k, 2, 2)
             with mock.patch.object(hybrid, "event_screen", wraps=hybrid.event_screen) as screen:
-                sol, n_blocks = _monitored_blocks(lambda: simulate(sys, cert, cfg, q0, spec.sim))
+                sol, n_blocks = _monitored_blocks(lambda: simulate(sys, cert, cfg, q0, settings))
             assert sol.n_jumps >= 10 and n_blocks == 0
             screen.assert_called_once()
 

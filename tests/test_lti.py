@@ -3,6 +3,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from etclab import (
     CertificateError,
@@ -26,7 +28,7 @@ from etclab import (
     zeta_time,
 )
 from etclab.systems import tabuada_matrices
-from oracles import lmi_schur_residual, slack_grid_design
+from oracles import lmi_schur_residual, periodic_map, slack_grid_design
 
 A = [[0.0, 1.0], [-2.0, 3.0]]
 B = [[0.0], [1.0]]
@@ -477,3 +479,34 @@ class TestExtractAssumption:
         assert is_positive_definite(cand.P) is False
         with pytest.raises(CertificateError, match="P must be positive definite"):
             extract_assumption(clm, cand)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    kind=st.sampled_from(["state-feedback", "output-feedback", "stiff"]),
+    n=st.integers(2, 3),
+    seed=st.integers(0, 2**32 - 1),
+    fractions=st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=8),
+)
+def test_periodic_sampling_below_the_masp_contracts_v(stiff_observer_loop, kind, n, seed,
+                                                      fractions):
+    """rho(Phi(T)) < 1 and Phi(T)^T P Phi(T) < P for every T in [MASP / 50, MASP).
+
+    Emulation (Nesic, Teel, Carnevale, IEEE TAC 54(3), 2009) makes periodic
+    sampling below the MASP stable, and the certificate promises more: U = V
+    + gamma phi(tau) W^2 equals V(x) after each transmission and decreases in
+    between, so V contracts across each period.  Both margins go to 0 with T,
+    so each is compared against a rounding bound scaled by cond(P).
+    """
+    if kind == "stiff":
+        clm = assemble(*stiff_observer_loop)
+    else:
+        clm = _lqr_clm(seed, n, kind == "output-feedback")
+    cand = design_certificate(clm)
+    cert = extract_assumption(clm, cand)
+    ceiling, P = masp(cert.gamma, cert.L), cand.P
+    tol = 16 * clm.n_x * np.finfo(float).eps * np.linalg.cond(P)
+    for u in fractions:
+        phi = periodic_map(clm, ceiling * (0.02 + 0.98 * u))
+        assert np.abs(np.linalg.eigvals(phi)).max() < 1.0 + tol
+        assert scipy.linalg.eigh(phi.T @ P @ phi, P, eigvals_only=True)[-1] < 1.0 + tol

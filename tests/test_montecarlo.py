@@ -64,6 +64,34 @@ class TestBatchSpec:
     def test_accepts_numpy_integer_seeds(self):
         assert _spec(seed=np.int64(3)).seed == 3
 
+    def test_folds_its_horizon_into_sim(self):
+        # The batch horizon replaces sim's, and a batch records no states;
+        # folding again, as dataclasses.replace does, changes nothing.
+        spec = replace(_spec(horizon=0.5), sim=replace(SIM, horizon_t=5.0, record_states=True))
+        assert spec.sim == replace(SIM, horizon_t=0.5, record_states=False)
+        assert replace(spec, seed=3).sim == spec.sim
+        assert replace(spec, horizon_t=2.0).sim.horizon_t == 2.0
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [("horizon_t", 1e30, "horizon_t 1e+30 over step 0.001 exceeds 1e9 steps"),
+         ("radius", 1.5e9, "batch radius 1.5e+09 exceeds blowup_norm 1e+09"),
+         ("radius", 1e12, "batch radius 1e+12 exceeds blowup_norm 1e+09")],
+        ids=["horizon-1e30", "radius-1.5e9", "radius-1e12"],
+    )
+    def test_run_settings_past_their_rules_are_rejected_on_construction(self, field, value,
+                                                                        message):
+        with pytest.raises(ConfigError) as info:
+            replace(_spec(), **{field: value})
+        assert str(info.value) == message
+
+    def test_a_spec_without_sim_is_a_ball_only(self):
+        # The run rules need sim; the field rules hold without it.
+        ball = replace(_spec(), radius=1e12, horizon_t=1e30, trigger=None, sim=None)
+        assert ball.sim is None and _norm(sample_initial(ball, 0, 2, 2)) <= 1e12
+        with pytest.raises(ValueError, match="^radius "):
+            replace(ball, radius=float("inf"))
+
 
 class TestSampleInitial:
     def test_deterministic(self):
@@ -138,17 +166,19 @@ class TestRunBatch:
         with pytest.raises(ValueError, match="n_workers"):
             run_batch(sys, cert, _spec(n_runs=1), n_workers=2)
 
-    @pytest.mark.parametrize("radius", [1.5e9, 1e12])
-    def test_ball_past_the_blowup_guard_is_rejected_before_any_run(self, tabuada, monkeypatch,
-                                                                   radius):
+    def test_every_run_gets_spec_sim_as_given(self, tabuada, monkeypatch):
         sys, cert = tabuada
-        simulated = []
-        monkeypatch.setattr(montecarlo, "simulate", lambda *args: simulated.append(args))
-        spec = replace(_spec(n_runs=3), radius=radius)
-        with pytest.raises(ConfigError) as info:
-            run_batch(sys, cert, spec)
-        assert str(info.value) == f"batch radius {radius:g} exceeds blowup_norm 1e+09"
-        assert simulated == []
+        seen = []
+
+        def recording(sys, cert, trigger, q0, sim):
+            seen.append(sim)
+            return simulate(sys, cert, trigger, q0, sim)
+
+        monkeypatch.setattr(montecarlo, "simulate", recording)
+        spec = replace(_spec(n_runs=3, horizon=0.5), sim=replace(SIM, record_states=True))
+        run_batch(sys, cert, spec)
+        assert len(seen) == 3 and all(sim is spec.sim for sim in seen)
+        assert (spec.sim.horizon_t, spec.sim.record_states) == (spec.horizon_t, False)
 
     def test_ball_at_the_blowup_guard_runs(self, tabuada):
         sys, cert = tabuada

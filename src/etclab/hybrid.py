@@ -420,19 +420,20 @@ def simulate(
 ) -> HybridSolution:
     """Simulate the closed loop from q0 until horizon, max_jumps or blow-up.
 
-    Raises DimensionError if the certificate does not pair with the
-    loop or f and g return other than n_x + n_e derivatives, DomainError
-    if q0 is larger than the blow-up guard or lies outside the flow and
-    jump sets,
-    ConfigError for invalid settings (dwell time at or above the MASP
-    ceiling, step too coarse relative to T), and DivergenceError
-    (carrying the partial solution) if the state norm passes the
-    blow-up guard or is not finite (f or g raising ArithmeticError included).
+    Each stop (zeno too) leaves the loop for one exit, which builds the solution and
+    names the stop in ``terminated``.  Raises DimensionError if the certificate does
+    not pair with the loop or f and g return other than n_x + n_e derivatives,
+    DomainError if q0 is larger than the blow-up guard or lies outside the flow and
+    jump sets, ConfigError for invalid settings (dwell time at or above the MASP
+    ceiling, step too coarse relative to T), and, at that exit, DivergenceError if
+    the state norm passes the blow-up guard or is not finite (f or g raising
+    ArithmeticError included), carrying the solution as ``partial`` (its last
+    sample the divergent one, when recording) and the divergent state.
     """
     check_pairing(sys, cert)
     _check_state(sys, q0)
     cfg.validate_against(cert)
-    if cfg.mode != "pure-event" and settings.step > cfg.T / 10.0 * (1.0 + 1e-12):
+    if cfg.T > 0.0 and settings.step > cfg.T / 10.0 * (1.0 + 1e-12):
         raise ConfigError(
             f"step {settings.step:g} too coarse: event detection requires step <= T/10 "
             f"= {cfg.T / 10.0:g}"
@@ -537,13 +538,8 @@ def simulate(
             if not math.hypot(*z_next.tolist()) <= guard:  # catches NaN as well
                 if record:
                     rows.append((t_next, z_next, tau_next))
-                raise DivergenceError(
-                    f"state norm exceeded blow-up guard {guard:g}",
-                    partial=HybridSolution(
-                        _segments(rows, cuts, n_x), jump_times, "blow-up", n_root, n_bisected
-                    ),
-                    state=HybridState(z_next[:n_x], z_next[n_x:], tau_next),
-                )
+                terminated, z, tau = "blow-up", z_next, tau_next
+                break
             if not monitoring or h_ev(z_next[:n_x], z_next[n_x:]) < 0.0:
                 z, tau = z_next, tau_next
                 if record:
@@ -587,7 +583,11 @@ def simulate(
             terminated = "max-jumps"
             break
 
-    return HybridSolution(_segments(rows, cuts, n_x), jump_times, terminated, n_root, n_bisected)
+    sol = HybridSolution(_segments(rows, cuts, n_x), jump_times, terminated, n_root, n_bisected)
+    if terminated == "blow-up":
+        state = HybridState(z[:n_x], z[n_x:], tau)
+        raise DivergenceError(f"state norm exceeded blow-up guard {guard:g}", partial=sol, state=state)
+    return sol
 
 
 def r_monitor(sol: HybridSolution, cert: Certificate, zp: ZetaParams):

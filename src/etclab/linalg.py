@@ -70,7 +70,10 @@ def solve_lyapunov(a, q):
     """Solve a^T P + P a = -q for symmetric P.
 
     Requires ``a`` Hurwitz and ``q`` symmetric positive definite (which
-    guarantees a unique positive definite solution).  The result is
+    guarantees a unique positive definite solution), and raises
+    DesignInfeasibleError for an ``a`` whose stability margin -max Re lambda
+    is within rounding of 0 at its spectral norm, which scipy would perturb
+    with a warning.  The result is
     symmetrized and accepted iff its residual r = a^T P + P a + q has the
     backward error |r| <= 1e-8 (2|a||P| + |q|), which stiff loops meet.
     """
@@ -89,11 +92,19 @@ def solve_lyapunov(a, q):
         raise DesignInfeasibleError(
             "solve_lyapunov: a is not Hurwitz, no stabilizing solution exists"
         )
+    # LAPACK's trsyl, under scipy's solver, perturbs a and warns where a sum of two of its
+    # eigenvalues is below rounding at its size; every such sum is at least 2 margin.
+    margin, size = -float(np.linalg.eigvals(a).real.max()), spectral_norm(a)
+    if not margin > np.finfo(float).eps * size:
+        raise DesignInfeasibleError(
+            f"solve_lyapunov: a's stability margin {margin:.3e} is within rounding of 0 "
+            f"at its norm {size:.3e}"
+        )
     # scipy solves A X + X A^H = Q; transpose to get a^T P + P a = -q.
     p = scipy.linalg.solve_continuous_lyapunov(a.T, -qm)
     p = 0.5 * (p + p.T)
     residual = spectral_norm(a.T @ p + p @ a + qm)
-    scale = 2 * spectral_norm(a) * spectral_norm(p) + spectral_norm(qm)
+    scale = 2 * size * spectral_norm(p) + spectral_norm(qm)
     if residual > _LYAP_RESIDUAL_RTOL * scale:
         raise DesignInfeasibleError(
             f"solve_lyapunov: residual {residual:.3e} exceeds tolerance"

@@ -51,6 +51,28 @@ from .model import Certificate
 _FEASIBILITY_RTOL = 1e-7
 
 
+def _set_abc(obj, owner, empty=(None, None, None)):
+    """Coerce A, B and C in turn (None to zeros shaped as in ``empty``), then check them."""
+    for name, shape in zip("ABC", empty):
+        m = getattr(obj, name)
+        m = np.zeros(shape) if m is None and shape else m
+        object.__setattr__(obj, name, as_matrix(m, f"{owner} {name}"))
+    n = obj.A.shape[0]
+    if obj.A.shape[1] != n:
+        raise DimensionError(f"{owner} A must be square")
+    if obj.B.shape[0] != n:
+        raise DimensionError(f"{owner} B row count must match A")
+    if obj.C.shape[1] != n:
+        raise DimensionError(f"{owner} C column count must match A")
+
+
+def _check_eps(eps1, eps2):
+    if not 0 <= eps1 < inf:
+        raise CertificateError("eps1 must be finite and nonnegative")
+    if not 0 < eps2 < inf:
+        raise CertificateError("eps2 must be finite and positive")
+
+
 @dataclass(frozen=True)
 class LtiPlant:
     """Plant matrices (Ap, Bp, Cp)."""
@@ -60,16 +82,7 @@ class LtiPlant:
     C: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "A", as_matrix(self.A, "plant A"))
-        object.__setattr__(self, "B", as_matrix(self.B, "plant B"))
-        object.__setattr__(self, "C", as_matrix(self.C, "plant C"))
-        n = self.A.shape[0]
-        if self.A.shape[1] != n:
-            raise DimensionError("plant A must be square")
-        if self.B.shape[0] != n:
-            raise DimensionError("plant B row count must match A")
-        if self.C.shape[1] != n:
-            raise DimensionError("plant C column count must match A")
+        _set_abc(self, "plant")
 
     @property
     def n_p(self):
@@ -100,16 +113,7 @@ class LtiController:
     def __post_init__(self):
         object.__setattr__(self, "D", as_matrix(self.D, "controller D"))
         n_u, n_y = self.D.shape
-        for name, empty in (("A", (0, 0)), ("B", (0, n_y)), ("C", (n_u, 0))):
-            m = np.zeros(empty) if getattr(self, name) is None else getattr(self, name)
-            object.__setattr__(self, name, as_matrix(m, f"controller {name}"))
-        n = self.A.shape[0]
-        if self.A.shape[1] != n:
-            raise DimensionError("controller A must be square")
-        if self.B.shape[0] != n:
-            raise DimensionError("controller B row count must match A")
-        if self.C.shape[1] != n:
-            raise DimensionError("controller C column count must match A")
+        _set_abc(self, "controller", empty=((0, 0), (0, n_y), (n_u, 0)))
 
     @property
     def n_c(self):
@@ -148,10 +152,7 @@ class LmiCertificate:
         P = as_matrix(self.P, "P")
         _require_square_symmetric(P, "P")
         object.__setattr__(self, "P", 0.5 * (P + P.T))
-        if not 0 <= self.eps1 < inf:
-            raise CertificateError("eps1 must be finite and nonnegative")
-        if not 0 < self.eps2 < inf:
-            raise CertificateError("eps2 must be finite and positive")
+        _check_eps(self.eps1, self.eps2)
         if not 0 <= self.mu < inf:
             raise CertificateError("mu must be finite and nonnegative")
 
@@ -248,21 +249,24 @@ def design_certificate(clm: ClosedLoopMatrices, eps1=1e-2, eps2=1e-2) -> LmiCert
     balance.  P is affine in rho, P(rho) = P(lo) + (rho - lo) P1 (lo the
     smallest slack, P1 the solution for right-hand side I), so two solves
     price all 20 slacks and a third, at the first cheapest one, gives P and
-    mu.  A failing solve raises DesignInfeasibleError.  The resulting gamma
+    mu.  A failing solve raises DesignInfeasibleError, as does a right-hand
+    side whose slack grid overflows.  The resulting gamma
     can exceed what a full SDP solve would find; it is always feasible.
     """
-    if not 0 <= eps1 < inf:
-        raise CertificateError("eps1 must be finite and nonnegative")
-    if not 0 < eps2 < inf:
-        raise CertificateError("eps2 must be finite and positive")
+    _check_eps(eps1, eps2)
     if not is_hurwitz(clm.A1):
         raise DesignInfeasibleError(
             "A1 is not Hurwitz: the emulated controller does not stabilize the loop"
         )
     eye = np.eye(clm.n_x)
-    base = clm.A2.T @ clm.A2 + eps1 * (clm.Cbar.T @ clm.Cbar) + eps2 * eye
+    with np.errstate(over="ignore", invalid="ignore"):  # the check below names an overflow
+        base = clm.A2.T @ clm.A2 + eps1 * (clm.Cbar.T @ clm.Cbar) + eps2 * eye
     # 20 log-spaced slacks spanning [1e-3, 1e3] times the problem scale.
-    scale = max(spectral_norm(base), np.finfo(float).tiny)
+    scale = max(spectral_norm(base), np.finfo(float).tiny) if np.isfinite(base).all() else inf
+    if not 1e3 * scale < inf:
+        raise DesignInfeasibleError(
+            "A2^T A2 + eps1 Cbar^T Cbar + eps2 I, or 1e3 times its norm, overflows"
+        )
     slacks = scale * np.logspace(-3, 3, 20)
     # Not base itself: base + lo I stays definite when eps2 is below 1e-9.
     lo = slacks[0]

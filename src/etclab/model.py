@@ -22,6 +22,11 @@ def _identity(x):
     return x
 
 
+def _check_gains(gamma, L, caller):
+    if not (0 <= gamma < math.inf and 0 <= L < math.inf):
+        raise ValueError(f"{caller}: gamma and L must be finite and nonnegative")
+
+
 @dataclass
 class HybridState:
     """The triple q = (x, e, tau)."""
@@ -118,8 +123,7 @@ class Certificate:
     lti_form: Optional[tuple] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        if not (0 <= self.gamma < math.inf and 0 <= self.L < math.inf):
-            raise ValueError("Certificate: gamma and L must be finite and nonnegative")
+        _check_gains(self.gamma, self.L, "Certificate")
 
 
 def check_pairing(sys: ClosedLoopSystem, cert: Certificate):

@@ -33,7 +33,8 @@ class BatchSpec:
     """A batch: how many runs, the IC ball, the horizon and the seed.
 
     ``sim`` holds ``horizon_t`` and ``record_states=False``, checked on construction; runs get it as is.
-    A spec without ``sim`` is a ball only: ``sample_initial`` reads it, ``run_batch`` cannot.
+    A spec without ``trigger`` or ``sim`` is a ball only: ``sample_initial`` reads it,
+    ``run_batch`` refuses it.
     """
 
     n_runs: int
@@ -103,6 +104,9 @@ def run_batch(
     """
     if n_workers != 1:
         raise ValueError(f"n_workers must be 1 (runs are sequential), got {n_workers!r}")
+    for name in ("trigger", "sim"):
+        if getattr(spec, name) is None:
+            raise ValueError(f"run_batch: spec.{name} is None, so the spec is a ball only")
     per_run, failures, events = [], [], []
     for k in range(spec.n_runs):
         q0 = sample_initial(spec, k, sys.n_x, sys.n_e)
@@ -131,6 +135,7 @@ def run_batch(
 def emit_report(rep: BatchReport, path) -> Tuple[str, str]:
     """Write summary JSON and per-event CSV into the directory ``path``.
 
+    The CSV rows are ``rep.events`` as held, in (run, j) order from ``run_batch``.
     Overwrites existing files.  Returns the two file paths.
     """
     os.makedirs(path, exist_ok=True)
@@ -147,7 +152,7 @@ def emit_report(rep: BatchReport, path) -> Tuple[str, str]:
         with open(summary_path, "w") as fh:
             json.dump(summary, fh, indent=2)
             fh.write("\n")
-        write_csv(events_path, EVENTS_HEADER, sorted(rep.events))
+        write_csv(events_path, EVENTS_HEADER, rep.events)
     except OSError as exc:
         raise OSError(f"failed to write report under {os.fspath(path)!r}: {exc}") from exc
     return summary_path, events_path

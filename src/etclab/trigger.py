@@ -51,7 +51,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .errors import ConfigError
-from .model import Certificate
+from .model import Certificate, _check_gains
 
 MODES = ("output-feedback", "state-feedback", "pure-event", "periodic")
 SCREEN_RTOL = 1e-12  # ``event_screen``'s margin, per |Q|_inf
@@ -106,11 +106,6 @@ class ZetaParams:
     def lam(self, gamma):
         """The ODE coefficient lam = sqrt(gamma^2 + eta)."""
         return math.sqrt(gamma * gamma + self.eta)
-
-
-def _check_gains(gamma, L, caller):
-    if not (0 <= gamma < math.inf and 0 <= L < math.inf):
-        raise ValueError(f"{caller}: gamma and L must be finite and nonnegative")
 
 
 def _comparison_ode(gamma, L, zp, caller):

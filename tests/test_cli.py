@@ -4,12 +4,14 @@ import hashlib
 import json
 import os
 import pathlib
+import signal
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from etclab import (
@@ -451,6 +453,30 @@ class TestConfigResolver:
 # LTI_CFG, which has no batch section, under a guard below the default ball radius 25.
 SMALL_GUARD_CFG = {**LTI_CFG, "sim": {**LTI_CFG["sim"], "blowup_norm": 10.0}}
 
+# An output-feedback LTI loop with one controller state (MASP 0.849).
+ONE_STATE_CFG = {
+    "system": {
+        "name": "lti-custom",
+        "plant": {"A": [[0.0, 1.0], [-2.0, -3.0]], "B": [[0.0], [1.0]], "C": [[1.0, 0.0]]},
+        "controller": {"A": [[-1.0]], "B": [[1.0]], "C": [[-1.0]], "D": [[-0.5]]},
+        "design": {"eps1": 1e-2, "eps2": 1e-2},
+    },
+    "trigger": {"mode": "output-feedback", "T": 0.05},
+    "sim": {"step": 1e-3, "horizon_t": 0.2},
+    "batch": {"n_runs": 2, "radius": 5.0, "seed": 0, "horizon_t": 0.2},
+    "initial": {"x": [1.0, 0.0, 0.0], "e": [0.0, 0.0]},
+}
+
+# ONE_STATE_CFG with plant B = [[0], [1e308]].  Every closed-loop block is finite, but
+# A1's eigenvalues are -1 and -1.5 +- 7.1e153 i beside entries near 1e308: the pair's
+# sum is within rounding of 0, so scipy's Lyapunov solver would perturb A1.
+TINY_MARGIN_CFG = copy.deepcopy(ONE_STATE_CFG)
+TINY_MARGIN_CFG["system"]["plant"]["B"][1][0] = 1e308
+TINY_MARGIN_ERROR = (
+    "error: solve_lyapunov: a's stability margin 1.000e+00 is within rounding of 0 "
+    "at its norm 1.118e+308\n"
+)
+
 # name: (argv, config document or None, ETC_LAB_SEED or None, exit code,
 # start of stderr, check of stdout and the output directory, or None for
 # "no output"); "{config}" in argv is the document, written to a file.
@@ -524,6 +550,12 @@ CLI_EXITS = {
     "default-ball-past-a-small-guard-on-check": (
         ["check", "--config", "{config}", "--samples", "200"], SMALL_GUARD_CFG, None, 0, "",
         lambda out, outdir: out.endswith("PASS\n") and not outdir.exists(),
+    ),
+    "lyapunov-pair-within-rounding-on-design": (
+        ["design", "--config", "{config}"], TINY_MARGIN_CFG, None, 1, TINY_MARGIN_ERROR, None,
+    ),
+    "lyapunov-pair-within-rounding-on-simulate": (
+        ["simulate", "--config", "{config}"], TINY_MARGIN_CFG, None, 1, TINY_MARGIN_ERROR, None,
     ),
     "initial-past-the-guard": (
         ["simulate", "--config", "{config}"],
@@ -626,6 +658,90 @@ def test_mutated_config_resolves_or_raises_config_error(path, change):
         Resolved(cfg, run=True).loop()
     except ConfigError:
         pass
+
+
+# The config fuzzer's bases, its mutation pool and its commands.  Each example replaces
+# one value of one base (a key's or a list entry's) with a value from the pool, or drops
+# it; a dropped list entry leaves a ragged matrix or a short vector.
+FUZZ_BASES = {
+    "lorenz": {**LORENZ_CFG, "sim": {**LORENZ_CFG["sim"], "horizon_t": 0.2},
+               "batch": {**LORENZ_CFG["batch"], "horizon_t": 0.2}},
+    "lti-sf-tabuada": {
+        "system": {"name": "lti-sf-tabuada"},
+        "trigger": {"mode": "state-feedback", "T": 0.05, "sigma": 0.7},
+        "sim": {"step": 1e-3, "horizon_t": 0.2},
+        "batch": {"n_runs": 2, "radius": 5.0, "seed": 0, "horizon_t": 0.2},
+        "initial": {"x": [1.0, -1.0], "e": [0.0, 0.0]},
+    },
+    "lti-custom": ONE_STATE_CFG,
+}
+_DROP = "<drop>"
+FUZZ_VALUES = [
+    _DROP, "x", True, None, {}, float("nan"), float("inf"), -float("inf"), 1e308, -1e308,
+    5e-324, 0, -1, 10**30, [], [[]], [[1.0], [1.0, 2.0]],
+]
+# --runs and --output-dir bound the batch's work and keep every file under tmp_path.
+FUZZ_COMMANDS = [
+    ["design"], ["check", "--samples", "50"], ["simulate", "--output-dir", "{out}"],
+    ["batch", "--runs", "2", "--output-dir", "{out}"],
+]
+
+
+def _value_paths(node, prefix=()):
+    """The path of every value in a config document, through objects and lists."""
+    for k, v in (node.items() if isinstance(node, dict) else enumerate(node)):
+        yield prefix + (k,)
+        if isinstance(v, (dict, list)):
+            yield from _value_paths(v, prefix + (k,))
+
+
+class _Overran(Exception):
+    """An example outran its time bound (not an OSError, which dispatch would report)."""
+
+
+@settings(max_examples=100, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    case=st.sampled_from([(b, p) for b in FUZZ_BASES for p in _value_paths(FUZZ_BASES[b])]),
+    value=st.sampled_from(FUZZ_VALUES),
+)
+@example(case=("lti-custom", ("system", "plant", "B", 1, 0)), value=1e308)  # TINY_MARGIN_CFG
+@example(case=("lti-custom", ("system", "plant", "A", 0, 1)), value=1e308)  # A2^T A2 overflows
+@example(case=("lti-custom", ("system", "design", "eps2")), value=1e308)  # so do the slacks
+def test_fuzzed_config_exits_cleanly_in_every_command(capsys, tmp_path, monkeypatch, case,
+                                                      value):
+    monkeypatch.delenv("ETC_LAB_SEED", raising=False)
+    monkeypatch.chdir(tmp_path)
+    base, (*parents, key) = case
+    doc = copy.deepcopy(FUZZ_BASES[base])
+    node = doc
+    for p in parents:
+        node = node[p]
+    if value == _DROP:
+        del node[key]
+    else:
+        node[key] = copy.deepcopy(value)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+
+    def overran(signum, frame):
+        raise _Overran(f"{base} {case[1]} = {value!r} ran past 20 s")
+
+    previous = signal.signal(signal.SIGALRM, overran)
+    signal.alarm(20)
+    try:
+        for command in FUZZ_COMMANDS:
+            argv = [a.format(out=tmp_path / "out") for a in command]
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                rc, out, err = _run(capsys, *argv, "--config", str(path))
+            assert [str(w.message) for w in caught] == []
+            assert rc in (0, 1, 2)
+            if rc == 1 and not (command[0] == "check" and out.endswith("FAIL\n")):
+                assert err.startswith("error: "), (command, err)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 # SHA-256 of every file simulate and batch write for LORENZ_CFG and

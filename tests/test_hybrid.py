@@ -1286,8 +1286,9 @@ def test_random_lqr_loop_keeps_the_dwell_time_and_the_hybrid_sets(loop):
     output-feedback jumps are located after the dwell; a pure-event run on the
     same loop is monitored throughout, in blocks.  C and D are the flow and
     jump sets of the hybrid solution concept of Goebel, Sanfelice and Teel (2012).
-    The pure-event runs and the eps1 = 1 output-feedback run are also compared
-    with the exact solution (``_assert_root_jumps_exact``), cut to 8 jumps.
+    The pure-event runs and the eps1 = 1 output-feedback and state-feedback
+    (sigma = 0.7, same T) runs are also compared with the exact solution
+    (``_assert_root_jumps_exact``), cut to 8 jumps.
     """
     A, B, K, x0 = loop
     n = A.shape[0]
@@ -1322,7 +1323,8 @@ def test_random_lqr_loop_keeps_the_dwell_time_and_the_hybrid_sets(loop):
         r = np.array([v[2] for v in r_monitor(sol, cert, zp)])
         assert np.diff(r).max() <= max(1e-6 * r[0], 4 * math.ulp(0.0))
         _assert_in_flow_or_jump_set(_assert_blocks_within_bound(sys, cert, _PE, q0, sim), cert, _PE)
-        for mode_cfg in (_PE, cfg) if eps1 == 1.0 else (_PE,):
+        sf = TriggerConfig(mode="state-feedback", T=T, sigma=0.7)
+        for mode_cfg in (_PE, cfg, sf) if eps1 == 1.0 else (_PE,):
             _assert_root_jumps_exact(clm, cand, sys, cert, mode_cfg, q0, T)
     assume(designs)
 

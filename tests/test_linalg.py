@@ -161,6 +161,18 @@ class TestSolveLyapunov:
         with pytest.raises(DimensionError):
             solve_lyapunov(-np.eye(2), np.eye(3))
 
+    def test_rejects_a_margin_within_rounding_at_the_norm_of_a(self):
+        # Eigenvalues -1 +- 1e150 i beside an entry 1e300: the pair's sum, -2, is below
+        # rounding at that size, so scipy would warn and perturb a.
+        a = np.array([[-1.0, 1e300], [-1.0, -1.0]])
+        assert is_hurwitz(a)
+        with pytest.raises(DesignInfeasibleError) as info:
+            solve_lyapunov(a, np.eye(2))
+        assert str(info.value) == (
+            "solve_lyapunov: a's stability margin 1.000e+00 is within rounding of 0 "
+            "at its norm 1.000e+300"
+        )
+
     def test_rejects_a_nonsquare_a(self):
         with pytest.raises(DimensionError) as info:
             solve_lyapunov(np.zeros((2, 3)), np.eye(2))

@@ -270,6 +270,19 @@ class TestDesignCertificate:
         with pytest.raises(DesignInfeasibleError):
             design_certificate(clm, eps1=0.0, eps2=0.1)
 
+    @pytest.mark.parametrize(
+        "plant_a, eps2",
+        # Finite blocks whose A2^T A2 overflows, and an eps2 whose slack grid does.
+        [([[0.0, 1e308], [-2.0, -3.0]], 1e-2), ([[0.0, 1.0], [-2.0, -3.0]], 1e308)],
+        ids=["a2-gram", "slack-grid"],
+    )
+    def test_an_overflowing_right_hand_side_is_infeasible(self, plant_a, eps2):
+        clm = assemble(LtiPlant(A=plant_a, B=[[0.0], [1.0]], C=[[1.0, 0.0]]),
+                       LtiController(A=[[-1.0]], B=[[1.0]], C=[[-1.0]], D=[[-0.5]]))
+        with pytest.raises(DesignInfeasibleError) as info:
+            design_certificate(clm, eps1=1e-2, eps2=eps2)
+        assert str(info.value) == "A2^T A2 + eps1 Cbar^T Cbar + eps2 I, or 1e3 times its norm, overflows"
+
     def test_failing_lyapunov_solve_propagates(self, monkeypatch):
         # An observer-based loop (2 plant + 2 controller states) whose large
         # slacks used to miss a Lyapunov residual bound relative to |q|.

@@ -166,6 +166,23 @@ class TestRunBatch:
         with pytest.raises(ValueError, match="n_workers"):
             run_batch(sys, cert, _spec(n_runs=1), n_workers=2)
 
+    @pytest.mark.parametrize(
+        "trigger, sim, name",
+        [(None, None, "trigger"), (None, SimSettings(), "trigger"),
+         (TriggerConfig(mode="periodic", T=0.05), None, "sim")],
+        ids=["neither", "sim-only", "trigger-only"],
+    )
+    def test_a_ball_only_spec_is_refused_before_any_run(self, tabuada, monkeypatch, trigger,
+                                                        sim, name):
+        sys, cert = tabuada
+        simulated = []
+        monkeypatch.setattr(montecarlo, "simulate", lambda *args: simulated.append(args))
+        spec = BatchSpec(n_runs=2, radius=1.0, horizon_t=1.0, seed=0, trigger=trigger, sim=sim)
+        with pytest.raises(ValueError) as info:
+            run_batch(sys, cert, spec)
+        assert str(info.value) == f"run_batch: spec.{name} is None, so the spec is a ball only"
+        assert simulated == []
+
     def test_every_run_gets_spec_sim_as_given(self, tabuada, monkeypatch):
         sys, cert = tabuada
         seen = []

@@ -27,10 +27,14 @@ within rounding (counted in ``HybridSolution.bisection_jumps``) bisect for the
 first instant with h >= 0 to ``event_tol``.
 Every flow step passes one norm guard, so a divergence (NaN from f or g
 included, or an ArithmeticError, which makes the step NaN) always carries
-the partial solution.
-Recorded samples go to one flat (t, z, tau) log per run, cut into
-segments at the jumps once, at the end; rows keep references to z,
-which is never modified in place once recorded.
+the partial solution.  A single step's outcome takes one path: flow, test the
+guard and (monitored) the event, a NaN excess firing; if it fired, place the
+jump inside the step; record the sample; then stop, go on, or jump.
+Recorded samples go to one flat (z, tau) log per run, cut into segments at
+the jumps once, at the end, where each sample's t = t_j + tau is derived
+from its segment's jump time t_j by the addition the loop's clock makes, so
+every sample reads its time from the clock by construction; rows keep
+references to z, which is never modified in place once recorded.
 
 Flows use classical fixed-step RK4 (no dense output): one body over z's
 components as Python floats, bit-identical to the same sums on arrays, which
@@ -334,16 +338,6 @@ def _dwell_powers(M_bytes, n, step):
     return stack
 
 
-def _block_flow(sys: ClosedLoopSystem, step: float):
-    """The ``_dwell_powers`` stack of the loop for step, or None without a ``stacked_matrix``.
-
-    Its first m n rows times z are the states after 1, ..., m steps,
-    m <= ``_DWELL_BLOCK``; ``simulate`` checks them for inf and NaN.
-    """
-    M = sys.stacked_matrix
-    return None if M is None else _dwell_powers(M.tobytes(), M.shape[0], step)
-
-
 @functools.lru_cache(maxsize=64)
 def _block_clock(step, end, tau):
     """The clock after each of the next steps from tau short of end, as a read-only array.
@@ -397,17 +391,19 @@ def flow_step(sys: ClosedLoopSystem, q: HybridState, h: float) -> HybridState:
     return HybridState(z[: sys.n_x], z[sys.n_x :], q.tau + h)
 
 
-def _segments(rows, cuts, n_x):
-    """Cut the flat (t, z, tau) sample log into one Segment per flow interval.
+def _segments(rows, cuts, bases, n_x):
+    """Cut the flat (z, tau) sample log into one Segment per flow interval.
 
-    ``cuts`` holds the row at which each jump starts the next interval.
+    ``cuts`` holds the row at which each jump starts the next interval and
+    ``bases`` each interval's t_j, so that its samples' times are t_j + tau.
     """
     if not rows:
         return []
-    t, z, tau = map(np.asarray, zip(*rows))
-    bounds = zip([0, *cuts], [*cuts, len(rows)])
+    z, tau = map(np.asarray, zip(*rows))
+    bounds = zip(bases, [0, *cuts], [*cuts, len(rows)])
     return [
-        Segment(j, t[a:b], z[a:b, :n_x], z[a:b, n_x:], tau[a:b]) for j, (a, b) in enumerate(bounds)
+        Segment(j, base + tau[a:b], z[a:b, :n_x], z[a:b, n_x:], tau[a:b])
+        for j, (base, a, b) in enumerate(bounds)
     ]
 
 
@@ -451,8 +447,9 @@ def simulate(
     n_x, M = sys.n_x, sys.stacked_matrix
     flow = _stepper(sys)
     step, horizon = settings.step, settings.horizon_t
-    powers = _block_flow(sys, step)  # None: every step is taken singly
     n = z.size
+    # Rows P, ..., P^_DWELL_BLOCK for blocks of full steps; None: every step is taken singly.
+    powers = None if M is None else _dwell_powers(M.tobytes(), n, step)
     # The row test of monitored blocks and the excess polynomial of root-placed
     # jumps; None (nonlinear, periodic, no current form): single steps and bisection.
     screen = None if M is None else event_screen(cert, cfg)
@@ -464,9 +461,9 @@ def simulate(
     lead_in = math.inf if screen is None else _LEAD_IN if T > 0.0 else 0
     n_root = n_bisected = 0
     record = settings.record_states
-    # The sample log: (t, z, tau) rows, the row where each jump cuts it, the
-    # jump times.  z is never modified in place once recorded, so rows hold
-    # references, not copies.
+    # The sample log: (z, tau) rows, the row where each jump cuts it, the
+    # jump times, from which ``_segments`` derives each row's t = t_j + tau.
+    # z is never modified in place once recorded, so rows hold references.
     rows, cuts, jump_times = [], [], []
 
     tau = q0.tau
@@ -475,7 +472,7 @@ def simulate(
     singles = 0  # single steps taken since monitoring last started
     terminated = "horizon"
     if record:
-        rows.append((0.0, z, tau))
+        rows.append((z, tau))
     while True:
         t = base + tau
         if horizon - t <= eps:
@@ -507,7 +504,7 @@ def simulate(
             if k:
                 z, tau = Z[k - 1], float(taus[k - 1])
                 if record:
-                    rows.extend(zip(ts[:k].tolist(), Z, taus[:k].tolist()))
+                    rows.extend(zip(Z, taus[:k].tolist()))
             if k == m:
                 continue
             # The candidate's step is taken singly below, where h_ev decides.
@@ -533,43 +530,41 @@ def simulate(
             continue
 
         if h is not None:
-            t_next = base + tau_next
             z_next = flow(z, h)
-            if not math.hypot(*z_next.tolist()) <= guard:  # catches NaN as well
-                if record:
-                    rows.append((t_next, z_next, tau_next))
-                terminated, z, tau = "blow-up", z_next, tau_next
-                break
-            if not monitoring or h_ev(z_next[:n_x], z_next[n_x:]) < 0.0:
-                z, tau = z_next, tau_next
-                if record:
-                    rows.append((t_next, z, tau))
-                continue
-            # The event fired inside this step: on a linear loop with a current
-            # form its first instant is the root of the excess along the step,
-            # z(s)^T Q z(s) with z(s) = sum s^i v_i; otherwise bisect for it.
-            hi = None
-            if screen is not None:
-                V = taylor.dot(z).reshape(_RK4_TERMS, n)
-                hi = _excess_root(screen.coefficients(V), h)
-            if hi is not None:
-                # Powers of a one-off length: no propagator, so none reaches the cache.
-                z_hi = (hi ** np.arange(_RK4_TERMS)).dot(V)
-                n_root += 1
-            else:
-                lo, hi, z_hi = 0.0, h, z_next
-                while hi - lo > settings.event_tol:
-                    mid = 0.5 * (lo + hi)
-                    z_mid = flow(z, mid)
-                    if h_ev(z_mid[:n_x], z_mid[n_x:]) >= 0.0:
-                        hi, z_hi = mid, z_mid
-                    else:
-                        lo = mid
-                n_bisected += 1
-            z, tau = z_hi, tau + hi
-            t = base + tau
+            diverged = not math.hypot(*z_next.tolist()) <= guard  # catches NaN as well
+            fired = not diverged and monitoring and not h_ev(z_next[:n_x], z_next[n_x:]) < 0.0
+            if fired:
+                # The event fired inside this step (a NaN excess fires too): on a linear
+                # loop with a current form its first instant is the root of the excess along
+                # the step, z(s)^T Q z(s) with z(s) = sum s^i v_i; otherwise bisect for it.
+                hi = None
+                if screen is not None:
+                    V = taylor.dot(z).reshape(_RK4_TERMS, n)
+                    hi = _excess_root(screen.coefficients(V), h)
+                if hi is not None:
+                    # Powers of a one-off length: no propagator, so none reaches the cache.
+                    z_next = (hi ** np.arange(_RK4_TERMS)).dot(V)
+                    n_root += 1
+                else:
+                    lo, hi = 0.0, h
+                    while hi - lo > settings.event_tol:
+                        mid = 0.5 * (lo + hi)
+                        z_mid = flow(z, mid)
+                        if h_ev(z_mid[:n_x], z_mid[n_x:]) >= 0.0:
+                            hi, z_next = mid, z_mid
+                        else:
+                            lo = mid
+                    n_bisected += 1
+                tau_next = tau + hi
+            z, tau = z_next, tau_next
             if record:
-                rows.append((t, z, tau))
+                rows.append((z, tau))
+            if diverged:
+                terminated = "blow-up"
+                break
+            if not fired:
+                continue
+            t = base + tau
 
         # Jump at t: reset the error and the clock.
         jump_times.append(t)
@@ -578,12 +573,13 @@ def simulate(
         z[n_x:] = 0.0
         base, tau, monitoring = t, 0.0, False
         if record:
-            rows.append((t, z, tau))
+            rows.append((z, tau))
         if len(jump_times) >= settings.max_jumps:
             terminated = "max-jumps"
             break
 
-    sol = HybridSolution(_segments(rows, cuts, n_x), jump_times, terminated, n_root, n_bisected)
+    segments = _segments(rows, cuts, [-q0.tau, *jump_times], n_x)
+    sol = HybridSolution(segments, jump_times, terminated, n_root, n_bisected)
     if terminated == "blow-up":
         state = HybridState(z[:n_x], z[n_x:], tau)
         raise DivergenceError(f"state norm exceeded blow-up guard {guard:g}", partial=sol, state=state)

@@ -66,14 +66,34 @@ def is_hurwitz(a):
     return bool(np.linalg.eigvals(a).real.max() < -_TOL)
 
 
+def _bartels_stewart(a, q):
+    """P with a^T P + P a = -q: the steps of scipy's ``solve_continuous_lyapunov(a.T, -q)``.
+
+    Bit for bit scipy's answer, but where LAPACK's trsyl reports a Schur
+    block solve so near singular that it perturbed a (info = 1; scipy warns
+    and returns the perturbed solution) this raises DesignInfeasibleError.
+    A non-normal a can do that at any stability margin.
+    """
+    r, u = scipy.linalg.schur(a.T, output="real")
+    f = u.T.dot((-q).dot(u))
+    trsyl = scipy.linalg.get_lapack_funcs("trsyl", (r, f))
+    y, scale, info = trsyl(r, r, f, tranb="T")
+    if info != 0:
+        raise DesignInfeasibleError(
+            f"solve_lyapunov: LAPACK trsyl perturbed a near-singular Schur block of a (info {info})"
+        )
+    y *= scale
+    return u.dot(y).dot(u.T)
+
+
 def solve_lyapunov(a, q):
     """Solve a^T P + P a = -q for symmetric P.
 
     Requires ``a`` Hurwitz and ``q`` symmetric positive definite (which
     guarantees a unique positive definite solution), and raises
     DesignInfeasibleError for an ``a`` whose stability margin -max Re lambda
-    is within rounding of 0 at its spectral norm, which scipy would perturb
-    with a warning.  The result is
+    is within rounding of 0 at its spectral norm, or whose Schur form LAPACK's
+    trsyl would perturb (``_bartels_stewart``); no warning escapes.  The result is
     symmetrized and accepted iff its residual r = a^T P + P a + q has the
     backward error |r| <= 1e-8 (2|a||P| + |q|), which stiff loops meet.
     """
@@ -88,20 +108,21 @@ def solve_lyapunov(a, q):
     _require_square_symmetric(qm, "solve_lyapunov q")
     if not is_positive_definite(qm):
         raise ValueError("solve_lyapunov: q must be positive definite")
-    if not is_hurwitz(a):
+    # is_hurwitz's test, -max Re lambda > 1e-9, on the eigenvalues the margin check reads.
+    margin = -float(np.linalg.eigvals(a).real.max())
+    if not margin > _TOL:
         raise DesignInfeasibleError(
             "solve_lyapunov: a is not Hurwitz, no stabilizing solution exists"
         )
-    # LAPACK's trsyl, under scipy's solver, perturbs a and warns where a sum of two of its
-    # eigenvalues is below rounding at its size; every such sum is at least 2 margin.
-    margin, size = -float(np.linalg.eigvals(a).real.max()), spectral_norm(a)
+    # LAPACK's trsyl perturbs a where a sum of two of its eigenvalues is below rounding
+    # at its size; every such sum is at least 2 margin.
+    size = spectral_norm(a)
     if not margin > np.finfo(float).eps * size:
         raise DesignInfeasibleError(
             f"solve_lyapunov: a's stability margin {margin:.3e} is within rounding of 0 "
             f"at its norm {size:.3e}"
         )
-    # scipy solves A X + X A^H = Q; transpose to get a^T P + P a = -q.
-    p = scipy.linalg.solve_continuous_lyapunov(a.T, -qm)
+    p = _bartels_stewart(a, qm)
     p = 0.5 * (p + p.T)
     residual = spectral_norm(a.T @ p + p @ a + qm)
     scale = 2 * size * spectral_norm(p) + spectral_norm(qm)

@@ -240,6 +240,16 @@ def is_feasible(clm: ClosedLoopMatrices, cand: LmiCertificate):
     return residual <= _FEASIBILITY_RTOL * scale
 
 
+def _squared_norm(m):
+    """spectral_norm(m) ** 2, or inf where m or the square is not finite."""
+    if not np.isfinite(m).all():
+        return inf
+    try:
+        return spectral_norm(m) ** 2
+    except OverflowError:  # a float's ** raises past about 1.34e154
+        return inf
+
+
 def design_certificate(clm: ClosedLoopMatrices, eps1=1e-2, eps2=1e-2) -> LmiCertificate:
     """Constructively produce a feasible (P, eps1, eps2, mu).
 
@@ -250,7 +260,8 @@ def design_certificate(clm: ClosedLoopMatrices, eps1=1e-2, eps2=1e-2) -> LmiCert
     smallest slack, P1 the solution for right-hand side I), so two solves
     price all 20 slacks and a third, at the first cheapest one, gives P and
     mu.  A failing solve raises DesignInfeasibleError, as does a right-hand
-    side whose slack grid overflows.  The resulting gamma
+    side whose slack grid overflows or a mu that overflows (an overflow
+    prices a slack at inf).  The resulting gamma
     can exceed what a full SDP solve would find; it is always feasible.
     """
     _check_eps(eps1, eps2)
@@ -270,11 +281,15 @@ def design_certificate(clm: ClosedLoopMatrices, eps1=1e-2, eps2=1e-2) -> LmiCert
     slacks = scale * np.logspace(-3, 3, 20)
     # Not base itself: base + lo I stays definite when eps2 is below 1e-9.
     lo = slacks[0]
-    G0 = clm.B1.T @ solve_lyapunov(clm.A1, base + lo * eye)
-    G1 = clm.B1.T @ solve_lyapunov(clm.A1, eye)
-    rho = min(slacks, key=lambda r: spectral_norm(G0 + (r - lo) * G1) ** 2 / r)
+    P0, P1 = solve_lyapunov(clm.A1, base + lo * eye), solve_lyapunov(clm.A1, eye)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow prices a slack at inf
+        G0, G1 = clm.B1.T @ P0, clm.B1.T @ P1
+        rho = min(slacks, key=lambda r: _squared_norm(G0 + (r - lo) * G1) / r)
     P = solve_lyapunov(clm.A1, base + rho * eye)
-    mu = spectral_norm(clm.B1.T @ P) ** 2 / rho
+    with np.errstate(over="ignore", invalid="ignore"):
+        mu = _squared_norm(clm.B1.T @ P) / rho
+    if not mu < inf:
+        raise DesignInfeasibleError(f"mu = |B1^T P|^2 / rho overflows at slack {rho:.3e}")
     cand = LmiCertificate(P=P, eps1=eps1, eps2=eps2, mu=mu)
     if not is_feasible(clm, cand):
         raise DesignInfeasibleError(

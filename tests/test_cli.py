@@ -477,6 +477,25 @@ TINY_MARGIN_ERROR = (
     "at its norm 1.118e+308\n"
 )
 
+# ONE_STATE_CFG with plant B = [[0], [1e160]] and a controller that feeds back nothing:
+# A1 is a plain stable loop, but B1^T P is near 1e160 and its square overflows.
+HUGE_B1_CFG = copy.deepcopy(ONE_STATE_CFG)
+HUGE_B1_CFG["system"]["plant"].update(A=[[-1.0, 1.0], [-2.0, -3.0]], B=[[0.0], [1e160]])
+HUGE_B1_CFG["system"]["controller"].update(C=[[0.0]], D=[[0.0]])
+# Two fuzzer mutations of ONE_STATE_CFG whose pricing squares a norm past 1.34e154.
+HUGE_COUPLING_CFG = copy.deepcopy(ONE_STATE_CFG)
+HUGE_COUPLING_CFG["system"]["plant"]["A"][1][0] = 1e308
+HUGE_COUPLING_CFG["system"]["controller"]["D"][0][0] = -1e308
+# A1 = [[-1, 1e6], [-1e-6, -1]] has eigenvalues -1 +- i, far from 0 at its norm 1e6,
+# but it is so far from normal that LAPACK's trsyl would perturb it (scipy warns).
+NON_NORMAL_CFG = copy.deepcopy(ONE_STATE_CFG)
+NON_NORMAL_CFG["system"].update(
+    plant={"A": [[-1.0, 1e6], [-1e-6, -1.0]], "B": [[1.0, 0.0], [0.0, 1.0]],
+           "C": [[1.0, 0.0], [0.0, 1.0]]},
+    controller={"D": [[0.0, 0.0], [0.0, 0.0]]},
+)
+NON_NORMAL_CFG["initial"] = {"x": [1.0, 0.0], "e": [0.0, 0.0]}
+
 # name: (argv, config document or None, ETC_LAB_SEED or None, exit code,
 # start of stderr, check of stdout and the output directory, or None for
 # "no output"); "{config}" in argv is the document, written to a file.
@@ -556,6 +575,19 @@ CLI_EXITS = {
     ),
     "lyapunov-pair-within-rounding-on-simulate": (
         ["simulate", "--config", "{config}"], TINY_MARGIN_CFG, None, 1, TINY_MARGIN_ERROR, None,
+    ),
+    "slack-pricing-overflows": (
+        ["design", "--config", "{config}"], HUGE_B1_CFG, None, 1,
+        "error: mu = |B1^T P|^2 / rho overflows at slack ", None,
+    ),
+    "slack-pricing-overflows-after-two-mutations": (
+        ["simulate", "--config", "{config}"], HUGE_COUPLING_CFG, None, 1,
+        "error: mu = |B1^T P|^2 / rho overflows at slack ", None,
+    ),
+    "lyapunov-schur-block-near-singular": (
+        ["design", "--config", "{config}"], NON_NORMAL_CFG, None, 1,
+        "error: solve_lyapunov: LAPACK trsyl perturbed a near-singular Schur block of a "
+        "(info 1)\n", None,
     ),
     "initial-past-the-guard": (
         ["simulate", "--config", "{config}"],
@@ -661,8 +693,8 @@ def test_mutated_config_resolves_or_raises_config_error(path, change):
 
 
 # The config fuzzer's bases, its mutation pool and its commands.  Each example replaces
-# one value of one base (a key's or a list entry's) with a value from the pool, or drops
-# it; a dropped list entry leaves a ragged matrix or a short vector.
+# one or two values of one base (a key's or a list entry's) with values from the pool, or
+# drops them; a dropped list entry leaves a ragged matrix or a short vector.
 FUZZ_BASES = {
     "lorenz": {**LORENZ_CFG, "sim": {**LORENZ_CFG["sim"], "horizon_t": 0.2},
                "batch": {**LORENZ_CFG["batch"], "horizon_t": 0.2}},
@@ -695,37 +727,58 @@ def _value_paths(node, prefix=()):
             yield from _value_paths(v, prefix + (k,))
 
 
+@st.composite
+def _mutations(draw):
+    """A base and one or two (path, value) changes to it, the second on any path of the base."""
+    base, path = draw(st.sampled_from(
+        [(b, p) for b in FUZZ_BASES for p in _value_paths(FUZZ_BASES[b])]
+    ))
+    changes = [(path, draw(st.sampled_from(FUZZ_VALUES)))]
+    if draw(st.booleans()):
+        path = draw(st.sampled_from(list(_value_paths(FUZZ_BASES[base]))))
+        changes.append((path, draw(st.sampled_from(FUZZ_VALUES))))
+    return base, changes
+
+
+def _mutate(doc, path, value):
+    """Set the value at path, or drop it for ``_DROP``; skip a path that an earlier change cut."""
+    *parents, key = path
+    node = doc
+    try:
+        for p in parents:
+            node = node[p]
+        if value == _DROP:
+            del node[key]
+        else:
+            node[key] = copy.deepcopy(value)
+    except (KeyError, IndexError, TypeError):
+        pass
+
+
 class _Overran(Exception):
     """An example outran its time bound (not an OSError, which dispatch would report)."""
 
 
 @settings(max_examples=100, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(
-    case=st.sampled_from([(b, p) for b in FUZZ_BASES for p in _value_paths(FUZZ_BASES[b])]),
-    value=st.sampled_from(FUZZ_VALUES),
-)
-@example(case=("lti-custom", ("system", "plant", "B", 1, 0)), value=1e308)  # TINY_MARGIN_CFG
-@example(case=("lti-custom", ("system", "plant", "A", 0, 1)), value=1e308)  # A2^T A2 overflows
-@example(case=("lti-custom", ("system", "design", "eps2")), value=1e308)  # so do the slacks
-def test_fuzzed_config_exits_cleanly_in_every_command(capsys, tmp_path, monkeypatch, case,
-                                                      value):
+@given(case=_mutations())
+@example(case=("lti-custom", [(("system", "plant", "B", 1, 0), 1e308)]))  # TINY_MARGIN_CFG
+@example(case=("lti-custom", [(("system", "plant", "A", 0, 1), 1e308)]))  # A2^T A2 overflows
+@example(case=("lti-custom", [(("system", "design", "eps2"), 1e308)]))  # so do the slacks
+@example(case=("lti-custom", [(("system", "plant", "A", 1, 0), 1e308),  # HUGE_COUPLING_CFG
+                              (("system", "controller", "D", 0, 0), -1e308)]))
+def test_fuzzed_config_exits_cleanly_in_every_command(capsys, tmp_path, monkeypatch, case):
     monkeypatch.delenv("ETC_LAB_SEED", raising=False)
     monkeypatch.chdir(tmp_path)
-    base, (*parents, key) = case
+    base, changes = case
     doc = copy.deepcopy(FUZZ_BASES[base])
-    node = doc
-    for p in parents:
-        node = node[p]
-    if value == _DROP:
-        del node[key]
-    else:
-        node[key] = copy.deepcopy(value)
+    for key_path, value in changes:
+        _mutate(doc, key_path, value)
     path = tmp_path / "config.json"
     path.write_text(json.dumps(doc))
 
     def overran(signum, frame):
-        raise _Overran(f"{base} {case[1]} = {value!r} ran past 20 s")
+        raise _Overran(f"{base} {changes!r} ran past 20 s")
 
     previous = signal.signal(signal.SIGALRM, overran)
     signal.alarm(20)

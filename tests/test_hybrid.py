@@ -1049,7 +1049,7 @@ def _block_deviation(sys, cert, cfg, sol, settings, tau0=0.0):
 
 def _step_path(sys, cert, cfg, q0, settings):
     """``simulate`` with every step taken singly, in the dwell and after it."""
-    with mock.patch.object(hybrid, "_block_flow", lambda sys, step: None):
+    with mock.patch.object(hybrid, "_dwell_powers", lambda M_bytes, n, step: None):
         return simulate(sys, cert, cfg, q0, settings)
 
 
@@ -1286,9 +1286,9 @@ def test_random_lqr_loop_keeps_the_dwell_time_and_the_hybrid_sets(loop):
     output-feedback jumps are located after the dwell; a pure-event run on the
     same loop is monitored throughout, in blocks.  C and D are the flow and
     jump sets of the hybrid solution concept of Goebel, Sanfelice and Teel (2012).
-    The pure-event runs and the eps1 = 1 output-feedback and state-feedback
-    (sigma = 0.7, same T) runs are also compared with the exact solution
-    (``_assert_root_jumps_exact``), cut to 8 jumps.
+    The pure-event runs and the eps1 = 1 output-feedback, state-feedback
+    (sigma = 0.7, same T) and periodic runs are also compared with the exact
+    solution (``_assert_jumps_exact``), cut to 8 jumps.
     """
     A, B, K, x0 = loop
     n = A.shape[0]
@@ -1324,13 +1324,16 @@ def test_random_lqr_loop_keeps_the_dwell_time_and_the_hybrid_sets(loop):
         assert np.diff(r).max() <= max(1e-6 * r[0], 4 * math.ulp(0.0))
         _assert_in_flow_or_jump_set(_assert_blocks_within_bound(sys, cert, _PE, q0, sim), cert, _PE)
         sf = TriggerConfig(mode="state-feedback", T=T, sigma=0.7)
-        for mode_cfg in (_PE, cfg, sf) if eps1 == 1.0 else (_PE,):
-            _assert_root_jumps_exact(clm, cand, sys, cert, mode_cfg, q0, T)
+        periodic = TriggerConfig(mode="periodic", T=T)
+        for mode_cfg in (_PE, cfg, sf, periodic) if eps1 == 1.0 else (_PE,):
+            _assert_jumps_exact(clm, cand, sys, cert, mode_cfg, q0, T)
     assume(designs)
 
 
-def _assert_root_jumps_exact(clm, cand, sys, cert, cfg, q0, T):
-    """Every root-placed jump of a run cut to 8 jumps within ``_root_bound`` of the exact one.
+def _assert_jumps_exact(clm, cand, sys, cert, cfg, q0, T):
+    """Every jump of a run cut to 8 jumps near the exact one: a root-placed jump
+    within ``_root_bound``, a jump at dwell expiry within event_tol (as
+    ``TestExactLtiReference`` bounds it).
 
     ``LtiHybridOracle`` restarts from each segment's start.  The step,
     at most 1e-3 / |M|_2 (and T / 20), puts RK4's own error far below the
@@ -1346,12 +1349,12 @@ def _assert_root_jumps_exact(clm, cand, sys, cert, cfg, q0, T):
     # Fallbacks (seen only where |z|^2 is subnormal) leave each jump's placement unknown.
     slack = sim.event_tol if sol.bisection_jumps else 0.0
     for j, seg in enumerate(sol.segments[: sol.n_jumps]):
-        if not seg.tau[-1] > cfg.T:
-            continue
         t0, z0 = float(seg.t[0]), np.concatenate((seg.x[0], seg.e[0]))
         s = oracle.next_jump(z0, float(seg.tau[0]), sim.horizon_t - t0)
-        z = np.concatenate((seg.x[-1], seg.e[-1]))
-        bound = _root_bound(sys, cert, cfg, z, seg.t.size - 1) + slack
+        bound = sim.event_tol
+        if seg.tau[-1] > cfg.T:  # located inside a step, not taken at dwell expiry
+            z = np.concatenate((seg.x[-1], seg.e[-1]))
+            bound = _root_bound(sys, cert, cfg, z, seg.t.size - 1) + slack
         assert s is not None and abs(sol.jump_times[j] - (t0 + s)) <= bound
 
 

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from etclab import (
     DesignInfeasibleError,
@@ -172,6 +173,23 @@ class TestSolveLyapunov:
             "solve_lyapunov: a's stability margin 1.000e+00 is within rounding of 0 "
             "at its norm 1.000e+300"
         )
+
+    def test_rejects_a_schur_block_that_trsyl_would_perturb(self):
+        # Eigenvalues -1 +- i, far from 0 at the norm 1e6, but so far from normal that
+        # LAPACK's trsyl perturbs a (scipy warns and returns the perturbed solution).
+        a = np.array([[-1.0, 1e6], [-1e-6, -1.0]])
+        with pytest.raises(DesignInfeasibleError) as info:
+            solve_lyapunov(a, np.eye(2))
+        assert str(info.value) == (
+            "solve_lyapunov: LAPACK trsyl perturbed a near-singular Schur block of a (info 1)"
+        )
+
+    def test_solves_as_scipy_does_bit_for_bit(self, rng):
+        for n in range(1, 7):
+            a = _random_stable(rng, n)
+            q = _random_spd(rng, n)
+            p = scipy.linalg.solve_continuous_lyapunov(a.T, -q)
+            assert np.array_equal(solve_lyapunov(a, q), 0.5 * (p + p.T))
 
     def test_rejects_a_nonsquare_a(self):
         with pytest.raises(DimensionError) as info:

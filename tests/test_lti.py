@@ -27,6 +27,7 @@ from etclab import (
     spectral_norm,
     zeta_time,
 )
+from etclab import linalg
 from etclab.systems import tabuada_matrices
 from oracles import lmi_schur_residual, periodic_map, slack_grid_design
 
@@ -283,6 +284,25 @@ class TestDesignCertificate:
             design_certificate(clm, eps1=1e-2, eps2=eps2)
         assert str(info.value) == "A2^T A2 + eps1 Cbar^T Cbar + eps2 I, or 1e3 times its norm, overflows"
 
+    @pytest.mark.parametrize(
+        "plant, ctrl",
+        # B1 near 1e160 beside a plain A1, and a plant A[1][0] = 1e308 under a controller
+        # D = -1e308: either way |B1^T P| passes 1.34e154 at every slack, so its square
+        # overflows as a float.
+        [
+            (dict(A=[[-1.0, 1.0], [-2.0, -3.0]], B=[[0.0], [1e160]], C=[[1.0, 0.0]]),
+             dict(A=[[-1.0]], B=[[1.0]], C=[[0.0]], D=[[0.0]])),
+            (dict(A=[[0.0, 1.0], [1e308, -3.0]], B=[[0.0], [1.0]], C=[[1.0, 0.0]]),
+             dict(A=[[-1.0]], B=[[1.0]], C=[[-1.0]], D=[[-1e308]])),
+        ],
+        ids=["huge-b1", "huge-coupling"],
+    )
+    def test_an_overflowing_mu_is_infeasible(self, plant, ctrl):
+        clm = assemble(LtiPlant(**plant), LtiController(**ctrl))
+        with pytest.raises(DesignInfeasibleError) as info:
+            design_certificate(clm)
+        assert str(info.value).startswith("mu = |B1^T P|^2 / rho overflows at slack ")
+
     def test_failing_lyapunov_solve_propagates(self, monkeypatch):
         # An observer-based loop (2 plant + 2 controller states) whose large
         # slacks used to miss a Lyapunov residual bound relative to |q|.
@@ -413,21 +433,17 @@ class TestBackwardErrorBound:
         # Scaling P by 1 + 1e-6 stays inside this loop's bound (2|a||P| is
         # 4.5e8 |q|); adding 1e-6 max|P| to every entry does not.
         clm = assemble(*stiff_observer_loop)
-        exact = scipy.linalg.solve_continuous_lyapunov
+        exact = linalg._bartels_stewart
         monkeypatch.setattr(
-            "etclab.linalg.scipy.linalg.solve_continuous_lyapunov",
-            lambda a, q: exact(a, q) + 1e-6 * np.abs(exact(a, q)).max(),
+            linalg, "_bartels_stewart", lambda a, q: exact(a, q) + 1e-6 * np.abs(exact(a, q)).max()
         )
         with pytest.raises(DesignInfeasibleError, match="residual"):
             design_certificate(clm)
 
     @pytest.mark.parametrize("build", [tabuada_matrices, _output_feedback_clm])
     def test_a_solve_off_by_a_relative_1e_6_fails_the_design(self, monkeypatch, build):
-        exact = scipy.linalg.solve_continuous_lyapunov
-        monkeypatch.setattr(
-            "etclab.linalg.scipy.linalg.solve_continuous_lyapunov",
-            lambda a, q: (1 + 1e-6) * exact(a, q),
-        )
+        exact = linalg._bartels_stewart
+        monkeypatch.setattr(linalg, "_bartels_stewart", lambda a, q: (1 + 1e-6) * exact(a, q))
         with pytest.raises(DesignInfeasibleError, match="residual"):
             design_certificate(build())
 

@@ -10,12 +10,15 @@ if h >= 0 already when the dwell expires, the jump happens at tau = T
 exactly.  At the equilibrium this degenerates to periodic sampling with
 period T.
 
-``simulate`` is one loop over the stacked state z = (x, e) and the
-clock tau; a sample at jump count j has time t = t_j + tau (t_0 = -q0.tau).
-Each pass ends the run if horizon - t <= 1e-15 max(1, horizon), the one
-horizon test; or flows in the dwell, landing exactly on T; or tests the
-event once at dwell expiry (each segment start in pure-event mode); or
-takes a monitored step or a block of them, locating the jump if the event fired.
+``simulate`` is one loop over the stacked state z = (x, e), the clock tau
+and the phase (end, lead): the phase stops at tau = end, T in the dwell and
+inf once monitored, and lead single steps are due before a block is taken.
+A sample at jump count j has time t = t_j + tau (t_0 = -q0.tau).  Each pass
+ends the run if horizon - t <= 1e-15 max(1, horizon), the one horizon test;
+or takes a block of full steps; or takes one step, dwell or monitored alike,
+of h = min(step, end - tau, horizon - t), landing exactly on end, locating the
+jump if monitored and the event fired; or, at tau >= end = T, tests the event
+once (each segment start in pure-event mode) and jumps or starts monitoring.
 The closure h decides that a step fired.  On a linear loop whose certificate
 has a current form (``trigger.event_screen`` is not None) the jump is placed at
 the first root in (0, h] of the excess along the step, z(s)^T Q z(s) with
@@ -27,9 +30,10 @@ within rounding (counted in ``HybridSolution.bisection_jumps``) bisect for the
 first instant with h >= 0 to ``event_tol``.
 Every flow step passes one norm guard, so a divergence (NaN from f or g
 included, or an ArithmeticError, which makes the step NaN) always carries
-the partial solution.  A single step's outcome takes one path: flow, test the
-guard and (monitored) the event, a NaN excess firing; if it fired, place the
-jump inside the step; record the sample; then stop, go on, or jump.
+the partial solution.  A single step's outcome takes one path, in the dwell
+as when monitored: flow, test the guard and (monitored, end > T) the event, a
+NaN excess firing; if it fired, place the jump inside the step; record the
+sample; then stop, go on, or jump.
 Recorded samples go to one flat (z, tau) log per run, cut into segments at
 the jumps once, at the end, where each sample's t = t_j + tau is derived
 from its segment's jump time t_j by the addition the loop's clock makes, so
@@ -468,8 +472,9 @@ def simulate(
 
     tau = q0.tau
     base = -tau  # absolute time is base + tau; a jump at t sets base = t, tau = 0
-    monitoring = False  # set once the event test at dwell expiry has failed
-    singles = 0  # single steps taken since monitoring last started
+    # The phase: it stops at end (T in the dwell, inf once the event test at dwell
+    # expiry has failed), and lead single steps are still due before a block.
+    end, lead = T, 0
     terminated = "horizon"
     if record:
         rows.append((z, tau))
@@ -477,15 +482,11 @@ def simulate(
         t = base + tau
         if horizon - t <= eps:
             break
-        if (
-            powers is not None
-            and step <= horizon - t
-            and (singles >= lead_in if monitoring else step < T - tau)
-        ):
-            # Full steps, neither landing on T nor cut by the horizon, flow as
+        if powers is not None and lead <= 0 and step < end - tau and step <= horizon - t:
+            # Full steps, neither landing on end nor cut by the horizon, flow as
             # one block of propagator powers.  t only grows, so the steps that
             # start at least a step before the horizon are a prefix.
-            taus = _block_clock(step, math.inf if monitoring else T, tau)
+            taus = _block_clock(step, end, tau)
             ts = base + taus
             m = 1 + int(np.count_nonzero(horizon - ts[:-1] >= step))
             with np.errstate(over="ignore", invalid="ignore"):
@@ -498,41 +499,23 @@ def simulate(
                 powers = None
                 continue
             k = m
-            if monitoring:
+            if end > T:
                 passed = screen.quiet(Z, sq)  # the first row not cleared is a candidate
                 k = m if passed.all() else int(passed.argmin())
             if k:
                 z, tau = Z[k - 1], float(taus[k - 1])
                 if record:
                     rows.extend(zip(Z, taus[:k].tolist()))
-            if k == m:
-                continue
-            # The candidate's step is taken singly below, where h_ev decides.
-            t = base + tau
-        if monitoring:
-            h = min(step, horizon - t)
-            tau_next = tau + h
-            singles += 1
-        elif tau < T:
-            # Dwell: flow freely and land exactly on T.
-            h = min(step, T - tau, horizon - t)
-            tau_next = T if h == T - tau else tau + h
-        elif h_ev is None or h_ev(z[:n_x], z[n_x:]) >= 0.0:
-            # Dwell expiry with the event already on, or periodic: jump now.
-            if jump_times and tau == 0.0:  # only pure-event mode tests at tau = 0
-                # No flow since the last jump: e is still 0, so jumping
-                # again leaves z unchanged, forever.
-                terminated = "zeno"
-                break
-            h = None
-        else:
-            monitoring, singles = True, 0
+            lead = int(k < m)  # the candidate's step is taken singly, where h_ev decides
             continue
-
-        if h is not None:
+        if tau < end:
+            # A single step, dwell or monitored: it lands exactly on end if it reaches it.
+            h = min(step, end - tau, horizon - t)
+            tau_next = end if h == end - tau else tau + h
+            lead -= 1
             z_next = flow(z, h)
             diverged = not math.hypot(*z_next.tolist()) <= guard  # catches NaN as well
-            fired = not diverged and monitoring and not h_ev(z_next[:n_x], z_next[n_x:]) < 0.0
+            fired = not diverged and end > T and not h_ev(z_next[:n_x], z_next[n_x:]) < 0.0
             if fired:
                 # The event fired inside this step (a NaN excess fires too): on a linear
                 # loop with a current form its first instant is the root of the excess along
@@ -565,13 +548,23 @@ def simulate(
             if not fired:
                 continue
             t = base + tau
+        elif h_ev is None or h_ev(z[:n_x], z[n_x:]) >= 0.0:
+            # Dwell expiry with the event already on, or periodic: jump now.
+            if jump_times and tau == 0.0:  # only pure-event mode tests at tau = 0
+                # No flow since the last jump: e is still 0, so jumping
+                # again leaves z unchanged, forever.
+                terminated = "zeno"
+                break
+        else:
+            end, lead = math.inf, lead_in
+            continue
 
         # Jump at t: reset the error and the clock.
         jump_times.append(t)
         cuts.append(len(rows))
         z = z.copy()
         z[n_x:] = 0.0
-        base, tau, monitoring = t, 0.0, False
+        base, tau, end, lead = t, 0.0, T, 0
         if record:
             rows.append((z, tau))
         if len(jump_times) >= settings.max_jumps:

@@ -36,11 +36,19 @@ def _require_square_symmetric(a, name):
         raise ValueError(f"{name}: not symmetric within tolerance {_TOL:g}")
 
 
+def symmetrize(a):
+    """(a + a^T) / 2 of a finite square matrix: 0.5 (a + a^T) where that sum is
+    finite, else 0.5 a + 0.5 a^T, which cannot overflow."""
+    with np.errstate(over="ignore"):
+        s = a + a.T
+    return 0.5 * s if np.isfinite(s).all() else 0.5 * a + 0.5 * a.T
+
+
 def sym_eigenvalues(m):
     """Eigenvalues of a symmetric matrix, in nondecreasing order."""
     a = as_matrix(m)
     _require_square_symmetric(a, "sym_eigenvalues")
-    return np.linalg.eigvalsh(0.5 * (a + a.T))
+    return np.linalg.eigvalsh(symmetrize(a))
 
 
 def spectral_norm(m):
@@ -72,7 +80,10 @@ def _bartels_stewart(a, q):
     Bit for bit scipy's answer, but where LAPACK's trsyl reports a Schur
     block solve so near singular that it perturbed a (info = 1; scipy warns
     and returns the perturbed solution) this raises DesignInfeasibleError.
-    A non-normal a can do that at any stability margin.
+    A non-normal a can do that at any stability margin.  trsyl solves for
+    scale f with 0 < scale <= 1 to keep its y finite, so P takes y / scale
+    (scipy multiplies; both are y where scale is 1), and a P that overflows
+    raises DesignInfeasibleError too.
     """
     r, u = scipy.linalg.schur(a.T, output="real")
     f = u.T.dot((-q).dot(u))
@@ -82,8 +93,13 @@ def _bartels_stewart(a, q):
         raise DesignInfeasibleError(
             f"solve_lyapunov: LAPACK trsyl perturbed a near-singular Schur block of a (info {info})"
         )
-    y *= scale
-    return u.dot(y).dot(u.T)
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = u.dot(y / scale).dot(u.T)
+    if not np.isfinite(p).all():
+        raise DesignInfeasibleError(
+            f"solve_lyapunov: the solution overflows (LAPACK trsyl scale {scale:.3e})"
+        )
+    return p
 
 
 def solve_lyapunov(a, q):
@@ -93,7 +109,8 @@ def solve_lyapunov(a, q):
     guarantees a unique positive definite solution), and raises
     DesignInfeasibleError for an ``a`` whose stability margin -max Re lambda
     is within rounding of 0 at its spectral norm, or whose Schur form LAPACK's
-    trsyl would perturb (``_bartels_stewart``); no warning escapes.  The result is
+    trsyl would perturb (``_bartels_stewart``), or where P or its residual
+    overflows; no warning escapes.  The result is
     symmetrized and accepted iff its residual r = a^T P + P a + q has the
     backward error |r| <= 1e-8 (2|a||P| + |q|), which stiff loops meet.
     """
@@ -122,9 +139,12 @@ def solve_lyapunov(a, q):
             f"solve_lyapunov: a's stability margin {margin:.3e} is within rounding of 0 "
             f"at its norm {size:.3e}"
         )
-    p = _bartels_stewart(a, qm)
-    p = 0.5 * (p + p.T)
-    residual = spectral_norm(a.T @ p + p @ a + qm)
+    p = symmetrize(_bartels_stewart(a, qm))
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = a.T @ p + p @ a + qm
+    if not np.isfinite(r).all():
+        raise DesignInfeasibleError("solve_lyapunov: the residual a^T P + P a + q overflows")
+    residual = spectral_norm(r)
     scale = 2 * size * spectral_norm(p) + spectral_norm(qm)
     if residual > _LYAP_RESIDUAL_RTOL * scale:
         raise DesignInfeasibleError(

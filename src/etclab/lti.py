@@ -45,6 +45,7 @@ from .linalg import (
     solve_lyapunov,
     spectral_norm,
     sym_eigenvalues,
+    symmetrize,
 )
 from .model import Certificate
 
@@ -151,7 +152,7 @@ class LmiCertificate:
     def __post_init__(self):
         P = as_matrix(self.P, "P")
         _require_square_symmetric(P, "P")
-        object.__setattr__(self, "P", 0.5 * (P + P.T))
+        object.__setattr__(self, "P", symmetrize(P))
         _check_eps(self.eps1, self.eps2)
         if not 0 <= self.mu < inf:
             raise CertificateError("mu must be finite and nonnegative")
@@ -212,7 +213,7 @@ def assemble(plant: LtiPlant, ctrl: LtiController) -> ClosedLoopMatrices:
 
 
 def lmi_residual(clm: ClosedLoopMatrices, cand: LmiCertificate) -> float:
-    """Largest eigenvalue of the certificate block matrix.
+    """Largest eigenvalue of the certificate block matrix, inf where the matrix overflows.
 
     The candidate is feasible iff the value is <= 0 (up to a small
     numerical tolerance chosen by the caller).
@@ -222,20 +223,25 @@ def lmi_residual(clm: ClosedLoopMatrices, cand: LmiCertificate) -> float:
         raise DimensionError(
             f"P has shape {P.shape}, expected ({clm.n_x}, {clm.n_x})"
         )
-    S = (
-        clm.A1.T @ P
-        + P @ clm.A1
-        + clm.A2.T @ clm.A2
-        + cand.eps1 * (clm.Cbar.T @ clm.Cbar)
-        + cand.eps2 * np.eye(clm.n_x)
-    )
-    PB = P @ clm.B1
+    with np.errstate(over="ignore", invalid="ignore"):
+        S = (
+            clm.A1.T @ P
+            + P @ clm.A1
+            + clm.A2.T @ clm.A2
+            + cand.eps1 * (clm.Cbar.T @ clm.Cbar)
+            + cand.eps2 * np.eye(clm.n_x)
+        )
+        PB = P @ clm.B1
     M = np.block([[S, PB], [PB.T, -cand.mu * np.eye(clm.n_e)]])
+    if not np.isfinite(M).all():
+        return inf
     return float(sym_eigenvalues(M).max())
 
 
 def is_feasible(clm: ClosedLoopMatrices, cand: LmiCertificate):
     residual = lmi_residual(clm, cand)
+    if residual == inf:  # the block overflowed, and A2^T A2 may have with it
+        return False
     scale = max(1.0, spectral_norm(clm.A2.T @ clm.A2) + cand.eps2, cand.mu)
     return residual <= _FEASIBILITY_RTOL * scale
 

@@ -495,6 +495,29 @@ NON_NORMAL_CFG["system"].update(
     controller={"D": [[0.0, 0.0], [0.0, 0.0]]},
 )
 NON_NORMAL_CFG["initial"] = {"x": [1.0, 0.0], "e": [0.0, 0.0]}
+# A1 = 1 - 1.00000001 = -1e-8 with eps2 = 1e301: P = 1.001e301 / 2e-8 passes 1.8e308.
+# LAPACK's trsyl solves for a scaled right-hand side to stay finite, and the true P overflows.
+LYAPUNOV_OVERFLOW_CFG = {
+    "system": {
+        "name": "lti-custom",
+        "plant": {"A": [[1.0]], "B": [[1.0]], "C": [[1.0]]},
+        "controller": {"D": [[-1.00000001]]},
+        "design": {"eps1": 0.0, "eps2": 1e301},
+    },
+}
+# LTI_CFG with a feasible inline certificate: tabuada's P designed with eps2 = 0.68.
+INLINE_CERT_CFG = {**LTI_CFG, "certificate": {
+    "P": design_certificate(tabuada_matrices(), eps1=0.0, eps2=TABUADA_EPS2).P.tolist(),
+    "eps1": 0.0, "eps2": 0.68, "mu": 17.3495**2,
+}}
+
+
+def _with_cert(**values):
+    """INLINE_CERT_CFG with the certificate fields replaced, P by the (i, j, value) entries."""
+    cert = copy.deepcopy(INLINE_CERT_CFG["certificate"])
+    for i, j, v in values.pop("P", []):
+        cert["P"][i][j] = v
+    return {**INLINE_CERT_CFG, "certificate": {**cert, **values}}
 
 # name: (argv, config document or None, ETC_LAB_SEED or None, exit code,
 # start of stderr, check of stdout and the output directory, or None for
@@ -588,6 +611,26 @@ CLI_EXITS = {
         ["design", "--config", "{config}"], NON_NORMAL_CFG, None, 1,
         "error: solve_lyapunov: LAPACK trsyl perturbed a near-singular Schur block of a "
         "(info 1)\n", None,
+    ),
+    "lyapunov-solution-overflows": (
+        ["design", "--config", "{config}"], LYAPUNOV_OVERFLOW_CFG, None, 1,
+        "error: solve_lyapunov: the solution overflows (LAPACK trsyl scale ", None,
+    ),
+    "certificate-p-whose-sum-overflows": (
+        # 1e308 + 1e308 overflows when P is symmetrized; A1^T P + P A1 overflows too.
+        ["check", "--config", "{config}"], _with_cert(P=[(1, 1, 1e308)]), None, 1,
+        "error: config.certificate: candidate is not feasible (residual inf)\n", None,
+    ),
+    "certificate-eps2-whose-sum-overflows": (
+        # The block matrix is finite, but symmetrizing it for the eigensolve overflowed.
+        ["simulate", "--config", "{config}"], _with_cert(eps2=1e308), None, 1,
+        "error: config.certificate: candidate is not feasible (residual 1.000e+308)\n", None,
+    ),
+    "certificate-on-a-loop-whose-a2-squared-overflows": (
+        # Controller D = [[1e308, -4]]: A2^T A2 overflows in the block and in the feasibility scale.
+        ["simulate", "--config", "{config}"],
+        {**INLINE_CERT_CFG, "system": {**LTI_CFG["system"], "controller": {"D": [[1e308, -4.0]]}}},
+        None, 1, "error: config.certificate: candidate is not feasible (residual inf)\n", None,
     ),
     "initial-past-the-guard": (
         ["simulate", "--config", "{config}"],
@@ -706,6 +749,7 @@ FUZZ_BASES = {
         "initial": {"x": [1.0, -1.0], "e": [0.0, 0.0]},
     },
     "lti-custom": ONE_STATE_CFG,
+    "lti-inline-certificate": {**INLINE_CERT_CFG, "sim": {**LTI_CFG["sim"], "horizon_t": 0.2}},
 }
 _DROP = "<drop>"
 FUZZ_VALUES = [
@@ -767,6 +811,8 @@ class _Overran(Exception):
 @example(case=("lti-custom", [(("system", "design", "eps2"), 1e308)]))  # so do the slacks
 @example(case=("lti-custom", [(("system", "plant", "A", 1, 0), 1e308),  # HUGE_COUPLING_CFG
                               (("system", "controller", "D", 0, 0), -1e308)]))
+@example(case=("lti-inline-certificate", [(("certificate", "P", 0, 0), 1e308)]))  # P's sum
+@example(case=("lti-inline-certificate", [(("certificate", "mu"), 1e308)]))  # the block's sum
 def test_fuzzed_config_exits_cleanly_in_every_command(capsys, tmp_path, monkeypatch, case):
     monkeypatch.delenv("ETC_LAB_SEED", raising=False)
     monkeypatch.chdir(tmp_path)

@@ -1636,6 +1636,20 @@ class TestMonitoredBlock:
                 assert screens == ([None] if case == "periodic" else [])
                 assert n_blocks == 0
 
+    def test_a_full_block_is_followed_by_the_next_block(self):
+        # Pure-event at step 1e-4: 43 monitored blocks, 36 of them full (_DWELL_BLOCK rows,
+        # no row a candidate), and 6 root-placed jumps.  After a full block the phase goes
+        # on with the next block, not with a single step, whose state would differ by
+        # rounding; the digest was recorded before the phase became (end, lead).
+        sys, cert = tabuada_loop()
+        q0 = HybridState(np.array([3.0, -2.0]), np.zeros(2), 0.0)
+        settings = SimSettings(step=1e-4, horizon_t=0.5, event_tol=1e-6)
+        sol, n_blocks = _monitored_blocks(lambda: simulate(sys, cert, _PE, q0, settings))
+        assert (sol.n_jumps, sol.root_jumps, n_blocks) == (6, 6, 43)
+        assert _state_digest(sol) == (
+            "1747336a91a6f57103d4583ba88d8113a2ae3a79496859dc8e0143e65120308c"
+        )
+
     def test_short_monitored_phases_stay_single(self):
         # The first ten of criterion 4's state-feedback runs, over 2 s, end
         # their monitored phases within the lead-in, so none of them takes a

@@ -14,7 +14,7 @@ from etclab import (
     spectral_norm,
     sym_eigenvalues,
 )
-from etclab.linalg import as_matrix
+from etclab.linalg import as_matrix, symmetrize
 from oracles import (
     charpoly_eigenvalues,
     lyapunov_kronecker,
@@ -54,6 +54,19 @@ class TestSymEigenvalues:
     def test_rejects_nonsquare(self):
         with pytest.raises(DimensionError):
             sym_eigenvalues(np.zeros((2, 3)))
+
+    def test_entries_whose_sum_overflows(self):
+        # 1e308 + 1e308 overflows: symmetrizing must not, nor warn.
+        assert sym_eigenvalues(np.diag([1e308, -1e308])).tolist() == [-1e308, 1e308]
+
+
+class TestSymmetrize:
+    def test_halves_before_adding_where_the_sum_overflows(self):
+        a = np.array([[1e308, 1e308], [1.7e308, -1e308]])
+        s = symmetrize(a)
+        assert np.array_equal(s, 0.5 * a + 0.5 * a.T)
+        assert np.array_equal(s, s.T)
+        assert s[0, 0] == 1e308 and s[0, 1] == 1.35e308
 
 
 class TestSpectralNorm:
@@ -190,6 +203,28 @@ class TestSolveLyapunov:
             q = _random_spd(rng, n)
             p = scipy.linalg.solve_continuous_lyapunov(a.T, -q)
             assert np.array_equal(solve_lyapunov(a, q), 0.5 * (p + p.T))
+
+    def test_undoes_trsyl_scale(self):
+        # trsyl solves for scale * q with scale 1e-299 here; P is q / (2 |a|).
+        assert solve_lyapunov([[-1e-8]], [[1e299]]).tolist() == [[5e306]]
+
+    def test_rejects_a_solution_that_overflows(self):
+        # P = 1e305 / 2e-8 = 5e312.
+        with pytest.raises(DesignInfeasibleError) as info:
+            solve_lyapunov([[-1e-8]], [[1e305]])
+        assert str(info.value) == (
+            "solve_lyapunov: the solution overflows (LAPACK trsyl scale 1.000e-305)"
+        )
+
+    def test_rejects_a_residual_that_overflows(self):
+        # P is finite, but a^T P and P a pass 1.8e308 before they cancel.
+        a = [[-123589.0, 90000.0], [-50000.0, 36411.0]]
+        with pytest.raises(DesignInfeasibleError) as info:
+            solve_lyapunov(a, 1e303 * np.eye(2))
+        assert str(info.value) == "solve_lyapunov: the residual a^T P + P a + q overflows"
+
+    def test_q_whose_symmetrizing_sum_overflows(self):
+        assert solve_lyapunov([[-1.0]], [[1e308]]).tolist() == [[5e307]]
 
     def test_rejects_a_nonsquare_a(self):
         with pytest.raises(DimensionError) as info:

@@ -215,6 +215,14 @@ class TestLmiResidual:
         with pytest.raises(ValueError, match="not symmetric"):
             LmiCertificate(P=[[1.0, 1e-3], [0.0, 1.0]], eps1=0.0, eps2=1.0, mu=1.0)
 
+    @pytest.mark.parametrize("p11", [1e308, -1e308])
+    def test_p_whose_block_overflows_is_infinitely_infeasible(self, planar_clm, p11):
+        # Symmetrizing P keeps its entry; -2 p11 in A1^T P + P A1 overflows, and no
+        # warning escapes.
+        cand = LmiCertificate(P=[[1.0, 0.0], [0.0, p11]], eps1=0.0, eps2=0.68, mu=1.0)
+        assert cand.P[1, 1] == p11
+        assert lmi_residual(planar_clm, cand) == np.inf
+
 
 class TestDesignCertificate:
     def test_planar_benchmark(self, planar_clm):

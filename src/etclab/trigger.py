@@ -5,23 +5,22 @@ masp(gamma, L): the largest inter-transmission time that time-driven
 sampling could tolerate for a loop certified with gains (gamma, L).
 The enforced dwell time T must be chosen strictly below it.
 
-masp has a closed form with three branches,
-
-    (1/(L r)) * arctan(r)    for gamma > L,   r = sqrt((gamma/L)^2 - 1)
-    1/L                      for gamma = L
-    (1/(L r)) * arctanh(r)   for gamma < L,   r = sqrt(1 - (gamma/L)^2)
-
-and coincides with the limit of the transit time of a scalar comparison
-ODE,
+masp is the limit of the transit time of a scalar comparison ODE,
 
     zeta' = -2 L zeta - lam (zeta^2 + 1),   zeta(0) = 1/theta,
 
 where lam = sqrt(gamma^2 + eta): the time zeta takes to fall from
 1/theta to theta tends to masp(gamma, L) as (theta, eta) -> (0, 0).
-The ODE is a Riccati equation with a closed-form solution:
-``zeta_solution`` gives zeta(tau) for the envelope monitor, and
-``zeta_time`` gives the transit time from the same three branches.  The
-tests cross-check the transit time against a quadrature of the ODE.
+The ODE is a Riccati equation with a closed-form solution, which
+``zeta_solution`` evaluates for the envelope monitor.  One closed form
+of its transit times serves ``zeta_time`` and masp, the fall from
+infinity to 0 at eta = 0 (only degenerate and far-out gains apart):
+
+    (1/(L r)) * arctan(r)    for gamma > L,   r = sqrt((gamma/L)^2 - 1)
+    1/L                      for gamma = L
+    (1/(L r)) * arctanh(r)   for gamma < L,   r = sqrt(1 - (gamma/L)^2)
+
+The tests cross-check the transit time against a quadrature of the ODE.
 
 ``TriggerConfig.membership`` states the flow set C and the jump set D
 once, over the event excess h(x, e) of ``event_function``:
@@ -61,33 +60,26 @@ _TINY = np.finfo(float).tiny
 def masp(gamma, L):
     """Maximum allowable sampling period for gains (gamma, L).
 
-    Degenerate cases: L = 0, or L below gamma * 1e-150, returns the
-    analytic limit pi/(2 gamma); gamma = 0 with L > 0 returns
-    ``math.inf`` (the arctanh branch diverges); gamma = L = 0 is an
-    error since the gains then carry no stabilizing information.
-    Non-finite or negative gains raise ValueError.
+    That is ``_fall_time(gamma, L / gamma, 0.0, 0.0)`` save for degenerate
+    and far-out gains: L = 0, or L below gamma * 1e-150, returns the
+    analytic limit pi/(2 gamma); gamma below L * 1e-150 returns
+    log(2 L / gamma) / L; gamma = 0 with L > 0 returns ``math.inf`` (the
+    arctanh branch diverges); gamma = L = 0 is an error since the gains
+    then carry no stabilizing information.  Non-finite or negative gains
+    raise ValueError.
     """
     _check_gains(gamma, L, "masp")
     if gamma == 0 and L == 0:
         raise ConfigError("masp is undefined for gamma = L = 0")
     if L == 0 or gamma / L > 1e150:
-        # Past gamma/L ~ 1e154 r overflows and the arctan branch reads 0;
-        # from 1e150 on it equals pi/(2 gamma) to double precision.
-        return math.pi / (2.0 * gamma)
+        # a = L/gamma may underflow to 0, and s = 1/a divide by 0; from
+        # gamma/L = 1e150 on the arctan branch is pi/(2 gamma) to double precision.
+        return math.pi / 2.0 / gamma
     if gamma == 0:
         return math.inf
-    ratio = gamma / L
-    if ratio > 1.0:
-        r = math.sqrt(ratio * ratio - 1.0)
-        return math.atan(r) / (L * r)
-    if ratio < 1e-150:  # ratio^2 underflows, r = 1: atanh(r) = log((1 + r) / ratio)
+    if gamma / L < 1e-150:  # 2 r (a + r) overflows near a = 1e154; r = a, atanh(r s) = log(2 a)
         return (math.log(2.0) + math.log(L) - math.log(gamma)) / L
-    if ratio < 1.0:
-        # atanh(r) = 0.5 log1p(2r / (1 - r)) and 1 - r = ratio^2 / (1 + r): no
-        # cancellation as gamma/L -> 0.
-        r = math.sqrt(1.0 - ratio * ratio)
-        return 0.5 * math.log1p(2.0 * r * (1.0 + r) / (ratio * ratio)) / (L * r)
-    return 1.0 / L
+    return _fall_time(gamma, L / gamma, 0.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -109,25 +101,31 @@ class ZetaParams:
 
 
 def _comparison_ode(gamma, L, zp, caller):
-    """(lam, a, z0, c, r) of the comparison ODE, as zeta_solution defines them."""
+    """(lam, a, theta) of the comparison ODE, as zeta_solution defines them."""
     _check_gains(gamma, L, caller)
     lam = zp.lam(gamma)
-    a = L / lam
+    return lam, L / lam, zp.theta
+
+
+def _branch(a):
+    """(c, r): c = 1 - a^2, whose sign picks the branch, and r = sqrt(|c|), also if a^2 overflows."""
     c = 1.0 - a * a
-    return lam, a, 1.0 / zp.theta, c, math.sqrt(abs(c))
+    return c, math.sqrt(abs(c)) if c > -math.inf else math.sqrt(a - 1.0) * math.sqrt(a + 1.0)
 
 
-def _fall_time(lam, a, z0, c, r, end):
-    """The time at which zeta_solution's zeta falls from z0 to end >= 0.
+def _fall_time(lam, a, theta, end):
+    """The time at which zeta_solution's zeta falls from 1/theta to end >= 0.
 
-    That is atan(r s)/(lam r), s/lam or atanh(r s)/(lam r) at s = (z0 - end) / d with
-    d = 1 + a z0 + end (z0 + a).  As a - r = 1/(a + r), d (1 - r s) = 1 + z0/(a + r)
-    + end (z0 + a + r), so atanh(r s) = log1p(2 r s / (1 - r s)) / 2 does not cancel.
+    That is atan(r s)/(lam r), s/lam or atanh(r s)/(lam r) at s = (1 - end theta) / d with
+    d = theta + a + end (1 + a theta); theta = 0 starts at infinity.  As a - r = 1/(a + r),
+    d (1 - r s) = theta + 1/(a + r) + end (1 + theta (a + r)), so atanh(r s) =
+    log1p(2 r s / (1 - r s)) / 2 does not cancel.
     """
+    c, r = _branch(a)
     if c < 0.0:
-        x = 2.0 * r * (z0 - end) / (1.0 + z0 / (a + r) + end * (z0 + a + r))  # 2 r s / (1 - r s)
-        return 0.5 * math.log1p(x) / (lam * r)
-    s = (z0 - end) / (1.0 + a * z0 + end * (z0 + a))
+        x = 2.0 * r * (1.0 - end * theta) / (theta + 1.0 / (a + r) + end * (1.0 + theta * (a + r)))
+        return 0.5 * math.log1p(x) / (lam * r)  # x = 2 r s / (1 - r s)
+    s = (1.0 - end * theta) / (theta + a + end * (1.0 + a * theta))
     if c > 0.0:
         return math.atan(r * s) / (lam * r)
     return s / lam
@@ -150,8 +148,9 @@ def zeta_solution(gamma, L, zp):
     lam tau or tanh(lam r tau)/r, which stays well conditioned as a -> 1.
     zeta falls monotonically and stays at 0 after crossing it.
     """
-    lam, a, z0, c, r = _comparison_ode(gamma, L, zp, "zeta_solution")
-    tau_zero = _fall_time(lam, a, z0, c, r, 0.0)  # zeta reaches 0 here
+    lam, a, theta = _comparison_ode(gamma, L, zp, "zeta_solution")
+    (c, r), z0 = _branch(a), 1.0 / theta
+    tau_zero = _fall_time(lam, a, theta, 0.0)  # zeta reaches 0 here
 
     def zeta(tau):
         if tau >= tau_zero:

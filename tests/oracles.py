@@ -153,6 +153,29 @@ def masp_arctanh_reference(gamma, L, digits=800):
         return float(((1 + r) / (1 - r)).ln() / (2 * l * r))
 
 
+def masp_arctan_reference(gamma, L, digits=60):
+    """masp on its arctan branch (gamma > L > 0) in 60-digit decimal arithmetic.
+
+    Evaluates atan(r) / (L r) with r = sqrt((gamma/L)^2 - 1) on the exact
+    values of the two doubles.  atan is taken by halving its argument,
+    atan(x) = 2 atan(x / (1 + sqrt(1 + x^2))), until |x| < 1e-2, then
+    summing the Taylor series x - x^3/3 + x^5/5 - ...
+    """
+    with localcontext() as ctx:
+        ctx.prec = digits
+        g, l = Decimal(gamma), Decimal(L)
+        ratio = g / l
+        r = (ratio * ratio - 1).sqrt()
+        x, scale = r, 1
+        while x > Decimal("1e-2"):
+            x, scale = x / (1 + (1 + x * x).sqrt()), 2 * scale
+        total, power, k, eps = Decimal(0), x, 1, Decimal(10) ** -(digits + 5)
+        while power > eps * x:
+            total += power / k if k % 4 == 1 else -power / k
+            power, k = power * x * x, k + 2
+        return float(scale * total / (l * r))
+
+
 def zeta_arctanh_reference(gamma, L, theta, eta, end, digits=60):
     """Time for the comparison ODE to fall from 1/theta to end, for L > sqrt(gamma^2 + eta).
 

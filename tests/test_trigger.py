@@ -17,6 +17,7 @@ from etclab import (
 from etclab import trigger
 from etclab.trigger import zeta_solution
 from oracles import (
+    masp_arctan_reference,
     masp_arctanh_reference,
     zeta_arctanh_reference,
     zeta_arctanh_value_reference,
@@ -46,6 +47,14 @@ class TestMasp:
         # gamma/L past ~1e154 overflows r in the arctan branch.
         for L in (3e-149, 3e-151, 4.4e-286):
             assert masp(3.0, L) == pytest.approx(math.pi / 6.0, rel=1e-15)
+
+    @pytest.mark.parametrize("gamma", [9e307, 1.7e308])
+    @pytest.mark.parametrize("L", [0.0, 1.0])
+    def test_zero_growth_limit_near_the_largest_double(self, gamma, L):
+        # pi / (2 gamma) read 0.0 here: 2 gamma overflows to inf.
+        value = masp(gamma, L)
+        assert value == math.pi / 2 / gamma
+        assert value > 0.0
 
     def test_arctanh_branch(self):
         value = masp(1.0, 2.0)
@@ -141,9 +150,26 @@ def test_arctanh_branch_matches_decimal_reference(ratio, L):
     assert masp(gamma, L) == pytest.approx(masp_arctanh_reference(gamma, L), rel=1e-15)
 
 
+@settings(max_examples=300, deadline=None)
+@given(ratio=st.floats(1.0, 1e12, exclude_min=True), L=st.floats(1e-3, 1e3))
+def test_arctan_branch_matches_decimal_reference(ratio, L):
+    gamma = ratio * L
+    assume(gamma > L)
+    assert masp(gamma, L) == pytest.approx(masp_arctan_reference(gamma, L), rel=1e-15)
+
+
 # (gamma, L, theta, eta) with L > sqrt(gamma^2 + eta), where zeta_solution's
 # parameter reaches 1 - r s of about 1e-6, 1e-12 and 2e-16 at the transit.
-_ARCTANH_POINTS = [(1e-3, 1.0, 1e-4, 1e-6), (1e-6, 1.0, 1e-8, 1e-12), (1e-9, 1e3, 1e-8, 1e-12)]
+# The last two have a = L/lam near 1e155 and 1e160, past the 1.34e154 where
+# a^2 overflows; there 1 - r s needs 400 digits (at 60 it rounds to 0 at the
+# zero crossing), and the references use 400 digits at every point.
+_ARCTANH_POINTS = [
+    (1e-3, 1.0, 1e-4, 1e-6),
+    (1e-6, 1.0, 1e-8, 1e-12),
+    (1e-9, 1e3, 1e-8, 1e-12),
+    (0.0, 1e5, 0.5, 1e-300),
+    (1.0, 1e160, 1e-4, 1e-6),
+]
 
 
 class TestZetaArctanhBranch:
@@ -155,14 +181,14 @@ class TestZetaArctanhBranch:
 
     @pytest.mark.parametrize("gamma, L, theta, eta", _ARCTANH_POINTS)
     def test_transit_time(self, gamma, L, theta, eta):
-        ref = zeta_arctanh_reference(gamma, L, theta, eta, end=theta)
+        ref = zeta_arctanh_reference(gamma, L, theta, eta, end=theta, digits=400)
         assert zeta_time(gamma, L, ZetaParams(theta, eta)) == pytest.approx(ref, rel=1e-15)
 
     @pytest.mark.parametrize("gamma, L, theta, eta", _ARCTANH_POINTS)
     def test_zero_crossing(self, gamma, L, theta, eta):
         # The time after which zeta_solution returns 0.
         ode = trigger._comparison_ode(gamma, L, ZetaParams(theta, eta), "test")
-        ref = zeta_arctanh_reference(gamma, L, theta, eta, end=0.0)
+        ref = zeta_arctanh_reference(gamma, L, theta, eta, end=0.0, digits=400)
         assert trigger._fall_time(*ode, 0.0) == pytest.approx(ref, rel=1e-15)
 
     @pytest.mark.parametrize("fraction", [0.5, 0.9, 0.97, 0.999])
@@ -174,9 +200,10 @@ class TestZetaArctanhBranch:
         # grows like 1 / (1 - fraction); seen: at most 6.1e-14 at 0.999.
         ode = trigger._comparison_ode(gamma, L, ZetaParams(theta, eta), "test")
         tau = fraction * trigger._fall_time(*ode, 0.0)
-        ref = zeta_arctanh_value_reference(gamma, L, theta, eta, tau)
-        got = zeta_solution(gamma, L, ZetaParams(theta, eta))(tau)
-        assert got == pytest.approx(ref, rel=1e-12)
+        ref = zeta_arctanh_value_reference(gamma, L, theta, eta, tau, digits=400)
+        zeta = zeta_solution(gamma, L, ZetaParams(theta, eta))
+        assert zeta(0.0) == 1.0 / theta
+        assert zeta(tau) == pytest.approx(ref, rel=1e-12)
 
     @settings(max_examples=200, deadline=None)
     @given(

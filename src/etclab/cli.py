@@ -237,8 +237,7 @@ def emit_plot_data(sol: HybridSolution, path, t_ref) -> str:
 
 
 def _cmd_masp(args):
-    value = masp(args.gamma, args.L)
-    print("inf" if value == float("inf") else _display(value))
+    print(_display(masp(args.gamma, args.L)))
     return _EXIT_OK
 
 

@@ -184,9 +184,9 @@ class AssumptionReport:
     """Sampled verification of the three certificate inequalities.
 
     ``max_violation`` maps each inequality to the largest observed
-    excess of its left-hand side over its right-hand side (<= 0 means
-    the inequality held at every sample); ``scale`` records the largest
-    magnitude either side reached, which normalizes the pass threshold.
+    excess of its left-hand side over its right-hand side (<= 0 means it
+    held at every sample, NaN counts as inf); ``scale`` is the largest finite
+    magnitude either side reached, at least 1, which normalizes the threshold.
     """
 
     n_samples: int
@@ -201,13 +201,8 @@ class AssumptionReport:
     RTOL = 1e-5  # pass threshold, relative to each inequality's scale
 
     def violation_excess(self, key):
-        """Violation beyond the tolerance; > 0 means the check failed.
-
-        +inf when the violation or the scale is not finite, as no tolerance
-        then covers it (inf - RTOL inf would be NaN).
-        """
-        v, s = self.max_violation[key], self.scale[key]
-        return v - self.RTOL * s if math.isfinite(v) and math.isfinite(s) else math.inf
+        """Violation beyond the tolerance; > 0 means the check failed."""
+        return self.max_violation[key] - self.RTOL * self.scale[key]
 
     @property
     def passed(self):
@@ -217,9 +212,8 @@ class AssumptionReport:
         lines = []
         for k in self.INEQUALITIES:
             verdict = "ok" if self.violation_excess(k) <= 0.0 else "VIOLATED"
-            scale = self.scale[k]
-            tol = f" (tol {self.RTOL * scale:.3g})" if math.isfinite(scale) else ""
-            lines.append(f"{k}: max violation {self.max_violation[k]:.6g}{tol} {verdict}")
+            tol = self.RTOL * self.scale[k]
+            lines.append(f"{k}: max violation {self.max_violation[k]:.6g} (tol {tol:.3g}) {verdict}")
         lines.append(f"skipped {self.n_skipped} samples near nondifferentiable points")
         return "\n".join(lines)
 
@@ -262,9 +256,9 @@ def check_assumption_sampled(
         <grad W(e), g(x, e)> <= L W(e) + H(x)
 
     with y = cert.y_of_x(x), the output the trigger reads, and reports the
-    worst violation of each; a violation that is not finite (a certificate
-    term or a flow returning NaN, or overflowing far out, say) counts as
-    infinite, and numpy warns of none of them.  The left sides
+    worst violation of each; a NaN one (a term or a flow giving NaN, or
+    inf - inf far out) counts as +inf, -inf (an overflowed right side) as
+    held, and numpy warns of none of them.  The left sides
     of the decay inequalities are directional derivatives, each taken by
     one central difference of V along f/|f| (step 1e-6 max(1, |x|)) and of
     W along g/|g| (step 1e-6 |e|), times |f| or |g|, not from a full
@@ -295,17 +289,15 @@ def check_assumption_sampled(
     skipped = 0
 
     def note(key, excess, X, E, *sides):
-        # Record the first largest entry of excess, an (n, k) array of the
-        # violations of k inequalities at the n samples (X, E), if it beats
-        # the earlier chunks'; fmax leaves NaN sides out of the scale.
+        # Keep the first largest excess (NaN as +inf) at the samples (X, E) if it
+        # beats the earlier chunks'; the scale grows to the largest finite |side|.
         if excess.size:
-            excess = np.where(np.isfinite(excess), excess, np.inf)
+            excess = np.where(np.isnan(excess), np.inf, excess)
             i = int(np.argmax(excess))
-            if excess.flat[i] > max_v[key]:
-                r = i // excess.shape[1]
-                max_v[key], worst[key] = float(excess.flat[i]), (X[r].copy(), E[r].copy())
+            if excess[i] > max_v[key]:
+                max_v[key], worst[key] = float(excess[i]), (X[i].copy(), E[i].copy())
         for side in sides:
-            scale[key] = float(np.fmax.reduce(np.abs(side), initial=scale[key]))
+            scale[key] = float(np.max(np.abs(side), initial=scale[key], where=np.isfinite(side)))
 
     for start in range(0, n_samples, _CHUNK):
         # Overflow and NaN in the terms, the flows and the differences are data
@@ -332,11 +324,11 @@ def check_assumption_sampled(
             Xk, Ek = X[kept], E[kept]
             lhs_v = _along(cert.V, X, F, 1e-6 * np.fmax(1.0, nx))
             lhs_w = _along(cert.W, Ek, G, 1e-6 * ne[kept])
-            note("v-bounds", np.stack((lo - v, v - hi), axis=1), X, E, v)
+            note("v-bounds", np.maximum(lo - v, v - hi), X, E, v)
             rhs = -a - hx * hx - d + g2 * w * w
-            note("v-decay", (lhs_v - rhs)[:, None], X, E, lhs_v, rhs)
+            note("v-decay", lhs_v - rhs, X, E, lhs_v, rhs)
             rhs = cert.L * w[kept] + hx[kept]
-            note("w-growth", (lhs_w - rhs)[:, None], Xk, Ek, lhs_w, rhs)
+            note("w-growth", lhs_w - rhs, Xk, Ek, lhs_w, rhs)
 
     for k in keys:
         if max_v[k] == -np.inf:

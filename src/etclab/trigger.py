@@ -96,8 +96,9 @@ class ZetaParams:
             raise ValueError("eta must be positive and finite")
 
     def lam(self, gamma):
-        """The ODE coefficient lam = sqrt(gamma^2 + eta)."""
-        return math.sqrt(gamma * gamma + self.eta)
+        """The ODE coefficient lam = sqrt(gamma^2 + eta), finite also where gamma^2 overflows."""
+        lam = math.sqrt(gamma * gamma + self.eta)
+        return lam if lam < math.inf else math.hypot(gamma, math.sqrt(self.eta))
 
 
 def _comparison_ode(gamma, L, zp, caller):

@@ -390,12 +390,17 @@ def check_assumption_sampled_reference(sys, cert, n_samples=10_000, radius=50.0,
     skipped = 0
 
     def note(key, lhs, rhs):
-        # Record the violation of lhs <= rhs at the current sample (x, e).
+        # Record the violation of lhs <= rhs at the current sample (x, e); a NaN
+        # violation counts as +inf, and -inf (rhs overflowed) as held.
         excess = lhs - rhs
-        if not math.isfinite(excess):
+        if math.isnan(excess):
             excess = math.inf
         if excess > max_v[key]:
             max_v[key], worst[key] = excess, (x.copy(), e.copy())
+
+    def grow(key, *sides):
+        # The scale is the largest finite |side|, starting at 1.
+        scale[key] = max([scale[key], *(abs(s) for s in sides if math.isfinite(s))])
 
     for _ in range(n_samples):
         z = uniform_ball(rng, dim, radius)
@@ -405,7 +410,7 @@ def check_assumption_sampled_reference(sys, cert, n_samples=10_000, radius=50.0,
         v = cert.V(x)
         note("v-bounds", cert.alpha_lower(nx), v)
         note("v-bounds", v, cert.alpha_upper(nx))
-        scale["v-bounds"] = max(scale["v-bounds"], abs(v))
+        grow("v-bounds", v)
 
         h_v = 1e-6 * max(1.0, nx)
         grad_v = _grad_fd(cert.V, x, h_v)
@@ -413,7 +418,7 @@ def check_assumption_sampled_reference(sys, cert, n_samples=10_000, radius=50.0,
         w, hx = cert.W(e), cert.H(x)
         rhs = -cert.alpha(nx) - hx**2 - cert.delta(cert.y_of_x(x)) + g2 * w * w
         note("v-decay", lhs, rhs)
-        scale["v-decay"] = max(scale["v-decay"], abs(lhs), abs(rhs))
+        grow("v-decay", lhs, rhs)
 
         ne = math.sqrt(e.dot(e))
         if ne < skip_band:
@@ -424,7 +429,7 @@ def check_assumption_sampled_reference(sys, cert, n_samples=10_000, radius=50.0,
             lhs = float(grad_w.dot(sys.g(x, e)))
             rhs = cert.L * w + hx
             note("w-growth", lhs, rhs)
-            scale["w-growth"] = max(scale["w-growth"], abs(lhs), abs(rhs))
+            grow("w-growth", lhs, rhs)
 
     for k in keys:
         if max_v[k] == -np.inf:

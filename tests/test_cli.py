@@ -652,6 +652,12 @@ CLI_EXITS = {
         }},
         None, 1, "error: config.system: closed-loop block A2 is not finite", None,
     ),
+    "check-right-side-overflows": (
+        # mu = 1e308 is feasible; gamma^2 W(e)^2 overflows to +inf far out, where
+        # the v-decay excess is -inf, which holds, not an infinite violation.
+        ["check", "--config", "{config}", "--samples", "200"], _with_cert(mu=1e308), None, 0,
+        "", lambda out, outdir: out.endswith("PASS\n") and not outdir.exists(),
+    ),
     "check-overflow-far-out": (
         # At radius 1e200 the norms, V, W, delta and f overflow: each is an infinite
         # violation, and numpy warns of none of them (a warning fails the test).

@@ -23,6 +23,7 @@ from etclab import (
     HybridState,
     LtiController,
     LtiPlant,
+    Segment,
     SimSettings,
     TriggerConfig,
     ZetaParams,
@@ -1188,6 +1189,17 @@ class TestRMonitor:
         samples = r_monitor(sol, cert, zp)
         assert samples == expected
         assert [tuple(map(type, s)) for s in samples] == [tuple(map(type, s)) for s in expected]
+
+    def test_gamma_whose_square_overflows(self, tabuada):
+        # lam = sqrt(gamma^2 + eta) overflowed to inf past gamma = 1.34e154, and
+        # zeta(0) with it to 0.0, so R read inf * 0 = NaN.
+        _, cert = tabuada
+        cert = dataclasses.replace(cert, gamma=1e160)
+        x, e = np.array([1.0, 0.0]), np.array([1.0, 0.0])
+        seg = Segment(j=0, t=np.zeros(1), x=x[None], e=e[None], tau=np.zeros(1))
+        [(t, j, r)] = r_monitor(HybridSolution([seg], []), cert, ZetaParams(0.5, 1.0))
+        assert (t, j) == (0.0, 0)
+        assert r == pytest.approx(cert.V(x) + 2e160 * cert.W(e) ** 2, rel=1e-15)
 
     def test_r_equals_v_right_after_jumps(self, tabuada):
         sys, cert = tabuada

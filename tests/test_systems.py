@@ -15,6 +15,7 @@ from etclab import (
     ClosedLoopSystem,
     DesignInfeasibleError,
     DimensionError,
+    LmiCertificate,
     LtiController,
     LtiPlant,
     SimSettings,
@@ -31,7 +32,13 @@ from etclab import (
     tabuada_loop,
 )
 from etclab.model import HybridState
-from etclab.systems import _CHUNK, BUILTIN_LOOPS, lti_loop_from_matrices
+from etclab.systems import (
+    _CHUNK,
+    BUILTIN_LOOPS,
+    TABUADA_EPS2,
+    lti_loop_from_matrices,
+    tabuada_matrices,
+)
 from oracles import check_assumption_sampled_reference, lorenz_numpy_scalar_terms
 
 
@@ -472,6 +479,14 @@ def _idle_loop():
     return sys, cert
 
 
+def _huge_mu_loop():
+    """The planar benchmark's designed P under the feasible gain mu = 1e308 (gamma = 1e154)."""
+    clm = tabuada_matrices()
+    P = design_certificate(clm, eps1=0.0, eps2=TABUADA_EPS2).P
+    cert = extract_assumption(clm, LmiCertificate(P=P, eps1=0.0, eps2=TABUADA_EPS2, mu=1e308))
+    return lti_loop_from_matrices(clm), cert
+
+
 class TestCheckerAgainstReference:
     """The directional-difference checker against the coordinate-wise one.
 
@@ -530,14 +545,26 @@ class TestCheckerEdgeCases:
         assert not report.passed
         _assert_matches_reference(report, ref)
 
-    def test_infinite_scale_gives_an_infinite_excess(self, lorenz):
-        # Far out V overflows, so the v-bounds scale is inf: the excess is
-        # inf, not inf - RTOL inf = NaN, and no tolerance is printed.
+    def test_overflowed_sides_give_an_infinite_excess(self, lorenz):
+        # Far out V and both bounds overflow, so every excess is inf - inf = NaN,
+        # an infinite violation; no side is finite, so the scale stays 1.
         report = check_assumption_sampled(*lorenz, n_samples=50, radius=1e200, seed=0)
-        assert report.scale["v-bounds"] == report.max_violation["v-bounds"] == math.inf
+        assert report.max_violation["v-bounds"] == math.inf
+        assert report.scale["v-bounds"] == 1.0
         assert report.violation_excess("v-bounds") == math.inf
         assert not report.passed
-        assert report.summary().splitlines()[0] == "v-bounds: max violation inf VIOLATED"
+        assert report.summary().splitlines()[0] == (
+            "v-bounds: max violation inf (tol 1e-05) VIOLATED")
+
+    def test_overflowed_right_side_holds(self):
+        # mu = 1e308 is feasible, but gamma^2 W(e)^2 overflows to +inf for
+        # |e| past about 1.34: the v-decay excess is -inf there, which holds,
+        # and the tolerance scales with the finite sides only.
+        report, ref = _both(*_huge_mu_loop(), n_samples=200, radius=50.0, seed=0)
+        assert report.passed, report.summary()
+        assert report.max_violation["v-decay"] <= 0.0
+        assert math.isfinite(report.scale["v-decay"])
+        _assert_matches_reference(report, ref)
 
     def test_nan_on_some_samples_leaves_the_scale_finite(self, tabuada):
         sys, cert = tabuada

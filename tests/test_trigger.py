@@ -96,6 +96,10 @@ class TestMasp:
             assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
 
 
+# (gamma, eta, zeta_time at L = 1, theta = 0.5) with gamma^2 past the largest double.
+_SQUARE_OVERFLOWS = [(1e160, 1.0, 6.4350110879328435e-161), (1e308, 1e300, 6.435011087932844e-309)]
+
+
 class TestZetaTime:
     def test_theta_near_one_gives_tiny_transit(self):
         assert zeta_time(2.0, 1.0, ZetaParams(theta=0.999, eta=0.01)) < 1e-3
@@ -140,6 +144,13 @@ class TestZetaTime:
     def test_matches_quadrature_oracle(self, gamma, L, theta, eta):
         oracle = zeta_transit_time_reference(gamma, L, theta=theta, eta=eta)
         assert zeta_time(gamma, L, ZetaParams(theta, eta)) == pytest.approx(oracle, rel=1e-9)
+
+    @pytest.mark.parametrize("gamma, eta, transit", _SQUARE_OVERFLOWS)
+    def test_gamma_whose_square_overflows(self, gamma, eta, transit):
+        # lam is hypot(gamma, sqrt(eta)) where gamma^2 overflows; lam = inf gave 0.0.
+        # At theta = 0.5 and a = 1/lam, about 0, the transit is atan(0.75) / gamma.
+        assert zeta_time(gamma, 1.0, ZetaParams(0.5, eta)) == transit
+        assert 0.0 < transit < masp(gamma, 1.0)
 
 
 @settings(max_examples=300, deadline=None)
@@ -272,6 +283,13 @@ class TestZetaSolution:
         # Past the zero crossing zeta stays at 0, however long the segment.
         assert zeta(2.0 * transit) == 0.0
         assert zeta(1e3 * transit) == 0.0
+
+    @pytest.mark.parametrize("gamma, eta, transit", _SQUARE_OVERFLOWS)
+    def test_gamma_whose_square_overflows(self, gamma, eta, transit):
+        # lam = inf made zeta(0) 0.0, not 1/theta.
+        zeta = zeta_solution(gamma, 1.0, ZetaParams(0.5, eta))
+        assert zeta(0.0) == 2.0
+        assert zeta(0.5 * transit) > zeta(transit) == pytest.approx(0.5, rel=1e-9)
 
     def test_continuous_across_a_equal_one(self):
         zp = ZetaParams(theta=0.05, eta=16.0)

@@ -66,8 +66,13 @@ Re-stepped singly from their segment's start, states differ by rounding,
 relative to max(1, |z|), within 32 ulps in a dwell and 32 + k/2 ulps at the
 k-th step after it (``TestDwellBlock``, ``TestMonitoredBlock``; seen: at most
 44).  A block that meets inf, NaN or the guard is discarded, and the run
-steps singly from there on.  ``flow_step`` takes the single step with the
-same cached propagator; identical inputs give bit-identical logs.
+steps singly from there on.  Unrecorded, a dwell block from z with
+reach |z| <= ``blowup_norm`` skips the guard and is the one product P^m z:
+``_dwell_reach`` caches reach next to each stack, a bound that proves every
+row passes the guard and no product overflows (inf or NaN where a power is
+not finite, so such blocks take the full product).  ``flow_step`` takes the
+single step with the same cached propagator; identical inputs give
+bit-identical logs.
 The per-step paths here and in the certificate terms use ``ndarray.dot``
 and ``math.sqrt(v.dot(v))``, which numpy runs through the same BLAS
 kernels as ``@`` and ``np.linalg.norm`` without their dispatch cost; a
@@ -342,6 +347,28 @@ def _dwell_powers(M_bytes, n, step):
     return stack
 
 
+@functools.lru_cache(maxsize=_PROPAGATORS // _DWELL_BLOCK)
+def _dwell_reach(M_bytes, n, step):
+    """(1 + delta) max_j |P^j|_F over ``_dwell_powers``' stack; inf or NaN if a power is not finite.
+
+    If reach |z| <= guard for the computed reach and |z| (``math.hypot``), every row
+    fl(P^j z) of a block from z passes ``simulate``'s guard and no product overflows.
+    A computed dot product of n terms errs by at most gamma_n = n u / (1 - n u) times
+    sum_k |P^j_ik| |z_k| (u = 2^-53, any order of summation, fused or not), so
+    |fl(P^j z)| <= (1 + gamma_n) |P^j|_F |z|, and every partial sum stays below that
+    too.  The guard squares and sums the n components (1 + gamma_n) and takes a
+    rounded square root (1 + u).  The Frobenius norm here may come out small by
+    (1 + gamma_(n^2))^(1/2) (1 + u): n^2 rounded squares summed, a rounded root;
+    |z| by an ulp (2u), and reach and reach |z| round once each.  To first order
+    these factors come to (n^2/2 + 3n/2 + 6) u, so delta = (n + 2)^2 2u covers
+    them twice over.
+    """
+    stack = _dwell_powers(M_bytes, n, step)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sq = np.square(stack).reshape(_DWELL_BLOCK, n * n).sum(axis=1).max()
+    return (1.0 + (n + 2) ** 2 * np.finfo(float).eps) * math.sqrt(sq)
+
+
 @functools.lru_cache(maxsize=64)
 def _block_clock(step, end, tau):
     """The clock after each of the next steps from tau short of end, as a read-only array.
@@ -454,6 +481,8 @@ def simulate(
     n = z.size
     # Rows P, ..., P^_DWELL_BLOCK for blocks of full steps; None: every step is taken singly.
     powers = None if M is None else _dwell_powers(M.tobytes(), n, step)
+    # An unrecorded dwell block from z with reach |z| <= guard is one product, P^m z.
+    reach = None if powers is None else _dwell_reach(M.tobytes(), n, step)
     # The row test of monitored blocks and the excess polynomial of root-placed
     # jumps; None (nonlinear, periodic, no current form): single steps and bisection.
     screen = None if M is None else event_screen(cert, cfg)
@@ -485,10 +514,18 @@ def simulate(
         if powers is not None and lead <= 0 and step < end - tau and step <= horizon - t:
             # Full steps, neither landing on end nor cut by the horizon, flow as
             # one block of propagator powers.  t only grows, so the steps that
-            # start at least a step before the horizon are a prefix.
+            # start at least a step before the horizon are a prefix: all of them
+            # unless the block meets the horizon.
             taus = _block_clock(step, end, tau)
-            ts = base + taus
-            m = 1 + int(np.count_nonzero(horizon - ts[:-1] >= step))
+            m = len(taus)
+            if m > 1 and not horizon - (base + float(taus[-2])) >= step:
+                m = 1 + int(np.count_nonzero(horizon - (base + taus[:-1]) >= step))
+            if end == T and not record and reach * math.hypot(*z.tolist()) <= guard:
+                # Every row passes the guard (``_dwell_reach``) and a dwell tests no
+                # event, so only the last row is needed: the same bits as the block's
+                # last row with numpy's BLAS (``TestDwellBlock``).
+                z, tau = powers[(m - 1) * n : m * n].dot(z), float(taus[m - 1])
+                continue
             with np.errstate(over="ignore", invalid="ignore"):
                 Z = powers[: m * n].dot(z).reshape(m, n)
                 sq = np.einsum("ij,ij->i", Z, Z)

@@ -230,13 +230,17 @@ class TriggerConfig:
 def event_function(cert: Certificate, cfg: TriggerConfig):
     """The event excess h(x, e): jumps become possible once h >= 0.
 
-    Returns None for periodic mode (which jumps on the clock alone).
+    Returns None for periodic mode (which jumps on the clock alone).  Where
+    gamma^2 overflows, the excess takes (gamma W(e))^2, which is 0 at e = 0
+    where inf W^2 would be NaN; elsewhere it takes gamma^2 W(e)^2.
     """
-    g2 = cert.gamma * cert.gamma
+    W, g2 = cert.W, cert.gamma * cert.gamma
+    if not g2 < math.inf:
+        W, g2 = (lambda e: cert.gamma * cert.W(e)), 1.0
     if cfg.mode == "output-feedback":
 
         def h(x, e):
-            w = cert.W(e)
+            w = W(e)
             return g2 * w * w - cert.delta(cert.y_of_x(x))
 
         return h
@@ -252,7 +256,7 @@ def event_function(cert: Certificate, cfg: TriggerConfig):
         sigma = cfg.sigma
 
         def h(x, e):
-            w = cert.W(e)
+            w = W(e)
             hx = cert.H(x)
             nx = math.sqrt(x.dot(x))
             return g2 * w * w - sigma * (cert.alpha(nx) + hx * hx + cert.delta(x))
@@ -283,7 +287,7 @@ def event_form(cert: Certificate, cfg: TriggerConfig):
         qx = cfg.sigma * (cand.eps2 * eye + clm.A2.T @ clm.A2 + cand.eps1 * eye)
     Q = np.zeros((n, n))
     Q[:n_x, :n_x] = -qx
-    Q[n_x:, n_x:] = cert.gamma * cert.gamma * np.eye(clm.n_e)
+    np.fill_diagonal(Q[n_x:, n_x:], cert.gamma * cert.gamma)  # inf where gamma^2 overflows
     return Q
 
 
@@ -303,8 +307,14 @@ def _antidiagonals(r):
     return bins
 
 
+# event_screen's memo: (id(cert), cfg) -> (cert, screen), oldest first.  Holding
+# cert keeps its id from being reused while the entry lives.
+_SCREENS = {}
+_SCREEN_MEMO = 16
+
+
 def event_screen(cert: Certificate, cfg: TriggerConfig):
-    """``EventScreen`` of ``event_form``'s Q; None where Q is None or stale.
+    """``EventScreen`` of ``event_form``'s Q; None where Q is None, not finite or stale.
 
     quiet(Z, sq) clears a row z of Z (sq: |z|^2) only if z^T Q z < -(margin |z|^2 + tiny), so
     h < 0 there: margin = ``SCREEN_RTOL`` |Q|_inf is far above the ~10 n eps |Q|_inf |z|^2 by
@@ -317,9 +327,23 @@ def event_screen(cert: Certificate, cfg: TriggerConfig):
     Q is stale (a copy kept ``lti_form`` but replaced terms) if h and z^T Q z differ by more
     than margin |z|^2 at any of three probe states, of sizes 1e-3, 1 and 1e3 with no zero
     component: the probes share the rows' z^T Q z and margin, and so test their bound.
+    The screen is memoised per certificate object (by identity; a ``dataclasses.replace``
+    copy builds its own) and per config, for the ``_SCREEN_MEMO`` latest pairs: a
+    certificate is frozen, so a batch's runs share one screen and one probe check.
     """
+    key = (id(cert), cfg)
+    hit = _SCREENS.get(key)
+    if hit is None:
+        if len(_SCREENS) >= _SCREEN_MEMO:
+            del _SCREENS[next(iter(_SCREENS))]
+        hit = _SCREENS[key] = (cert, _screen(cert, cfg))
+    return hit[1]
+
+
+def _screen(cert, cfg):
+    """``event_screen`` without the memo."""
     Q = event_form(cert, cfg)
-    if Q is None:
+    if Q is None or not np.isfinite(Q).all():  # an overflowed gamma^2 or term
         return None
     margin = SCREEN_RTOL * np.abs(Q).sum(axis=1).max()
 

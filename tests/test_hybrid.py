@@ -41,7 +41,7 @@ from etclab import (
 )
 from etclab import hybrid, trigger
 from etclab.hybrid import _DWELL_BLOCK, _PROPAGATORS, _rk4_propagator
-from etclab.montecarlo import BatchSpec, sample_initial
+from etclab.montecarlo import BatchSpec, run_batch, sample_initial
 from etclab.systems import TABUADA_EPS2, lti_loop_from_matrices, tabuada_matrices
 from etclab.trigger import MODES
 from oracles import LtiHybridOracle
@@ -558,6 +558,19 @@ class TestSimulate:
                 settings = SimSettings(step=1e-3, horizon_t=1.0, blowup_norm=guard)
                 simulate(sys, cert, _sf_cfg(T=0.075), q0, settings)
 
+    def test_gamma_whose_square_overflows_flows_and_bisects(self, tabuada):
+        # gamma^2 = inf: the excess at e = 0 is -sigma (...) < 0, not inf * 0 = NaN,
+        # so q0 flows; Q is not finite, so there is no screen and each jump is bisected.
+        sys, cert = tabuada
+        big = dataclasses.replace(cert, gamma=1e160)
+        q0 = HybridState(np.array([1.0, -1.0]), np.zeros(2), 0.0)
+        settings = SimSettings(step=1e-3, horizon_t=0.01, max_jumps=5, event_tol=1e-6)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = simulate(sys, big, _PE, q0, settings)
+        assert (sol.terminated, sol.root_jumps, sol.bisection_jumps) == ("max-jumps", 0, 5)
+        assert 0.0 < sol.jump_times[0] <= settings.event_tol
+
     @pytest.mark.parametrize("tau0", [float("nan"), float("inf")])
     def test_nonfinite_initial_clock_rejected(self, tau0):
         # Rejected at construction, so no simulator, flow or jump test sees it.
@@ -786,8 +799,20 @@ STATE_DIGESTS = {
 }
 
 
+# A tabuada start of norm 500 under a blow-up guard of 1e3.  Unrecorded, its first
+# four dwell blocks lie outside ``_dwell_reach``'s bound (reach |z| > 1e3, reach 2.41)
+# and take the full product; the other ten, after the state has decayed, take P^m z.
+NEAR_GUARD = (_sf_cfg(), [300.0, -400.0], 1.0, 1e3)  # (trigger, x0, horizon, blowup_norm)
+
+
 def _recorded_run(name, request, record_states=True):
-    """The solution of a PINNED_RUNS run, or the partial of a _diverging_loops run."""
+    """The solution of a PINNED_RUNS or NEAR_GUARD run, or the partial of a _diverging_loops run."""
+    if name == "near-guard":
+        cfg, x0, horizon, guard = NEAR_GUARD
+        q0 = HybridState(np.array(x0), np.zeros(2), 0.0)
+        settings = SimSettings(step=1e-3, horizon_t=horizon, event_tol=1e-6, blowup_norm=guard,
+                               record_states=record_states)
+        return simulate(*tabuada_loop(), cfg, q0, settings)
     if name in PINNED_RUNS:
         loop, cfg, x0, e0, tau0, horizon, max_jumps = PINNED_RUNS[name]
         sys, cert = request.getfixturevalue(loop)
@@ -819,7 +844,7 @@ class TestRecordedStates:
             assert not after.e[0].any() and after.tau[0] == 0.0
             assert after.x[0].tobytes() == before.x[-1].tobytes()
 
-    @pytest.mark.parametrize("name", sorted(STATE_DIGESTS))
+    @pytest.mark.parametrize("name", [*sorted(STATE_DIGESTS), "near-guard"])
     def test_recording_off_keeps_the_event_log(self, name, request):
         on = _recorded_run(name, request)
         off = _recorded_run(name, request, record_states=False)
@@ -1145,6 +1170,72 @@ class TestDwellBlock:
         partial = info.value.partial
         assert partial.terminated == "blow-up" and partial.segments[0].t.size == 3
         assert _state_digest(partial) == _state_digest(ref.value.partial)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_one_row_product_is_the_blocks_last_row(self, n):
+        # An unrecorded dwell block inside the bound takes only P^m z, which
+        # must be the row that the full product would have given.
+        rng = np.random.default_rng(n)
+        M = rng.standard_normal((n, n))
+        stack = hybrid._dwell_powers(M.tobytes(), n, 1e-3)
+        z = 100.0 * rng.standard_normal(n)
+        for m in range(1, _DWELL_BLOCK + 1):
+            block = stack[: m * n].dot(z).reshape(m, n)
+            assert stack[(m - 1) * n : m * n].dot(z).tobytes() == block[-1].tobytes()
+
+    @pytest.mark.parametrize("name", ["tabuada", "lqr3", "lqr2"])
+    def test_reach_bounds_every_power(self, name):
+        sys, _, _, _ = _exact_reference_case(name, "state-feedback")
+        M, n = sys.stacked_matrix, sys.stacked_matrix.shape[0]
+        stack = hybrid._dwell_powers(M.tobytes(), n, 1e-3)
+        norms = [np.linalg.norm(stack[j * n : (j + 1) * n]) for j in range(_DWELL_BLOCK)]
+        reach = hybrid._dwell_reach(M.tobytes(), n, 1e-3)
+        assert max(norms) < reach <= (1.0 + 1e-12) * max(norms)
+
+    @pytest.mark.parametrize(
+        "M", [[[2e4, 0.0], [-2e4, 0.0]], [[1e4, 1e4], [1e4, -1e4]]], ids=["nan", "inf"]
+    )
+    def test_reach_is_not_finite_for_an_overflowing_stack(self, M):
+        key = np.array(M).tobytes()
+        hybrid._dwell_reach.cache_clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no overflow RuntimeWarning either
+            reach = hybrid._dwell_reach(key, 2, 1e-3)
+        assert not math.isfinite(reach)  # reach |z| <= guard fails, for z = 0 too
+
+    def test_unrecorded_dwell_blocks_inside_the_bound_take_one_product(self):
+        # Recorded, all 14 dwell blocks of the near-guard run take the full
+        # product; unrecorded, the 10 inside the bound take P^m z alone.
+        real, rows = hybrid._dwell_powers, []
+
+        class Counted(np.ndarray):
+            def dot(self, z):
+                rows.append(len(self) // 4)  # powers in this product
+                return self.view(np.ndarray).dot(z)
+
+        def counted_run(record_states):
+            rows.clear()
+            with mock.patch.object(hybrid, "_dwell_powers", lambda *key: real(*key).view(Counted)):
+                return _recorded_run("near-guard", None, record_states), list(rows)
+
+        on, full = counted_run(True)
+        off, taken = counted_run(False)
+        assert len(full) == 14 and min(full) > 1
+        assert taken == full[:4] + [1] * 10
+        assert (off.terminated, off.jump_times) == (on.terminated, on.jump_times)
+
+    @pytest.mark.parametrize("name", sorted(BLOCK_RUNS))
+    def test_bound_path_keeps_the_event_log_of_the_full_product(self, name):
+        cfg, x0, e0, tau0, horizon, step = BLOCK_RUNS[name]
+        sys, cert = tabuada_loop()
+        q0 = HybridState(np.array(x0), np.array(e0), tau0)
+        settings = SimSettings(step=step, horizon_t=horizon, event_tol=1e-6, record_states=False)
+        sol = simulate(sys, cert, cfg, q0, settings)
+        with mock.patch.object(hybrid, "_dwell_reach", lambda *key: math.inf):
+            ref = simulate(sys, cert, cfg, q0, settings)
+        assert (sol.terminated, sol.root_jumps, sol.bisection_jumps) == (
+            ref.terminated, ref.root_jumps, ref.bisection_jumps)
+        assert [t.hex() for t in sol.jump_times] == [t.hex() for t in ref.jump_times]
 
 
 class TestStackedMatrix:
@@ -1813,3 +1904,37 @@ class TestMonitoredBlock:
         # the same certificate.
         assert sol.root_jumps == 0 and sol.bisection_jumps >= 10
         _assert_same_runs([sol], [_step_path(sys, bare, cfg, q0, settings)])
+
+
+class TestScreenMemo:
+    """``event_screen`` builds one screen per certificate object and config."""
+
+    def test_a_batch_builds_its_screen_once(self):
+        sys, cert = tabuada_loop()  # a certificate object that no screen has seen
+        spec = BatchSpec(n_runs=5, radius=100.0, horizon_t=0.3, seed=0, trigger=_PE,
+                         sim=SimSettings(step=1e-3, horizon_t=0.3, event_tol=1e-6))
+        with mock.patch.object(trigger, "event_form", wraps=trigger.event_form) as form:
+            rep = run_batch(sys, cert, spec)
+        assert rep.n_events_total >= 10 and not rep.failures
+        form.assert_called_once()
+
+    def test_a_copy_without_a_form_builds_its_own_screen_and_bisects(self):
+        sys, cert = tabuada_loop()
+        assert trigger.event_screen(cert, _PE) is not None
+        bare = dataclasses.replace(cert, lti_form=None)
+        assert trigger.event_screen(bare, _PE) is None
+        q0 = HybridState(np.array([3.0, -2.0]), np.zeros(2), 0.0)
+        sol = simulate(sys, bare, _PE, q0, SimSettings(step=1e-3, horizon_t=0.5, event_tol=1e-6))
+        assert sol.root_jumps == 0 and sol.bisection_jumps >= 5
+
+    def test_memo_stays_bounded(self):
+        _, cert = tabuada_loop()
+        copies = [dataclasses.replace(cert, name=f"copy-{k}") for k in range(3 * trigger._SCREEN_MEMO)]
+        for copy in copies:
+            assert trigger.event_screen(copy, _PE) is not None
+            assert len(trigger._SCREENS) <= trigger._SCREEN_MEMO
+        with mock.patch.object(trigger, "event_form", wraps=trigger.event_form) as form:
+            trigger.event_screen(copies[-1], _PE)  # kept
+            assert form.call_count == 0
+            trigger.event_screen(copies[0], _PE)  # dropped long ago: built again
+            assert form.call_count == 1

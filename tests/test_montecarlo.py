@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 from dataclasses import replace
@@ -19,6 +20,7 @@ from etclab import (
     run_batch,
     sample_initial,
     simulate,
+    tabuada_loop,
 )
 from etclab.sampling import uniform_ball
 
@@ -246,6 +248,30 @@ class TestRunBatch:
         rep = run_batch(sys, cert, spec)
         assert rep.failures == [0, 1, 2]
         assert rep.n_events_total == 0
+
+
+# SHA-256 of the event log of 8 unrecorded runs of tabuada_loop() at the planar
+# benchmark's settings (seed 0), recorded before unrecorded dwell blocks took one
+# product; the digest hashes each (run, j, t_j, gap) row with its floats in hex.
+BATCH_LOG_SHA256 = {
+    "state-feedback": "6708672f7710898ff7fecf182bd5e2f9e07ac4b682dd5e028c5e88031e9e9d89",
+    "pure-event": "3c159abace7c4e09b3547827f5ea9f4d318b956179c45fabb003fd0d4faf3759",
+}
+
+
+@pytest.mark.parametrize("mode", sorted(BATCH_LOG_SHA256))
+def test_unrecorded_batch_log_matches_its_pin(mode):
+    sys, cert = tabuada_loop()
+    T = 0.075 if mode == "state-feedback" else 0.0
+    spec = BatchSpec(n_runs=8, radius=100.0, horizon_t=2.0, seed=0,
+                     trigger=TriggerConfig(mode=mode, T=T, sigma=0.7),
+                     sim=SimSettings(step=1e-3, horizon_t=2.0, event_tol=1e-6))
+    rep = run_batch(sys, cert, spec)
+    assert not rep.failures and len(rep.events) >= 200
+    digest = hashlib.sha256()
+    for run, j, t_j, gap in rep.events:
+        digest.update(f"{run} {j} {t_j.hex()} {gap.hex()}\n".encode())
+    assert digest.hexdigest() == BATCH_LOG_SHA256[mode]
 
 
 class TestEmitReport:

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -412,3 +413,44 @@ class TestFlowJumpSets:
         cfg = TriggerConfig(mode="state-feedback", T=0.005, sigma=0.5)
         with pytest.raises(ConfigError, match="full-state output"):
             event_function(cert, cfg)
+
+
+class TestEventExcess:
+    _X = np.array([1.0, -1.0])
+
+    @staticmethod
+    def _cfg(mode):
+        return TriggerConfig(mode=mode, T=0.075, sigma=0.7 if mode == "state-feedback" else None)
+
+    def test_keeps_gamma_squared_where_it_is_finite(self, tabuada):
+        _, cert = tabuada
+        h = event_function(cert, self._cfg("output-feedback"))
+        rng = np.random.default_rng(3)
+        for _ in range(100):
+            x, e = rng.standard_normal(2), rng.standard_normal(2) * 10.0 ** rng.uniform(-5, 5)
+            w = cert.W(e)
+            assert h(x, e) == (cert.gamma * cert.gamma) * w * w - cert.delta(x)
+
+    @pytest.mark.parametrize("mode", ["output-feedback", "state-feedback"])
+    def test_gamma_whose_square_overflows(self, tabuada, mode):
+        # Where gamma^2 is inf the excess takes (gamma W)^2: 0 at e = 0, not inf * 0 = NaN.
+        _, cert = tabuada
+        cfg = self._cfg(mode)
+        big = dataclasses.replace(cert, gamma=1e160)
+        h, h_big = event_function(cert, cfg), event_function(big, cfg)
+        zero = np.zeros(2)
+        assert h_big(self._X, zero) == h(self._X, zero) <= 0.0  # eps1 = 0: delta = 0
+        e = np.array([3e-161, 4e-161])  # W(e) = 5e-161, gamma W = 0.5
+        assert h_big(self._X, e) == (1e160 * cert.W(e)) ** 2 + h(self._X, zero)
+        assert h_big(self._X, np.array([1e-3, 0.0])) == math.inf
+
+    @pytest.mark.parametrize("mode", ["output-feedback", "state-feedback"])
+    def test_form_with_an_overflowing_gamma_gives_no_screen(self, tabuada, mode):
+        _, cert = tabuada
+        big = dataclasses.replace(cert, gamma=1e160)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            Q = trigger.event_form(big, self._cfg(mode))
+            assert trigger.event_screen(big, self._cfg(mode)) is None
+        assert (np.diag(Q)[2:] == math.inf).all()
+        assert not Q[2:, 2:][~np.eye(2, dtype=bool)].any()  # zeros, not inf * 0 = NaN

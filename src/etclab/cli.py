@@ -69,9 +69,21 @@ def load_config(path) -> dict:
 
 _SECTIONS = ("system", "certificate", "trigger", "sim", "batch", "initial", "zeta", "output_dir")
 
-# JSON values accepted for a parameter annotation; matrices and vectors
-# are left to the constructor.
+# JSON values accepted for a parameter annotation, never a bool; for a matrix
+# or vector, each leaf of its nested lists, the shape left to the constructor.
 _JSON_KINDS = {float: (int, float), Optional[float]: (int, float, type(None)), int: (int,)}
+_JSON_KINDS[np.ndarray] = _JSON_KINDS[float]
+
+
+def _leaves(v):
+    """The values in v that are not lists, in order: v itself, or the leaves of nested lists."""
+    todo = [v]
+    while todo:  # not recursive: a loaded JSON list can nest almost as deep as the recursion limit
+        u = todo.pop()
+        if isinstance(u, list):
+            todo.extend(reversed(u))
+        else:
+            yield u
 
 
 def _check_keys(d, where, required, allowed):
@@ -99,8 +111,9 @@ def _build(ctor, d, section, defaults=None, **fixed):
     _check_keys(d, where, required, allowed)
     for k, v in d.items():
         kinds = _JSON_KINDS.get(params[k].annotation, (object,))
-        if isinstance(v, bool) or not isinstance(v, kinds):
-            raise ConfigError(f"{where}: field {k!r} has the wrong type {type(v).__name__}")
+        for u in _leaves(v) if params[k].annotation is np.ndarray else [v]:
+            if isinstance(u, bool) or not isinstance(u, kinds):
+                raise ConfigError(f"{where}: field {k!r} has the wrong type {type(u).__name__}")
     try:
         return ctor(**{**defaults, **d}, **fixed)
     except (TypeError, KeyError, ValueError, EtcLabError) as exc:

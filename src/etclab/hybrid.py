@@ -130,7 +130,7 @@ class SimSettings:
             raise ConfigError("blowup_norm must satisfy 0 < blowup_norm <= 1e150")
 
 
-@dataclass
+@dataclass(eq=False)
 class Segment:
     """Samples of one flow interval at constant jump count j."""
 
@@ -141,7 +141,7 @@ class Segment:
     tau: np.ndarray
 
 
-@dataclass
+@dataclass(eq=False)
 class HybridSolution:
     """A solution on a hybrid time domain plus its event log.
 

@@ -74,7 +74,7 @@ def _check_eps(eps1, eps2):
         raise CertificateError("eps2 must be finite and positive")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LtiPlant:
     """Plant matrices (Ap, Bp, Cp)."""
 
@@ -98,7 +98,7 @@ class LtiPlant:
         return self.C.shape[0]
 
 
-@dataclass(frozen=True, kw_only=True)
+@dataclass(frozen=True, eq=False, kw_only=True)
 class LtiController:
     """Output-feedback controller (Ac, Bc, Cc, Dc).
 
@@ -121,7 +121,7 @@ class LtiController:
         return self.A.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClosedLoopMatrices:
     """The blocks of x' = A1 x + B1 e, e' = A2 x + B2 e and the output map y = Cbar x."""
 
@@ -140,7 +140,7 @@ class ClosedLoopMatrices:
         return self.B1.shape[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LmiCertificate:
     """A candidate (P, eps1, eps2, mu) for the block matrix inequality; P is exactly symmetric."""
 

@@ -7,6 +7,9 @@ clock tau measuring time since the last transmission.
 
 ``ClosedLoopSystem`` holds the flow maps, ``Certificate`` the rest, the
 output map included; ``check_pairing`` tells whether the two fit.
+
+Every etclab type that holds arrays or callables compares and hashes by identity
+(``eq=False``), so each object can key a cache; pure value types compare by value.
 """
 
 import math
@@ -27,7 +30,7 @@ def _check_gains(gamma, L, caller):
         raise ValueError(f"{caller}: gamma and L must be finite and nonnegative")
 
 
-@dataclass
+@dataclass(eq=False)
 class HybridState:
     """The triple q = (x, e, tau)."""
 
@@ -42,7 +45,7 @@ class HybridState:
             raise ValueError(f"tau must be finite and nonnegative, got {self.tau}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClosedLoopSystem:
     """Flow maps of the networked closed loop.
 
@@ -88,7 +91,7 @@ class ClosedLoopSystem:
         object.__setattr__(self, "stacked_matrix", M)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Certificate:
     """Lyapunov-type certificate for the networked loop.
 
@@ -120,7 +123,7 @@ class Certificate:
     n_y: int
     y_of_x: Callable[[np.ndarray], np.ndarray] = _identity
     name: str = ""
-    lti_form: Optional[tuple] = field(default=None, compare=False, repr=False)
+    lti_form: Optional[tuple] = field(default=None, repr=False)
 
     def __post_init__(self):
         _check_gains(self.gamma, self.L, "Certificate")

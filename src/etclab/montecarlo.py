@@ -138,7 +138,6 @@ def emit_report(rep: BatchReport, path) -> Tuple[str, str]:
     The CSV rows are ``rep.events`` as held, in (run, j) order from ``run_batch``.
     Overwrites existing files.  Returns the two file paths.
     """
-    os.makedirs(path, exist_ok=True)
     summary_path = os.path.join(path, "summary.json")
     events_path = os.path.join(path, "events.csv")
     summary = {
@@ -149,6 +148,7 @@ def emit_report(rep: BatchReport, path) -> Tuple[str, str]:
         "failures": rep.failures,
     }
     try:
+        os.makedirs(path, exist_ok=True)
         with open(summary_path, "w") as fh:
             json.dump(summary, fh, indent=2)
             fh.write("\n")

@@ -179,7 +179,7 @@ BUILTIN_LOOPS: Dict[str, object] = {
 }
 
 
-@dataclass
+@dataclass(eq=False)
 class AssumptionReport:
     """Sampled verification of the three certificate inequalities.
 

@@ -307,12 +307,7 @@ def _antidiagonals(r):
     return bins
 
 
-# event_screen's memo: (id(cert), cfg) -> (cert, screen), oldest first.  Holding
-# cert keeps its id from being reused while the entry lives.
-_SCREENS = {}
-_SCREEN_MEMO = 16
-
-
+@functools.lru_cache(maxsize=16)
 def event_screen(cert: Certificate, cfg: TriggerConfig):
     """``EventScreen`` of ``event_form``'s Q; None where Q is None, not finite or stale.
 
@@ -327,21 +322,10 @@ def event_screen(cert: Certificate, cfg: TriggerConfig):
     Q is stale (a copy kept ``lti_form`` but replaced terms) if h and z^T Q z differ by more
     than margin |z|^2 at any of three probe states, of sizes 1e-3, 1 and 1e3 with no zero
     component: the probes share the rows' z^T Q z and margin, and so test their bound.
-    The screen is memoised per certificate object (by identity; a ``dataclasses.replace``
-    copy builds its own) and per config, for the ``_SCREEN_MEMO`` latest pairs: a
-    certificate is frozen, so a batch's runs share one screen and one probe check.
+    The 16 latest (certificate, config) pairs keep their screens; a certificate compares
+    by identity and is frozen, so a batch's runs share one screen and one probe check, and
+    a ``dataclasses.replace`` copy builds its own.
     """
-    key = (id(cert), cfg)
-    hit = _SCREENS.get(key)
-    if hit is None:
-        if len(_SCREENS) >= _SCREEN_MEMO:
-            del _SCREENS[next(iter(_SCREENS))]
-        hit = _SCREENS[key] = (cert, _screen(cert, cfg))
-    return hit[1]
-
-
-def _screen(cert, cfg):
-    """``event_screen`` without the memo."""
     Q = event_form(cert, cfg)
     if Q is None or not np.isfinite(Q).all():  # an overflowed gamma^2 or term
         return None

@@ -642,6 +642,22 @@ CLI_EXITS = {
         {**LTI_CFG, "system": {**LTI_CFG["system"], "controller": {"D": [[1.0, -4.0, 0.0]]}}},
         None, 1, "error: config.system: controller D has shape (1, 3), expected (1, 2)\n", None,
     ),
+    "string-in-plant-a": (
+        ["design", "--config", "{config}"],
+        {**LTI_CFG, "system": {**LTI_CFG["system"], "plant": {
+            **LTI_CFG["system"]["plant"], "A": [["0", 1.0], [-2.0, 3.0]],
+        }}},
+        None, 1, "error: config.system.plant: field 'A' has the wrong type str\n", None,
+    ),
+    "bool-in-controller-d": (
+        ["check", "--config", "{config}"],
+        {**LTI_CFG, "system": {**LTI_CFG["system"], "controller": {"D": [[True, -4.0]]}}},
+        None, 1, "error: config.system.controller: field 'D' has the wrong type bool\n", None,
+    ),
+    "string-in-initial-x": (
+        ["simulate", "--config", "{config}"], {**LTI_CFG, "initial": {"x": [1.0, "2"], "e": [0.0, 0.0]}},
+        None, 1, "error: config.initial: field 'x' has the wrong type str\n", None,
+    ),
     "plant-products-overflow": (
         # Every entry is finite, but -C A in block A2 passes 1.8e308.
         ["simulate", "--config", "{config}"],

@@ -21,6 +21,7 @@ from etclab import (
     DomainError,
     HybridSolution,
     HybridState,
+    LmiCertificate,
     LtiController,
     LtiPlant,
     Segment,
@@ -28,6 +29,7 @@ from etclab import (
     TriggerConfig,
     ZetaParams,
     assemble,
+    check_assumption_sampled,
     design_certificate,
     event_function,
     extract_assumption,
@@ -1906,6 +1908,43 @@ class TestMonitoredBlock:
         _assert_same_runs([sol], [_step_path(sys, bare, cfg, q0, settings)])
 
 
+def _assumption_report():
+    sys, cert = tabuada_loop()
+    return check_assumption_sampled(sys, cert, n_samples=20, radius=1.0, seed=0)
+
+
+_TABUADA_CERT = tabuada_loop()[1]
+# One builder per type that holds arrays or callables: each call builds an
+# instance from equal but separate arrays (or a ``replace`` copy).
+_IDENTITY_TYPES = {
+    "Certificate": lambda: dataclasses.replace(_TABUADA_CERT),
+    "ClosedLoopSystem": lambda: tabuada_loop()[0],
+    "HybridState": lambda: HybridState(np.array([1.0, -1.0]), np.zeros(2), 0.0),
+    "Segment": lambda: Segment(0, np.zeros(2), np.ones((2, 2)), np.zeros((2, 2)), np.zeros(2)),
+    "HybridSolution": lambda: HybridSolution([Segment(0, np.zeros(1), np.ones((1, 2)),
+                                                      np.zeros((1, 2)), np.zeros(1))], []),
+    "LtiPlant": lambda: LtiPlant(np.array([[0.0, 1.0], [-2.0, 3.0]]), np.array([[0.0], [1.0]]), np.eye(2)),
+    "LtiController": lambda: LtiController(D=np.array([[1.0, -4.0]])),
+    "ClosedLoopMatrices": tabuada_matrices,
+    "LmiCertificate": lambda: LmiCertificate(np.eye(2), 0.0, 0.68, 1.0),
+    "AssumptionReport": _assumption_report,
+}
+
+
+@pytest.mark.parametrize("name", list(_IDENTITY_TYPES))
+def test_array_holding_types_compare_by_identity(name):
+    a, b = _IDENTITY_TYPES[name](), _IDENTITY_TYPES[name]()
+    assert type(a).__name__ == name
+    assert a == a and not a != a
+    assert a != b and not a == b
+    assert hash(a) == hash(a) and len({a, b}) == 2
+
+
+def test_a_copy_without_its_form_is_another_certificate():
+    _, cert = tabuada_loop()
+    assert dataclasses.replace(cert, lti_form=None) != cert
+
+
 class TestScreenMemo:
     """``event_screen`` builds one screen per certificate object and config."""
 
@@ -1929,12 +1968,25 @@ class TestScreenMemo:
 
     def test_memo_stays_bounded(self):
         _, cert = tabuada_loop()
-        copies = [dataclasses.replace(cert, name=f"copy-{k}") for k in range(3 * trigger._SCREEN_MEMO)]
+        memo = trigger.event_screen.cache_info().maxsize
+        copies = [dataclasses.replace(cert, name=f"copy-{k}") for k in range(3 * memo)]
         for copy in copies:
             assert trigger.event_screen(copy, _PE) is not None
-            assert len(trigger._SCREENS) <= trigger._SCREEN_MEMO
+            assert trigger.event_screen.cache_info().currsize <= memo
         with mock.patch.object(trigger, "event_form", wraps=trigger.event_form) as form:
             trigger.event_screen(copies[-1], _PE)  # kept
             assert form.call_count == 0
             trigger.event_screen(copies[0], _PE)  # dropped long ago: built again
             assert form.call_count == 1
+
+    def test_a_hit_keeps_the_screen_as_the_latest(self):
+        _, first = tabuada_loop()
+        memo = trigger.event_screen.cache_info().maxsize
+        trigger.event_screen(first, _PE)
+        for k in range(memo - 1):
+            trigger.event_screen(dataclasses.replace(first, name=f"copy-{k}"), _PE)
+        trigger.event_screen(first, _PE)  # a hit: now the latest
+        trigger.event_screen(dataclasses.replace(first, name="one-more"), _PE)  # drops the oldest copy
+        with mock.patch.object(trigger, "event_form", wraps=trigger.event_form) as form:
+            assert trigger.event_screen(first, _PE) is not None
+        form.assert_not_called()

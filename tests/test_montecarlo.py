@@ -334,3 +334,14 @@ class TestEmitReport:
             f"failed to write report under {out!r}: [Errno 21] Is a directory: {summary!r}"
         )
         assert isinstance(info.value.__cause__, IsADirectoryError)
+
+    def test_a_file_in_place_of_the_directory_names_it(self, tabuada, tmp_path):
+        sys, cert = tabuada
+        rep = run_batch(sys, cert, _spec(n_runs=1))
+        out = str(tmp_path / "out")
+        Path(out).write_text("")
+        with pytest.raises(OSError) as info:
+            emit_report(rep, out)
+        assert type(info.value) is OSError
+        assert str(info.value) == f"failed to write report under {out!r}: [Errno 17] File exists: {out!r}"
+        assert isinstance(info.value.__cause__, FileExistsError)

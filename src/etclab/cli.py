@@ -62,6 +62,8 @@ def load_config(path) -> dict:
         raise ConfigError(
             f"{path}: malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from None
+    except RecursionError:  # the parser recurses once per nested list or object
+        raise ConfigError(f"{path}: JSON nests too deep to parse") from None
     if not isinstance(raw, dict):  # the commands lay their flags over it
         raise ConfigError(f"config: expected an object, got {type(raw).__name__}")
     return raw

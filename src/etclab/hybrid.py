@@ -52,34 +52,32 @@ of ``_taylor_stack`` rows and no propagator.  On a linear loop full steps
 (neither landing on T nor cut by the horizon) flow as blocks: the states after
 1, ..., m steps are P z, ..., P^m z for the full step's propagator P, one
 product with a read-only stack of ``_DWELL_BLOCK`` powers of that cached P
-(the 32 latest stacks are kept), under one vectorised norm guard, with the
-clock of single steps, so t and tau are those of stepping one at a time.  A
-dwell's full steps are block rows, as no event is tested there.  So are
-monitored steps, after the first ``_LEAD_IN`` = 4 of a phase that follows a
-dwell, if ``trigger.event_screen`` gives a row test: rows it clears stay
-untested, and the first other row's step is taken singly, where h decides
-whether the event fired, so h decides every jump; the jump falls in the
-single-step path's step unless an excess at a step boundary lies within
+(the 32 latest stacks are kept), with the clock of single steps, so t and tau
+are those of stepping one at a time.  The block rule is one test: a block is
+taken only from z with reach |z| <= ``blowup_norm``, where reach, which
+``_dwell_reach`` caches next to each stack, proves that every row passes the
+guard and no product overflows; elsewhere the step is taken singly, and where a
+power is not finite reach is too, so every step is.  A dwell's full steps are
+block rows, as no event is tested there (unrecorded, the block is the one
+product P^m z).  So are monitored steps, after the first ``_LEAD_IN`` = 4 of a
+phase that follows a dwell, if ``trigger.event_screen`` gives a row test: rows
+it clears stay untested, and the first other row's step is taken singly, where
+h decides whether the event fired, so h decides every jump; the jump falls in
+the single-step path's step unless an excess at a step boundary lies within
 rounding of 0, and a root-placed jump moves from the single-step path's with
 the rounding of the state before it (``TestDwellBlock``).
 Re-stepped singly from their segment's start, states differ by rounding,
 relative to max(1, |z|), within 32 ulps in a dwell and 32 + k/2 ulps at the
 k-th step after it (``TestDwellBlock``, ``TestMonitoredBlock``; seen: at most
-44).  A block that meets inf, NaN or the guard is discarded, and the run
-steps singly from there on.  Unrecorded, a dwell block from z with
-reach |z| <= ``blowup_norm`` skips the guard and is the one product P^m z:
-``_dwell_reach`` caches reach next to each stack, a bound that proves every
-row passes the guard and no product overflows (inf or NaN where a power is
-not finite, so such blocks take the full product).  ``flow_step`` takes the
-single step with the same cached propagator; identical inputs give
-bit-identical logs.
+44).  ``flow_step`` takes the single step with the same cached propagator;
+identical inputs give bit-identical logs.
 The per-step paths here and in the certificate terms use ``ndarray.dot``
 and ``math.sqrt(v.dot(v))``, which numpy runs through the same BLAS
 kernels as ``@`` and ``np.linalg.norm`` without their dispatch cost; a
 tier-1 test (``TestHotPathKernels``) pins that the bits agree.  A state's
 size is one rule: ``math.hypot`` of z, which cannot overflow, at most
-``blowup_norm`` <= 1e150 for q0 and after every single step, so no accepted
-state's square overflows.
+``blowup_norm`` <= 1e150 for q0, after every single step and, by reach, at
+every block row, so no accepted state's square overflows.
 """
 
 import functools
@@ -240,8 +238,8 @@ def _excess_root(c, h):
     survives twice in a row is halved) on Horner's form in Python floats,
     keeping the bisection's invariant p(lo) < 0 <= p(hi) until
     hi - lo <= ``_ROOT_RTOL`` h.  Like the bisection it finds the first
-    root unless p changes sign more than once in the step.  None where
-    p(0) >= 0 or p(h) < 0 (the form and the closure disagree within
+    root unless p changes sign more than once in the step.  None where a c_k is
+    not finite, p(0) >= 0 or p(h) < 0 (the form and the closure disagree within
     rounding), or after ``_ROOT_ITERATIONS`` steps: ``simulate`` then bisects.
     """
     c = c.tolist()[::-1]
@@ -253,7 +251,7 @@ def _excess_root(c, h):
         return v
 
     lo, hi, p_lo, p_hi = 0.0, h, c[-1], p(h)
-    if not p_lo < 0.0 <= p_hi:  # NaN fails too
+    if not (p_lo < 0.0 <= p_hi and all(map(math.isfinite, c))):  # NaN fails too
         return None
     kept = None  # the end that the last step kept
     for _ in range(_ROOT_ITERATIONS):
@@ -351,8 +349,9 @@ def _dwell_powers(M_bytes, n, step):
 def _dwell_reach(M_bytes, n, step):
     """(1 + delta) max_j |P^j|_F over ``_dwell_powers``' stack; inf or NaN if a power is not finite.
 
-    If reach |z| <= guard for the computed reach and |z| (``math.hypot``), every row
-    fl(P^j z) of a block from z passes ``simulate``'s guard and no product overflows.
+    ``simulate`` takes a block, dwell or monitored, recorded or not, only from z with
+    reach |z| <= guard for the computed reach and |z| (``math.hypot``): then every row
+    fl(P^j z) of the block passes the guard and no product overflows.
     A computed dot product of n terms errs by at most gamma_n = n u / (1 - n u) times
     sum_k |P^j_ik| |z_k| (u = 2^-53, any order of summation, fused or not), so
     |fl(P^j z)| <= (1 + gamma_n) |P^j|_F |z|, and every partial sum stays below that
@@ -401,9 +400,9 @@ def flow_step(sys: ClosedLoopSystem, q: HybridState, h: float) -> HybridState:
     """One flow step of size h from q: ``simulate``'s single step, with the same propagator.
 
     A step that ``simulate`` takes singly (a dwell landing, a monitored step
-    of a phase's lead-in or at a screen candidate, a bisection step, any
-    monitored step without a screen, any step of a nonlinear loop)
-    records this state bit for bit.  Of a block, dwell or monitored, the
+    of a phase's lead-in or at a screen candidate, a step from z outside the
+    block bound, a bisection step, any monitored step without a screen, any
+    step of a nonlinear loop) records this state bit for bit.  Of a block, dwell or monitored, the
     first row P z matches it too (with numpy's BLAS, as ``TestFlowStep``
     checks); later rows equal repeated ``flow_step`` only within the bounds
     in the module docstring.
@@ -481,7 +480,7 @@ def simulate(
     n = z.size
     # Rows P, ..., P^_DWELL_BLOCK for blocks of full steps; None: every step is taken singly.
     powers = None if M is None else _dwell_powers(M.tobytes(), n, step)
-    # An unrecorded dwell block from z with reach |z| <= guard is one product, P^m z.
+    # A block is taken only from z with reach |z| <= guard, elsewhere a single step.
     reach = None if powers is None else _dwell_reach(M.tobytes(), n, step)
     # The row test of monitored blocks and the excess polynomial of root-placed
     # jumps; None (nonlinear, periodic, no current form): single steps and bisection.
@@ -511,33 +510,26 @@ def simulate(
         t = base + tau
         if horizon - t <= eps:
             break
-        if powers is not None and lead <= 0 and step < end - tau and step <= horizon - t:
+        if (powers is not None and lead <= 0 and step < end - tau and step <= horizon - t
+                and reach * math.hypot(*z.tolist()) <= guard):
             # Full steps, neither landing on end nor cut by the horizon, flow as
-            # one block of propagator powers.  t only grows, so the steps that
+            # one block of propagator powers, whose every row passes the guard
+            # without overflow (``_dwell_reach``).  t only grows, so the steps that
             # start at least a step before the horizon are a prefix: all of them
             # unless the block meets the horizon.
             taus = _block_clock(step, end, tau)
             m = len(taus)
             if m > 1 and not horizon - (base + float(taus[-2])) >= step:
                 m = 1 + int(np.count_nonzero(horizon - (base + taus[:-1]) >= step))
-            if end == T and not record and reach * math.hypot(*z.tolist()) <= guard:
-                # Every row passes the guard (``_dwell_reach``) and a dwell tests no
-                # event, so only the last row is needed: the same bits as the block's
-                # last row with numpy's BLAS (``TestDwellBlock``).
+            if end == T and not record:
+                # A dwell tests no event, so only the last row is needed: the same
+                # bits as the block's last row with numpy's BLAS (``TestDwellBlock``).
                 z, tau = powers[(m - 1) * n : m * n].dot(z), float(taus[m - 1])
                 continue
-            with np.errstate(over="ignore", invalid="ignore"):
-                Z = powers[: m * n].dot(z).reshape(m, n)
-                sq = np.einsum("ij,ij->i", Z, Z)
-                within = math.sqrt(sq.max()) <= guard
-            if not within:
-                # Inf, NaN or past the guard: step singly from here on, so
-                # that a divergence ends as the single-step path ends it.
-                powers = None
-                continue
+            Z = powers[: m * n].dot(z).reshape(m, n)
             k = m
             if end > T:
-                passed = screen.quiet(Z, sq)  # the first row not cleared is a candidate
+                passed = screen.quiet(Z)  # the first row not cleared is a candidate
                 k = m if passed.all() else int(passed.argmin())
             if k:
                 z, tau = Z[k - 1], float(taus[k - 1])

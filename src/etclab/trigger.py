@@ -294,7 +294,7 @@ def event_form(cert: Certificate, cfg: TriggerConfig):
 class EventScreen(NamedTuple):
     """``event_screen``'s two maps of one current form Q."""
 
-    quiet: Callable  # (Z, sq) -> the rows of Z that are cleared, as booleans
+    quiet: Callable  # Z -> the rows of Z that are cleared, as booleans
     coefficients: Callable  # V -> c with z(s)^T Q z(s) = sum_k c_k s^k for z(s) = sum_i s^i v_i
 
 
@@ -308,11 +308,12 @@ def _antidiagonals(r):
 
 
 @functools.lru_cache(maxsize=16)
+@np.errstate(over="ignore", invalid="ignore")  # an overflowing probe gives no screen
 def event_screen(cert: Certificate, cfg: TriggerConfig):
     """``EventScreen`` of ``event_form``'s Q; None where Q is None, not finite or stale.
 
-    quiet(Z, sq) clears a row z of Z (sq: |z|^2) only if z^T Q z < -(margin |z|^2 + tiny), so
-    h < 0 there: margin = ``SCREEN_RTOL`` |Q|_inf is far above the ~10 n eps |Q|_inf |z|^2 by
+    quiet(Z) clears a row z of Z only if z^T Q z < -(margin |z|^2 + tiny), both sides finite,
+    so h < 0 there: margin = ``SCREEN_RTOL`` |Q|_inf is far above the ~10 n eps |Q|_inf |z|^2 by
     which z^T Q z and h differ, and below tiny, the smallest normal float, rounding is absolute.
     coefficients(V) maps the rows v_0, ..., v_(r-1) of V to the 2r - 1 coefficients
     c_k = sum_(i+j=k) v_i^T Q v_j of the excess along z(s) = sum_i s^i v_i: one product
@@ -341,7 +342,15 @@ def event_screen(cert: Certificate, cfg: TriggerConfig):
     if not (gap <= margin * np.einsum("ij,ij->i", Z, Z)).all():  # NaN fails too
         return None
 
+    # Past a big gamma the products overflow, silently: such a row is not cleared, and
+    # ``_excess_root`` takes no coefficient that is not finite, so the closure decides.
+    @np.errstate(over="ignore", invalid="ignore")
+    def quiet(Z):
+        q = zqz(Z)
+        return np.isfinite(q) & (q < -(margin * np.einsum("ij,ij->i", Z, Z) + _TINY))
+
+    @np.errstate(over="ignore", invalid="ignore")
     def coefficients(V):
         return np.bincount(_antidiagonals(len(V)), weights=V.dot(Q).dot(V.T).ravel())
 
-    return EventScreen(lambda Z, sq: zqz(Z) < -(margin * sq + _TINY), coefficients)
+    return EventScreen(quiet, coefficients)

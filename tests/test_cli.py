@@ -519,9 +519,9 @@ def _with_cert(**values):
         cert["P"][i][j] = v
     return {**INLINE_CERT_CFG, "certificate": {**cert, **values}}
 
-# name: (argv, config document or None, ETC_LAB_SEED or None, exit code,
-# start of stderr, check of stdout and the output directory, or None for
-# "no output"); "{config}" in argv is the document, written to a file.
+# name: (argv, config document (or its JSON text) or None, ETC_LAB_SEED or None,
+# exit code, start of stderr, check of stdout and the output directory, or None
+# for "no output"); "{config}" in argv and stderr is the document, written to a file.
 CLI_EXITS = {
     "config-file-not-found": (
         ["simulate", "--config", "{absent}"], None, None, 1, "error: config file not found: ", None,
@@ -680,6 +680,12 @@ CLI_EXITS = {
         ["check", "--system", "lorenz", "--samples", "50", "--radius", "1e200"], None, None, 1,
         "", lambda out, outdir: out.endswith("FAIL\n") and not outdir.exists(),
     ),
+    "config-nests-too-deep": (
+        # The JSON parser recurses once per level: 995 lists pass the recursion limit.
+        ["design", "--config", "{config}"],
+        '{"system": {"name": "lti-custom", "plant": {"A": ' + "[" * 995 + "]" * 995 + "}}}",
+        None, 1, "error: {config}: JSON nests too deep to parse\n", None,
+    ),
     "zeta-transit-warning": (
         # The default zeta's transit time, 0.00988, is below T = 0.01.
         ["simulate", "--config", "{config}"], {k: v for k, v in LORENZ_CFG.items() if k != "zeta"},
@@ -697,14 +703,14 @@ def test_exit_code_and_message(capsys, tmp_path, monkeypatch, name):
     if isinstance(doc, dict):
         doc = {**doc, "output_dir": str(outdir)}
     if doc is not None:
-        (tmp_path / "config.json").write_text(json.dumps(doc))
+        (tmp_path / "config.json").write_text(doc if isinstance(doc, str) else json.dumps(doc))
     if seed is not None:
         monkeypatch.setenv("ETC_LAB_SEED", seed)
     paths = {"config": tmp_path / "config.json", "absent": tmp_path / "absent.json"}
     argv = [a.format(**paths) for a in argv]
     rc, out, err = _run(capsys, *argv)
     assert rc == code
-    assert err.startswith(message)
+    assert err.startswith(message.format(**paths))
     if check is None:
         assert out == "" and not outdir.exists()
     else:

@@ -786,6 +786,10 @@ def _diverging_loops():
 # became t_j + tau: a monitored step's t had been t + h, one rounding off.
 # jump-set and tau0 were re-pinned when monitored steps became blocks too, and
 # the five runs with located jumps when those moved to the excess polynomial's root.
+# blow-up-linear was re-pinned when blocks came to be taken only inside
+# ``_dwell_reach``'s bound: its states near the guard step singly, and 132 of its
+# 2,454 samples moved by rounding (at most 3.4e-16 relative), its jumps and stop
+# unmoved (``BLOW_UP_LINEAR_JUMPS``).
 STATE_DIGESTS = {
     "dwell-expiry": "2696d4d3d52d65abc7247775830e903bdf9610014f30527731a58e25cc6b3817",
     "bisected": "6e21ff28b36e101f2766cd97e12733d727469c82d6296f558886b9fdbb892639",
@@ -797,13 +801,21 @@ STATE_DIGESTS = {
     "max-jumps": "135a79201528b62fbdddf36de476d12fbf8ff12b150ab48cf311a94f3f32b5d9",
     "lorenz": "d3b40331950b48352acf7360e71241c408e7bc010137f78a4b061ad5a2129ef0",
     "blow-up-closure": "800832b37df681e12ac938c7c52e23299929dbb277d179ae59b383d7a49b8770",
-    "blow-up-linear": "c466e828731d4417a889ca1179f7c6527724edba0561b9fe4349c4f954f64d29",
+    "blow-up-linear": "5c5d74e8516a2244a8f271a5ed7928bbe4221b5e83115a1c4d5adbe557ad17b5",
 }
 
+# The blow-up-linear partial's jump times, recorded before that re-pin.
+BLOW_UP_LINEAR_JUMPS = [
+    "0x1.2696872b020c8p-3", "0x1.2696872b020c8p-2", "0x1.b9e1cac08312cp-2", "0x1.2696872b020c8p-1",
+    "0x1.703c28f5c28fap-1", "0x1.b9e1cac08312cp-1", "0x1.01c3b645a1cafp+0", "0x1.2696872b020c8p+0",
+    "0x1.4b695810624e1p+0", "0x1.703c28f5c28fap+0", "0x1.950ef9db22d13p+0", "0x1.b9e1cac08312cp+0",
+    "0x1.deb49ba5e3545p+0", "0x1.01c3b645a1cafp+1", "0x1.142d1eb851ebcp+1", "0x1.2696872b020c8p+1",
+]
 
-# A tabuada start of norm 500 under a blow-up guard of 1e3.  Unrecorded, its first
-# four dwell blocks lie outside ``_dwell_reach``'s bound (reach |z| > 1e3, reach 2.41)
-# and take the full product; the other ten, after the state has decayed, take P^m z.
+
+# A tabuada start of norm 500 under a blow-up guard of 1e3.  Its first dwells start
+# outside ``_dwell_reach``'s bound (reach |z| > 1e3, reach 2.41) and step singly; its
+# 11 dwell blocks, after the state has decayed, start inside it.
 NEAR_GUARD = (_sf_cfg(), [300.0, -400.0], 1.0, 1e3)  # (trigger, x0, horizon, blowup_norm)
 
 
@@ -835,6 +847,11 @@ class TestRecordedStates:
     @pytest.mark.parametrize("name", sorted(STATE_DIGESTS))
     def test_matches_pinned_digest(self, name, request):
         assert _state_digest(_recorded_run(name, request)) == STATE_DIGESTS[name]
+
+    def test_blow_up_linear_keeps_its_jumps(self):
+        partial = _recorded_run("blow-up-linear", None)
+        assert (partial.terminated, len(partial.segments)) == ("blow-up", 17)
+        assert [t.hex() for t in partial.jump_times] == BLOW_UP_LINEAR_JUMPS
 
     @pytest.mark.parametrize("name", sorted(STATE_DIGESTS))
     def test_segments_meet_at_the_jumps(self, name, request):
@@ -1081,6 +1098,27 @@ def _step_path(sys, cert, cfg, q0, settings):
         return simulate(sys, cert, cfg, q0, settings)
 
 
+def _block_products(run):
+    """run()'s result and, per block it took, (powers in its product, reach |z| at its start).
+
+    Each block is one product with rows of ``_dwell_powers``' stack.
+    """
+    real, products, keys = hybrid._dwell_powers, [], []
+
+    class Counted(np.ndarray):
+        def dot(self, z):
+            start = hybrid._dwell_reach(*keys[-1]) * math.hypot(*z.tolist())
+            products.append((len(self) // z.size, start))
+            return self.view(np.ndarray).dot(z)
+
+    def counted(*key):
+        keys.append(key)
+        return real(*key).view(Counted)
+
+    with mock.patch.object(hybrid, "_dwell_powers", counted):
+        return run(), products
+
+
 def _assert_blocks_within_bound(sys, cert, cfg, q0, settings):
     """The run makes the step path's decisions, and its states and jumps keep the block bounds.
 
@@ -1149,9 +1187,9 @@ class TestDwellBlock:
 
     def test_overflow_inside_a_block_ends_as_the_step_path(self):
         # x' = 2e4 x grows 8,221-fold per RK4 step: the 128th power of the
-        # propagator overflows, the block's rows come out inf, and the run
-        # steps singly from the dwell's start until the guard trips two
-        # steps later.
+        # propagator overflows, so reach is not finite, no block is taken,
+        # and the run steps singly from the dwell's start until the guard
+        # trips two steps later.
         lam = 2e4
         sys = ClosedLoopSystem(
             n_x=1, n_e=1, f=lambda x, e: lam * x, g=lambda x, e: -lam * x,
@@ -1206,38 +1244,42 @@ class TestDwellBlock:
         assert not math.isfinite(reach)  # reach |z| <= guard fails, for z = 0 too
 
     def test_unrecorded_dwell_blocks_inside_the_bound_take_one_product(self):
-        # Recorded, all 14 dwell blocks of the near-guard run take the full
-        # product; unrecorded, the 10 inside the bound take P^m z alone.
-        real, rows = hybrid._dwell_powers, []
-
-        class Counted(np.ndarray):
-            def dot(self, z):
-                rows.append(len(self) // 4)  # powers in this product
-                return self.view(np.ndarray).dot(z)
-
-        def counted_run(record_states):
-            rows.clear()
-            with mock.patch.object(hybrid, "_dwell_powers", lambda *key: real(*key).view(Counted)):
-                return _recorded_run("near-guard", None, record_states), list(rows)
-
-        on, full = counted_run(True)
-        off, taken = counted_run(False)
-        assert len(full) == 14 and min(full) > 1
-        assert taken == full[:4] + [1] * 10
+        # All 11 dwell blocks of the near-guard run start inside the bound: recorded,
+        # each takes the full product; unrecorded, P^m z alone.
+        (on, full), (off, taken) = (
+            _block_products(lambda: _recorded_run("near-guard", None, record))
+            for record in (True, False)
+        )
+        assert len(full) == 11 and min(rows for rows, _ in full) > 1
+        assert [rows for rows, _ in taken] == [1] * 11
+        assert max(start for _, start in full + taken) <= NEAR_GUARD[3]
         assert (off.terminated, off.jump_times) == (on.terminated, on.jump_times)
 
-    @pytest.mark.parametrize("name", sorted(BLOCK_RUNS))
-    def test_bound_path_keeps_the_event_log_of_the_full_product(self, name):
-        cfg, x0, e0, tau0, horizon, step = BLOCK_RUNS[name]
+    @pytest.mark.parametrize("case", ["recorded", "unrecorded", "pure-event"])
+    def test_no_block_starts_outside_the_bound(self, case):
+        # From |z| = 500 under a guard of 1e3, reach |z| passes the guard (reach 2.41):
+        # those states step singly, and blocks start once the state has decayed.
+        cfg, x0, horizon, guard = NEAR_GUARD
+        if case == "pure-event":
+            q0 = HybridState(np.array(x0), np.zeros(2), 0.0)
+            settings = SimSettings(step=1e-3, horizon_t=horizon, event_tol=1e-6, blowup_norm=guard)
+            sol, products = _block_products(lambda: simulate(*tabuada_loop(), _PE, q0, settings))
+        else:
+            sol, products = _block_products(
+                lambda: _recorded_run("near-guard", None, case == "recorded"))
+        assert sol.n_jumps >= 10 and len(products) >= 10
+        assert [start for _, start in products if not start <= guard] == []
+
+    @pytest.mark.parametrize("reach", [math.inf, math.nan], ids=["inf", "nan"])
+    @pytest.mark.parametrize("cfg", [_PE, _sf_cfg()], ids=["pure-event", "state-feedback"])
+    def test_reach_that_is_not_finite_gives_the_step_path(self, cfg, reach):
+        # A stack whose powers overflow has a reach of inf or NaN: no state is then
+        # inside the bound, and every step is taken singly, bit for bit the step path.
         sys, cert = tabuada_loop()
-        q0 = HybridState(np.array(x0), np.array(e0), tau0)
-        settings = SimSettings(step=step, horizon_t=horizon, event_tol=1e-6, record_states=False)
-        sol = simulate(sys, cert, cfg, q0, settings)
-        with mock.patch.object(hybrid, "_dwell_reach", lambda *key: math.inf):
-            ref = simulate(sys, cert, cfg, q0, settings)
-        assert (sol.terminated, sol.root_jumps, sol.bisection_jumps) == (
-            ref.terminated, ref.root_jumps, ref.bisection_jumps)
-        assert [t.hex() for t in sol.jump_times] == [t.hex() for t in ref.jump_times]
+        for q0, settings in TestMonitoredBlock._seeded_runs():
+            with mock.patch.object(hybrid, "_dwell_reach", lambda *key: reach):
+                sol = simulate(sys, cert, cfg, q0, settings)
+            _assert_same_runs([sol], [_step_path(sys, cert, cfg, q0, settings)])
 
 
 class TestStackedMatrix:
@@ -1682,6 +1724,29 @@ class TestRootPlacement:
         assert (partial.root_jumps, partial.bisection_jumps) == (0, _located(partial, cfg.T))
         assert partial.bisection_jumps >= 1
 
+    def test_a_coefficient_that_is_not_finite_gives_no_root(self):
+        # Regula falsi would close in on 0 and place the jump at the step's start.
+        assert hybrid._excess_root(np.array([-1.0, math.inf]), 1e-3) is None
+        assert hybrid._excess_root(np.array([-1.0, math.nan, 1.0]), 1e-3) is None
+
+    @pytest.mark.parametrize("mu", [1e20, 1e30, 1e306])
+    def test_screen_that_overflows_leaves_the_jumps_to_the_closure(self, mu):
+        # A feasible big gamma: near blowup_norm = 1e150 z^T Q z, its bound (mu = 1e30)
+        # and the excess coefficients overflow, silently (a warning fails the test).
+        # No row is then cleared and no root placed, so the jumps are the bisection's.
+        # At mu = 1e306 the screen's probes overflow too, and there is no screen.
+        clm = tabuada_matrices()
+        cand = dataclasses.replace(design_certificate(clm, eps1=0.0, eps2=TABUADA_EPS2), mu=mu)
+        sys, cert = lti_loop_from_matrices(clm), extract_assumption(clm, cand)
+        cfg = TriggerConfig(mode="pure-event", sigma=0.7)
+        q0 = HybridState(np.array([1e145, -1e145]), np.zeros(2), 0.0)
+        settings = SimSettings(step=1e-4, horizon_t=0.01, blowup_norm=1e150, max_jumps=20)
+        assert (trigger.event_screen(cert, cfg) is None) == (mu > 1e300)
+        sol = simulate(sys, cert, cfg, q0, settings)
+        bare = simulate(sys, dataclasses.replace(cert, lti_form=None), cfg, q0, settings)
+        assert (sol.terminated, sol.root_jumps, sol.bisection_jumps) == ("max-jumps", 0, 20)
+        assert [t.hex() for t in sol.jump_times] == [t.hex() for t in bare.jump_times]
+
     def test_roots_never_reach_the_propagator_cache(self):
         _clear_flow_caches()
         sys, cert = tabuada_loop()
@@ -1785,7 +1850,7 @@ class TestMonitoredBlock:
 
         def none_cleared(cert, cfg):
             coefficients = trigger.event_screen(cert, cfg).coefficients
-            return trigger.EventScreen(lambda Z, sq: np.zeros(len(Z), dtype=bool), coefficients)
+            return trigger.EventScreen(lambda Z: np.zeros(len(Z), dtype=bool), coefficients)
 
         with mock.patch.object(hybrid, "event_screen", none_cleared):
             plus_i = _assert_blocks_within_bound(sys, cert, cfg, q0, settings)
@@ -1845,7 +1910,7 @@ class TestMonitoredBlock:
         sq = np.einsum("ij,ij->i", Z, Z)
         h_rows = np.array([h(z[:n_x], z[n_x:]) for z in Z])
         q_inf = np.abs(trigger.event_form(cert, cfg)).sum(axis=1).max()
-        return sq, quiet(Z, sq), h_rows, q_inf
+        return sq, quiet(Z), h_rows, q_inf
 
     @pytest.mark.parametrize("name", ["tabuada", "lqr3", "lqr2"])
     @pytest.mark.parametrize("mode", ["output-feedback", "state-feedback", "pure-event"])

@@ -52,12 +52,14 @@ def _display(v):
 
 
 def load_config(path) -> dict:
-    """The config document at ``path``, parsed but not yet validated."""
+    """The config document at ``path``, UTF-8 JSON (RFC 8259), parsed but not yet validated."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:  # not the locale's encoding
             raw = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"{path}: malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"

@@ -19,21 +19,21 @@ or takes a block of full steps; or takes one step, dwell or monitored alike,
 of h = min(step, end - tau, horizon - t), landing exactly on end, locating the
 jump if monitored and the event fired; or, at tau >= end = T, tests the event
 once (each segment start in pure-event mode) and jumps or starts monitoring.
-The closure h decides that a step fired.  On a linear loop whose certificate
-has a current form (``trigger.event_screen`` is not None) the jump is placed at
-the first root in (0, h] of the excess along the step, z(s)^T Q z(s) with
-z(s) = sum_i s^i (M^i / i!) z the RK4 step of length s: a degree-8 polynomial
-whose coefficients the screen gives, solved by ``_excess_root`` to 1e-13 of
-the step, and the jump state is z at the root.  Nonlinear loops, certificates
-without a current form and the rare step where the polynomial and h disagree
+The closure h decides that a step fired.  On a linear loop with a screen (a
+current form, ``trigger.event_screen``, within the bound below) the jump is
+placed at the first root in (0, h] of the excess along the step, z(s)^T Q z(s)
+with z(s) = sum_i s^i (M^i / i!) z the RK4 step of length s: a degree-8
+polynomial whose coefficients the screen gives, solved by ``_excess_root`` to
+1e-13 of the step, and the jump state is z at the root.  Nonlinear loops, runs
+without a screen and the rare step where the polynomial and h disagree
 within rounding (counted in ``HybridSolution.bisection_jumps``) bisect for the
 first instant with h >= 0 to ``event_tol``.
 Every flow step passes one norm guard, so a divergence (NaN from f or g
 included, or an ArithmeticError, which makes the step NaN) always carries
 the partial solution.  A single step's outcome takes one path, in the dwell
 as when monitored: flow, test the guard and (monitored, end > T) the event, a
-NaN excess firing; if it fired, place the jump inside the step; record the
-sample; then stop, go on, or jump.
+NaN excess firing; if it fired, place the jump inside the step and test its
+state against the guard; record the sample; then stop, go on, or jump.
 Recorded samples go to one flat (z, tau) log per run, cut into segments at
 the jumps once, at the end, where each sample's t = t_j + tau is derived
 from its segment's jump time t_j by the addition the loop's clock makes, so
@@ -60,7 +60,7 @@ guard and no product overflows; elsewhere the step is taken singly, and where a
 power is not finite reach is too, so every step is.  A dwell's full steps are
 block rows, as no event is tested there (unrecorded, the block is the one
 product P^m z).  So are monitored steps, after the first ``_LEAD_IN`` = 4 of a
-phase that follows a dwell, if ``trigger.event_screen`` gives a row test: rows
+phase that follows a dwell, if the run has a screen and so a row test: rows
 it clears stay untested, and the first other row's step is taken singly, where
 h decides whether the event fired, so h decides every jump; the jump falls in
 the single-step path's step unless an excess at a step boundary lies within
@@ -74,10 +74,10 @@ identical inputs give bit-identical logs.
 The per-step paths here and in the certificate terms use ``ndarray.dot``
 and ``math.sqrt(v.dot(v))``, which numpy runs through the same BLAS
 kernels as ``@`` and ``np.linalg.norm`` without their dispatch cost; a
-tier-1 test (``TestHotPathKernels``) pins that the bits agree.  A state's
-size is one rule: ``math.hypot`` of z, which cannot overflow, at most
-``blowup_norm`` <= 1e150 for q0, after every single step and, by reach, at
-every block row, so no accepted state's square overflows.
+tier-1 test (``TestHotPathKernels``) pins that the bits agree.  A state's size is one
+rule: ``math.hypot`` of z, which cannot overflow, at most ``blowup_norm`` <= 1e150 for q0,
+after every single step, at every located jump and, by reach, at every block row, so no
+accepted state's square overflows, nor, where a run keeps a screen, do its products.
 """
 
 import functools
@@ -217,7 +217,7 @@ def _rk4_propagator(M, h):
 
 @functools.lru_cache(maxsize=_PROPAGATORS // _DWELL_BLOCK)
 def _taylor_stack(M_bytes, n):
-    """M^i / i!, i = 0, ..., 4, as read-only (5 n, n) rows, for the n x n matrix of these bytes.
+    """(M^i / i!, i = 0, ..., 4, as read-only (5 n, n) rows; S = sum_i |M^i / i!|_inf).
 
     ``_propagator``'s P for step s is sum_i s^i M^i / i!, so with V the rows
     (M^i / i!) z the RK4 step of any length s from z is sum_i s^i v_i.
@@ -228,7 +228,7 @@ def _taylor_stack(M_bytes, n):
         terms.append(terms[-1].dot(M) / i)
     stack = np.concatenate(terms)
     stack.setflags(write=False)
-    return stack
+    return stack, float(np.abs(stack).reshape(_RK4_TERMS, n, n).sum(axis=2).max(axis=1).sum())
 
 
 def _excess_root(c, h):
@@ -482,10 +482,13 @@ def simulate(
     powers = None if M is None else _dwell_powers(M.tobytes(), n, step)
     # A block is taken only from z with reach |z| <= guard, elsewhere a single step.
     reach = None if powers is None else _dwell_reach(M.tobytes(), n, step)
-    # The row test of monitored blocks and the excess polynomial of root-placed
-    # jumps; None (nonlinear, periodic, no current form): single steps and bisection.
+    # Monitored blocks' row test and root-placed jumps' polynomial; None (nonlinear, periodic, no
+    # current form, or ``event_screen``'s bound not finite at the guard): single steps, bisection.
     screen = None if M is None else event_screen(cert, cfg)
-    taylor = None if screen is None else _taylor_stack(M.tobytes(), n)
+    if screen is not None:  # delta = 16 (n + 3) u = (n + 3) 2^-49
+        taylor, S = _taylor_stack(M.tobytes(), n)
+        if not (1.0 + (n + 3) * 2.0**-49) * n * max(screen.norm, 1.0) * S * S * guard * guard < math.inf:
+            screen = None
     eps = 1e-15 * max(1.0, horizon)
     T = cfg.T  # 0 in pure-event mode, where the dwell branch never runs
     # Single monitored steps per phase before blocks: _LEAD_IN after a dwell, none
@@ -553,10 +556,10 @@ def simulate(
                 if screen is not None:
                     V = taylor.dot(z).reshape(_RK4_TERMS, n)
                     hi = _excess_root(screen.coefficients(V), h)
-                if hi is not None:
+                rooted = hi is not None
+                if rooted:
                     # Powers of a one-off length: no propagator, so none reaches the cache.
                     z_next = (hi ** np.arange(_RK4_TERMS)).dot(V)
-                    n_root += 1
                 else:
                     lo, hi = 0.0, h
                     while hi - lo > settings.event_tol:
@@ -566,8 +569,8 @@ def simulate(
                             hi, z_next = mid, z_mid
                         else:
                             lo = mid
-                    n_bisected += 1
                 tau_next = tau + hi
+                diverged = not math.hypot(*z_next.tolist()) <= guard  # as every accepted state
             z, tau = z_next, tau_next
             if record:
                 rows.append((z, tau))
@@ -576,6 +579,7 @@ def simulate(
                 break
             if not fired:
                 continue
+            n_root, n_bisected = n_root + rooted, n_bisected + (not rooted)
             t = base + tau
         elif h_ev is None or h_ev(z[:n_x], z[n_x:]) >= 0.0:
             # Dwell expiry with the event already on, or periodic: jump now.

@@ -38,8 +38,7 @@ belong to both C and D; the simulator's jump policy restores determinism.
 For a certificate from ``lti.extract_assumption`` each h is a quadratic
 form z^T Q z of z = (x, e); ``event_form`` gives Q, and ``event_screen``
 the simulator's two uses of it: a row test, which only skips states, and the
-coefficients of z(s)^T Q z(s) along a step, which place a jump the closure
-has decided.  Neither decides a jump.
+coefficients of z(s)^T Q z(s) along a step, which place a jump h has decided.
 """
 
 import functools
@@ -292,10 +291,11 @@ def event_form(cert: Certificate, cfg: TriggerConfig):
 
 
 class EventScreen(NamedTuple):
-    """``event_screen``'s two maps of one current form Q."""
+    """``event_screen``'s two maps of one current form Q, and |Q|_inf, by which it bounds them."""
 
     quiet: Callable  # Z -> the rows of Z that are cleared, as booleans
     coefficients: Callable  # V -> c with z(s)^T Q z(s) = sum_k c_k s^k for z(s) = sum_i s^i v_i
+    norm: float  # |Q|_inf, the largest absolute row sum
 
 
 @functools.lru_cache(maxsize=8)
@@ -312,14 +312,18 @@ def _antidiagonals(r):
 def event_screen(cert: Certificate, cfg: TriggerConfig):
     """``EventScreen`` of ``event_form``'s Q; None where Q is None, not finite or stale.
 
-    quiet(Z) clears a row z of Z only if z^T Q z < -(margin |z|^2 + tiny), both sides finite,
-    so h < 0 there: margin = ``SCREEN_RTOL`` |Q|_inf is far above the ~10 n eps |Q|_inf |z|^2 by
-    which z^T Q z and h differ, and below tiny, the smallest normal float, rounding is absolute.
+    quiet(Z) clears a row z of Z only if z^T Q z < -(margin |z|^2 + tiny), so h < 0 there:
+    margin = ``SCREEN_RTOL`` |Q|_inf is far above the ~10 n eps |Q|_inf |z|^2 by which
+    z^T Q z and h differ, and below tiny, the smallest normal float, rounding is absolute.
     coefficients(V) maps the rows v_0, ..., v_(r-1) of V to the 2r - 1 coefficients
     c_k = sum_(i+j=k) v_i^T Q v_j of the excess along z(s) = sum_i s^i v_i: one product
-    V Q V^T and one sum over its anti-diagonals.  ``simulate`` places a linear loop's jump
-    at their root once the closure has decided that the step fired; nonlinear loops and
-    certificates whose screen is None keep the bisection.
+    V Q V^T and one sum over its anti-diagonals.  Neither guards against overflow: for
+    |z|_inf <= a and v_i = (M^i / i!) z each number they form, |z|^2 and v_i too, is at most
+    max(q, B a^2) by its terms' sizes, where q = max(|Q|_inf, 1), S = sum_i |M^i / i!|_inf
+    and B = n q S^2.  Rounding (u = 2^-53) adds at most (7n + 19) u to first order: (4n + 4) u
+    to c_k (four dot products of n terms, a sum of five), (3n + 15) u to S^2, q, a^2 and the
+    test.  ``simulate`` keeps a screen only where (1 + delta) B a^2 is finite for a = blowup_norm,
+    which every state it screens passes, with delta = 16 (n + 3) u, twice the rounding.
     Q is stale (a copy kept ``lti_form`` but replaced terms) if h and z^T Q z differ by more
     than margin |z|^2 at any of three probe states, of sizes 1e-3, 1 and 1e3 with no zero
     component: the probes share the rows' z^T Q z and margin, and so test their bound.
@@ -330,7 +334,8 @@ def event_screen(cert: Certificate, cfg: TriggerConfig):
     Q = event_form(cert, cfg)
     if Q is None or not np.isfinite(Q).all():  # an overflowed gamma^2 or term
         return None
-    margin = SCREEN_RTOL * np.abs(Q).sum(axis=1).max()
+    norm = float(np.abs(Q).sum(axis=1).max())
+    margin = SCREEN_RTOL * norm
 
     def zqz(Z):
         return np.einsum("ij,ij->i", Z.dot(Q), Z)
@@ -342,15 +347,10 @@ def event_screen(cert: Certificate, cfg: TriggerConfig):
     if not (gap <= margin * np.einsum("ij,ij->i", Z, Z)).all():  # NaN fails too
         return None
 
-    # Past a big gamma the products overflow, silently: such a row is not cleared, and
-    # ``_excess_root`` takes no coefficient that is not finite, so the closure decides.
-    @np.errstate(over="ignore", invalid="ignore")
     def quiet(Z):
-        q = zqz(Z)
-        return np.isfinite(q) & (q < -(margin * np.einsum("ij,ij->i", Z, Z) + _TINY))
+        return zqz(Z) < -(margin * np.einsum("ij,ij->i", Z, Z) + _TINY)
 
-    @np.errstate(over="ignore", invalid="ignore")
     def coefficients(V):
         return np.bincount(_antidiagonals(len(V)), weights=V.dot(Q).dot(V.T).ravel())
 
-    return EventScreen(quiet, coefficients)
+    return EventScreen(quiet, coefficients, norm)

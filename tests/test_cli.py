@@ -686,6 +686,11 @@ CLI_EXITS = {
         '{"system": {"name": "lti-custom", "plant": {"A": ' + "[" * 995 + "]" * 995 + "}}}",
         None, 1, "error: {config}: JSON nests too deep to parse\n", None,
     ),
+    "config-not-utf-8": (
+        # UTF-16 LE's byte-order mark: a config is UTF-8 JSON (RFC 8259), whatever the locale.
+        ["design", "--config", "{config}"], b"\xff\xfe{}", None, 1,
+        "error: {config}: not UTF-8 text: invalid start byte at byte 0\n", None,
+    ),
     "zeta-transit-warning": (
         # The default zeta's transit time, 0.00988, is below T = 0.01.
         ["simulate", "--config", "{config}"], {k: v for k, v in LORENZ_CFG.items() if k != "zeta"},
@@ -702,8 +707,10 @@ def test_exit_code_and_message(capsys, tmp_path, monkeypatch, name):
     outdir = tmp_path / "out"
     if isinstance(doc, dict):
         doc = {**doc, "output_dir": str(outdir)}
-    if doc is not None:
-        (tmp_path / "config.json").write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    if doc is not None:  # as UTF-8; a str or bytes document verbatim
+        if not isinstance(doc, bytes):
+            doc = (doc if isinstance(doc, str) else json.dumps(doc)).encode()
+        (tmp_path / "config.json").write_bytes(doc)
     if seed is not None:
         monkeypatch.setenv("ETC_LAB_SEED", seed)
     paths = {"config": tmp_path / "config.json", "absent": tmp_path / "absent.json"}
@@ -731,6 +738,19 @@ def test_module_entry_point_exits_with_dispatchs_code(argv, code, out):
     assert (proc.returncode, proc.stdout) == (code, out)
     if code:
         assert "invalid choice: 'frobnicate'" in proc.stderr
+
+
+def test_config_is_read_as_utf_8_in_an_ascii_locale(tmp_path):
+    # In the C locale, with UTF-8 mode and locale coercion off, open() defaults to ASCII.
+    config = tmp_path / "config.json"
+    config.write_bytes(json.dumps({**LTI_CFG, "output_dir": "\u00e9t\u00e9"}, ensure_ascii=False).encode())
+    proc = subprocess.run(
+        [sys.executable, "-m", "etclab", "design", "--config", str(config)],
+        cwd=pathlib.Path(__file__).resolve().parents[1], capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": "src", "LC_ALL": "C", "PYTHONUTF8": "0",
+             "PYTHONCOERCECLOCALE": "0"},
+    )
+    assert (proc.returncode, proc.stderr) == (0, "gamma = 13.3263, L = 4.1231, T_max = 0.0991\n")
 
 
 def _key_paths(d, prefix=()):

@@ -1075,7 +1075,7 @@ def _block_deviation(sys, cert, cfg, sol, settings, tau0=0.0):
             tau_before, tau = tau, T if dwell and h == T - tau else tau + h
             if (seg.t[k], seg.tau[k]) != (base + tau, tau):
                 assert not dwell and k == seg.t.size - 1 and screen is not None
-                V = hybrid._taylor_stack(M.tobytes(), n).dot(z).reshape(-1, n)
+                V = hybrid._taylor_stack(M.tobytes(), n)[0].dot(z).reshape(-1, n)
                 root = hybrid._excess_root(screen.coefficients(V), h)
                 if root is not None:  # None: form and closure disagree within rounding
                     bound = _root_bound(sys, cert, cfg, np.concatenate((seg.x[k], seg.e[k])), k)
@@ -1705,8 +1705,8 @@ class TestRootPlacement:
         settings = SimSettings(step=step, horizon_t=horizon, event_tol=1e-6)
 
         def disagreeing(cert, cfg):
-            quiet = trigger.event_screen(cert, cfg).quiet
-            return trigger.EventScreen(quiet, lambda V: np.full(2 * len(V) - 1, c))
+            screen = trigger.event_screen(cert, cfg)
+            return trigger.EventScreen(screen.quiet, lambda V: np.full(2 * len(V) - 1, c), screen.norm)
 
         with mock.patch.object(hybrid, "event_screen", disagreeing):
             sol, n_blocks = _monitored_blocks(lambda: simulate(sys, cert, cfg, q0, settings))
@@ -1731,10 +1731,10 @@ class TestRootPlacement:
 
     @pytest.mark.parametrize("mu", [1e20, 1e30, 1e306])
     def test_screen_that_overflows_leaves_the_jumps_to_the_closure(self, mu):
-        # A feasible big gamma: near blowup_norm = 1e150 z^T Q z, its bound (mu = 1e30)
-        # and the excess coefficients overflow, silently (a warning fails the test).
-        # No row is then cleared and no root placed, so the jumps are the bisection's.
-        # At mu = 1e306 the screen's probes overflow too, and there is no screen.
+        # A feasible big gamma: at blowup_norm = 1e150 the screen's bound on its products
+        # is not finite, so the run has no screen (a warning fails the test): no row is
+        # cleared and no root placed, and the jumps are the bisection's.  At mu = 1e306
+        # the screen's probes overflow too, and event_screen gives none.
         clm = tabuada_matrices()
         cand = dataclasses.replace(design_certificate(clm, eps1=0.0, eps2=TABUADA_EPS2), mu=mu)
         sys, cert = lti_loop_from_matrices(clm), extract_assumption(clm, cand)
@@ -1746,6 +1746,73 @@ class TestRootPlacement:
         bare = simulate(sys, dataclasses.replace(cert, lti_form=None), cfg, q0, settings)
         assert (sol.terminated, sol.root_jumps, sol.bisection_jumps) == ("max-jumps", 0, 20)
         assert [t.hex() for t in sol.jump_times] == [t.hex() for t in bare.jump_times]
+
+    @staticmethod
+    def _big_gamma_run(blowup_norm):
+        """Tabuada designed with mu = 1e20 (gamma = 1e10), pure-event from (3, -2) to 50 jumps."""
+        clm = tabuada_matrices()
+        cand = dataclasses.replace(design_certificate(clm, eps1=0.0, eps2=TABUADA_EPS2), mu=1e20)
+        sys, cert = lti_loop_from_matrices(clm), extract_assumption(clm, cand)
+        q0 = HybridState(np.array([3.0, -2.0]), np.zeros(2), 0.0)
+        settings = SimSettings(step=1e-4, horizon_t=1.0, blowup_norm=blowup_norm, max_jumps=50)
+        bare = dataclasses.replace(cert, lti_form=None)
+        return [simulate(sys, c, _PE, q0, settings) for c in (cert, bare)]
+
+    def test_screen_is_kept_only_inside_its_bound(self):
+        # n |Q|_inf S^2 (1e150)^2 overflows for n = 4 and |Q|_inf = gamma^2 = 1e20, so the run
+        # has no screen and bisects as the run without a form does; under 1e9 it places roots.
+        sol, bare = self._big_gamma_run(1e150)
+        assert (sol.terminated, sol.root_jumps, sol.bisection_jumps) == ("max-jumps", 0, 50)
+        assert [t.hex() for t in sol.jump_times] == [t.hex() for t in bare.jump_times]
+        sol, _ = self._big_gamma_run(1e9)
+        assert (sol.terminated, sol.root_jumps, sol.bisection_jumps) == ("max-jumps", 50, 0)
+
+    @settings(max_examples=8, deadline=None)
+    @given(loop=_lqr_loops())
+    def test_screen_products_stay_within_the_bound(self, loop):
+        # B = n max(|Q|_inf, 1) S^2, by which ``simulate`` admits a screen, bounds |z^T Q z|
+        # and every excess coefficient c_k from V = (M^i / i!) z, relative to |z|_inf^2.
+        A, B, K, _ = loop
+        clm = assemble(LtiPlant(A=A, B=B, C=np.eye(A.shape[0])), LtiController(D=-K))
+        sys, rng = lti_loop_from_matrices(clm), np.random.default_rng(0)
+        try:
+            cert = extract_assumption(clm, design_certificate(clm))
+        except DesignInfeasibleError:
+            assume(False)
+        M, n = sys.stacked_matrix, sys.n_x + sys.n_e
+        taylor, S = hybrid._taylor_stack(M.tobytes(), n)
+        for cfg in (_of_cfg(), _sf_cfg()):
+            screen, Q = trigger.event_screen(cert, cfg), trigger.event_form(cert, cfg)
+            bound = n * max(screen.norm, 1.0) * S * S
+            for z in rng.uniform(-1.0, 1.0, (16, n)) * rng.uniform(0.0, 1.0, (16, 1)):
+                a2 = np.abs(z).max() ** 2
+                c = screen.coefficients(taylor.dot(z).reshape(-1, n))
+                assert abs(z.dot(Q).dot(z)) <= bound * a2 and np.abs(c).max() <= bound * a2
+
+    def test_screen_at_the_edge_of_its_bound_is_quiet(self):
+        # Tabuada's published certificate keeps its screen up to a guard of about 1.15e151;
+        # at 1e150, from a state of norm 1e149, its products stay finite (a warning fails).
+        sys, cert = tabuada_loop()
+        q0 = HybridState(np.array([1e149, -1e149]) / math.sqrt(2.0), np.zeros(2), 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = simulate(sys, cert, _PE, q0, SimSettings(horizon_t=2.0, blowup_norm=1e150))
+        assert sol.terminated == "horizon" and sol.root_jumps > 0
+
+    def test_a_located_jump_state_past_the_guard_ends_the_run(self):
+        # x' = -x, e' = 1000 x - e: over one step of 1.55 the RK4 polynomial takes e up to
+        # about 350 and back to 47, so the step ends inside the guard of 60 while the
+        # event, gamma^2 e^2 >= 2 sigma x^2, is first on at tau = 0.1, where |z| = 90.5.
+        # That jump state must pass the guard like every other state, so the run blows up.
+        loop = ClosedLoopSystem(n_x=1, n_e=1, f=lambda x, e: [-x[0]], g=lambda x, e: [1e3 * x[0] - e[0]])
+        cert = dataclasses.replace(_permissive_cert(), gamma=0.01)
+        q0 = HybridState(np.array([1.0]), np.array([0.0]), 0.0)
+        settings = SimSettings(step=1.55, horizon_t=1.55, blowup_norm=60.0)
+        with pytest.raises(DivergenceError) as exc:
+            simulate(loop, cert, TriggerConfig(mode="pure-event", sigma=0.5), q0, settings)
+        partial, state = exc.value.partial, exc.value.state
+        assert (partial.terminated, partial.jump_times, partial.bisection_jumps) == ("blow-up", [], 0)
+        assert state.tau < 0.11 and math.hypot(*state.x, *state.e) > 90.0
 
     def test_roots_never_reach_the_propagator_cache(self):
         _clear_flow_caches()
@@ -1849,8 +1916,9 @@ class TestMonitoredBlock:
         assert n_blocks >= 1
 
         def none_cleared(cert, cfg):
-            coefficients = trigger.event_screen(cert, cfg).coefficients
-            return trigger.EventScreen(lambda Z: np.zeros(len(Z), dtype=bool), coefficients)
+            screen = trigger.event_screen(cert, cfg)
+            return trigger.EventScreen(lambda Z: np.zeros(len(Z), dtype=bool), screen.coefficients,
+                                       screen.norm)
 
         with mock.patch.object(hybrid, "event_screen", none_cleared):
             plus_i = _assert_blocks_within_bound(sys, cert, cfg, q0, settings)

@@ -47,7 +47,7 @@ from .linalg import (
     sym_eigenvalues,
     symmetrize,
 )
-from .model import Certificate
+from .model import Certificate, norm, sq_columns
 
 _FEASIBILITY_RTOL = 1e-7
 
@@ -321,15 +321,25 @@ def extract_assumption(clm: ClosedLoopMatrices, cand: LmiCertificate) -> Certifi
     L = spectral_norm(B2)
     gamma = cand.gamma
 
+    # Each term takes one state or a column block.  The event excess calls H
+    # and delta at every test, so their one-state forms make no further call.
+    def V(x):
+        if x.ndim == 1:
+            return float(x.dot(P).dot(x))
+        return np.einsum("ij,ij->j", x, P.dot(x))
+
     def H(x):
         v = A2.dot(x)
-        return sqrt(v.dot(v))
+        return sqrt(v.dot(v)) if v.ndim == 1 else norm(v)
+
+    def delta(y):
+        return eps1 * (float(y.dot(y)) if y.ndim == 1 else sq_columns(y))
 
     return Certificate(
-        V=lambda x: float(x.dot(P).dot(x)),
-        W=lambda e: sqrt(e.dot(e)),
+        V=V,
+        W=norm,
         H=H,
-        delta=lambda y: eps1 * float(y.dot(y)),
+        delta=delta,
         alpha=lambda s: eps2 * s * s,
         gamma=gamma,
         L=L,
@@ -341,4 +351,5 @@ def extract_assumption(clm: ClosedLoopMatrices, cand: LmiCertificate) -> Certifi
         y_of_x=Cbar.dot,
         name="lti-quadratic",
         lti_form=(clm, cand),
+        columns=True,
     )

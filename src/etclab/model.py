@@ -8,6 +8,18 @@ clock tau measuring time since the last transmission.
 ``ClosedLoopSystem`` holds the flow maps, ``Certificate`` the rest, the
 output map included; ``check_pairing`` tells whether the two fit.
 
+Every callable is called on one state: x, e and y as 1-D arrays (the flows
+take float sequences too), s = |x| as a float.  A loop or certificate that
+declares ``columns=True`` also takes an (n, N) block, one state per column:
+f and g then return one derivative column per state, an (n_x, N) and an
+(n_e, N) array, y_of_x an (n_y, N) block, and V, W, H, delta and the three
+alphas (on an array of N norms) one value per column.  A one-state call
+keeps its bits either way.  Only ``systems.check_assumption_sampled`` calls
+on blocks, and only when both the loop and the certificate declare them;
+``dataclasses.replace`` keeps the declaration, so a copy that puts in a
+one-state term or flow must declare ``columns=False``.  ``norm`` takes
+either form.
+
 Every etclab type that holds arrays or callables compares and hashes by identity
 (``eq=False``), so each object can key a cache; pure value types compare by value.
 """
@@ -23,6 +35,16 @@ from .errors import DimensionError
 
 def _identity(x):
     return x
+
+
+def sq_columns(v):
+    """v.v of each column of an (n, N) block."""
+    return np.einsum("ij,ij->j", v, v)
+
+
+def norm(v):
+    """|v| of one state as a float, or of each column of an (n, N) block."""
+    return math.sqrt(v.dot(v)) if v.ndim == 1 else np.sqrt(sq_columns(v))
 
 
 def _check_gains(gamma, L, caller):
@@ -53,10 +75,11 @@ class ClosedLoopSystem:
     e.  Both get x and e as sequences of floats and return a sequence of
     floats (a list, a tuple or a 1-D array) of length n_x and n_e: the
     simulator passes list slices of its RK4 stage, the sampled checker the
-    rows of its sample arrays.  Only an ``ArithmeticError`` raised in a
-    step (a float division by zero, an overflowing ``**``) ends it as a
-    non-finite one; any other exception, such as ``math.sqrt``'s ValueError,
-    propagates as itself, with no partial solution.  A flow written for
+    rows of its sample arrays (or column blocks, under ``columns``).  Only
+    an ``ArithmeticError`` raised in a step (a float division by zero, an
+    overflowing ``**``) ends it as a non-finite one; any other exception,
+    such as ``math.sqrt``'s ValueError, propagates as itself, with no
+    partial solution.  A flow written for
     arrays converts its input (``A @ np.asarray(x)``).  Both evaluators
     must vanish at the origin (the equilibrium) and be deterministic.  The
     output map belongs to the certificate.
@@ -77,6 +100,7 @@ class ClosedLoopSystem:
     g: Callable[[Sequence[float], Sequence[float]], Sequence[float]]
     stacked_matrix: Optional[np.ndarray] = None
     name: str = ""
+    columns: bool = False
 
     def __post_init__(self):
         if self.stacked_matrix is None:
@@ -107,6 +131,8 @@ class Certificate:
     ``trigger`` reads it.  A copy that replaces W, H, delta, alpha or y_of_x
     keeps it, and terms that agree with it at ``trigger.event_screen``'s probe
     states go unnoticed, so such a copy should drop it (``lti_form=None``).
+    ``columns`` declares that every term also takes column blocks (see the
+    module docstring).
     """
 
     V: Callable[[np.ndarray], float]
@@ -124,6 +150,7 @@ class Certificate:
     y_of_x: Callable[[np.ndarray], np.ndarray] = _identity
     name: str = ""
     lti_form: Optional[tuple] = field(default=None, repr=False)
+    columns: bool = False
 
     def __post_init__(self):
         _check_gains(self.gamma, self.L, "Certificate")

@@ -25,10 +25,11 @@ only the derivatives of V along f and of W along g, so it takes one
 central difference along f and one along g per sample, not full
 finite-difference gradients, and a zero derivative comes out as an exact
 0.  It works through the samples in chunks of fixed size, so its memory
-is bounded whatever the sample count.  It calls the certificate terms
-and the flows one sample at a time and is deliberately independent of
-how a certificate was constructed, so it doubles as a falsification
-tool.
+is bounded whatever the sample count.  Where both the loop and the
+certificate declare ``columns`` (see ``model``), it calls each term and
+each flow once per chunk on a column block of its samples, and one sample
+at a time otherwise.  Either way it reads only the terms, never how a
+certificate was constructed, so it doubles as a falsification tool.
 """
 
 import math
@@ -47,7 +48,8 @@ from .lti import (
     design_certificate,
     extract_assumption,
 )
-from .model import Certificate, ClosedLoopSystem, check_pairing
+from .errors import DimensionError
+from .model import Certificate, ClosedLoopSystem, check_pairing, norm, sq_columns
 from .sampling import check_int, uniform_ball
 
 # Published gains for the planar state-feedback benchmark.
@@ -90,10 +92,11 @@ def lorenz_loop(a: float = 10.0, b: float = 28.0, c: float = 8.0 / 3.0, p1: floa
     gain = (p1 / p2) * a + b
 
     # f and g unpack the float sequences they get (the simulator's lists, the
-    # checker's array rows) and return tuples; H reads its view with item.
-    # On Python floats every operation rounds as numpy's scalars do, at a
-    # fraction of their cost, and overflows to inf without a warning.  V
-    # keeps numpy's ** (a float ** raises OverflowError past about 1.3e154).
+    # checker's array rows or column blocks) and return tuples; H reads one
+    # state's view with item.  On Python floats every operation rounds as
+    # numpy's scalars do, at a fraction of their cost, and overflows to inf
+    # without a warning.  V keeps numpy's ** (a float ** raises OverflowError
+    # past about 1.3e154), and works on columns as it stands.
     def f(x, e):
         x1, x2, x3 = x
         u = -gain * (x1 + e[0])
@@ -103,7 +106,12 @@ def lorenz_loop(a: float = 10.0, b: float = 28.0, c: float = 8.0 / 3.0, p1: floa
         # e = yhat - y with y = x1, so e' = -x1' = a (x1 - x2).
         return (a * (x[0] - x[1]),)
 
-    sys = ClosedLoopSystem(n_x=3, n_e=1, f=f, g=g, name="lorenz")
+    def H(x):
+        if x.ndim == 1:
+            return a * (abs(x.item(0)) + abs(x.item(1)))
+        return a * (abs(x[0]) + abs(x[1]))
+
+    sys = ClosedLoopSystem(n_x=3, n_e=1, f=f, g=g, name="lorenz", columns=True)
 
     alpha_coef = min(a * (p1 - 1.0), p2 - 2.0 * a, 2.0 * p2 * c)
     delta_coef = a * (p1 - 1.0)
@@ -112,9 +120,9 @@ def lorenz_loop(a: float = 10.0, b: float = 28.0, c: float = 8.0 / 3.0, p1: floa
 
     cert = Certificate(
         V=lambda x: p1 * x[0] ** 2 + p2 * x[1] ** 2 + p2 * x[2] ** 2,
-        W=lambda e: math.sqrt(e.dot(e)),
-        H=lambda x: a * (abs(x.item(0)) + abs(x.item(1))),
-        delta=lambda y: delta_coef * float(y.dot(y)),
+        W=norm,
+        H=H,
+        delta=lambda y: delta_coef * (float(y.dot(y)) if y.ndim == 1 else sq_columns(y)),
         alpha=lambda s: alpha_coef * s * s,
         gamma=gamma,
         L=0.0,
@@ -125,6 +133,7 @@ def lorenz_loop(a: float = 10.0, b: float = 28.0, c: float = 8.0 / 3.0, p1: floa
         n_y=1,
         y_of_x=lambda x: x[:1],
         name="lorenz",
+        columns=True,
     )
     return sys, cert
 
@@ -147,7 +156,8 @@ def lti_loop_from_matrices(clm: ClosedLoopMatrices, name="lti") -> ClosedLoopSys
         return A2.dot(x) + B2.dot(e)
 
     stacked = np.block([[A1, B1], [A2, B2]])
-    return ClosedLoopSystem(clm.n_x, clm.n_e, f, g, stacked_matrix=stacked, name=name)
+    return ClosedLoopSystem(clm.n_x, clm.n_e, f, g, stacked_matrix=stacked, name=name,
+                            columns=True)
 
 
 def tabuada_matrices() -> ClosedLoopMatrices:
@@ -221,22 +231,79 @@ class AssumptionReport:
 # Samples checked per batch of arrays, so memory stays flat in n_samples.
 _CHUNK = 4096
 
+# The certificate terms the checker evaluates, in their order after |x| and |e|.
+_TERMS = ("V", "alpha_lower", "alpha_upper", "W", "H", "alpha", "delta")
 
-def _along(fn, Z, D, h):
+
+def _shaped(out, shape, what):
+    """out as a float array of the given shape; DimensionError naming ``what`` otherwise."""
+    out = np.asarray(out, dtype=float)
+    if out.shape != shape:
+        raise DimensionError(f"{what} returned shape {out.shape}, but {shape} is needed")
+    return out
+
+
+def _by_sample(sys, cert, X, E, skip_band):
+    """Nine rows (|x|, |e|, _TERMS), f, g at the kept samples, their indices; calls per sample."""
+    # 9 doubles per sample in one flat buffer: a list of tuples of floats takes 5x the memory.
+    terms, F, G, kept = array("d"), [], [], []
+    for i, (x, e) in enumerate(zip(X, E)):
+        nx, ne = norm(x), norm(e)
+        row = (nx, ne, cert.V(x), cert.alpha_lower(nx), cert.alpha_upper(nx),
+               cert.W(e), cert.H(x), cert.alpha(nx), cert.delta(cert.y_of_x(x)))
+        try:
+            terms.extend(row)
+        except TypeError:  # a value that is not one float: name the first such term
+            for name, value in zip(_TERMS, row[2:]):
+                _shaped(value, (), f"{name} of certificate {cert.name!r} on one state")
+            raise
+        F.append(sys.f(x, e))
+        if ne >= skip_band:
+            kept.append(i)
+            G.append(sys.g(x, e))
+    on = f"of loop {sys.name!r}, one state per row,"
+    F = _shaped(F, (len(X), sys.n_x), "f " + on)
+    G = _shaped(G or np.empty((0, sys.n_e)), (len(kept), sys.n_e), "g " + on)
+    return np.frombuffer(terms).reshape(-1, 9).T, F, G, kept
+
+
+def _by_column(sys, cert, X, E, skip_band):
+    """What _by_sample returns, from one call per term and flow on the column block."""
+    n, xs, es = len(X), X.T, E.T
+    nx, ne = norm(xs), norm(es)
+    args = (xs, nx, nx, es, xs, nx, cert.y_of_x(xs))
+    terms = [_shaped(getattr(cert, name)(arg), (n,),
+                     f"{name} of certificate {cert.name!r}, one state per column,")
+             for name, arg in zip(_TERMS, args)]
+    on = f"of loop {sys.name!r}, one state per column,"
+    F = _shaped(sys.f(xs, es), (sys.n_x, n), "f " + on).T
+    G = _shaped(sys.g(xs, es), (sys.n_e, n), "g " + on).T
+    kept = np.flatnonzero(ne >= skip_band)
+    return (nx, ne, *terms), F, G[kept], kept
+
+
+def _along(fn, Z, D, h, columns):
     """<grad fn(z), d> at each row z of Z with the row d of D, by central differences.
 
     One difference per row: fn at z +- h d/|d|, the quotient scaled by |d|.
     A zero d gives exactly 0 and a d that is not finite NaN, with no call of fn.
-    Overflow warnings are the caller's to silence, as the checker does per chunk.
+    With ``columns`` each side is one call of fn on the block of its points, one per
+    column; otherwise one call per point.  Overflow warnings are the caller's to
+    silence, as the checker does per chunk.
     """
-    norm = np.sqrt(np.einsum("ij,ij->i", D, D))
-    out = np.where(np.isfinite(norm), 0.0, np.nan)
-    live = np.flatnonzero((norm > 0.0) & (norm < np.inf))
-    norm, h = norm[live], h[live]
-    step = (h / norm)[:, None] * D[live]
-    up = np.array([fn(z) for z in Z[live] + step], dtype=float)
-    down = np.array([fn(z) for z in Z[live] - step], dtype=float)
-    out[live] = (up - down) / (2.0 * h) * norm
+    size = np.sqrt(np.einsum("ij,ij->i", D, D))
+    out = np.where(np.isfinite(size), 0.0, np.nan)
+    live = np.flatnonzero((size > 0.0) & (size < np.inf))
+    if not live.size:
+        return out
+    size, h = size[live], h[live]
+    step = (h / size)[:, None] * D[live]
+    sides = (Z[live] + step, Z[live] - step)
+    if columns:
+        up, down = (np.asarray(fn(s.T), dtype=float) for s in sides)
+    else:
+        up, down = (np.array([fn(z) for z in s], dtype=float) for s in sides)
+    out[live] = (up - down) / (2.0 * h) * size
     return out
 
 
@@ -262,10 +329,13 @@ def check_assumption_sampled(
     of the decay inequalities are directional derivatives, each taken by
     one central difference of V along f/|f| (step 1e-6 max(1, |x|)) and of
     W along g/|g| (step 1e-6 |e|), times |f| or |g|, not from a full
-    finite-difference gradient; a zero f or g gives exactly 0.  The
-    certificate terms and the flows are called on one sample at a time,
-    and samples are checked in chunks of a fixed size, so memory does not
-    grow with n_samples.  Samples too close to the nondifferentiable set
+    finite-difference gradient; a zero f or g gives exactly 0.  Samples are
+    checked in chunks of a fixed size, so memory does not grow with
+    n_samples.  When both sys and cert declare ``columns``, each term, each
+    flow and each side of a difference is called once per chunk on a block
+    of its samples, one per column; otherwise once per sample.  A term or
+    flow that returns the wrong shape raises DimensionError naming it.
+    Samples too close to the nondifferentiable set
     of W (e = 0 for norm-type W) are skipped for the W inequality only.
     Violations are data, not exceptions; a sample count that is not an
     integer >= 1 or a radius outside (0, inf) raises ValueError, since no
@@ -299,6 +369,8 @@ def check_assumption_sampled(
         for side in sides:
             scale[key] = float(np.max(np.abs(side), initial=scale[key], where=np.isfinite(side)))
 
+    columns = sys.columns and cert.columns
+    evaluate = _by_column if columns else _by_sample
     for start in range(0, n_samples, _CHUNK):
         # Overflow and NaN in the terms, the flows and the differences are data
         # (infinite violations), so numpy warns of none of them in a chunk.
@@ -306,24 +378,12 @@ def check_assumption_sampled(
             n = min(_CHUNK, n_samples - start)
             Z = np.array([uniform_ball(rng, dim, radius) for _ in range(n)])
             X, E = Z[:, :n_x], Z[:, n_x:]
-            # 9 doubles per sample in one flat buffer: a list of tuples of floats takes 5x the memory.
-            terms, F, G, kept = array("d"), [], [], []
-            for i, (x, e) in enumerate(zip(X, E)):
-                nx, ne = math.sqrt(x.dot(x)), math.sqrt(e.dot(e))
-                terms.extend((nx, ne, cert.V(x), cert.alpha_lower(nx), cert.alpha_upper(nx),
-                              cert.W(e), cert.H(x), cert.alpha(nx), cert.delta(cert.y_of_x(x))))
-                F.append(sys.f(x, e))
-                if ne >= skip_band:
-                    kept.append(i)
-                    G.append(sys.g(x, e))
-            nx, ne, v, lo, hi, w, hx, a, d = np.frombuffer(terms).reshape(-1, 9).T
-            skipped += len(X) - len(kept)
+            (nx, ne, v, lo, hi, w, hx, a, d), F, G, kept = evaluate(sys, cert, X, E, skip_band)
+            skipped += n - len(kept)
 
-            F = np.array(F, dtype=float).reshape(X.shape)
-            G = np.array(G, dtype=float).reshape(len(kept), sys.n_e)
             Xk, Ek = X[kept], E[kept]
-            lhs_v = _along(cert.V, X, F, 1e-6 * np.fmax(1.0, nx))
-            lhs_w = _along(cert.W, Ek, G, 1e-6 * ne[kept])
+            lhs_v = _along(cert.V, X, F, 1e-6 * np.fmax(1.0, nx), columns)
+            lhs_w = _along(cert.W, Ek, G, 1e-6 * ne[kept], columns)
             note("v-bounds", np.maximum(lo - v, v - hi), X, E, v)
             rhs = -a - hx * hx - d + g2 * w * w
             note("v-decay", lhs_v - rhs, X, E, lhs_v, rhs)

@@ -1285,7 +1285,8 @@ class TestDwellBlock:
 class TestStackedMatrix:
     def test_loop_holds_no_simulator_state(self):
         fields = [f.name for f in dataclasses.fields(ClosedLoopSystem)]
-        assert fields == ["n_x", "n_e", "f", "g", "stacked_matrix", "name"]
+        # ``columns`` declares how f and g may be called; it holds no state.
+        assert fields == ["n_x", "n_e", "f", "g", "stacked_matrix", "name", "columns"]
 
     def test_wrong_shape_rejected_at_construction(self, tabuada):
         sys, _ = tabuada

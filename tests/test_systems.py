@@ -196,6 +196,88 @@ class TestLtiLoop:
         assert sys.name == "lti-sf-tabuada"
 
 
+# Fixed one-state inputs (x, e) per builtin loop, the last one far out.
+ONE_STATE_INPUTS = {
+    "tabuada": [((0.3, -1.7), (2.5, 0.125)), ((-12.0, 7.75), (1e-3, -4.0)),
+                ((1e150, -3e149), (0.0, 2e-300))],
+    "lorenz": [((0.3, -1.7, 2.2), (2.5,)), ((-12.0, 7.75, 30.5), (-1e-3,)),
+               ((1e100, -3e99, 5e98), (0.0,))],
+}
+
+# float.hex of every certificate term and both flows at ONE_STATE_INPUTS, called on
+# one state as the simulator, the trigger and the R monitor call them; the alphas
+# at s = |x|.  Recorded before the certificates took column blocks.
+PINNED_ONE_STATE = {
+    "tabuada": [
+        {"V": "0x1.6c874aec5a1c1p+3", "W": "0x1.4066560954a8fp+1", "H": "0x1.19e408c7dc837p+1",
+         "delta": "0x0.0p+0", "y_of_x": ["0x1.3333333333333p-2", "-0x1.b333333333333p+0"],
+         "alpha": "0x1.036113404ea4ap+1", "alpha_lower": "0x1.166197f63276cp+3",
+         "alpha_upper": "0x1.4e5d0ee2b6071p+4",
+         "f": ["-0x1.b333333333333p+0", "0x1.b333333333333p+1"],
+         "g": ["0x1.b333333333333p+0", "-0x1.b333333333333p+1"]},
+        {"V": "0x1.56a5ef29eb9edp+9", "W": "0x1.0000008637bcep+2", "H": "0x1.1ad7bc01366b8p+3",
+         "delta": "0x0.0p+0", "y_of_x": ["-0x1.8000000000000p+3", "0x1.f000000000000p+2"],
+         "alpha": "0x1.1586666666667p+7", "alpha_lower": "0x1.29db3bb25ed1fp+9",
+         "alpha_upper": "0x1.65c14e7e7bf33p+10",
+         "f": ["0x1.f000000000000p+2", "0x1.4404189374bc7p+4"],
+         "g": ["-0x1.f000000000000p+2", "-0x1.4404189374bc7p+4"]},
+        {"V": "0x1.be482e3361485p+998", "W": "0x0.0p+0", "H": "0x1.dc7b48e47567ep+497",
+         "delta": "0x0.0p+0", "y_of_x": ["0x1.38d352e5096afp+498", "-0x1.7763fd12d819fp+496"],
+         "alpha": "0x1.1b55abdb00f15p+996", "alpha_lower": "0x1.30177621acb78p+998",
+         "alpha_upper": "0x1.6d3e890c4db3cp+999",
+         "f": ["-0x1.7763fd12d819fp+496", "-0x1.b5f4a740a6c8ep+497"],
+         "g": ["0x1.7763fd12d819fp+496", "0x1.b5f4a740a6c8ep+497"]},
+    ],
+    "lorenz": [
+        {"V": "0x1.d028f5c28f5c3p+7", "W": "0x1.4000000000000p+1", "H": "0x1.4000000000000p+4",
+         "delta": "0x1.cccccccccccccp-1", "y_of_x": ["0x1.3333333333333p-2"],
+         "alpha": "0x1.38ccccccccccdp+6", "alpha_lower": "0x1.f47ae147ae148p+3",
+         "alpha_upper": "0x1.d533333333333p+7",
+         "f": ["-0x1.4000000000000p+4", "-0x1.1b4e81b4e81b5p+6", "-0x1.981b4e81b4e82p+2"],
+         "g": ["0x1.4000000000000p+4"]},
+        {"V": "0x1.d4b5800000000p+14", "W": "0x1.0624dd2f1a9fcp-10", "H": "0x1.8b00000000000p+7",
+         "delta": "0x1.6800000000000p+10", "y_of_x": ["-0x1.8000000000000p+3"],
+         "alpha": "0x1.6279000000001p+13", "alpha_lower": "0x1.1b94000000001p+11",
+         "alpha_upper": "0x1.09dac00000000p+15",
+         "f": ["0x1.8b00000000000p+7", "0x1.6e4756b2dbd19p+8", "-0x1.5caaaaaaaaaaap+7"],
+         "g": ["-0x1.8b00000000000p+7"]},
+        {"V": "0x1.8f3df41a91d69p+666", "W": "0x0.0p+0", "H": "0x1.db7b95d11bdacp+335",
+         "delta": "0x1.a20df0dcd3af0p+667", "y_of_x": ["0x1.249ad2594c37dp+332"],
+         "alpha": "0x1.c8b9786c2224fp+667", "alpha_lower": "0x1.6d612d234e83fp+665",
+         "alpha_upper": "0x1.568b1a51199bbp+669",
+         "f": ["-0x1.db7b95d11bdacp+335", "-0x1.0b8e0acac4eaep+660", "-0x1.9155103027606p+662"],
+         "g": ["0x1.db7b95d11bdacp+335"]},
+    ],
+}
+
+
+class TestOneStateBits:
+    """One-state calls of the builtin terms and flows keep their recorded bits and types."""
+
+    @pytest.mark.parametrize("name", sorted(PINNED_ONE_STATE))
+    def test_terms_and_flows_match_their_pins(self, name):
+        sys, cert = {"tabuada": tabuada_loop, "lorenz": lorenz_loop}[name]()
+        for (xs, es), pinned in zip(ONE_STATE_INPUTS[name], PINNED_ONE_STATE[name]):
+            x, e = np.array(xs), np.array(es)
+            s = math.sqrt(x.dot(x))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = {"V": cert.V(x), "W": cert.W(e), "H": cert.H(x),
+                       "delta": cert.delta(cert.y_of_x(x)), "alpha": cert.alpha(s),
+                       "alpha_lower": cert.alpha_lower(s), "alpha_upper": cert.alpha_upper(s)}
+                vectors = {"y_of_x": cert.y_of_x(x), "f": sys.f(x, e), "g": sys.g(x, e)}
+                lists = (sys.f(list(xs), list(es)), sys.g(list(xs), list(es)))
+            for key, value in got.items():
+                assert np.shape(value) == () and float(value).hex() == pinned[key], key
+                # Lorenz V keeps numpy's ** (a float ** raises past 1.3e154).
+                want = np.float64 if (name, key) == ("lorenz", "V") else float
+                assert type(value) is want, key
+            for key, value in vectors.items():
+                assert [float(v).hex() for v in value] == pinned[key], key
+            assert [[float(v).hex() for v in flow] for flow in lists] == [
+                pinned["f"], pinned["g"]]
+
+
 class TestPairing:
     """A certificate is used only on a loop of its own (n_x, n_e)."""
 
@@ -307,7 +389,7 @@ class TestCheckAssumptionSampled:
         import dataclasses
 
         sys, cert = tabuada
-        broken = dataclasses.replace(cert, V=lambda x: float("nan"))
+        broken = dataclasses.replace(cert, V=lambda x: float("nan"), columns=False)
         report = check_assumption_sampled(sys, broken, n_samples=50, radius=50.0)
         assert not report.passed
         assert report.max_violation["v-bounds"] == math.inf
@@ -329,12 +411,13 @@ CHECKED_LOOPS = {
     "tabuada": tabuada_loop,
 }
 
-# check_assumption_sampled(n_samples=300, radius=20.0, seed=3) per loop:
-# n_skipped, then per inequality max_violation and worst_point (x, e) as
-# float.hex, recorded with the np.linalg.norm / @ forms of the checker and
-# of the certificate terms; v-decay and w-growth re-recorded with one
-# directional difference per inequality (the worst points, the v-bounds
-# values and Lorenz's w-growth, where e is 1-D, did not move).
+# check_assumption_sampled(n_samples=300, radius=20.0, seed=3) per loop on
+# the per-sample path: n_skipped, then per inequality max_violation and
+# worst_point (x, e) as float.hex, recorded with the np.linalg.norm / @ forms
+# of the checker and of the certificate terms; v-decay and w-growth
+# re-recorded with one directional difference per inequality (the worst
+# points, the v-bounds values and Lorenz's w-growth, where e is 1-D, did not
+# move).
 PINNED_CHECKS = {
     "lorenz": (
         0,
@@ -399,18 +482,47 @@ PINNED_CHECKS = {
 }
 
 
+# The same checks on the column path: the same skips and worst points, and these
+# max_violation values (the column sums round differently from one-state dots).
+PINNED_COLUMN_VIOLATIONS = {
+    "lorenz": {"v-bounds": "-0x1.85b21937c0000p-4", "v-decay": "0x1.b00eeef28e220p+15",
+               "w-growth": "0x1.e7fbc00000000p-27"},
+    "lti-output-feedback": {"v-bounds": "-0x1.dd8120af5aeb8p+1",
+                            "v-decay": "-0x1.64f3d3ce3d680p+6",
+                            "w-growth": "-0x1.e4a9a60bca7c0p+0"},
+    "tabuada": {"v-bounds": "-0x1.7371aed100000p-10", "v-decay": "-0x1.bfbfc80e720c8p+6",
+                "w-growth": "-0x1.275addf40f220p+0"},
+}
+
+
+def _per_sample(sys, cert):
+    """Undeclared copies of a loop and its certificate, which the checker calls per sample."""
+    return dataclasses.replace(sys, columns=False), dataclasses.replace(cert, columns=False)
+
+
 class TestCheckerReproducibility:
-    @pytest.mark.parametrize("name", sorted(PINNED_CHECKS))
-    def test_matches_pinned_report(self, name):
-        sys, cert = CHECKED_LOOPS[name]()
-        report = check_assumption_sampled(sys, cert, n_samples=300, radius=20.0, seed=3)
+    @staticmethod
+    def _assert_pinned(report, name, violations):
         n_skipped, pinned = PINNED_CHECKS[name]
         assert report.n_skipped == n_skipped
-        for key, (violation, x, e) in pinned.items():
-            assert float(report.max_violation[key]).hex() == violation
+        for key, (_, x, e) in pinned.items():
+            assert float(report.max_violation[key]).hex() == violations[key], key
             worst_x, worst_e = report.worst_point[key]
             assert [float(v).hex() for v in worst_x] == x
             assert [float(v).hex() for v in worst_e] == e
+
+    @pytest.mark.parametrize("name", sorted(PINNED_CHECKS))
+    def test_matches_pinned_report(self, name):
+        sys, cert = _per_sample(*CHECKED_LOOPS[name]())
+        report = check_assumption_sampled(sys, cert, n_samples=300, radius=20.0, seed=3)
+        self._assert_pinned(report, name, {k: v[0] for k, v in PINNED_CHECKS[name][1].items()})
+
+    @pytest.mark.parametrize("name", sorted(PINNED_COLUMN_VIOLATIONS))
+    def test_column_path_matches_pinned_report(self, name):
+        sys, cert = CHECKED_LOOPS[name]()
+        assert sys.columns and cert.columns
+        report = check_assumption_sampled(sys, cert, n_samples=300, radius=20.0, seed=3)
+        self._assert_pinned(report, name, PINNED_COLUMN_VIOLATIONS[name])
 
 
 def _lqr_loop(seed):
@@ -462,9 +574,36 @@ def _assert_matches_reference(report, ref):
             assert abs(got - want) <= 1e-8 * ref.scale[key], key
 
 
+def _assert_columns_agree(column, other):
+    """Column path against another report: verdicts, skips and worst points equal,
+    every max_violation within 1e-8 of its scale (an infinite one equal)."""
+    assert column.passed == other.passed
+    assert column.n_skipped == other.n_skipped
+    for key in AssumptionReport.INEQUALITIES:
+        got, want = column.worst_point[key], other.worst_point[key]
+        assert (got is None) == (want is None), key
+        if want is not None:
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1]), key
+        got, want = column.max_violation[key], other.max_violation[key]
+        if math.isinf(want):
+            assert got == want, key
+        else:
+            assert abs(got - want) <= 1e-8 * other.scale[key], key
+
+
 def _both(sys, cert, **kw):
-    return check_assumption_sampled(sys, cert, **kw), check_assumption_sampled_reference(
-        sys, cert, **kw)
+    """The per-sample checker's report and the reference's, on the same draws.
+
+    A loop and certificate that declare columns also take the column path, which must
+    agree with both (``_assert_columns_agree``).
+    """
+    report = check_assumption_sampled(*_per_sample(sys, cert), **kw)
+    ref = check_assumption_sampled_reference(sys, cert, **kw)
+    if sys.columns and cert.columns:
+        column = check_assumption_sampled(sys, cert, **kw)
+        _assert_columns_agree(column, report)
+        _assert_columns_agree(column, ref)
+    return report, ref
 
 
 def _idle_loop():
@@ -536,7 +675,7 @@ class TestCheckerEdgeCases:
     @pytest.mark.parametrize("flow, key", [("f", "v-decay"), ("g", "w-growth")])
     def test_nonfinite_flow_counts_as_infinite(self, tabuada, flow, key, value):
         sys, cert = tabuada
-        broken = dataclasses.replace(sys, **{flow: lambda x, e: np.full(2, value)})
+        broken = dataclasses.replace(sys, **{flow: lambda x, e: np.full(2, value)}, columns=False)
         kw = dict(n_samples=50, radius=50.0, seed=0)
         report = check_assumption_sampled(broken, cert, **kw)  # warning-free
         with np.errstate(invalid="ignore"):  # the reference's dot of a gradient with inf warns
@@ -569,9 +708,131 @@ class TestCheckerEdgeCases:
     def test_nan_on_some_samples_leaves_the_scale_finite(self, tabuada):
         sys, cert = tabuada
         V = cert.V
-        broken = dataclasses.replace(cert, V=lambda x: math.nan if x[0] > 0 else V(x))
+        broken = dataclasses.replace(cert, V=lambda x: math.nan if x[0] > 0 else V(x),
+                                     columns=False)
         report, ref = _both(sys, broken, n_samples=200, radius=50.0, seed=0)
         assert report.max_violation["v-bounds"] == math.inf
         for key in AssumptionReport.INEQUALITIES:
             assert math.isfinite(report.scale[key]), key
         _assert_matches_reference(report, ref)
+
+
+def _rows(x, k):
+    """Zeros with k rows: k values for one state, k rows for a column block."""
+    return np.zeros((k,) + np.shape(x)[1:])
+
+
+class TestColumnPath:
+    """The checker calls on column blocks only where the loop and the certificate both
+    declare them, once per term, flow and difference side per chunk; a flow or term of
+    the wrong shape raises DimensionError naming it on either path."""
+
+    TERMS = ("V", "W", "H", "delta", "alpha", "alpha_lower", "alpha_upper", "y_of_x")
+
+    @pytest.mark.parametrize("loop_columns, cert_columns",
+                             [(True, True), (True, False), (False, True), (False, False)])
+    def test_calls_per_chunk_only_when_both_declare(self, monkeypatch, tabuada, loop_columns,
+                                                    cert_columns):
+        monkeypatch.setattr("etclab.systems._CHUNK", 7)  # 50 samples in 8 chunks
+        sys, cert = tabuada
+        calls = dict.fromkeys(("f", "g") + self.TERMS, 0)
+
+        def spy(name, fn):
+            def counted(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return counted
+
+        sys = dataclasses.replace(sys, f=spy("f", sys.f), g=spy("g", sys.g), columns=loop_columns)
+        cert = dataclasses.replace(cert, columns=cert_columns,
+                                   **{k: spy(k, getattr(cert, k)) for k in self.TERMS})
+        report = check_assumption_sampled(sys, cert, n_samples=50, radius=50.0, seed=0)
+        assert report.n_skipped == 0
+        # V and W: the values, then both sides of one difference.
+        per = 8 if loop_columns and cert_columns else 50
+        assert calls == {"f": per, "g": per, "V": 3 * per, "W": 3 * per, "H": per,
+                         "delta": per, "alpha": per, "alpha_lower": per, "alpha_upper": per,
+                         "y_of_x": per}
+
+    def test_builtin_loops_declare_columns(self):
+        for build in (tabuada_loop, lorenz_loop, _output_feedback_loop):
+            sys, cert = build()
+            assert sys.columns and cert.columns
+
+    def test_never_reads_lti_form(self, tabuada):
+        class Unreadable:
+            def __getattr__(self, name):
+                raise AssertionError(f"lti_form.{name} read")
+
+            def __iter__(self):
+                raise AssertionError("lti_form unpacked")
+
+            def __getitem__(self, i):
+                raise AssertionError("lti_form indexed")
+
+        sys, cert = tabuada
+        kw = dict(n_samples=100, radius=20.0, seed=4)
+        want = check_assumption_sampled(sys, cert, **kw)
+        got = check_assumption_sampled(sys, dataclasses.replace(cert, lti_form=Unreadable()), **kw)
+        assert got.max_violation == want.max_violation and got.scale == want.scale
+
+    @pytest.mark.parametrize("columns", [False, True])
+    @pytest.mark.parametrize("flow, k", [("f", 3), ("g", 1)])
+    def test_flow_of_the_wrong_size_is_named(self, tabuada, columns, flow, k):
+        # Unnamed before: "cannot reshape array of size 30 into shape (10,2)".
+        sys, cert = tabuada
+        broken = dataclasses.replace(sys, stacked_matrix=None, columns=columns,
+                                     **{flow: lambda x, e: _rows(x, k)})
+        shape = r"\(3, 10\), but \(2, 10\)" if columns else r"\(10, 3\), but \(10, 2\)"
+        if flow == "g":
+            shape = r"\(1, 10\), but \(2, 10\)" if columns else r"\(10, 1\), but \(10, 2\)"
+        with pytest.raises(DimensionError, match=rf"^{flow} of loop 'lti-sf-tabuada', one state "
+                           rf"per (column|row), returned shape {shape} is needed$"):
+            check_assumption_sampled(broken, dataclasses.replace(cert, columns=columns),
+                                     n_samples=10)
+
+    @pytest.mark.parametrize("columns", [False, True])
+    def test_term_of_the_wrong_shape_is_named(self, tabuada, columns):
+        # Unnamed before: "only 0-dimensional arrays can be converted to Python scalars".
+        sys, cert = tabuada
+        broken = dataclasses.replace(cert, H=lambda x: _rows(x, 2), columns=columns)
+        shape = r"\(2, 10\), but \(10,\)" if columns else r"\(2,\), but \(\)"
+        with pytest.raises(DimensionError, match=rf"^H of certificate 'lti-quadratic'.* "
+                           rf"returned shape {shape} is needed$"):
+            check_assumption_sampled(dataclasses.replace(sys, columns=columns), broken,
+                                     n_samples=10)
+
+    def test_one_state_term_under_a_declaration_is_named(self, tabuada):
+        sys, cert = tabuada
+        with pytest.raises(DimensionError, match=r"^H of certificate 'lti-quadratic', one state "
+                           r"per column, returned shape \(\), but \(10,\) is needed$"):
+            check_assumption_sampled(sys, dataclasses.replace(cert, H=lambda x: 0.0),
+                                     n_samples=10)
+        one_state = dataclasses.replace(sys, f=lambda x, e: np.zeros(2))
+        with pytest.raises(DimensionError, match=r"^f of loop 'lti-sf-tabuada', one state "
+                           r"per column, returned shape \(2,\), but \(2, 10\) is needed$"):
+            check_assumption_sampled(one_state, cert, n_samples=10)
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    @pytest.mark.parametrize("flow, key", [("f", "v-decay"), ("g", "w-growth")])
+    def test_nonfinite_flow_counts_as_infinite(self, tabuada, flow, key, value):
+        sys, cert = tabuada
+        broken = dataclasses.replace(sys, **{flow: lambda x, e: np.full(np.shape(x), value)})
+        kw = dict(n_samples=50, radius=50.0, seed=0)
+        report = check_assumption_sampled(broken, cert, **kw)  # warning-free
+        assert report.max_violation[key] == math.inf
+        assert not report.passed
+        _assert_columns_agree(report, check_assumption_sampled(*_per_sample(broken, cert), **kw))
+
+    def test_nan_on_some_columns_leaves_the_scale_finite(self, tabuada):
+        sys, cert = tabuada
+        V = cert.V
+        kw = dict(n_samples=200, radius=50.0, seed=0)
+        report = check_assumption_sampled(
+            sys, dataclasses.replace(cert, V=lambda x: np.where(x[0] > 0, math.nan, V(x))), **kw)
+        one_state = dataclasses.replace(cert, V=lambda x: math.nan if x[0] > 0 else V(x))
+        assert report.max_violation["v-bounds"] == math.inf
+        for key in AssumptionReport.INEQUALITIES:
+            assert math.isfinite(report.scale[key]), key
+        _assert_columns_agree(report, check_assumption_sampled(*_per_sample(sys, one_state), **kw))

@@ -310,18 +310,6 @@ def _cmd_simulate(args):
 
     sol = simulate(loop, cert, r.trigger, q0, r.sim)
 
-    outdir = r.output_dir if args.output_dir is None else args.output_dir
-    os.makedirs(outdir, exist_ok=True)
-    columns = [f"x{i}" for i in range(loop.n_x)] + [f"e{i}" for i in range(loop.n_e)]
-    write_csv(
-        os.path.join(outdir, "states.csv"), ["t", "j", *columns, "tau"],
-        ([seg.t[i], seg.j, *seg.x[i], *seg.e[i], seg.tau[i]]
-         for seg in sol.segments for i in range(seg.t.size)),
-    )
-    write_csv(os.path.join(outdir, "events.csv"), EVENTS_HEADER,
-              [(0,) + row for row in sol.gap_rows()])
-    emit_plot_data(sol, os.path.join(outdir, "plot.csv"), r.trigger.T)
-
     monitored = r.trigger.T < zeta_time(cert.gamma, cert.L, r.zeta)
     if not monitored:
         print(
@@ -329,10 +317,25 @@ def _cmd_simulate(args):
             "R-monitor output is empty",
             file=sys.stderr,
         )
-    write_csv(
-        os.path.join(outdir, "rmonitor.csv"), ["t", "j", "R"],
-        r_monitor(sol, cert, r.zeta) if monitored else [],
-    )
+
+    outdir = r.output_dir if args.output_dir is None else args.output_dir
+    columns = [f"x{i}" for i in range(loop.n_x)] + [f"e{i}" for i in range(loop.n_e)]
+    try:
+        os.makedirs(outdir, exist_ok=True)
+        write_csv(
+            os.path.join(outdir, "states.csv"), ["t", "j", *columns, "tau"],
+            ([seg.t[i], seg.j, *seg.x[i], *seg.e[i], seg.tau[i]]
+             for seg in sol.segments for i in range(seg.t.size)),
+        )
+        write_csv(os.path.join(outdir, "events.csv"), EVENTS_HEADER,
+                  [(0,) + row for row in sol.gap_rows()])
+        emit_plot_data(sol, os.path.join(outdir, "plot.csv"), r.trigger.T)
+        write_csv(
+            os.path.join(outdir, "rmonitor.csv"), ["t", "j", "R"],
+            r_monitor(sol, cert, r.zeta) if monitored else [],
+        )
+    except OSError as exc:
+        raise OSError(f"failed to write outputs under {os.fspath(outdir)!r}: {exc}") from exc
 
     gaps = sol.inter_event_gaps
     print(_gains(cert))

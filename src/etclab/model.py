@@ -157,9 +157,14 @@ class Certificate:
 
 
 def check_pairing(sys: ClosedLoopSystem, cert: Certificate):
-    """Raise DimensionError unless the certificate's (n_x, n_e) are the loop's."""
+    """Raise DimensionError unless the certificate's (n_x, n_e) are the loop's and
+    its y_of_x gives n_y outputs on one state (the origin)."""
     if (cert.n_x, cert.n_e) != (sys.n_x, sys.n_e):
         raise DimensionError(
             f"certificate {cert.name!r} has (n_x, n_e) = ({cert.n_x}, {cert.n_e}) but "
             f"loop {sys.name!r} has ({sys.n_x}, {sys.n_e})"
         )
+    shape = np.shape(cert.y_of_x(np.zeros(cert.n_x)))
+    if shape != (cert.n_y,):
+        raise DimensionError(f"y_of_x of certificate {cert.name!r} returned shape {shape} on "
+                             f"one state, but {(cert.n_y,)} is needed")

@@ -25,15 +25,15 @@ only the derivatives of V along f and of W along g, so it takes one
 central difference along f and one along g per sample, not full
 finite-difference gradients, and a zero derivative comes out as an exact
 0.  It works through the samples in chunks of fixed size, so its memory
-is bounded whatever the sample count.  Where both the loop and the
-certificate declare ``columns`` (see ``model``), it calls each term and
-each flow once per chunk on a column block of its samples, and one sample
-at a time otherwise.  Either way it reads only the terms, never how a
-certificate was constructed, so it doubles as a falsification tool.
+is bounded whatever the sample count.  It has one evaluator, which hands
+each term and each flow a column block of the chunk's samples: where both
+the loop and the certificate declare ``columns`` (see ``model``) that is
+one call per chunk; otherwise the callables count as undeclared and are
+called once per column, on one state.  It reads only the terms, never how
+a certificate was constructed, so it doubles as a falsification tool.
 """
 
 import math
-from array import array
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
@@ -243,53 +243,36 @@ def _shaped(out, shape, what):
     return out
 
 
-def _by_sample(sys, cert, X, E, skip_band):
-    """Nine rows (|x|, |e|, _TERMS), f, g at the kept samples, their indices; calls per sample."""
-    # 9 doubles per sample in one flat buffer: a list of tuples of floats takes 5x the memory.
-    terms, F, G, kept = array("d"), [], [], []
-    for i, (x, e) in enumerate(zip(X, E)):
-        nx, ne = norm(x), norm(e)
-        row = (nx, ne, cert.V(x), cert.alpha_lower(nx), cert.alpha_upper(nx),
-               cert.W(e), cert.H(x), cert.alpha(nx), cert.delta(cert.y_of_x(x)))
-        try:
-            terms.extend(row)
-        except TypeError:  # a value that is not one float: name the first such term
-            for name, value in zip(_TERMS, row[2:]):
-                _shaped(value, (), f"{name} of certificate {cert.name!r} on one state")
-            raise
-        F.append(sys.f(x, e))
-        if ne >= skip_band:
-            kept.append(i)
-            G.append(sys.g(x, e))
-    on = f"of loop {sys.name!r}, one state per row,"
-    F = _shaped(F, (len(X), sys.n_x), "f " + on)
-    G = _shaped(G or np.empty((0, sys.n_e)), (len(kept), sys.n_e), "g " + on)
-    return np.frombuffer(terms).reshape(-1, 9).T, F, G, kept
+def _each(fn):
+    """fn lifted to column blocks: one call per column, on that column of each block."""
+    return lambda *blocks: np.array([fn(*cols) for cols in zip(*(b.T for b in blocks))]).T
 
 
-def _by_column(sys, cert, X, E, skip_band):
-    """What _by_sample returns, from one call per term and flow on the column block."""
+def _evaluate(sys, cert, X, E, skip_band, call):
+    """Nine rows (|x|, |e|, _TERMS), f, g at the kept samples, their indices; each
+    callable goes through ``call`` (the identity or ``_each``) on the column block."""
     n, xs, es = len(X), X.T, E.T
-    nx, ne = norm(xs), norm(es)
-    args = (xs, nx, nx, es, xs, nx, cert.y_of_x(xs))
-    terms = [_shaped(getattr(cert, name)(arg), (n,),
-                     f"{name} of certificate {cert.name!r}, one state per column,")
+    nx, ne = call(norm)(xs), call(norm)(es)
+    on = f"of certificate {cert.name!r}, one state per column,"
+    y = _shaped(call(cert.y_of_x)(xs), (cert.n_y, n), "y_of_x " + on)
+    args = (xs, nx, nx, es, xs, nx, y)
+    terms = [_shaped(call(getattr(cert, name))(arg), (n,), f"{name} {on}")
              for name, arg in zip(_TERMS, args)]
     on = f"of loop {sys.name!r}, one state per column,"
-    F = _shaped(sys.f(xs, es), (sys.n_x, n), "f " + on).T
-    G = _shaped(sys.g(xs, es), (sys.n_e, n), "g " + on).T
+    F = _shaped(call(sys.f)(xs, es), (sys.n_x, n), "f " + on).T
+    G = _shaped(call(sys.g)(xs, es), (sys.n_e, n), "g " + on).T
     kept = np.flatnonzero(ne >= skip_band)
     return (nx, ne, *terms), F, G[kept], kept
 
 
-def _along(fn, Z, D, h, columns):
+def _along(fn, Z, D, h):
     """<grad fn(z), d> at each row z of Z with the row d of D, by central differences.
 
     One difference per row: fn at z +- h d/|d|, the quotient scaled by |d|.
     A zero d gives exactly 0 and a d that is not finite NaN, with no call of fn.
-    With ``columns`` each side is one call of fn on the block of its points, one per
-    column; otherwise one call per point.  Overflow warnings are the caller's to
-    silence, as the checker does per chunk.
+    Each side is one call of fn on the block of its points, one per column (an
+    undeclared fn comes lifted by ``_each``, so it is called once per column).
+    Overflow warnings are the caller's to silence, as the checker does per chunk.
     """
     size = np.sqrt(np.einsum("ij,ij->i", D, D))
     out = np.where(np.isfinite(size), 0.0, np.nan)
@@ -299,10 +282,7 @@ def _along(fn, Z, D, h, columns):
     size, h = size[live], h[live]
     step = (h / size)[:, None] * D[live]
     sides = (Z[live] + step, Z[live] - step)
-    if columns:
-        up, down = (np.asarray(fn(s.T), dtype=float) for s in sides)
-    else:
-        up, down = (np.array([fn(z) for z in s], dtype=float) for s in sides)
+    up, down = (np.asarray(fn(s.T), dtype=float) for s in sides)
     out[live] = (up - down) / (2.0 * h) * size
     return out
 
@@ -331,10 +311,12 @@ def check_assumption_sampled(
     W along g/|g| (step 1e-6 |e|), times |f| or |g|, not from a full
     finite-difference gradient; a zero f or g gives exactly 0.  Samples are
     checked in chunks of a fixed size, so memory does not grow with
-    n_samples.  When both sys and cert declare ``columns``, each term, each
-    flow and each side of a difference is called once per chunk on a block
-    of its samples, one per column; otherwise once per sample.  A term or
-    flow that returns the wrong shape raises DimensionError naming it.
+    n_samples.  One evaluator serves every loop: when both sys and cert
+    declare ``columns``, each term, each flow and each side of a difference
+    is called once per chunk on a block of its samples, one per column;
+    otherwise they are undeclared callables and are called once per column.
+    A term, flow or output map that returns the wrong shape raises
+    DimensionError naming it.
     Samples too close to the nondifferentiable set
     of W (e = 0 for norm-type W) are skipped for the W inequality only.
     Violations are data, not exceptions; a sample count that is not an
@@ -369,8 +351,7 @@ def check_assumption_sampled(
         for side in sides:
             scale[key] = float(np.max(np.abs(side), initial=scale[key], where=np.isfinite(side)))
 
-    columns = sys.columns and cert.columns
-    evaluate = _by_column if columns else _by_sample
+    call = (lambda fn: fn) if sys.columns and cert.columns else _each
     for start in range(0, n_samples, _CHUNK):
         # Overflow and NaN in the terms, the flows and the differences are data
         # (infinite violations), so numpy warns of none of them in a chunk.
@@ -378,12 +359,13 @@ def check_assumption_sampled(
             n = min(_CHUNK, n_samples - start)
             Z = np.array([uniform_ball(rng, dim, radius) for _ in range(n)])
             X, E = Z[:, :n_x], Z[:, n_x:]
-            (nx, ne, v, lo, hi, w, hx, a, d), F, G, kept = evaluate(sys, cert, X, E, skip_band)
+            (nx, ne, v, lo, hi, w, hx, a, d), F, G, kept = _evaluate(sys, cert, X, E, skip_band,
+                                                                     call)
             skipped += n - len(kept)
 
             Xk, Ek = X[kept], E[kept]
-            lhs_v = _along(cert.V, X, F, 1e-6 * np.fmax(1.0, nx), columns)
-            lhs_w = _along(cert.W, Ek, G, 1e-6 * ne[kept], columns)
+            lhs_v = _along(call(cert.V), X, F, 1e-6 * np.fmax(1.0, nx))
+            lhs_w = _along(call(cert.W), Ek, G, 1e-6 * ne[kept])
             note("v-bounds", np.maximum(lo - v, v - hi), X, E, v)
             rhs = -a - hx * hx - d + g2 * w * w
             note("v-decay", lhs_v - rhs, X, E, lhs_v, rhs)

@@ -691,6 +691,12 @@ CLI_EXITS = {
         ["design", "--config", "{config}"], b"\xff\xfe{}", None, 1,
         "error: {config}: not UTF-8 text: invalid start byte at byte 0\n", None,
     ),
+    "simulate-output-dir-is-a-file": (
+        # The outputs are written after the run; the failure names the directory.
+        ["simulate", "--config", "{config}", "--output-dir", "{config}"], LORENZ_CFG, None, 1,
+        "error: failed to write outputs under '{config}': [Errno 17] File exists: '{config}'\n",
+        None,
+    ),
     "zeta-transit-warning": (
         # The default zeta's transit time, 0.00988, is below T = 0.01.
         ["simulate", "--config", "{config}"], {k: v for k, v in LORENZ_CFG.items() if k != "zeta"},

@@ -35,7 +35,10 @@ from etclab.model import HybridState
 from etclab.systems import (
     _CHUNK,
     BUILTIN_LOOPS,
+    TABUADA_A,
+    TABUADA_B,
     TABUADA_EPS2,
+    TABUADA_K,
     lti_loop_from_matrices,
     tabuada_matrices,
 )
@@ -304,6 +307,32 @@ class TestPairing:
         with pytest.raises(DimensionError, match=r"\(3, 1\).*\(2, 2\)"):
             check_assumption_sampled(sys, cert, n_samples=10)
 
+    Y_OF_X_SIZE = (r"^y_of_x of certificate 'lti-quadratic' returned shape \({}\) on one state, "
+                   r"but \({}\) is needed$")
+
+    def test_output_of_the_wrong_size_is_named(self):
+        # Unchecked, the check passes and simulate runs to the horizon with 7 jumps,
+        # delta reading a 2-vector where the loop has one output.
+        sys, cert = _output_feedback_loop()
+        broken = dataclasses.replace(cert, y_of_x=lambda x: x[:2], lti_form=None)
+        match = self.Y_OF_X_SIZE.format("2,", "1,")
+        with pytest.raises(DimensionError, match=match):
+            check_assumption_sampled(sys, broken, n_samples=200)
+        T = 0.5 * masp(cert.gamma, cert.L)
+        with pytest.raises(DimensionError, match=match):
+            simulate(sys, broken, TriggerConfig("output-feedback", T=T),
+                     HybridState(np.ones(3), np.zeros(2), 0.0),
+                     SimSettings(step=T / 10.0, horizon_t=2.0))
+
+    def test_lti_loop_rejects_an_output_of_the_wrong_size(self):
+        plant = LtiPlant(A=TABUADA_A, B=TABUADA_B, C=np.eye(2))
+        ctrl = LtiController(D=TABUADA_K)
+        clm = assemble(plant, ctrl)
+        cert = extract_assumption(clm, design_certificate(clm))
+        broken = dataclasses.replace(cert, y_of_x=lambda x: float(x[0]), lti_form=None)
+        with pytest.raises(DimensionError, match=self.Y_OF_X_SIZE.format("", "2,")):
+            lti_loop(plant, ctrl, broken)
+
 
 class TestCheckAssumptionSampled:
     def test_origin_satisfies_all_inequalities(self, tabuada):
@@ -412,7 +441,8 @@ CHECKED_LOOPS = {
 }
 
 # check_assumption_sampled(n_samples=300, radius=20.0, seed=3) per loop on
-# the per-sample path: n_skipped, then per inequality max_violation and
+# undeclared copies (``_per_sample``), whose callables the one evaluator calls
+# once per column: n_skipped, then per inequality max_violation and
 # worst_point (x, e) as float.hex, recorded with the np.linalg.norm / @ forms
 # of the checker and of the certificate terms; v-decay and w-growth
 # re-recorded with one directional difference per inequality (the worst
@@ -482,8 +512,8 @@ PINNED_CHECKS = {
 }
 
 
-# The same checks on the column path: the same skips and worst points, and these
-# max_violation values (the column sums round differently from one-state dots).
+# The same checks on the declared loops, one call per chunk: the same skips and worst
+# points, and these max_violation values (the column sums round differently from one-state dots).
 PINNED_COLUMN_VIOLATIONS = {
     "lorenz": {"v-bounds": "-0x1.85b21937c0000p-4", "v-decay": "0x1.b00eeef28e220p+15",
                "w-growth": "0x1.e7fbc00000000p-27"},
@@ -496,7 +526,7 @@ PINNED_COLUMN_VIOLATIONS = {
 
 
 def _per_sample(sys, cert):
-    """Undeclared copies of a loop and its certificate, which the checker calls per sample."""
+    """Undeclared copies of a loop and its certificate: the checker calls them once per column."""
     return dataclasses.replace(sys, columns=False), dataclasses.replace(cert, columns=False)
 
 
@@ -591,11 +621,26 @@ def _assert_columns_agree(column, other):
             assert abs(got - want) <= 1e-8 * other.scale[key], key
 
 
-def _both(sys, cert, **kw):
-    """The per-sample checker's report and the reference's, on the same draws.
+def _assert_same_bits(report, other):
+    """Two reports equal bit for bit: verdicts, skips, max_violation, scales and worst points."""
+    assert report.passed == other.passed
+    assert report.n_skipped == other.n_skipped
+    for key in AssumptionReport.INEQUALITIES:
+        assert float(report.max_violation[key]).hex() == float(other.max_violation[key]).hex(), key
+        assert float(report.scale[key]).hex() == float(other.scale[key]).hex(), key
+        got, want = report.worst_point[key], other.worst_point[key]
+        assert (got is None) == (want is None), key
+        if want is not None:
+            for a, b in zip(got, want):
+                assert [float(v).hex() for v in a] == [float(v).hex() for v in b], key
 
-    A loop and certificate that declare columns also take the column path, which must
-    agree with both (``_assert_columns_agree``).
+
+def _both(sys, cert, **kw):
+    """The checker's report on undeclared copies and the reference's, on the same draws.
+
+    The undeclared copies are called once per column.  A loop and certificate that
+    declare columns are also checked as they are, one call per chunk, which must agree
+    with both (``_assert_columns_agree``).
     """
     report = check_assumption_sampled(*_per_sample(sys, cert), **kw)
     ref = check_assumption_sampled_reference(sys, cert, **kw)
@@ -724,8 +769,9 @@ def _rows(x, k):
 
 class TestColumnPath:
     """The checker calls on column blocks only where the loop and the certificate both
-    declare them, once per term, flow and difference side per chunk; a flow or term of
-    the wrong shape raises DimensionError naming it on either path."""
+    declare them, once per term, flow and difference side per chunk, and once per column
+    otherwise; a flow, term or output of the wrong shape raises DimensionError naming it
+    either way."""
 
     TERMS = ("V", "W", "H", "delta", "alpha", "alpha_lower", "alpha_upper", "y_of_x")
 
@@ -749,11 +795,17 @@ class TestColumnPath:
                                    **{k: spy(k, getattr(cert, k)) for k in self.TERMS})
         report = check_assumption_sampled(sys, cert, n_samples=50, radius=50.0, seed=0)
         assert report.n_skipped == 0
-        # V and W: the values, then both sides of one difference.
+        # V and W: the values, then both sides of one difference; y_of_x also once per
+        # check, on the origin (check_pairing).
         per = 8 if loop_columns and cert_columns else 50
         assert calls == {"f": per, "g": per, "V": 3 * per, "W": 3 * per, "H": per,
                          "delta": per, "alpha": per, "alpha_lower": per, "alpha_upper": per,
-                         "y_of_x": per}
+                         "y_of_x": per + 1}
+        if not (loop_columns and cert_columns):
+            # A mixed or undeclared pair is called per column, as _per_sample's are: same bits.
+            undeclared = check_assumption_sampled(*_per_sample(*tabuada), n_samples=50,
+                                                  radius=50.0, seed=0)
+            _assert_same_bits(report, undeclared)
 
     def test_builtin_loops_declare_columns(self):
         for build in (tabuada_loop, lorenz_loop, _output_feedback_loop):
@@ -784,9 +836,7 @@ class TestColumnPath:
         sys, cert = tabuada
         broken = dataclasses.replace(sys, stacked_matrix=None, columns=columns,
                                      **{flow: lambda x, e: _rows(x, k)})
-        shape = r"\(3, 10\), but \(2, 10\)" if columns else r"\(10, 3\), but \(10, 2\)"
-        if flow == "g":
-            shape = r"\(1, 10\), but \(2, 10\)" if columns else r"\(10, 1\), but \(10, 2\)"
+        shape = rf"\({k}, 10\), but \(2, 10\)"  # one block form, declared or not
         with pytest.raises(DimensionError, match=rf"^{flow} of loop 'lti-sf-tabuada', one state "
                            rf"per (column|row), returned shape {shape} is needed$"):
             check_assumption_sampled(broken, dataclasses.replace(cert, columns=columns),
@@ -797,11 +847,21 @@ class TestColumnPath:
         # Unnamed before: "only 0-dimensional arrays can be converted to Python scalars".
         sys, cert = tabuada
         broken = dataclasses.replace(cert, H=lambda x: _rows(x, 2), columns=columns)
-        shape = r"\(2, 10\), but \(10,\)" if columns else r"\(2,\), but \(\)"
+        shape = r"\(2, 10\), but \(10,\)"  # one block form, declared or not
         with pytest.raises(DimensionError, match=rf"^H of certificate 'lti-quadratic'.* "
                            rf"returned shape {shape} is needed$"):
             check_assumption_sampled(dataclasses.replace(sys, columns=columns), broken,
                                      n_samples=10)
+
+    def test_output_block_of_the_wrong_shape_is_named(self, tabuada):
+        # y_of_x gives n_y outputs on one state, so check_pairing passes, but not on a block.
+        sys, cert = tabuada
+        y_of_x = cert.y_of_x
+        broken = dataclasses.replace(cert, y_of_x=lambda x: y_of_x(x) if x.ndim == 1 else x[:1])
+        with pytest.raises(DimensionError, match=r"^y_of_x of certificate 'lti-quadratic', one "
+                           r"state per column, returned shape \(1, 10\), but \(2, 10\) is "
+                           r"needed$"):
+            check_assumption_sampled(sys, broken, n_samples=10)
 
     def test_one_state_term_under_a_declaration_is_named(self, tabuada):
         sys, cert = tabuada

@@ -276,8 +276,11 @@ def _cmd_design(args):
     }
     text = json.dumps(doc, indent=2) + "\n"
     if args.out and args.out != "-":
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise OSError(f"failed to write the certificate to {args.out!r}: {exc}") from exc
     else:
         sys.stdout.write(text)
     print(_gains(cert), file=sys.stderr)

@@ -52,11 +52,11 @@ def sym_eigenvalues(m):
 
 
 def spectral_norm(m):
-    """Largest singular value, sqrt(lambda_max(m^T m))."""
+    """Largest singular value, sqrt(lambda_max(m^T m)): the first of the descending SVD."""
     a = as_matrix(m)
     if min(a.shape) == 0:
         return 0.0
-    return float(np.linalg.norm(a, 2))
+    return float(np.linalg.svd(a, compute_uv=False)[0])
 
 
 def is_positive_definite(m):

@@ -256,6 +256,23 @@ def _squared_norm(m):
         return inf
 
 
+def _cheapest_slack(G0, G1, slacks):
+    """The first slack r of least |G0 + (r - lo) G1|^2 / r, lo = slacks[0].
+
+    The slices for all slacks form one stack, priced by one batched SVD.  A
+    slice that is not finite, or whose squared norm overflows, costs inf, as
+    in ``_squared_norm``; such slices are zeroed first, so LAPACK sees only
+    finite entries.  argmin keeps the first of a tie.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        stack = G0 + (slacks - slacks[0])[:, None, None] * G1
+        finite = np.isfinite(stack).all(axis=(1, 2))
+        stack[~finite] = 0.0
+        sigma = np.linalg.svd(stack, compute_uv=False).max(axis=1, initial=0.0)
+        cost = np.where(finite, sigma * sigma, inf) / slacks
+    return slacks[int(np.argmin(cost))]
+
+
 def design_certificate(clm: ClosedLoopMatrices, eps1=1e-2, eps2=1e-2) -> LmiCertificate:
     """Constructively produce a feasible (P, eps1, eps2, mu).
 
@@ -264,11 +281,12 @@ def design_certificate(clm: ClosedLoopMatrices, eps1=1e-2, eps2=1e-2) -> LmiCert
     mu(rho) = |B1^T P(rho)|^2 / rho makes the Schur complement exactly
     balance.  P is affine in rho, P(rho) = P(lo) + (rho - lo) P1 (lo the
     smallest slack, P1 the solution for right-hand side I), so two solves
-    price all 20 slacks and a third, at the first cheapest one, gives P and
-    mu.  A failing solve raises DesignInfeasibleError, as does a right-hand
-    side whose slack grid overflows or a mu that overflows (an overflow
-    prices a slack at inf).  The resulting gamma
-    can exceed what a full SDP solve would find; it is always feasible.
+    and one batched SVD price all 20 slacks (``_cheapest_slack``) and a
+    third solve, at the first cheapest one, gives P and mu.  A failing
+    solve raises DesignInfeasibleError, as does a right-hand side whose
+    slack grid overflows or a mu that overflows (an overflow prices a
+    slack at inf).  The resulting gamma can exceed what a full SDP solve
+    would find; it is always feasible.
     """
     _check_eps(eps1, eps2)
     if not is_hurwitz(clm.A1):
@@ -290,7 +308,7 @@ def design_certificate(clm: ClosedLoopMatrices, eps1=1e-2, eps2=1e-2) -> LmiCert
     P0, P1 = solve_lyapunov(clm.A1, base + lo * eye), solve_lyapunov(clm.A1, eye)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow prices a slack at inf
         G0, G1 = clm.B1.T @ P0, clm.B1.T @ P1
-        rho = min(slacks, key=lambda r: _squared_norm(G0 + (r - lo) * G1) / r)
+    rho = _cheapest_slack(G0, G1, slacks)
     P = solve_lyapunov(clm.A1, base + rho * eye)
     with np.errstate(over="ignore", invalid="ignore"):
         mu = _squared_norm(clm.B1.T @ P) / rho

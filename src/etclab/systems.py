@@ -25,7 +25,11 @@ only the derivatives of V along f and of W along g, so it takes one
 central difference along f and one along g per sample, not full
 finite-difference gradients, and a zero derivative comes out as an exact
 0.  It works through the samples in chunks of fixed size, so its memory
-is bounded whatever the sample count.  It has one evaluator, which hands
+is bounded whatever the sample count, and draws each chunk with one call
+of ``uniform_ball(rng, dim, radius, n)``, whose rows do not depend on the
+chunk size.  That block draw replaced one draw per sample: every sample
+moved, and no verdict or skip count did on the benchmark's ``certify``
+units.  It has one evaluator, which hands
 each term and each flow a column block of the chunk's samples: where both
 the loop and the certificate declare ``columns`` (see ``model``) that is
 one call per chunk; otherwise the callables count as undeclared and are
@@ -357,7 +361,7 @@ def check_assumption_sampled(
         # (infinite violations), so numpy warns of none of them in a chunk.
         with np.errstate(over="ignore", invalid="ignore"):
             n = min(_CHUNK, n_samples - start)
-            Z = np.array([uniform_ball(rng, dim, radius) for _ in range(n)])
+            Z = uniform_ball(rng, dim, radius, n)
             X, E = Z[:, :n_x], Z[:, n_x:]
             (nx, ne, v, lo, hi, w, hx, a, d), F, G, kept = _evaluate(sys, cert, X, E, skip_band,
                                                                      call)

@@ -6,7 +6,8 @@ eigensolver, power iteration instead of an SVD, Kronecker vectorization
 instead of a Schur-based Lyapunov solve, leading principal minors
 instead of an eigenvalue test, the Schur complement instead of the full
 LMI block matrix, one Lyapunov solve per design slack instead of two
-that price the whole slack grid, the matrix exponential and a bracketing
+that price the whole slack grid, one spectral norm per slack instead of
+one batched SVD of the grid, the matrix exponential and a bracketing
 root finder instead of RK4 steps and an event bisection, the exact
 periodic map instead of the emulation bound of the MASP, coordinate-wise
 gradients instead of one directional difference per inequality, numpy
@@ -254,6 +255,28 @@ def slack_grid_design(clm, eps1=1e-2, eps2=1e-2):
     return best
 
 
+def cheapest_slack_reference(G0, G1, slacks):
+    """The slack grid's pick, priced one slack at a time.
+
+    Each slack r costs |G0 + (r - lo) G1|^2 / r (lo = slacks[0]) by its own
+    ``np.linalg.norm(., 2)``, or inf where that matrix is not finite or its
+    square overflows; ``min`` keeps the first of a tie.
+    """
+    lo = slacks[0]
+
+    def cost(r):
+        with np.errstate(over="ignore", invalid="ignore"):
+            m = G0 + (r - lo) * G1
+        if not np.isfinite(m).all():
+            return math.inf
+        try:
+            return float(np.linalg.norm(m, 2)) ** 2 / r
+        except OverflowError:
+            return math.inf
+
+    return min(slacks, key=cost)
+
+
 def periodic_map(clm, T):
     """Phi(T) = [I 0] expm(M T) [I; 0], with M = [[A1, B1], [A2, B2]].
 
@@ -372,7 +395,8 @@ def _grad_fd(fn, z, h):
 def check_assumption_sampled_reference(sys, cert, n_samples=10_000, radius=50.0, seed=0):
     """``check_assumption_sampled`` one sample at a time, with full gradients.
 
-    Draws the same points as the library checker and evaluates the same
+    Draws the same points as the library checker (one block of n_samples rows,
+    which the checker's chunks reproduce) and evaluates the same
     inequalities, but takes grad V and grad W by central differences along
     each coordinate (2 n_x calls of V and 2 n_e calls of W per sample) and
     dots them with f and g, recording each sample's violation as it goes.
@@ -402,8 +426,7 @@ def check_assumption_sampled_reference(sys, cert, n_samples=10_000, radius=50.0,
         # The scale is the largest finite |side|, starting at 1.
         scale[key] = max([scale[key], *(abs(s) for s in sides if math.isfinite(s))])
 
-    for _ in range(n_samples):
-        z = uniform_ball(rng, dim, radius)
+    for z in uniform_ball(rng, dim, radius, n_samples):
         x, e = z[: sys.n_x], z[sys.n_x :]
         nx = math.sqrt(x.dot(x))
 

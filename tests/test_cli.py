@@ -697,6 +697,11 @@ CLI_EXITS = {
         "error: failed to write outputs under '{config}': [Errno 17] File exists: '{config}'\n",
         None,
     ),
+    "design-out-is-a-directory": (
+        ["design", "--config", "{config}", "--out", "{dir}"], LTI_CFG, None, 1,
+        "error: failed to write the certificate to '{dir}': [Errno 21] Is a directory: '{dir}'\n",
+        None,
+    ),
     "zeta-transit-warning": (
         # The default zeta's transit time, 0.00988, is below T = 0.01.
         ["simulate", "--config", "{config}"], {k: v for k, v in LORENZ_CFG.items() if k != "zeta"},
@@ -719,7 +724,8 @@ def test_exit_code_and_message(capsys, tmp_path, monkeypatch, name):
         (tmp_path / "config.json").write_bytes(doc)
     if seed is not None:
         monkeypatch.setenv("ETC_LAB_SEED", seed)
-    paths = {"config": tmp_path / "config.json", "absent": tmp_path / "absent.json"}
+    paths = {"config": tmp_path / "config.json", "absent": tmp_path / "absent.json",
+             "dir": tmp_path}
     argv = [a.format(**paths) for a in argv]
     rc, out, err = _run(capsys, *argv)
     assert rc == code

@@ -27,9 +27,9 @@ from etclab import (
     spectral_norm,
     zeta_time,
 )
-from etclab import linalg
+from etclab import linalg, lti
 from etclab.systems import tabuada_matrices
-from oracles import lmi_schur_residual, periodic_map, slack_grid_design
+from oracles import cheapest_slack_reference, lmi_schur_residual, periodic_map, slack_grid_design
 
 A = [[0.0, 1.0], [-2.0, 3.0]]
 B = [[0.0], [1.0]]
@@ -421,6 +421,88 @@ class TestSlackPricing:
         clm = _output_feedback_clm()
         assert not is_positive_definite(clm.A2.T @ clm.A2 + 1e-12 * np.eye(clm.n_x))
         _assert_grid_answer_from_three_solves(monkeypatch, clm, eps1=0.0, eps2=1e-12)
+
+
+def _certify_clms(seed, units=192):
+    """The LTI loops of the benchmark's ``certify`` units at one seed.
+
+    Unit i cycles through one Lorenz unit (no loop), then state feedback and
+    observer-based output feedback on 2, 3 and 4 plant states; its generator
+    default_rng([seed, i]) draws the check seed and then the loop, redrawn
+    where the Riccati solver rejects it (``_lqr_clm`` takes the generator,
+    which default_rng passes through).
+    """
+    cycle = [None] + [(n, observer) for n in (2, 3, 4) for observer in (False, True)]
+    for i in range(units):
+        if cycle[i % len(cycle)] is None:
+            continue
+        rng = np.random.default_rng([seed, i])
+        rng.integers(2**31)
+        while True:
+            try:
+                yield _lqr_clm(rng, *cycle[i % len(cycle)])
+                break
+            except (np.linalg.LinAlgError, ValueError):
+                continue
+
+
+class TestBatchedSlackGrid:
+    """The grid's one batched SVD picks the slack that pricing each slack alone picks."""
+
+    @staticmethod
+    def _picks(monkeypatch):
+        # Each design's (pick, reference pick, slacks), from the G0 and G1 it priced.
+        picks, cheapest = [], lti._cheapest_slack
+
+        def spy(G0, G1, slacks):
+            rho = cheapest(G0, G1, slacks)
+            picks.append((rho, cheapest_slack_reference(G0, G1, slacks), slacks))
+            return rho
+
+        monkeypatch.setattr(lti, "_cheapest_slack", spy)
+        return picks
+
+    def test_certify_loops(self, monkeypatch):
+        picks = self._picks(monkeypatch)
+        for clm in _certify_clms(0):
+            design_certificate(clm)
+        assert len(picks) == 164
+        assert all(got.hex() == want.hex() for got, want, _ in picks)
+        assert len({slacks.searchsorted(got) for got, _, slacks in picks}) > 1
+
+    def test_overflowing_slacks_cost_inf(self, monkeypatch):
+        # Every entry of B1^T P(rho) is finite, but its squared norm overflows
+        # from the 17th slack on; the 10th and 11th cost within a few ulps of
+        # each other, and the cheaper, the 10th, is picked.
+        picks = self._picks(monkeypatch)
+        clm = assemble(LtiPlant(A=[[-1.0]], B=[[1e152]], C=[[2.0]]), LtiController(D=[[0.0]]))
+        design_certificate(clm)
+        (got, want, slacks), = picks
+        assert got.hex() == want.hex() == slacks[9].hex()
+
+    def test_non_finite_slack_is_never_picked(self, monkeypatch):
+        # The last slack's B1^T P(rho) overflows and every other square does: all
+        # cost inf, so the tie keeps the first slack, and mu then overflows.
+        picks = self._picks(monkeypatch)
+        clm = assemble(LtiPlant(A=[[-1.0]], B=[[1e305]], C=[[2.0]]), LtiController(D=[[0.0]]))
+        with pytest.raises(DesignInfeasibleError, match="mu = .* overflows at slack 4.050e-03"):
+            design_certificate(clm)
+        (got, want, slacks), = picks
+        assert got == want == slacks[0]
+
+    def test_tie_keeps_the_first_slack(self, monkeypatch):
+        # B1 = 0: every slack costs 0.
+        picks = self._picks(monkeypatch)
+        clm = assemble(LtiPlant(A=[[-1.0, 0.0], [0.0, -2.0]], B=[[1.0], [1.0]], C=np.eye(2)),
+                       LtiController(D=[[0.0, 0.0]]))
+        assert design_certificate(clm).mu == 0.0
+        (got, want, slacks), = picks
+        assert got == want == slacks[0]
+
+    def test_an_empty_error_block_prices_every_slack_at_zero(self):
+        # n_e = 0: B1^T P has no rows, and spectral_norm gives 0.0 for it.
+        slacks = np.logspace(-3, 3, 20)
+        assert lti._cheapest_slack(np.zeros((0, 3)), np.zeros((0, 3)), slacks) == slacks[0]
 
 
 class TestBackwardErrorBound:

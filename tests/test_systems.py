@@ -443,29 +443,27 @@ CHECKED_LOOPS = {
 # check_assumption_sampled(n_samples=300, radius=20.0, seed=3) per loop on
 # undeclared copies (``_per_sample``), whose callables the one evaluator calls
 # once per column: n_skipped, then per inequality max_violation and
-# worst_point (x, e) as float.hex, recorded with the np.linalg.norm / @ forms
-# of the checker and of the certificate terms; v-decay and w-growth
-# re-recorded with one directional difference per inequality (the worst
-# points, the v-bounds values and Lorenz's w-growth, where e is 1-D, did not
-# move).
+# worst_point (x, e) as float.hex.  Re-recorded when the checker began to draw
+# each chunk of samples as one block (``uniform_ball(rng, dim, radius, n)``),
+# which moved every sample; the verdicts and skips did not move.
 PINNED_CHECKS = {
     "lorenz": (
         0,
         {
             "v-bounds": (
-                "-0x1.85b21937d0000p-4",
-                ["-0x1.dd85bcc6e625bp-5", "-0x1.1c8b97206bb7ap+3", "0x1.a0b807ed44e79p+2"],
-                ["-0x1.9f4707d66dfdap+3"],
+                "-0x1.883cd8d720000p-4",
+                ["-0x1.df13cb45228e9p-5", "0x1.013e2180b8224p+4", "0x1.40f39f92806a5p+3"],
+                ["0x1.6db2722dace02p+1"],
             ),
             "v-decay": (
-                "0x1.b00eeef28e220p+15",
-                ["-0x1.d6a573ad0bdf8p+3", "0x1.64c81494ab493p+3", "0x1.3da52500e11a7p+2"],
-                ["-0x1.76449deb1fed6p-3"],
+                "0x1.3e4e17bb423f2p+15",
+                ["0x1.81714683a3bccp+2", "0x1.fdace212c776cp+3", "-0x1.c3b1e1bc3cde9p+0"],
+                ["-0x1.8c0aeef7ef385p-1"],
             ),
             "w-growth": (
-                "0x1.e7fbc00000000p-27",
-                ["0x1.efc5f89cfa3c4p+3", "-0x1.2610f69fa6e3ap+3", "0x1.e07fb674e145fp+2"],
-                ["0x1.120587a4658bfp+2"],
+                "0x1.3715600000000p-26",
+                ["0x1.66bafa65587efp+3", "-0x1.16d31cdab562ep+3", "-0x1.1995c62a08419p+3"],
+                ["0x1.0b6f35890f07cp+2"],
             ),
         },
     ),
@@ -473,19 +471,19 @@ PINNED_CHECKS = {
         0,
         {
             "v-bounds": (
-                "-0x1.dd8120af5aeb8p+1",
-                ["-0x1.8d9d923bf807ap-1", "0x1.05172600d455fp+2", "0x1.9e4c3743c0677p+0"],
-                ["-0x1.ec85b8b579873p+1", "-0x1.9974977957ca1p+2"],
+                "-0x1.efe0868792000p-6",
+                ["0x1.a0fbb002e6431p+0", "-0x1.3a8ef8cea7278p+3", "-0x1.5d8084fcaf6fbp+0"],
+                ["0x1.a9ed6feb6e40bp+1", "0x1.8da6c4758dc5ep+0"],
             ),
             "v-decay": (
-                "-0x1.64f3d3ce3d680p+6",
-                ["0x1.0d87249ef7925p+0", "0x1.1d75722939e52p+2", "-0x1.5107503dfd6e4p+3"],
-                ["-0x1.f4b9ca1414766p+3", "0x1.033fa589d2052p+2"],
+                "-0x1.cfbf21db2f740p+6",
+                ["-0x1.a3c2e8d465549p+2", "-0x1.6eccffc27cafcp+2", "0x1.e369faf6830b4p+2"],
+                ["0x1.619a57a35941ep+3", "-0x1.25dc15187f2c9p+2"],
             ),
             "w-growth": (
-                "-0x1.e4a9a5ff48420p+0",
-                ["0x1.6f47e1836ac6ap+3", "0x1.3781180d70b8bp+3", "0x1.9467cb449c74fp+3"],
-                ["-0x1.5358dd9874356p-2", "-0x1.8a250d4df9f34p+0"],
+                "-0x1.bd527f6bd54e0p+0",
+                ["0x1.5177e46b5cf1ep+3", "0x1.1e38200737b48p+3", "0x1.73945d9aad028p+3"],
+                ["-0x1.37cd5488d9c22p-2", "-0x1.6a26d694fa55bp+0"],
             ),
         },
     ),
@@ -493,19 +491,19 @@ PINNED_CHECKS = {
         0,
         {
             "v-bounds": (
-                "-0x1.7371aed180000p-10",
-                ["-0x1.100fc84df27eep+3", "-0x1.a808b2bb55ebbp+2"],
-                ["-0x1.d54db1a890fd9p-5", "0x1.e97476eac10d6p+1"],
+                "-0x1.bbb8a23000000p-14",
+                ["-0x1.77bbfdc16641bp+2", "-0x1.2644082f749d7p+2"],
+                ["-0x1.607d3655457f1p-4", "-0x1.26424e01e4867p+4"],
             ),
             "v-decay": (
-                "-0x1.bfbfc80e720c8p+6",
-                ["0x1.4f89d925cfd82p+1", "0x1.4eccb35910b0ep+2"],
-                ["-0x1.d93466d781251p-4", "-0x1.b2ee0d904bbaap-1"],
+                "-0x1.35de3454c5830p+8",
+                ["-0x1.12bc8e20fe285p+2", "0x1.7a83ecdabd2bep+3"],
+                ["-0x1.14a618fa04337p-2", "-0x1.7390eef78e4d8p-1"],
             ),
             "w-growth": (
-                "-0x1.275adddcc5d20p+0",
-                ["0x1.4111bd1a4bd2cp+3", "0x1.c7aa37dfb0d26p+2"],
-                ["-0x1.34d106cff93a6p+0", "0x1.16ad096380f8ap+3"],
+                "-0x1.511522540f240p-3",
+                ["0x1.3e61402ecc3e9p+1", "0x1.076389fbf2f09p+0"],
+                ["-0x1.5a64eb5fa7a83p-2", "0x1.f0bbe53f4e56bp+0"],
             ),
         },
     ),
@@ -515,13 +513,13 @@ PINNED_CHECKS = {
 # The same checks on the declared loops, one call per chunk: the same skips and worst
 # points, and these max_violation values (the column sums round differently from one-state dots).
 PINNED_COLUMN_VIOLATIONS = {
-    "lorenz": {"v-bounds": "-0x1.85b21937c0000p-4", "v-decay": "0x1.b00eeef28e220p+15",
-               "w-growth": "0x1.e7fbc00000000p-27"},
-    "lti-output-feedback": {"v-bounds": "-0x1.dd8120af5aeb8p+1",
-                            "v-decay": "-0x1.64f3d3ce3d680p+6",
-                            "w-growth": "-0x1.e4a9a60bca7c0p+0"},
-    "tabuada": {"v-bounds": "-0x1.7371aed100000p-10", "v-decay": "-0x1.bfbfc80e720c8p+6",
-                "w-growth": "-0x1.275addf40f220p+0"},
+    "lorenz": {"v-bounds": "-0x1.883cd8d720000p-4", "v-decay": "0x1.3e4e17bb423f2p+15",
+               "w-growth": "0x1.3715600000000p-26"},
+    "lti-output-feedback": {"v-bounds": "-0x1.efe0868792000p-6",
+                            "v-decay": "-0x1.cfbf21cc3c090p+6",
+                            "w-growth": "-0x1.bd527f6bd54e0p+0"},
+    "tabuada": {"v-bounds": "-0x1.bbb8a23000000p-14", "v-decay": "-0x1.35de3454c5830p+8",
+                "w-growth": "-0x1.5115226aa5000p-3"},
 }
 
 

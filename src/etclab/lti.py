@@ -23,7 +23,7 @@ produces such a (P, mu) constructively, without an external SDP solver:
 pick P from a Lyapunov solve with slack rho, then mu just large enough
 for the Schur complement, and take the smallest gamma over a fixed grid
 of 20 log-spaced slacks.  P is affine in the slack, so two solves price
-the grid and a third gives P; no slack is skipped.
+the grid and give P at the cheapest slack; no slack is skipped.
 
 A static gain u = K y is the controller ``LtiController(D=K)``, with no
 controller state (n_c = 0).  For static full-state feedback (y = x) only
@@ -130,6 +130,14 @@ class ClosedLoopMatrices:
     A2: np.ndarray
     B2: np.ndarray
     Cbar: np.ndarray
+
+    def __post_init__(self):
+        n, m = self.A1.shape[0], self.B1.shape[-1]
+        expected = dict(A1=(n, n), B1=(n, m), A2=(m, n), B2=(m, m), Cbar=(self.Cbar.shape[0], n))
+        for name, shape in expected.items():
+            got = getattr(self, name).shape
+            if got != shape:
+                raise DimensionError(f"closed-loop block {name} has shape {got}, expected {shape}")
 
     @property
     def n_x(self):
@@ -246,31 +254,22 @@ def is_feasible(clm: ClosedLoopMatrices, cand: LmiCertificate):
     return residual <= _FEASIBILITY_RTOL * scale
 
 
-def _squared_norm(m):
-    """spectral_norm(m) ** 2, or inf where m or the square is not finite."""
-    if not np.isfinite(m).all():
-        return inf
-    try:
-        return spectral_norm(m) ** 2
-    except OverflowError:  # a float's ** raises past about 1.34e154
-        return inf
-
-
 def _cheapest_slack(G0, G1, slacks):
-    """The first slack r of least |G0 + (r - lo) G1|^2 / r, lo = slacks[0].
+    """The first slack r of least mu(r) = |G0 + (r - lo) G1|^2 / r, lo = slacks[0], and that mu.
 
     The slices for all slacks form one stack, priced by one batched SVD.  A
-    slice that is not finite, or whose squared norm overflows, costs inf, as
-    in ``_squared_norm``; such slices are zeroed first, so LAPACK sees only
-    finite entries.  argmin keeps the first of a tie.
+    slice that is not finite, or whose squared norm overflows, costs inf;
+    such slices are zeroed first, so LAPACK sees only finite entries.
+    argmin keeps the first of a tie.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         stack = G0 + (slacks - slacks[0])[:, None, None] * G1
         finite = np.isfinite(stack).all(axis=(1, 2))
         stack[~finite] = 0.0
         sigma = np.linalg.svd(stack, compute_uv=False).max(axis=1, initial=0.0)
-        cost = np.where(finite, sigma * sigma, inf) / slacks
-    return slacks[int(np.argmin(cost))]
+        mu = np.where(finite, sigma * sigma, inf) / slacks
+    i = int(np.argmin(mu))
+    return slacks[i], float(mu[i])
 
 
 def design_certificate(clm: ClosedLoopMatrices, eps1=1e-2, eps2=1e-2) -> LmiCertificate:
@@ -281,12 +280,12 @@ def design_certificate(clm: ClosedLoopMatrices, eps1=1e-2, eps2=1e-2) -> LmiCert
     mu(rho) = |B1^T P(rho)|^2 / rho makes the Schur complement exactly
     balance.  P is affine in rho, P(rho) = P(lo) + (rho - lo) P1 (lo the
     smallest slack, P1 the solution for right-hand side I), so two solves
-    and one batched SVD price all 20 slacks (``_cheapest_slack``) and a
-    third solve, at the first cheapest one, gives P and mu.  A failing
-    solve raises DesignInfeasibleError, as does a right-hand side whose
-    slack grid overflows or a mu that overflows (an overflow prices a
-    slack at inf).  The resulting gamma can exceed what a full SDP solve
-    would find; it is always feasible.
+    and one batched SVD price all 20 slacks (``_cheapest_slack``), and P
+    and mu are those of the first cheapest one.  A failing solve raises
+    DesignInfeasibleError, as does a right-hand side whose slack grid
+    overflows, or a mu or P that overflows (an overflow prices a slack at
+    inf).  The resulting gamma can exceed what a full SDP solve would
+    find; it is always feasible.
     """
     _check_eps(eps1, eps2)
     if not is_hurwitz(clm.A1):
@@ -308,12 +307,13 @@ def design_certificate(clm: ClosedLoopMatrices, eps1=1e-2, eps2=1e-2) -> LmiCert
     P0, P1 = solve_lyapunov(clm.A1, base + lo * eye), solve_lyapunov(clm.A1, eye)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow prices a slack at inf
         G0, G1 = clm.B1.T @ P0, clm.B1.T @ P1
-    rho = _cheapest_slack(G0, G1, slacks)
-    P = solve_lyapunov(clm.A1, base + rho * eye)
-    with np.errstate(over="ignore", invalid="ignore"):
-        mu = _squared_norm(clm.B1.T @ P) / rho
+    rho, mu = _cheapest_slack(G0, G1, slacks)
     if not mu < inf:
         raise DesignInfeasibleError(f"mu = |B1^T P|^2 / rho overflows at slack {rho:.3e}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        P = P0 + (rho - lo) * P1
+    if not np.isfinite(P).all():
+        raise DesignInfeasibleError(f"P = P0 + (rho - lo) P1 overflows at slack {rho:.3e}")
     cand = LmiCertificate(P=P, eps1=eps1, eps2=eps2, mu=mu)
     if not is_feasible(clm, cand):
         raise DesignInfeasibleError(

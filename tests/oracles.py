@@ -233,7 +233,7 @@ def lmi_schur_residual(clm, cand):
 
 
 def slack_grid_design(clm, eps1=1e-2, eps2=1e-2):
-    """(P, mu) of the 20-slack design grid, solved slack by slack.
+    """(rho, P, mu) of the 20-slack design grid, solved slack by slack.
 
     Each slack rho gets its own Lyapunov solve with right-hand side
     base + rho I, a slack whose solve misses its residual bound is
@@ -248,8 +248,8 @@ def slack_grid_design(clm, eps1=1e-2, eps2=1e-2):
         except DesignInfeasibleError:
             continue
         mu = spectral_norm(clm.B1.T @ P) ** 2 / rho
-        if best is None or mu < best[1]:
-            best = (P, mu)
+        if best is None or mu < best[2]:
+            best = (rho, P, mu)
     if best is None:
         raise DesignInfeasibleError("no slack solves the Lyapunov equation")
     return best

@@ -40,6 +40,13 @@ K = [[1.0, -4.0]]
 _PLANT_2X1X1 = LtiPlant(A=np.zeros((2, 2)), B=np.zeros((2, 1)), C=np.zeros((1, 2)))
 
 
+def _loop_blocks(**blocks):
+    """ClosedLoopMatrices of n_x = 2, n_e = 3 and n_y = 2, with the given blocks replaced."""
+    loop = dict(A1=-np.eye(2), B1=np.ones((2, 3)), A2=np.ones((3, 2)), B2=-np.eye(3),
+                Cbar=np.eye(2))
+    return ClosedLoopMatrices(**{**loop, **blocks})
+
+
 @pytest.fixture(scope="module")
 def planar_clm():
     return assemble(LtiPlant(A=A, B=B, C=np.eye(2)), LtiController(D=K))
@@ -146,11 +153,23 @@ class TestAssemble:
                                        C=np.eye(2)), LtiController(D=[[2.0, 0.0]])),
              ValueError, "closed-loop block A1 is not finite: products of the plant and "
                          "controller entries overflow"),
+            # e' = A2 x + B2 e has 2 rows, but B1 takes an e of 3 entries.
+            (lambda: _loop_blocks(A2=np.ones((2, 2)), B2=-np.eye(2)),
+             DimensionError, "closed-loop block A2 has shape (2, 2), expected (3, 2)"),
+            (lambda: _loop_blocks(A1=np.zeros((2, 3))),
+             DimensionError, "closed-loop block A1 has shape (2, 3), expected (2, 2)"),
+            (lambda: _loop_blocks(B1=np.ones((3, 3))),
+             DimensionError, "closed-loop block B1 has shape (3, 3), expected (2, 3)"),
+            (lambda: _loop_blocks(B2=np.ones((3, 2))),
+             DimensionError, "closed-loop block B2 has shape (3, 2), expected (3, 3)"),
+            (lambda: _loop_blocks(Cbar=np.eye(3)),
+             DimensionError, "closed-loop block Cbar has shape (3, 3), expected (3, 2)"),
         ],
         ids=["plant-A-not-square", "plant-B-rows", "plant-C-columns", "controller-A-not-square",
              "controller-C-columns", "controller-B-inputs", "controller-C-outputs",
              "candidate-eps1", "candidate-eps2", "design-eps1", "output-feedback-overflow",
-             "state-feedback-overflow"],
+             "state-feedback-overflow", "loop-e-rows", "loop-A1", "loop-B1", "loop-B2",
+             "loop-Cbar"],
     )
     def test_input_checks_raise_naming_the_input(self, build, error, message):
         with pytest.raises(error) as info:
@@ -311,6 +330,15 @@ class TestDesignCertificate:
             design_certificate(clm)
         assert str(info.value).startswith("mu = |B1^T P|^2 / rho overflows at slack ")
 
+    def test_an_overflowing_p_is_infeasible(self):
+        # P0 is near 9e307 and P1 = 500 I, so P0 + (rho - lo) P1 overflows at the
+        # cheapest slack, 2.575e305, where mu is still finite.
+        clm = ClosedLoopMatrices(A1=-1e-3 * np.eye(2), B1=np.array([[1e-200], [0.0]]),
+                                 A2=np.array([[np.sqrt(1.79e305), 0.0]]), B2=np.array([[-1.0]]),
+                                 Cbar=np.eye(2))
+        with pytest.raises(DesignInfeasibleError):
+            design_certificate(clm, eps1=0.0, eps2=1.0)
+
     def test_failing_lyapunov_solve_propagates(self, monkeypatch):
         # An observer-based loop (2 plant + 2 controller states) whose large
         # slacks used to miss a Lyapunov residual bound relative to |q|.
@@ -382,20 +410,55 @@ def _lqr_clm(seed, n, observer):
     return assemble(LtiPlant(A=Ap, B=Bp, C=Cp), ctrl)
 
 
-def _assert_grid_answer_from_three_solves(monkeypatch, clm, **eps):
-    # P and mu are bitwise the slack-by-slack grid's, from exactly 3 solves.
-    calls = []
+def _traced_solves(monkeypatch):
+    """The (a, q, P) of every solve lti makes, in call order."""
+    solves = []
 
-    def counted(a, q):
-        calls.append(q)
-        return solve_lyapunov(a, q)
+    def traced(a, q):
+        solves.append((a, q, solve_lyapunov(a, q)))
+        return solves[-1][2]
 
-    monkeypatch.setattr("etclab.lti.solve_lyapunov", counted)
-    cand = design_certificate(clm, **eps)
-    P, mu = slack_grid_design(clm, **eps)
-    assert len(calls) == 3
-    assert np.array_equal(cand.P, P)
+    monkeypatch.setattr("etclab.lti.solve_lyapunov", traced)
+    return solves
+
+
+def _priced_picks(monkeypatch):
+    """Each design's ((rho, mu), reference pick, slacks), from the G0 and G1 it priced."""
+    picks, cheapest = [], lti._cheapest_slack
+
+    def spy(G0, G1, slacks):
+        got = cheapest(G0, G1, slacks)
+        picks.append((got, cheapest_slack_reference(G0, G1, slacks), slacks))
+        return got
+
+    monkeypatch.setattr(lti, "_cheapest_slack", spy)
+    return picks
+
+
+def _assert_priced_candidate(cand, solves, pick):
+    # P is bitwise P0 + (rho - lo) P1 of the two solves, mu the priced cost, and P passes
+    # solve_lyapunov's backward-error test for the right-hand side at rho.
+    ((a, q0, P0), (_, q1, P1)), ((rho, mu), _, slacks) = solves, pick
+    lo = slacks[0]
+    assert np.array_equal(cand.P, P0 + (rho - lo) * P1)
     assert cand.mu == mu
+    q = q0 + (rho - lo) * q1
+    residual = spectral_norm(a.T @ cand.P + cand.P @ a + q)
+    scale = 2 * spectral_norm(a) * spectral_norm(cand.P) + spectral_norm(q)
+    assert residual <= linalg._LYAP_RESIDUAL_RTOL * scale
+
+
+def _assert_grid_answer_from_two_solves(monkeypatch, clm, **eps):
+    # Two solves give the candidate, at the slack the slack-by-slack grid picks.
+    solves, picks = _traced_solves(monkeypatch), _priced_picks(monkeypatch)
+    cand = design_certificate(clm, **eps)
+    assert len(solves) == 2
+    (pick,) = picks
+    _assert_priced_candidate(cand, solves, pick)
+    rho, P, mu = slack_grid_design(clm, **eps)
+    assert pick[0][0] == rho
+    assert np.abs(cand.P - P).max() <= 1e-12 * np.abs(P).max()
+    assert cand.mu == pytest.approx(mu, rel=1e-12)
 
 
 class TestSlackPricing:
@@ -406,21 +469,21 @@ class TestSlackPricing:
         (_observer_loop_with_large_gains, {}),
     ], ids=["tabuada-0.68", "tabuada-defaults", "output-feedback", "large-gains"])
     def test_matches_the_slack_by_slack_grid(self, monkeypatch, build, eps):
-        _assert_grid_answer_from_three_solves(monkeypatch, build(), **eps)
+        _assert_grid_answer_from_two_solves(monkeypatch, build(), **eps)
 
     @pytest.mark.parametrize("observer", [False, True], ids=["static", "observer"])
     @pytest.mark.parametrize("n", [2, 3, 4])
     @pytest.mark.parametrize("k", range(5))
     def test_matches_the_grid_on_random_lqr_loops(self, monkeypatch, observer, n, k):
         clm = _lqr_clm([20261018, n, k, observer], n, observer)
-        _assert_grid_answer_from_three_solves(monkeypatch, clm)
+        _assert_grid_answer_from_two_solves(monkeypatch, clm)
 
     def test_tiny_eps2(self, monkeypatch):
         # base = A2^T A2 + eps2 I fails the solver's 1e-9 definiteness test
         # here, so the slacks are priced from the smallest one, not from base.
         clm = _output_feedback_clm()
         assert not is_positive_definite(clm.A2.T @ clm.A2 + 1e-12 * np.eye(clm.n_x))
-        _assert_grid_answer_from_three_solves(monkeypatch, clm, eps1=0.0, eps2=1e-12)
+        _assert_grid_answer_from_two_solves(monkeypatch, clm, eps1=0.0, eps2=1e-12)
 
 
 def _certify_clms(seed, units=192):
@@ -449,60 +512,52 @@ def _certify_clms(seed, units=192):
 class TestBatchedSlackGrid:
     """The grid's one batched SVD picks the slack that pricing each slack alone picks."""
 
-    @staticmethod
-    def _picks(monkeypatch):
-        # Each design's (pick, reference pick, slacks), from the G0 and G1 it priced.
-        picks, cheapest = [], lti._cheapest_slack
-
-        def spy(G0, G1, slacks):
-            rho = cheapest(G0, G1, slacks)
-            picks.append((rho, cheapest_slack_reference(G0, G1, slacks), slacks))
-            return rho
-
-        monkeypatch.setattr(lti, "_cheapest_slack", spy)
-        return picks
-
     def test_certify_loops(self, monkeypatch):
-        picks = self._picks(monkeypatch)
+        # Each design makes two solves, and its candidate is the one it priced.
+        solves, picks = _traced_solves(monkeypatch), _priced_picks(monkeypatch)
         for clm in _certify_clms(0):
-            design_certificate(clm)
+            del solves[:]
+            cand = design_certificate(clm)
+            assert len(solves) == 2
+            _assert_priced_candidate(cand, solves, picks[-1])
         assert len(picks) == 164
-        assert all(got.hex() == want.hex() for got, want, _ in picks)
-        assert len({slacks.searchsorted(got) for got, _, slacks in picks}) > 1
+        assert all(rho.hex() == want.hex() for (rho, _), want, _ in picks)
+        assert len({slacks.searchsorted(rho) for (rho, _), _, slacks in picks}) > 1
 
     def test_overflowing_slacks_cost_inf(self, monkeypatch):
         # Every entry of B1^T P(rho) is finite, but its squared norm overflows
         # from the 17th slack on; the 10th and 11th cost within a few ulps of
         # each other, and the cheaper, the 10th, is picked.
-        picks = self._picks(monkeypatch)
+        picks = _priced_picks(monkeypatch)
         clm = assemble(LtiPlant(A=[[-1.0]], B=[[1e152]], C=[[2.0]]), LtiController(D=[[0.0]]))
         design_certificate(clm)
-        (got, want, slacks), = picks
+        ((got, _), want, slacks), = picks
         assert got.hex() == want.hex() == slacks[9].hex()
 
     def test_non_finite_slack_is_never_picked(self, monkeypatch):
         # The last slack's B1^T P(rho) overflows and every other square does: all
         # cost inf, so the tie keeps the first slack, and mu then overflows.
-        picks = self._picks(monkeypatch)
+        picks = _priced_picks(monkeypatch)
         clm = assemble(LtiPlant(A=[[-1.0]], B=[[1e305]], C=[[2.0]]), LtiController(D=[[0.0]]))
         with pytest.raises(DesignInfeasibleError, match="mu = .* overflows at slack 4.050e-03"):
             design_certificate(clm)
-        (got, want, slacks), = picks
+        ((got, _), want, slacks), = picks
         assert got == want == slacks[0]
 
     def test_tie_keeps_the_first_slack(self, monkeypatch):
         # B1 = 0: every slack costs 0.
-        picks = self._picks(monkeypatch)
+        picks = _priced_picks(monkeypatch)
         clm = assemble(LtiPlant(A=[[-1.0, 0.0], [0.0, -2.0]], B=[[1.0], [1.0]], C=np.eye(2)),
                        LtiController(D=[[0.0, 0.0]]))
         assert design_certificate(clm).mu == 0.0
-        (got, want, slacks), = picks
+        ((got, _), want, slacks), = picks
         assert got == want == slacks[0]
 
     def test_an_empty_error_block_prices_every_slack_at_zero(self):
-        # n_e = 0: B1^T P has no rows, and spectral_norm gives 0.0 for it.
+        # n_e = 0: B1^T P has no rows, so each slice's largest singular value
+        # is the max's initial 0.0.
         slacks = np.logspace(-3, 3, 20)
-        assert lti._cheapest_slack(np.zeros((0, 3)), np.zeros((0, 3)), slacks) == slacks[0]
+        assert lti._cheapest_slack(np.zeros((0, 3)), np.zeros((0, 3)), slacks) == (slacks[0], 0.0)
 
 
 class TestBackwardErrorBound:

@@ -62,7 +62,7 @@ def test_pure_event_run_reaches_the_event_and_certificate_patch_points(tabuada):
     assert stats["model.cert"][0] > 0
 
 
-def test_designing_the_planar_loop_makes_three_traced_lyapunov_solves():
+def test_designing_the_planar_loop_makes_two_traced_lyapunov_solves():
     # The planar and certify workloads require calls at linalg.solve_lyapunov.
     spans = _load_spans()
     tracer = spans.Tracer()
@@ -71,7 +71,7 @@ def test_designing_the_planar_loop_makes_three_traced_lyapunov_solves():
         etclab.tabuada_loop()
     finally:
         tracer.uninstall()
-    assert tracer.stats()["linalg.solve_lyapunov"][0] == 3
+    assert tracer.stats()["linalg.solve_lyapunov"][0] == 2
 
 
 def test_traced_planar_loop_takes_the_untraced_path(tabuada):

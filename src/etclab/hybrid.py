@@ -449,12 +449,13 @@ def simulate(
     Each stop (zeno too) leaves the loop for one exit, which builds the solution and
     names the stop in ``terminated``.  Raises DimensionError if the certificate does
     not pair with the loop or f and g return other than n_x + n_e derivatives,
-    DomainError if q0 is larger than the blow-up guard or lies outside the flow and
-    jump sets, ConfigError for invalid settings (dwell time at or above the MASP
-    ceiling, step too coarse relative to T), and, at that exit, DivergenceError if
-    the state norm passes the blow-up guard or is not finite (f or g raising
-    ArithmeticError included), carrying the solution as ``partial`` (its last
-    sample the divergent one, when recording) and the divergent state.
+    DomainError if q0 is larger than the blow-up guard, its clock is past 1e9
+    steps or it lies outside the flow and jump sets, ConfigError for invalid
+    settings (dwell time at or above the MASP ceiling, step too coarse relative
+    to T), and, at that exit, DivergenceError if the state norm passes the
+    blow-up guard or is not finite (f or g raising ArithmeticError included),
+    carrying the solution as ``partial`` (its last sample the divergent one,
+    when recording) and the divergent state.
     """
     check_pairing(sys, cert)
     _check_state(sys, q0)
@@ -464,6 +465,10 @@ def simulate(
             f"step {settings.step:g} too coarse: event detection requires step <= T/10 "
             f"= {cfg.T / 10.0:g}"
         )
+    # SimSettings' bound on horizon_t / step: further on, the clock's ulp nears the
+    # step, and at tau + step == tau the loop would never end.
+    if not q0.tau / settings.step <= 1e9:
+        raise DomainError(f"q0.tau {q0.tau:g} over step {settings.step:g} exceeds 1e9 steps")
     z, guard = np.concatenate((q0.x, q0.e)), settings.blowup_norm
     # Before any certificate term squares q0, so that none can overflow.
     size = math.hypot(*z.tolist())

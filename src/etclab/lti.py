@@ -7,8 +7,9 @@ x = (xp, xc) and e = (ey, eu) is linear,
 
     x' = A1 x + B1 e,      e' = A2 x + B2 e,
 
-with block matrices assembled by :func:`assemble`.  A quadratic
-certificate V(x) = x^T P x with gains
+with block matrices assembled by :func:`assemble`.  Sent values are held,
+so e' = -C_d x', where C_d x = (Cp xp, Cc xc) is the live part of what is
+sent.  A quadratic certificate V(x) = x^T P x with gains
 
     W(e) = |e|,  H(x) = |A2 x|,  L = |B2|,  gamma = sqrt(mu),
     alpha(s) = eps2 s^2,  delta(y) = eps1 |y|^2
@@ -27,7 +28,7 @@ the grid and give P at the cheapest slack; no slack is skipped.
 
 A static gain u = K y is the controller ``LtiController(D=K)``, with no
 controller state (n_c = 0).  For static full-state feedback (y = x) only
-x is transmitted, so e' = -x' and the matrices collapse to
+x is transmitted, so C_d = I, e' = -x' and the matrices collapse to
 A1 = -A2 = A + B K and B1 = -B2 = B K, with n_e = n_x.
 """
 
@@ -132,7 +133,9 @@ class ClosedLoopMatrices:
     Cbar: np.ndarray
 
     def __post_init__(self):
-        n, m = self.A1.shape[0], self.B1.shape[-1]
+        for name in ("A1", "B1", "A2", "B2", "Cbar"):
+            object.__setattr__(self, name, as_matrix(getattr(self, name), f"closed-loop block {name}"))
+        n, m = self.A1.shape[0], self.B1.shape[1]
         expected = dict(A1=(n, n), B1=(n, m), A2=(m, n), B2=(m, m), Cbar=(self.Cbar.shape[0], n))
         for name, shape in expected.items():
             got = getattr(self, name).shape
@@ -173,10 +176,10 @@ class LmiCertificate:
 def assemble(plant: LtiPlant, ctrl: LtiController) -> ClosedLoopMatrices:
     """Build the closed-loop blocks from plant and controller matrices.
 
-    Detects the static full-state-feedback special case (y = x, static
-    u = K x) and returns the collapsed matrices for it; otherwise the
-    general output-feedback blocks with e = (ey, eu).  Raises ValueError
-    naming the first of A1, B1, A2 and B2 that is not finite.
+    Each case sets A1, B1 and the sent map C_d; then e' = -C_d x' gives A2,
+    B2 and Cbar = C_d's first n_y rows.  C_d = I under static full-state
+    feedback (y = x, u = K x, n_e = n_x), else blockdiag(Cp, Cc), e = (ey, eu).
+    Raises ValueError naming the first of A1, B1, A2 and B2 that is not finite.
     """
     Ap, Bp, Cp = plant.A, plant.B, plant.C
     Ac, Bc, Cc, Dc = ctrl.A, ctrl.B, ctrl.C, ctrl.D
@@ -195,22 +198,17 @@ def assemble(plant: LtiPlant, ctrl: LtiController) -> ClosedLoopMatrices:
 
     # Finite entries can still overflow in the products; the check below names the block.
     with np.errstate(over="ignore", invalid="ignore"):
-        Acl = Ap + Bp @ Dc @ Cp
+        BK = Bp @ Dc
+        Acl = Ap + BK @ Cp
         if ctrl.n_c == 0 and np.array_equal(Cp, np.eye(plant.n_p)):
-            # Full state transmitted, controller co-located with the actuator:
-            # e = xhat - x, so x' = (A + BK)(x) + BK e and e' = -x'.
-            BK = Bp @ Dc
-            blocks = dict(A1=Acl, B1=BK, A2=-Acl, B2=-BK, Cbar=np.eye(plant.n_p))
+            A1, B1, Cd = Acl, BK, np.eye(plant.n_p)  # the full state is sent
         else:
-            blocks = dict(
-                A1=np.block([[Acl, Bp @ Cc], [Bc @ Cp, Ac]]),
-                B1=np.block([[Bp @ Dc, Bp], [Bc, np.zeros((ctrl.n_c, plant.n_u))]]),
-                A2=np.block([[-Cp @ Acl, -Cp @ Bp @ Cc], [-Cc @ Bc @ Cp, -Cc @ Ac]]),
-                B2=np.block(
-                    [[-Cp @ Bp @ Dc, -Cp @ Bp], [-Cc @ Bc, np.zeros((plant.n_u, plant.n_u))]]
-                ),
-                Cbar=np.block([[Cp, np.zeros((plant.n_y, ctrl.n_c))]]),
-            )
+            A1 = np.block([[Acl, Bp @ Cc], [Bc @ Cp, Ac]])
+            B1 = np.block([[BK, Bp], [Bc, np.zeros((ctrl.n_c, plant.n_u))]])
+            Cd = np.block([[Cp, np.zeros((plant.n_y, ctrl.n_c))],
+                           [np.zeros((plant.n_u, plant.n_p)), Cc]])
+        # e' = -C_d x'.  -(C_d A1), not (-C_d) A1: with C_d = I it is -A1 to the bit.
+        blocks = dict(A1=A1, B1=B1, A2=-(Cd @ A1), B2=-(Cd @ B1), Cbar=Cd[: plant.n_y])
     for name in ("A1", "B1", "A2", "B2"):
         if not np.isfinite(blocks[name]).all():
             raise ValueError(

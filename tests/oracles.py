@@ -11,7 +11,8 @@ one batched SVD of the grid, the matrix exponential and a bracketing
 root finder instead of RK4 steps and an event bisection, the exact
 periodic map instead of the emulation bound of the MASP, coordinate-wise
 gradients instead of one directional difference per inequality, numpy
-scalars instead of Python floats in the Lorenz flows.
+scalars instead of Python floats in the Lorenz flows, the closed-loop
+blocks expanded product by product instead of derived from e' = -C_d x'.
 """
 
 import math
@@ -207,6 +208,29 @@ def zeta_rk4_step(z, h, L, lam):
     k3 = rate(z + 0.5 * h * k2)
     k4 = rate(z + h * k3)
     return z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def hand_expanded_blocks(plant, ctrl):
+    """A1, B1, A2, B2 and Cbar written out block by block, as a dict.
+
+    The error dynamics are expanded product by product, -Cp Acl, -Cp Bp Cc,
+    -Cc Bc Cp, -Cc Ac and so on, instead of derived from e' = -C_d x' as
+    ``assemble`` derives them.  Static full-state feedback (C = I, no
+    controller state) gives A2 = -A1, B2 = -B1 and Cbar = I.
+    """
+    Ap, Bp, Cp = plant.A, plant.B, plant.C
+    Ac, Bc, Cc, Dc = ctrl.A, ctrl.B, ctrl.C, ctrl.D
+    Acl = Ap + Bp @ Dc @ Cp
+    if ctrl.n_c == 0 and np.array_equal(Cp, np.eye(plant.n_p)):
+        BK = Bp @ Dc
+        return dict(A1=Acl, B1=BK, A2=-Acl, B2=-BK, Cbar=np.eye(plant.n_p))
+    return dict(
+        A1=np.block([[Acl, Bp @ Cc], [Bc @ Cp, Ac]]),
+        B1=np.block([[Bp @ Dc, Bp], [Bc, np.zeros((ctrl.n_c, plant.n_u))]]),
+        A2=np.block([[-Cp @ Acl, -Cp @ Bp @ Cc], [-Cc @ Bc @ Cp, -Cc @ Ac]]),
+        B2=np.block([[-Cp @ Bp @ Dc, -Cp @ Bp], [-Cc @ Bc, np.zeros((plant.n_u, plant.n_u))]]),
+        Cbar=np.block([[Cp, np.zeros((plant.n_y, ctrl.n_c))]]),
+    )
 
 
 def scalar_lmi_feasible_bruteforce(s, b, mu):

@@ -505,6 +505,14 @@ LYAPUNOV_OVERFLOW_CFG = {
         "design": {"eps1": 0.0, "eps2": 1e301},
     },
 }
+# A = 1 under a zero gain: A1 = [[1.0]] is not Hurwitz, so the design stops before any solve.
+UNSTABLE_LOOP_CFG = {
+    "system": {
+        "name": "lti-custom",
+        "plant": {"A": [[1.0]], "B": [[1.0]], "C": [[1.0]]},
+        "controller": {"D": [[0.0]]},
+    },
+}
 # LTI_CFG with a feasible inline certificate: tabuada's P designed with eps2 = 0.68.
 INLINE_CERT_CFG = {**LTI_CFG, "certificate": {
     "P": design_certificate(tabuada_matrices(), eps1=0.0, eps2=TABUADA_EPS2).P.tolist(),
@@ -615,6 +623,10 @@ CLI_EXITS = {
     "lyapunov-solution-overflows": (
         ["design", "--config", "{config}"], LYAPUNOV_OVERFLOW_CFG, None, 1,
         "error: solve_lyapunov: the solution overflows (LAPACK trsyl scale ", None,
+    ),
+    "design-unstable-loop": (
+        ["design", "--config", "{config}"], UNSTABLE_LOOP_CFG, None, 1,
+        "error: A1 is not Hurwitz: the emulated controller does not stabilize the loop\n", None,
     ),
     "certificate-p-whose-sum-overflows": (
         # 1e308 + 1e308 overflows when P is symmetrized; A1^T P + P A1 overflows too.

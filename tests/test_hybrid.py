@@ -579,6 +579,30 @@ class TestSimulate:
         with pytest.raises(ValueError, match="finite"):
             HybridState(np.array([1.0, 0.0]), np.zeros(2), tau0)
 
+    def test_clock_past_1e9_steps_rejected(self, lorenz):
+        # At tau = 1e13 the clock's ulp is 0.00195, so t would move by that, not by the step.
+        sys, cert = lorenz
+        q0 = HybridState(np.ones(3), np.zeros(1), 1e13)
+        settings = SimSettings(step=1e-3, horizon_t=0.05, event_tol=1e-6)
+        with pytest.raises(DomainError, match=r"^q0.tau 1e\+13 over step 0.001 exceeds 1e9 steps$"):
+            simulate(sys, cert, _of_cfg(0.01), q0, settings)
+
+    @pytest.mark.parametrize("tau0, stop", [(1e300, None), (1e6, "horizon"), (0.0, "horizon")])
+    def test_clock_bound_on_a_resting_loop(self, tau0, stop):
+        # Nothing flows and e = 0 never triggers.  At 1e300, tau + step == tau, and
+        # without the bound the run would never end; 1e6 is 1e9 steps and runs.
+        sys = ClosedLoopSystem(n_x=1, n_e=1, f=lambda x, e: [0.0 * x[0]], g=lambda x, e: [0.0])
+        q0 = HybridState(np.array([1.0]), np.zeros(1), tau0)
+        def run():
+            return simulate(sys, _permissive_cert(), _sf_cfg(T=0.1, sigma=0.5), q0,
+                            SimSettings(step=1e-3, horizon_t=1.0))
+
+        if stop is None:
+            with pytest.raises(DomainError, match=r"^q0.tau 1e\+300 over step"):
+                run()
+        else:
+            assert run().terminated == stop
+
     def test_max_jumps_terminates(self, lorenz):
         sys, cert = lorenz
         q0 = HybridState(np.zeros(3), np.zeros(1), 0.0)

@@ -29,7 +29,13 @@ from etclab import (
 )
 from etclab import linalg, lti
 from etclab.systems import tabuada_matrices
-from oracles import cheapest_slack_reference, lmi_schur_residual, periodic_map, slack_grid_design
+from oracles import (
+    cheapest_slack_reference,
+    hand_expanded_blocks,
+    lmi_schur_residual,
+    periodic_map,
+    slack_grid_design,
+)
 
 A = [[0.0, 1.0], [-2.0, 3.0]]
 B = [[0.0], [1.0]]
@@ -52,7 +58,84 @@ def planar_clm():
     return assemble(LtiPlant(A=A, B=B, C=np.eye(2)), LtiController(D=K))
 
 
+def _error_block_bounds(plant, ctrl):
+    """Entrywise bounds on |A2 - A2'| and |B2 - B2'| for two evaluations of the error blocks.
+
+    ``assemble`` and ``hand_expanded_blocks`` sum the same monomials of the
+    plant and controller entries, grouped differently (Cp (Bp Cc) against
+    (Cp Bp) Cc).  Each monomial passes through at most m = n_x + n_e + 1
+    roundings, the longest chain being C_d (Ap + (Bp Dc) Cp), so each side is
+    within gamma_m = m u / (1 - m u) times the sum of the monomials'
+    magnitudes of the exact blocks (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., sec. 3.1 and 3.5).  That sum is the
+    expansion of the entries' magnitudes, itself computed within a factor
+    1 + gamma_m, so the two sides differ by at most 3 gamma_m times it.
+    """
+    mags = hand_expanded_blocks(
+        LtiPlant(A=abs(plant.A), B=abs(plant.B), C=abs(plant.C)),
+        LtiController(A=abs(ctrl.A), B=abs(ctrl.B), C=abs(ctrl.C), D=abs(ctrl.D)),
+    )
+    m = sum(mags["B1"].shape) + 1
+    u = np.finfo(float).eps / 2
+    gamma = m * u / (1 - m * u)
+    return {name: 3 * gamma * abs(mags[name]) for name in ("A2", "B2")}
+
+
+def _dynamic_loop():
+    # n_p = 3, n_c = 2, n_y = n_u = 2: every block of A2 and B2 sums two or more products.
+    rng = np.random.default_rng(20261022)
+    return (LtiPlant(A=rng.standard_normal((3, 3)), B=rng.standard_normal((3, 2)),
+                     C=rng.standard_normal((2, 3))),
+            LtiController(A=rng.standard_normal((2, 2)), B=rng.standard_normal((2, 2)),
+                          C=rng.standard_normal((2, 2)), D=rng.standard_normal((2, 2))))
+
+
+def _static_gain_behind_c():
+    # No controller state, and C is not the identity, so e = (ey, eu) still.
+    rng = np.random.default_rng(20261023)
+    return (LtiPlant(A=rng.standard_normal((3, 3)), B=rng.standard_normal((3, 1)),
+                     C=rng.standard_normal((2, 3))),
+            LtiController(D=rng.standard_normal((1, 2))))
+
+
+def _blocks(clm):
+    return {name: getattr(clm, name) for name in ("A1", "B1", "A2", "B2", "Cbar")}
+
+
+def _assert_same_bits(got, want, names):
+    for name in names:
+        assert got[name].shape == want[name].shape, name
+        assert got[name].tobytes() == want[name].tobytes(), name
+
+
 class TestAssemble:
+    def test_state_feedback_blocks_are_the_hand_expanded_bits(self):
+        # C_d = I: -(I A1) and -(I B1) are -A1 and -B1 to the bit, zeros' signs included
+        # (the products leave no -0.0 in A1 or B1).
+        loops = [(LtiPlant(A=A, B=B, C=np.eye(2)), LtiController(D=K))]
+        loops += [(p, c) for p, c in _certify_clms(0, make=_lqr_loop) if c.n_c == 0]
+        assert len(loops) == 1 + 82
+        for plant, ctrl in loops:
+            _assert_same_bits(_blocks(assemble(plant, ctrl)), hand_expanded_blocks(plant, ctrl),
+                              ("A1", "B1", "A2", "B2", "Cbar"))
+
+    @pytest.mark.parametrize(
+        "loops",
+        [lambda: [(p, c) for p, c in _certify_clms(0, make=_lqr_loop) if c.n_c > 0],
+         lambda: [_dynamic_loop()],
+         lambda: [_static_gain_behind_c()]],
+        ids=["certify-seed-0", "dynamic", "static-gain-behind-c"],
+    )
+    def test_output_feedback_error_blocks_are_the_hand_expanded_ones(self, loops):
+        # A1, B1 and Cbar are built as before, bit for bit; A2 = -C_d A1 and
+        # B2 = -C_d B1 regroup the products, so they agree within rounding.
+        for plant, ctrl in loops():
+            got, want = _blocks(assemble(plant, ctrl)), hand_expanded_blocks(plant, ctrl)
+            _assert_same_bits(got, want, ("A1", "B1", "Cbar"))
+            for name, bound in _error_block_bounds(plant, ctrl).items():
+                assert got[name].shape == want[name].shape, name
+                assert (abs(got[name] - want[name]) <= bound).all(), name
+
     def test_state_feedback_collapse(self, planar_clm):
         # e = xhat - x, so e' = -x': the true error dynamics, sign included.
         clm = planar_clm
@@ -164,17 +247,32 @@ class TestAssemble:
              DimensionError, "closed-loop block B2 has shape (3, 2), expected (3, 3)"),
             (lambda: _loop_blocks(Cbar=np.eye(3)),
              DimensionError, "closed-loop block Cbar has shape (3, 3), expected (3, 2)"),
+            # Non-finite blocks are named where they are given, not as an overflow in the design.
+            (lambda: _loop_blocks(B1=np.full((2, 3), np.nan)),
+             ValueError, "closed-loop block B1: entries must be finite"),
+            (lambda: _loop_blocks(Cbar=np.diag([np.inf, 1.0])),
+             ValueError, "closed-loop block Cbar: entries must be finite"),
         ],
         ids=["plant-A-not-square", "plant-B-rows", "plant-C-columns", "controller-A-not-square",
              "controller-C-columns", "controller-B-inputs", "controller-C-outputs",
              "candidate-eps1", "candidate-eps2", "design-eps1", "output-feedback-overflow",
              "state-feedback-overflow", "loop-e-rows", "loop-A1", "loop-B1", "loop-B2",
-             "loop-Cbar"],
+             "loop-Cbar", "loop-B1-nan", "loop-Cbar-inf"],
     )
     def test_input_checks_raise_naming_the_input(self, build, error, message):
         with pytest.raises(error) as info:
             build()
         assert type(info.value) is error and str(info.value) == message
+
+    def test_list_blocks_are_float_arrays(self):
+        blocks = dict(A1=[[-1.0]], B1=[[1.0]], A2=[[1.0]], B2=[[1]], Cbar=[[1.0]])
+        clm = ClosedLoopMatrices(**blocks)
+        for name, value in blocks.items():
+            got = getattr(clm, name)
+            assert type(got) is np.ndarray and got.dtype == float
+            assert np.array_equal(got, value)
+        arrays = ClosedLoopMatrices(**{k: np.array(v, dtype=float) for k, v in blocks.items()})
+        assert design_certificate(clm).mu == design_certificate(arrays).mu
 
 
 def _scalar_clm():
@@ -295,7 +393,7 @@ class TestDesignCertificate:
             B2=np.array([[1.0]]),
             Cbar=np.array([[0.0]]),
         )
-        with pytest.raises(DesignInfeasibleError):
+        with pytest.raises(DesignInfeasibleError, match="A1 is not Hurwitz"):
             design_certificate(clm, eps1=0.0, eps2=0.1)
 
     @pytest.mark.parametrize(
@@ -395,19 +493,23 @@ def _output_feedback_clm():
     return assemble(plant, LtiController(A=[[-3.0]], B=[[1.0]], C=[[-1.5]], D=[[-0.5]]))
 
 
-def _lqr_clm(seed, n, observer):
-    """A random n-state plant under LQR state feedback or an observer-based controller."""
+def _lqr_loop(seed, n, observer):
+    """(plant, controller): a random n-state plant under LQR state feedback or an observer."""
     rng = np.random.default_rng(seed)
     m = int(rng.integers(1, 3))
     Ap, Bp = rng.standard_normal((n, n)), rng.standard_normal((n, m))
     K = Bp.T @ scipy.linalg.solve_continuous_are(Ap, Bp, np.eye(n), np.eye(m))
     if not observer:
-        return assemble(LtiPlant(A=Ap, B=Bp, C=np.eye(n)), LtiController(D=-K))
+        return LtiPlant(A=Ap, B=Bp, C=np.eye(n)), LtiController(D=-K)
     p = int(rng.integers(1, 3))
     Cp = rng.standard_normal((p, n))
     Lo = scipy.linalg.solve_continuous_are(Ap.T, Cp.T, np.eye(n), np.eye(p)) @ Cp.T
     ctrl = LtiController(A=Ap - Bp @ K - Lo @ Cp, B=Lo, C=-K, D=np.zeros((m, p)))
-    return assemble(LtiPlant(A=Ap, B=Bp, C=Cp), ctrl)
+    return LtiPlant(A=Ap, B=Bp, C=Cp), ctrl
+
+
+def _lqr_clm(seed, n, observer):
+    return assemble(*_lqr_loop(seed, n, observer))
 
 
 def _traced_solves(monkeypatch):
@@ -486,13 +588,13 @@ class TestSlackPricing:
         _assert_grid_answer_from_two_solves(monkeypatch, clm, eps1=0.0, eps2=1e-12)
 
 
-def _certify_clms(seed, units=192):
-    """The LTI loops of the benchmark's ``certify`` units at one seed.
+def _certify_clms(seed, units=192, make=_lqr_clm):
+    """The LTI loops of the benchmark's ``certify`` units at one seed, as made by ``make``.
 
     Unit i cycles through one Lorenz unit (no loop), then state feedback and
     observer-based output feedback on 2, 3 and 4 plant states; its generator
     default_rng([seed, i]) draws the check seed and then the loop, redrawn
-    where the Riccati solver rejects it (``_lqr_clm`` takes the generator,
+    where the Riccati solver rejects it (``make`` takes the generator,
     which default_rng passes through).
     """
     cycle = [None] + [(n, observer) for n in (2, 3, 4) for observer in (False, True)]
@@ -503,7 +605,7 @@ def _certify_clms(seed, units=192):
         rng.integers(2**31)
         while True:
             try:
-                yield _lqr_clm(rng, *cycle[i % len(cycle)])
+                yield make(rng, *cycle[i % len(cycle)])
                 break
             except (np.linalg.LinAlgError, ValueError):
                 continue

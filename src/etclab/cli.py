@@ -27,7 +27,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import CertificateError, ConfigError, DimensionError, DivergenceError, EtcLabError
-from .hybrid import HybridSolution, SimSettings, r_monitor, simulate
+from .hybrid import HybridSolution, SimSettings, first_rise, r_monitor, simulate
 from .lti import LmiCertificate, LtiController, LtiPlant, assemble, design_certificate, extract_assumption
 from .model import HybridState
 from .montecarlo import EVENTS_HEADER, BatchSpec, emit_report, run_batch, sample_initial, write_csv
@@ -333,10 +333,8 @@ def _cmd_simulate(args):
         write_csv(os.path.join(outdir, "events.csv"), EVENTS_HEADER,
                   [(0,) + row for row in sol.gap_rows()])
         emit_plot_data(sol, os.path.join(outdir, "plot.csv"), r.trigger.T)
-        write_csv(
-            os.path.join(outdir, "rmonitor.csv"), ["t", "j", "R"],
-            r_monitor(sol, cert, r.zeta) if monitored else [],
-        )
+        samples = r_monitor(sol, cert, r.zeta) if monitored else []
+        write_csv(os.path.join(outdir, "rmonitor.csv"), ["t", "j", "R"], samples)
     except OSError as exc:
         raise OSError(f"failed to write outputs under {os.fspath(outdir)!r}: {exc}") from exc
 
@@ -348,6 +346,13 @@ def _cmd_simulate(args):
             f"gap min/avg/max: {_display(min(gaps))}/"
             f"{_display(float(np.mean(gaps)))}/{_display(max(gaps))}"
         )
+    if monitored:
+        rise = first_rise(samples)
+        if rise is None:
+            print("R monitor: R never rose by more than 1e-6 R[0]")
+        else:
+            t, j, up = rise
+            print(f"R monitor: R rose by {up:.6g} (more than 1e-6 R[0]) at t = {t:.6g}, j = {j}")
     return _EXIT_OK
 
 

@@ -88,7 +88,7 @@ from typing import List, Optional
 import numpy as np
 
 from .errors import ConfigError, DimensionError, DivergenceError, DomainError
-from .model import Certificate, ClosedLoopSystem, HybridState, check_pairing
+from .model import Certificate, ClosedLoopSystem, HybridState, check_pairing, per_column
 from .sampling import check_int
 from .trigger import TriggerConfig, ZetaParams, event_function, event_screen, zeta_solution
 
@@ -617,21 +617,64 @@ def simulate(
     return sol
 
 
-def r_monitor(sol: HybridSolution, cert: Certificate, zp: ZetaParams):
-    """Evaluate R(q) = V(x) + max(0, lam * zeta(tau) * W(e)^2) along a solution.
+def _per_clock(zeta, tau):
+    """zeta at each entry of the clock array tau, called once per distinct value."""
+    values, at = np.unique(tau, return_inverse=True)
+    return np.array([zeta(v) for v in values.tolist()])[at]
 
-    zeta(tau) is the closed-form solution of the comparison ODE
-    (``trigger.zeta_solution``), evaluated at each sample's clock, which
-    resets at jumps.  Returns a list of (t, j, R) triples in hybrid-time
-    order.  Callers should choose (theta, eta) so that the dwell time
-    stays below the zeta transit time, otherwise the monitor is vacuous
-    on long segments.
+
+def r_monitor(sol: HybridSolution, cert: Certificate, zp: ZetaParams):
+    """Evaluate R(q) = V(x) + lam * zeta(tau) * W(e)^2 along a solution.
+
+    zeta(tau) >= 0 is the closed-form solution of the comparison ODE
+    (``trigger.zeta_solution``) at each sample's clock, which resets at jumps.
+    Returns a list of (t, j, R) triples of Python scalars in hybrid-time order,
+    [] for a solution without recorded samples.  Callers should choose
+    (theta, eta) so that the dwell time stays below the zeta transit time,
+    otherwise the monitor is vacuous on long segments.
+
+    All samples form one column block: a certificate that declares ``columns``
+    has V and W called once each, on the (n_x, N) and (n_e, N) blocks, and an
+    undeclared one once per sample (``model.per_column``), with the bits of
+    the per-sample formula.  zeta is called once per distinct clock value,
+    with the bits of a call per sample.  R is v + ((lam z) w) w, and past the
+    float range inf, with no warning.  A declared block form may round
+    otherwise than the one-state form (``einsum`` against ``dot`` in the LTI V
+    and in W, array squares against libm ``pow`` in the Lorenz V).  For
+    V = x^T P x and W = |e|, as those certificates have, either form's R is
+    within gamma_k (|x|^T |P| |x| + lam zeta |e|^2) of the exact value, with
+    k = max(2 n_x + 1, n_e + 6), gamma_k = k u / (1 - k u), u = 2^-53 and
+    ``pow`` within 1 ulp (Higham, "Accuracy and Stability of Numerical
+    Algorithms", ch. 3), so the two differ by at most twice that (seen: 4 ulp).
     """
     lam = zp.lam(cert.gamma)
     zeta = zeta_solution(cert.gamma, cert.L, zp)
-    out = []
-    for seg in sol.segments:
-        for t, x, e, tau in zip(seg.t.tolist(), seg.x, seg.e, seg.tau.tolist()):
-            w = cert.W(e)
-            out.append((t, seg.j, cert.V(x) + lam * zeta(tau) * w * w))
-    return out
+    segs = [seg for seg in sol.segments if seg.t.size]
+    if not segs:
+        return []
+
+    def stack(name):
+        return np.concatenate([getattr(seg, name) for seg in segs])
+
+    call = (lambda fn: fn) if cert.columns else per_column
+    with np.errstate(over="ignore"):
+        v, w = call(cert.V)(stack("x").T), call(cert.W)(stack("e").T)
+        r = v + lam * _per_clock(zeta, stack("tau")) * w * w
+    j = np.repeat([seg.j for seg in segs], [seg.t.size for seg in segs])
+    return list(zip(stack("t").tolist(), j.tolist(), r.tolist()))
+
+
+def first_rise(samples, rtol=1e-6):
+    """The first (t, j, increase) at which R in ``r_monitor``'s samples rose over the sample
+    before by more than rtol R[0], the acceptance tests' tolerance; None if it never did."""
+    r = np.array([s[2] for s in samples])
+    if r.size < 2:
+        return None
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN, not a rise
+        rise = np.diff(r)
+        over = np.flatnonzero(rise > rtol * r[0])
+    if not over.size:
+        return None
+    k = int(over[0])
+    t, j, _ = samples[k + 1]
+    return t, j, float(rise[k])

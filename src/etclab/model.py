@@ -14,11 +14,12 @@ declares ``columns=True`` also takes an (n, N) block, one state per column:
 f and g then return one derivative column per state, an (n_x, N) and an
 (n_e, N) array, y_of_x an (n_y, N) block, and V, W, H, delta and the three
 alphas (on an array of N norms) one value per column.  A one-state call
-keeps its bits either way.  Only ``systems.check_assumption_sampled`` calls
-on blocks, and only when both the loop and the certificate declare them;
-``dataclasses.replace`` keeps the declaration, so a copy that puts in a
-one-state term or flow must declare ``columns=False``.  ``norm`` takes
-either form.
+keeps its bits either way.  Only ``systems.check_assumption_sampled``, when
+both the loop and the certificate declare them, and ``hybrid.r_monitor``, when
+the certificate does, call on blocks; both lift undeclared callables with
+``per_column``, one call per state.  ``dataclasses.replace`` keeps the
+declaration, so a copy that puts in a one-state term or flow must declare
+``columns=False``.  ``norm`` takes either form.
 
 Every etclab type that holds arrays or callables compares and hashes by identity
 (``eq=False``), so each object can key a cache; pure value types compare by value.
@@ -45,6 +46,11 @@ def sq_columns(v):
 def norm(v):
     """|v| of one state as a float, or of each column of an (n, N) block."""
     return math.sqrt(v.dot(v)) if v.ndim == 1 else np.sqrt(sq_columns(v))
+
+
+def per_column(fn):
+    """fn lifted to column blocks: one call per column, on that column of each block."""
+    return lambda *blocks: np.array([fn(*cols) for cols in zip(*(b.T for b in blocks))]).T
 
 
 def _check_gains(gamma, L, caller):

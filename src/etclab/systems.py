@@ -53,7 +53,7 @@ from .lti import (
     extract_assumption,
 )
 from .errors import DimensionError
-from .model import Certificate, ClosedLoopSystem, check_pairing, norm, sq_columns
+from .model import Certificate, ClosedLoopSystem, check_pairing, norm, per_column, sq_columns
 from .sampling import check_int, uniform_ball
 
 # Published gains for the planar state-feedback benchmark.
@@ -247,14 +247,9 @@ def _shaped(out, shape, what):
     return out
 
 
-def _each(fn):
-    """fn lifted to column blocks: one call per column, on that column of each block."""
-    return lambda *blocks: np.array([fn(*cols) for cols in zip(*(b.T for b in blocks))]).T
-
-
 def _evaluate(sys, cert, X, E, skip_band, call):
     """Nine rows (|x|, |e|, _TERMS), f, g at the kept samples, their indices; each
-    callable goes through ``call`` (the identity or ``_each``) on the column block."""
+    callable goes through ``call`` (the identity or ``per_column``) on the column block."""
     n, xs, es = len(X), X.T, E.T
     nx, ne = call(norm)(xs), call(norm)(es)
     on = f"of certificate {cert.name!r}, one state per column,"
@@ -275,7 +270,7 @@ def _along(fn, Z, D, h):
     One difference per row: fn at z +- h d/|d|, the quotient scaled by |d|.
     A zero d gives exactly 0 and a d that is not finite NaN, with no call of fn.
     Each side is one call of fn on the block of its points, one per column (an
-    undeclared fn comes lifted by ``_each``, so it is called once per column).
+    undeclared fn comes lifted by ``per_column``, so it is called once per column).
     Overflow warnings are the caller's to silence, as the checker does per chunk.
     """
     size = np.sqrt(np.einsum("ij,ij->i", D, D))
@@ -355,7 +350,7 @@ def check_assumption_sampled(
         for side in sides:
             scale[key] = float(np.max(np.abs(side), initial=scale[key], where=np.isfinite(side)))
 
-    call = (lambda fn: fn) if sys.columns and cert.columns else _each
+    call = (lambda fn: fn) if sys.columns and cert.columns else per_column
     for start in range(0, n_samples, _CHUNK):
         # Overflow and NaN in the terms, the flows and the differences are data
         # (infinite violations), so numpy warns of none of them in a chunk.

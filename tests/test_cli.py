@@ -196,6 +196,35 @@ class TestSimulateCommand:
         gaps = [float(r[2]) for r in rows[1:]]
         assert gaps and all(g >= 0.01 - 1e-6 for g in gaps)
 
+    @staticmethod
+    def _first_rise(outdir):
+        """(t, j, increase) of the first R step in rmonitor.csv above 1e-6 R[0], or None."""
+        with open(os.path.join(outdir, "rmonitor.csv")) as fh:
+            rows = [(float(t), int(j), float(r)) for t, j, r in list(csv.reader(fh))[1:]]
+        for (_, _, r0), (t, j, r1) in zip(rows, rows[1:]):
+            if r1 - r0 > 1e-6 * rows[0][2]:
+                return t, j, r1 - r0
+        return None
+
+    def test_r_monitor_check_reports_no_rise(self, capsys, tmp_path):
+        path, cfg = _write_config(tmp_path, LTI_CFG)
+        rc, out, _ = _run(capsys, "simulate", "--config", str(path))
+        assert rc == 0
+        assert out.splitlines()[-1] == "R monitor: R never rose by more than 1e-6 R[0]"
+        assert self._first_rise(cfg["output_dir"]) is None
+
+    def test_r_monitor_check_locates_the_first_rise(self, capsys, tmp_path):
+        # At x = (0, 1, 0), e = 0 the published Lorenz gains leave V-dot a budget of
+        # -60 against the -110 the decay inequality needs, so R rises at once.
+        path, cfg = _write_config(
+            tmp_path, LORENZ_CFG, lambda c: c["initial"].update(x=[0.0, 1.0, 0.0]))
+        rc, out, _ = _run(capsys, "simulate", "--config", str(path))
+        assert rc == 0
+        t, j, up = self._first_rise(cfg["output_dir"])
+        assert (t, j) == (0.001, 0)
+        assert out.splitlines()[-1] == (
+            f"R monitor: R rose by {up:.6g} (more than 1e-6 R[0]) at t = {t:.6g}, j = {j}")
+
     def test_dwell_above_ceiling_fails_before_integration(self, capsys, tmp_path):
         rc, _, err = _run(
             capsys, "simulate", "--system", "lorenz",
@@ -719,7 +748,8 @@ CLI_EXITS = {
         ["simulate", "--config", "{config}"], {k: v for k, v in LORENZ_CFG.items() if k != "zeta"},
         None, 0,
         "warning: dwell time is not below the zeta transit time; R-monitor output is empty",
-        lambda out, outdir: (outdir / "rmonitor.csv").read_text() == "t,j,R\n",
+        lambda out, outdir: (outdir / "rmonitor.csv").read_text() == "t,j,R\n"
+        and "R monitor" not in out,
     ),
 }
 
@@ -926,7 +956,9 @@ def test_fuzzed_config_exits_cleanly_in_every_command(capsys, tmp_path, monkeypa
 # on top of the moves before it (simulate: 5 events, t_j moved by at most
 # 2.3e-6 in all; batch: 709 events, at most 5.4e-6; tau_avg by 4.3e-7).  The
 # LTI rmonitor.csv was re-pinned when the design took P from its two pricing
-# solves, not a third: R moved in 228 of 510 rows, by at most 3.2e-16 relative.
+# solves, not a third: R moved in 228 of 510 rows, by at most 3.2e-16 relative;
+# and again when r_monitor took V and W on one column block (the bound is in its
+# docstring): R moved in 84 of 510 rows, by at most 1 ulp (2.2e-16 relative).
 ARTEFACT_SHA256 = {
     ("lorenz", "simulate"): {
         "events.csv": "4dc68a50c264a51ebb28645dd663cc65490639eb4ef36790343f8909dd38eff2",
@@ -941,7 +973,7 @@ ARTEFACT_SHA256 = {
     ("lti", "simulate"): {
         "events.csv": "f31e5d607c7e943e8145b4d8bdf76acafea362446bfcb5e67efe6b99a7159a3b",
         "plot.csv": "af3cbd2c8df6cf33905fd057fd37680f447ef965393bec5664b3df6a5265bbbd",
-        "rmonitor.csv": "3de4d6db4f6c0b990cd76cda9c5040115c378d8fe4828cff2de917129a9bc42e",
+        "rmonitor.csv": "e88e8210e879c50a7b5e95dddd98b88f2881faf387bf233ee6882459086e5aa3",
         "states.csv": "8454ed8063bce08dca9a026f6c2d344ad117eb9110c4184cb9622cfa7cb2bd8b",
     },
     ("lti", "batch"): {

@@ -1332,23 +1332,156 @@ class TestStackedMatrix:
         _assert_same_runs(_batches(dataclasses.replace(sys), cert), before)
 
 
+def _gamma(k):
+    """Higham's gamma_k = k u / (1 - k u), u = 2^-53: the relative bound of k roundings."""
+    return k * 2.0**-53 / (1 - k * 2.0**-53)
+
+
+def _per_sample_r(sol, cert, zp):
+    """R by the per-sample formula: V, W and zeta called on each sample in turn."""
+    lam, zeta = zp.lam(cert.gamma), trigger.zeta_solution(cert.gamma, cert.L, zp)
+    out = []
+    for seg in sol.segments:
+        for t, x, e, tau in zip(seg.t, seg.x, seg.e, seg.tau):
+            w = cert.W(e)
+            out.append((float(t), seg.j, cert.V(x) + lam * zeta(float(tau)) * w * w))
+    return out
+
+
+def _lorenz_criterion_5_runs(sys, cert, n_runs, horizon_t):
+    """Solutions of the first n_runs of criterion 5's Lorenz batch, cut to horizon_t."""
+    cfg = _of_cfg()
+    sim = SimSettings(step=1e-3, horizon_t=horizon_t, event_tol=1e-6)
+    spec = BatchSpec(n_runs=50, radius=10.0, horizon_t=horizon_t, seed=2026, trigger=cfg, sim=sim)
+    return [simulate(sys, cert, cfg, sample_initial(spec, k, 3, 1), sim) for k in range(n_runs)]
+
+
+def _tabuada_runs(sys, cert, rng, n_runs):
+    sim = SimSettings(step=1e-3, horizon_t=3.0, event_tol=1e-6)
+    return [simulate(sys, cert, _sf_cfg(), HybridState(rng.standard_normal(2) * 30,
+                                                       rng.standard_normal(2) * 10, 0.0), sim)
+            for _ in range(n_runs)]
+
+
 class TestRMonitor:
     @pytest.mark.parametrize("loop, cfg", [("tabuada", _sf_cfg()), ("lorenz", _of_cfg())])
-    def test_triples_match_the_per_sample_formula(self, loop, cfg, request):
-        # Reference: each sample's numpy scalars t and tau converted one at a time.
+    def test_undeclared_certificate_matches_the_per_sample_formula(self, loop, cfg, request):
+        # Undeclared terms go through the per-column lift: one call per sample, the same bits.
         sys, cert = request.getfixturevalue(loop)
         q0 = HybridState(np.full(sys.n_x, 2.0), np.zeros(sys.n_e), 0.0)
         sol = simulate(sys, cert, cfg, q0, SETTINGS)
         zp = ZetaParams(theta=0.01, eta=0.01)
-        lam, zeta = zp.lam(cert.gamma), trigger.zeta_solution(cert.gamma, cert.L, zp)
-        expected = []
-        for seg in sol.segments:
-            for t, x, e, tau in zip(seg.t, seg.x, seg.e, seg.tau):
-                w = cert.W(e)
-                expected.append((float(t), seg.j, cert.V(x) + lam * zeta(float(tau)) * w * w))
+        cert = dataclasses.replace(cert, columns=False)
         samples = r_monitor(sol, cert, zp)
-        assert samples == expected
-        assert [tuple(map(type, s)) for s in samples] == [tuple(map(type, s)) for s in expected]
+        assert samples == _per_sample_r(sol, cert, zp)
+        assert {tuple(map(type, s)) for s in samples} == {(float, int, float)}
+
+    @pytest.mark.parametrize("loop, cfg", [("tabuada", _sf_cfg()), ("lorenz", _of_cfg())])
+    def test_zeta_per_clock_value_equals_zeta_per_sample(self, loop, cfg, request):
+        sys, cert = request.getfixturevalue(loop)
+        q0 = HybridState(np.full(sys.n_x, 2.0), np.zeros(sys.n_e), 0.0)
+        sol = simulate(sys, cert, cfg, q0, SETTINGS)
+        zeta = trigger.zeta_solution(cert.gamma, cert.L, ZetaParams(theta=0.01, eta=0.01))
+        tau = np.concatenate([seg.tau for seg in sol.segments])
+        assert np.unique(tau).size * 5 < tau.size  # dwell segments repeat their clocks
+        got = hybrid._per_clock(zeta, tau)
+        assert got.tobytes() == np.array([zeta(v) for v in tau.tolist()]).tobytes()
+
+    @pytest.mark.parametrize("loop", ["tabuada", "lorenz"])
+    def test_declared_certificate_stays_within_the_stated_bound(self, loop, rng, request):
+        # Each path's R is within gamma_k (|x|^T |P| |x| + lam zeta |e|^2) of the exact
+        # value, k = max(2 n_x + 1, n_e + 6) (the r_monitor docstring), so the two
+        # differ by at most twice that.  Lorenz runs as in criterion 5.
+        sys, cert = request.getfixturevalue(loop)
+        if loop == "tabuada":
+            P = cert.lti_form[1].P
+            sols, zp = _tabuada_runs(sys, cert, rng, 6), ZetaParams(theta=0.01, eta=0.01)
+        else:
+            P = np.diag([2.0, 30.0, 30.0])  # p1, p2, p2
+            sols = _lorenz_criterion_5_runs(sys, cert, 4, 5.0)
+            zp = ZetaParams(theta=1e-4, eta=1e-6)
+        P = np.abs(P)
+        gamma_k = _gamma(max(2 * cert.n_x + 1, cert.n_e + 6))
+        lam, zeta = zp.lam(cert.gamma), trigger.zeta_solution(cert.gamma, cert.L, zp)
+        for sol in sols:
+            got, want = r_monitor(sol, cert, zp), _per_sample_r(sol, cert, zp)
+            assert [s[:2] for s in got] == [s[:2] for s in want]
+            x, e, tau = (np.concatenate([getattr(s, a) for s in sol.segments])
+                         for a in ("x", "e", "tau"))
+            z = np.array([zeta(v) for v in tau.tolist()])
+            size = np.einsum("ij,ij->i", abs(x), abs(x).dot(P)) + lam * z * np.sum(e * e, axis=1)
+            moved = np.abs(np.array([s[2] for s in got]) - np.array([s[2] for s in want]))
+            assert np.all(moved <= 2.0 * gamma_k * size)
+
+    def test_declared_terms_are_called_once_and_zeta_once_per_clock_value(self, tabuada,
+                                                                          monkeypatch):
+        sys, cert = tabuada
+        calls = {"V": 0, "W": 0, "zeta": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        zeta_solution = trigger.zeta_solution
+        monkeypatch.setattr(hybrid, "zeta_solution",
+                            lambda *a: counted("zeta", zeta_solution(*a)))
+        spied = dataclasses.replace(cert, V=counted("V", cert.V), W=counted("W", cert.W))
+        q0 = HybridState(np.array([5.0, -1.0]), np.zeros(2), 0.0)
+        sol = simulate(sys, cert, _sf_cfg(), q0, SETTINGS)
+        samples = r_monitor(sol, spied, ZetaParams(theta=0.01, eta=0.01))
+        tau = np.concatenate([seg.tau for seg in sol.segments])
+        assert len(samples) == tau.size > 100
+        assert calls == {"V": 1, "W": 1, "zeta": np.unique(tau).size}
+
+    def test_overflowing_r_is_inf_without_a_warning(self, tabuada):
+        # ((lam zeta(0)) W) W = (2e160 * 1e75) * 1e75 overflows; the per-sample formula
+        # read inf silently on Python floats, and so does the block form.
+        _, cert = tabuada
+        cert = dataclasses.replace(cert, gamma=1e160)
+        x, e = np.array([1.0, 0.0]), np.array([1e75, 0.0])
+        seg = Segment(j=0, t=np.zeros(1), x=x[None], e=e[None], tau=np.zeros(1))
+        assert r_monitor(HybridSolution([seg], []), cert, ZetaParams(0.5, 1.0)) == [(0.0, 0, math.inf)]
+
+    def test_unrecorded_solution_gives_no_samples(self, tabuada):
+        sys, cert = tabuada
+        q0 = HybridState(np.array([5.0, -1.0]), np.zeros(2), 0.0)
+        settings = dataclasses.replace(SETTINGS, record_states=False)
+        sol = simulate(sys, cert, _sf_cfg(), q0, settings)
+        assert sol.segments == [] and sol.n_jumps > 0
+        assert r_monitor(sol, cert, ZetaParams(theta=0.01, eta=0.01)) == []
+        assert r_monitor(HybridSolution([], []), cert, ZetaParams(theta=0.01, eta=0.01)) == []
+
+    def test_partial_solution_of_a_divergence(self, lorenz):
+        # The run of test_lorenz_overflow_in_a_stage_raises_divergence: its last
+        # recorded state is NaN, and so is its R, with no warning on either path.
+        # Lorenz V and W^2 sum nonnegative terms, so the stated bound is relative to R.
+        sys, cert = lorenz
+        q0 = HybridState(np.array([5e139, 2.5e139, 0.0]), np.zeros(1), 0.0)
+        settings = SimSettings(step=1e-3, horizon_t=1.0, event_tol=1e-6, blowup_norm=1e150)
+        with pytest.raises(DivergenceError) as info:
+            simulate(sys, cert, _of_cfg(T=0.01), q0, settings)
+        sol, zp = info.value.partial, ZetaParams(theta=1e-4, eta=1e-6)
+        undeclared = dataclasses.replace(cert, columns=False)
+        want = _per_sample_r(sol, undeclared, zp)
+        assert len(want) == 2 and math.isnan(want[-1][2])
+        for c in (undeclared, cert):
+            got = r_monitor(sol, c, zp)
+            assert [s[:2] for s in got] == [s[:2] for s in want]
+            np.testing.assert_allclose([s[2] for s in got], [s[2] for s in want],
+                                       rtol=0 if c is undeclared else 2 * _gamma(7))
+
+    def test_first_rise(self):
+        assert hybrid.first_rise([]) is None
+        assert hybrid.first_rise([(0.0, 0, 1.0)]) is None
+        within = [(0.0, 0, 1.0), (0.1, 0, 1.0 + 9e-7), (0.2, 1, 1.0 + 1.8e-6)]
+        assert hybrid.first_rise(within) is None
+        rising = [*within, (0.3, 1, 0.5), (0.4, 2, 2.5), (0.5, 2, 9.0)]
+        assert hybrid.first_rise(rising) == (0.4, 2, 2.0)
+        # inf - inf is no rise and raises no warning; the step to inf is one.
+        assert hybrid.first_rise([(0.0, 0, 1.0), (0.1, 0, math.inf), (0.2, 0, math.inf)]) == (
+            0.1, 0, math.inf)
 
     def test_gamma_whose_square_overflows(self, tabuada):
         # lam = sqrt(gamma^2 + eta) overflowed to inf past gamma = 1.34e154, and

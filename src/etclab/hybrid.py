@@ -637,8 +637,9 @@ def r_monitor(sol: HybridSolution, cert: Certificate, zp: ZetaParams):
     has V and W called once each, on the (n_x, N) and (n_e, N) blocks, and an
     undeclared one once per sample (``model.per_column``), with the bits of
     the per-sample formula.  zeta is called once per distinct clock value,
-    with the bits of a call per sample.  R is v + ((lam z) w) w, and past the
-    float range inf, with no warning.  A declared block form may round
+    with the bits of a call per sample.  R is v + ((lam z) w) w, formed as on
+    Python floats: past the float range inf and 0 inf NaN, with no warning
+    (V and W themselves warn as they would).  A declared block form may round
     otherwise than the one-state form (``einsum`` against ``dot`` in the LTI V
     and in W, array squares against libm ``pow`` in the Lorenz V).  For
     V = x^T P x and W = |e|, as those certificates have, either form's R is
@@ -657,22 +658,23 @@ def r_monitor(sol: HybridSolution, cert: Certificate, zp: ZetaParams):
         return np.concatenate([getattr(seg, name) for seg in segs])
 
     call = (lambda fn: fn) if cert.columns else per_column
-    with np.errstate(over="ignore"):
-        v, w = call(cert.V)(stack("x").T), call(cert.W)(stack("e").T)
-        r = v + lam * _per_clock(zeta, stack("tau")) * w * w
+    v, w = call(cert.V)(stack("x").T), call(cert.W)(stack("e").T)
+    z = _per_clock(zeta, stack("tau"))
+    with np.errstate(over="ignore", invalid="ignore"):  # as on Python floats
+        r = v + lam * z * w * w
     j = np.repeat([seg.j for seg in segs], [seg.t.size for seg in segs])
     return list(zip(stack("t").tolist(), j.tolist(), r.tolist()))
 
 
-def first_rise(samples, rtol=1e-6):
+def first_rise(samples):
     """The first (t, j, increase) at which R in ``r_monitor``'s samples rose over the sample
-    before by more than rtol R[0], the acceptance tests' tolerance; None if it never did."""
+    before by more than 1e-6 R[0], the acceptance tests' tolerance; None if it never did."""
     r = np.array([s[2] for s in samples])
     if r.size < 2:
         return None
     with np.errstate(invalid="ignore"):  # inf - inf is NaN, not a rise
         rise = np.diff(r)
-        over = np.flatnonzero(rise > rtol * r[0])
+        over = np.flatnonzero(rise > 1e-6 * r[0])
     if not over.size:
         return None
     k = int(over[0])

@@ -1444,6 +1444,17 @@ class TestRMonitor:
         seg = Segment(j=0, t=np.zeros(1), x=x[None], e=e[None], tau=np.zeros(1))
         assert r_monitor(HybridSolution([seg], []), cert, ZetaParams(0.5, 1.0)) == [(0.0, 0, math.inf)]
 
+    def test_zero_zeta_times_infinite_w_is_nan_without_a_warning(self, tabuada):
+        # Past the transit time zeta is 0.0, and 0 inf on Python floats is a quiet NaN.
+        _, cert = tabuada
+        zp = ZetaParams(0.5, 1.0)
+        tau = 2.0 * zeta_time(cert.gamma, cert.L, zp)
+        x, e = np.array([1.0, 0.0]), np.array([math.inf, 0.0])
+        seg = Segment(j=0, t=np.zeros(1), x=x[None], e=e[None], tau=np.full(1, tau))
+        for c in (cert, dataclasses.replace(cert, columns=False)):
+            [(t, j, r)] = r_monitor(HybridSolution([seg], []), c, zp)
+            assert (t, j) == (0.0, 0) and math.isnan(r)
+
     def test_unrecorded_solution_gives_no_samples(self, tabuada):
         sys, cert = tabuada
         q0 = HybridState(np.array([5.0, -1.0]), np.zeros(2), 0.0)
